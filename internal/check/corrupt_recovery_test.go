@@ -270,12 +270,13 @@ func TestRecoveryUncorruptedBaseline(t *testing.T) {
 // instance over distinct keys until a live chain (base + deltas)
 // exists, then crashes keeping every in-flight line. It returns the
 // pool and the newest delta record (the chain head) for fault
-// targeting.
-func buildCrashedChainImage(t *testing.T) (*pmem.Pool, plog.Record) {
+// targeting. maxOps is the instance's LogMaxOps (0 = default).
+func buildCrashedChainImage(t *testing.T, maxOps int) (*pmem.Pool, plog.Record) {
 	t.Helper()
 	pool := pmem.New(1<<22, nil)
 	in, err := core.New(pool, objects.MapSpec{}, core.Config{
 		NProcs: 1, LogCapacity: 128, DeltaSnapshots: true, CompactEvery: 8,
+		LogMaxOps: maxOps,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -312,7 +313,7 @@ func buildCrashedChainImage(t *testing.T) (*pmem.Pool, plog.Record) {
 // quarantine with the same taxonomy and return to service via
 // Recreate. Never a panic, never a silently wrong state.
 func TestRecoveryTornChainPredecessorBody(t *testing.T) {
-	pool, head := buildCrashedChainImage(t)
+	pool, head := buildCrashedChainImage(t, 0)
 	// Body[2] is the back-reference address of the predecessor body
 	// (validated at resolve time); smash a word inside that region,
 	// past its 5-word frame header.
@@ -321,7 +322,7 @@ func TestRecoveryTornChainPredecessorBody(t *testing.T) {
 		t.Fatalf("strict recovery over a torn chain predecessor: err=%v, want ErrSnapshotCorrupt", err)
 	}
 
-	pool2, head2 := buildCrashedChainImage(t)
+	pool2, head2 := buildCrashedChainImage(t, 0)
 	durablyCorrupt(pool2, pmem.Addr(head2.Body[2])+pmem.Addr(5*pmem.WordSize), ^uint64(0))
 	in, _, err := core.Recover(pool2, objects.MapSpec{}, core.Config{Salvage: true})
 	if err != nil {
@@ -341,6 +342,46 @@ func TestRecoveryTornChainPredecessorBody(t *testing.T) {
 	}
 }
 
+// TestRecreateKeepsLogMaxOps: Recreate must rebuild the logs with the
+// per-record op bound of the logs it replaces, as it does with their
+// capacity and inline budget. With the bound dropped to NProcs a
+// recreated server instance admits one op per batch and pays a fence
+// per request, with no error to say so.
+func TestRecreateKeepsLogMaxOps(t *testing.T) {
+	const maxOps = 17
+	pool, head := buildCrashedChainImage(t, maxOps)
+	durablyCorrupt(pool, pmem.Addr(head.Body[2])+pmem.Addr(5*pmem.WordSize), ^uint64(0))
+	in, _, err := core.Recover(pool, objects.MapSpec{}, core.Config{Salvage: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := in.Health().Mode; m != core.ModeQuarantined {
+		t.Fatalf("setup: health %v, want quarantined", m)
+	}
+	if got := in.Log(0).MaxOps(); got != maxOps {
+		t.Fatalf("setup: recovered log MaxOps = %d, want %d", got, maxOps)
+	}
+	if err := in.Recreate(); err != nil {
+		t.Fatal(err)
+	}
+	if got := in.Log(0).MaxOps(); got != maxOps {
+		t.Fatalf("MaxOps after Recreate = %d, want %d", got, maxOps)
+	}
+	b := in.Handle(0).NewBatch()
+	pool.ResetStats()
+	for i := 0; i < maxOps; i++ { // NProcs 1: no helping-tail headroom
+		if _, _, err := b.Stage(objects.MapPut, uint64(2000+i), 1); err != nil {
+			t.Fatalf("stage %d of %d after Recreate: %v", i+1, maxOps, err)
+		}
+	}
+	if err := b.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if pf := pool.TotalStats().PersistentFences; pf != 1 {
+		t.Fatalf("%d-op batch after Recreate took %d pfences, want 1", maxOps, pf)
+	}
+}
+
 // TestRecoveryFlippedChainBackRef flips one bit of the back-reference
 // word INSIDE the chain head's checksummed body on media. The body
 // checksum fails, so the head record reads as never appended — the
@@ -349,7 +390,7 @@ func TestRecoveryTornChainPredecessorBody(t *testing.T) {
 // (truncation without a readable covering record) instead of silently
 // recovering nothing; salvage must quarantine on the same evidence.
 func TestRecoveryFlippedChainBackRef(t *testing.T) {
-	pool, head := buildCrashedChainImage(t)
+	pool, head := buildCrashedChainImage(t, 0)
 	addr, _, ok := head.ChainBody()
 	if !ok {
 		t.Fatal("chain head without a body region")
@@ -360,7 +401,7 @@ func TestRecoveryFlippedChainBackRef(t *testing.T) {
 		t.Fatalf("strict recovery over a flipped back-reference: err=%v, want ErrSnapshotCorrupt", err)
 	}
 
-	pool2, head2 := buildCrashedChainImage(t)
+	pool2, head2 := buildCrashedChainImage(t, 0)
 	addr2, _, _ := head2.ChainBody()
 	cur2 := pool2.DurableWord(addr2 + pmem.Addr(2*pmem.WordSize))
 	durablyCorrupt(pool2, addr2+pmem.Addr(2*pmem.WordSize), cur2^(1<<17))
@@ -427,7 +468,7 @@ func TestRecoveryChainBaseBeforeFirstDelta(t *testing.T) {
 func TestRecoveryFuzzRandomCorruptionDeltaChains(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for trial := 0; trial < 60; trial++ {
-		pool, _ := buildCrashedChainImage(t)
+		pool, _ := buildCrashedChainImage(t, 0)
 		for n := 1 + rng.Intn(5); n > 0; n-- {
 			w := rng.Intn(pool.Size() / (8 * pmem.WordSize))
 			addr := pmem.Addr(w * pmem.WordSize)

@@ -85,11 +85,10 @@ func runFaultIteration(t *testing.T, sp spec.Spec, nprocs, it int, rng *rand.Ran
 	if it%3 == 0 {
 		base.WaitFree = true
 	}
-	// Alternate compaction schemes across the compacting legs (the CI
-	// matrix can force either), so faults land on chain bodies and
-	// back-references too and salvage composes with unresolvable
-	// chains, not just broken snapshots.
-	base.DeltaSnapshots = workload.DeltaSnapshotLeg(it%4 == 0)
+	// Alternate compaction schemes across the compacting legs, so
+	// faults land on chain bodies and back-references too and salvage
+	// composes with unresolvable chains, not just broken snapshots.
+	base.DeltaSnapshots = it%4 == 0
 	probe, err := RunLive(base)
 	if err != nil {
 		t.Fatalf("p%d i%d: live probe: %v", nprocs, it, err)

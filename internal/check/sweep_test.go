@@ -10,7 +10,6 @@ import (
 	"repro/internal/objects"
 	"repro/internal/pmem"
 	"repro/internal/spec"
-	"repro/internal/workload"
 )
 
 // TestCrashInjectionSweep is the randomized crash-injection sweep at
@@ -33,6 +32,11 @@ import (
 // iteration additionally switches to the wait-free execution trace, so
 // the wait-free ordering + compaction combination (helping across a
 // cut) is crashed and recovered at every process count.
+//
+// The iteration index also picks the shape: odd iterations crash the
+// pipeline (read fast path, base+delta-chain cuts), even ones the
+// reference construction (local views, full-snapshot cuts), so a
+// default run covers both.
 //
 // -short trims the sweep to 16 processes (the bounded CI job);
 // ONLL_SWEEP_ITERS overrides the per-configuration iteration count.
@@ -77,17 +81,15 @@ func TestCrashInjectionSweep(t *testing.T) {
 						cfg.LogInlineOps = 1 // force helped records through the overflow ring
 					}
 					cfg.WaitFree = i%3 == 0 // wait-free ordering + compaction combo
-					cfg.ReadFastPath = workload.ReadFastPathEnabled()
-					// Odd iterations cut base + delta chains instead of
-					// full snapshots (unless the CI matrix forces one
-					// scheme), so chain append, truncation behind a live
-					// chain and base+delta refolding all run under the
-					// random crash point.
-					cfg.DeltaSnapshots = workload.DeltaSnapshotLeg(i%2 == 1)
+					// The pipeline legs put chain append, truncation
+					// behind a live chain and base+delta refolding under
+					// the random crash point.
+					pipeline := i%2 == 1
+					cfg.ReadFastPath, cfg.DeltaSnapshots = pipeline, pipeline
 					res, err := RunCrash(cfg)
 					if err != nil {
-						t.Fatalf("%s procs=%d iter=%d crash@%d inline=%d compact=%d delta=%v: %v",
-							sp.Name(), nprocs, i, cfg.CrashStep, cfg.LogInlineOps, cfg.CompactEvery, cfg.DeltaSnapshots, err)
+						t.Fatalf("%s procs=%d iter=%d crash@%d inline=%d compact=%d fastpath=%v delta=%v: %v",
+							sp.Name(), nprocs, i, cfg.CrashStep, cfg.LogInlineOps, cfg.CompactEvery, cfg.ReadFastPath, cfg.DeltaSnapshots, err)
 					}
 					// The recovered instance must be servable by every
 					// replacement process, not just consistent on paper.
@@ -103,21 +105,20 @@ func TestCrashInjectionSweep(t *testing.T) {
 	}
 }
 
-// readHeavySweep is the read-heavy crash mix: 15% updates with the
-// read fast path enabled (unless the CI fast-path-off leg disables it)
-// and a tight compaction cadence, so epoch-checked reads, shared-view
-// publication and adoption all run under the random crash point — and
-// again in the recovered era, where every replacement handle starts
-// cold and must catch up to a trace it never walked. Probing a read
-// from EVERY handle after recovery forces that cold-start path: the
-// first walker republishes, the rest adopt.
+// readHeavySweep is the read-heavy crash mix: 15% updates and a tight
+// compaction cadence, even iterations on the pipeline (so epoch-checked
+// reads, shared-view publication and adoption all run under the random
+// crash point) and odd ones on the reference read path — and again in
+// the recovered era, where every replacement handle starts cold and
+// must catch up to a trace it never walked. Probing a read from EVERY
+// handle after recovery forces that cold-start path: on the pipeline
+// the first walker republishes, the rest adopt.
 func readHeavySweep(t *testing.T, nprocs, iters int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(int64(nprocs)*4049 + 3))
 	base := HarnessConfig{
 		Spec: objects.MapSpec{}, NProcs: nprocs, OpsPerProc: 30, UpdatePct: 15,
 		Seed: int64(nprocs)*13 + 5, LocalViews: true, CompactEvery: 8,
-		ReadFastPath: workload.ReadFastPathEnabled(),
 	}
 	probe, err := RunLive(base)
 	if err != nil {
@@ -129,7 +130,8 @@ func readHeavySweep(t *testing.T, nprocs, iters int) {
 		cfg.CrashStep = 1 + uint64(rng.Int63n(int64(probe.Steps)))
 		cfg.Oracle = pmem.SeededOracle(uint64(cfg.Seed), uint64(rng.Intn(4)), 3)
 		cfg.WaitFree = i%2 == 1
-		cfg.DeltaSnapshots = workload.DeltaSnapshotLeg(i%2 == 0)
+		pipeline := i%2 == 0
+		cfg.ReadFastPath, cfg.DeltaSnapshots = pipeline, pipeline
 		res, err := RunCrash(cfg)
 		if err != nil {
 			t.Fatalf("read-heavy procs=%d iter=%d crash@%d waitfree=%v fastpath=%v delta=%v: %v",

@@ -340,6 +340,21 @@ type Instance struct {
 	cmpFullWords   atomic.Uint64
 }
 
+// newTrace returns the execution trace cfg selects, rooted at sentinel
+// (a recovered or salvaged base) or, when nil, at INITIALIZE.
+func newTrace(cfg *Config, sentinel *trace.Node) trace.Interface {
+	switch {
+	case cfg.WaitFree && sentinel != nil:
+		return trace.NewWaitFreeAt(cfg.Gate, cfg.NProcs, sentinel)
+	case cfg.WaitFree:
+		return trace.NewWaitFree(cfg.Gate, cfg.NProcs)
+	case sentinel != nil:
+		return trace.NewLockFreeAt(cfg.Gate, sentinel)
+	default:
+		return trace.NewLockFree(cfg.Gate)
+	}
+}
+
 // New builds a fresh instance of sp on pool. Setup durably writes the
 // root table and log headers; call pool.ResetStats afterwards if you are
 // counting steady-state fences.
@@ -352,11 +367,7 @@ func New(pool *pmem.Pool, sp spec.Spec, cfg Config) (*Instance, error) {
 		return nil, err
 	}
 	in.initFastPath()
-	if cfg.WaitFree {
-		in.tr = trace.NewWaitFree(cfg.Gate, cfg.NProcs)
-	} else {
-		in.tr = trace.NewLockFree(cfg.Gate)
-	}
+	in.tr = newTrace(&cfg, nil)
 	for pid := 0; pid < cfg.NProcs; pid++ {
 		l, err := plog.CreateInline(pool, pid, cfg.LogCapacity, cfg.LogMaxOps, cfg.LogInlineOps)
 		if err != nil {
@@ -1381,16 +1392,7 @@ func Recover(pool *pmem.Pool, sp spec.Spec, cfg Config) (*Instance, *Report, err
 	if rep.BaseIdx > 0 {
 		sentinel = trace.NewBase(rep.BaseIdx, rep.BaseState, baseSeqs)
 	}
-	switch {
-	case cfg.WaitFree && sentinel != nil:
-		in.tr = trace.NewWaitFreeAt(cfg.Gate, nprocs, sentinel)
-	case cfg.WaitFree:
-		in.tr = trace.NewWaitFree(cfg.Gate, nprocs)
-	case sentinel != nil:
-		in.tr = trace.NewLockFreeAt(cfg.Gate, sentinel)
-	default:
-		in.tr = trace.NewLockFree(cfg.Gate)
-	}
+	in.tr = newTrace(&cfg, sentinel)
 	recPID := 0 // recovery runs single-threaded; pid 0 stands in
 	for k, op := range ordered {
 		n := trace.NewNode(op)

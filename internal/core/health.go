@@ -216,16 +216,16 @@ func (in *Instance) Recreate() error {
 	// cfg defaults: a recovered instance's Config carries no capacity
 	// (geometry lives in the log headers), and the defaults can be far
 	// larger than the pool that held the originals.
-	capacity, inlineOps := cfg.LogCapacity, cfg.LogInlineOps
+	capacity, maxOps, inlineOps := cfg.LogCapacity, cfg.LogMaxOps, cfg.LogInlineOps
 	for _, l := range in.logs {
 		if l != nil {
-			capacity, inlineOps = l.Capacity(), l.InlineOps()
+			capacity, maxOps, inlineOps = l.Capacity(), l.MaxOps(), l.InlineOps()
 			break
 		}
 	}
 	logs := make([]*plog.Log, cfg.NProcs)
 	for pid := 0; pid < cfg.NProcs; pid++ {
-		l, err := plog.CreateInline(in.pool, pid, capacity, cfg.NProcs, inlineOps)
+		l, err := plog.CreateInline(in.pool, pid, capacity, maxOps, inlineOps)
 		if err != nil {
 			return fmt.Errorf("core: recreating log for p%d: %w", pid, err)
 		}
@@ -252,16 +252,7 @@ func (in *Instance) Recreate() error {
 		in.pool.SetRoot(cfg.RootBase+rootLogBase+pid, uint64(logs[pid].Base()))
 	}
 	in.logs = logs
-	switch {
-	case cfg.WaitFree && sentinel != nil:
-		in.tr = trace.NewWaitFreeAt(cfg.Gate, cfg.NProcs, sentinel)
-	case cfg.WaitFree:
-		in.tr = trace.NewWaitFree(cfg.Gate, cfg.NProcs)
-	case sentinel != nil:
-		in.tr = trace.NewLockFreeAt(cfg.Gate, sentinel)
-	default:
-		in.tr = trace.NewLockFree(cfg.Gate)
-	}
+	in.tr = newTrace(cfg, sentinel)
 	seqs := map[int]uint64{}
 	for pid, s := range sb.seqs {
 		seqs[pid] = s

@@ -223,14 +223,6 @@ func slotWordsInline(maxOps, inlineOps int) int {
 	return 3 + payload + 1
 }
 
-// SlotWords returns the words per record slot of a single-tier layout
-// holding up to maxOps operations inline — the slot formula when the
-// inline budget covers maxOps, and the baseline the two-tier footprint
-// is compared against.
-func SlotWords(maxOps int) int {
-	return slotWordsInline(maxOps, maxOps)
-}
-
 // ovfChunkWords is the worst-case overflow tail of one record
 // (line-aligned, so chunks never share a line and a torn line damages
 // at most one record).
@@ -279,15 +271,6 @@ func RegionBytesRing(capacity, maxOps, inlineOps, ringWords int) int {
 	inlineOps = normInline(maxOps, inlineOps)
 	slotBytes := alignLineWords(slotWordsInline(maxOps, inlineOps)) * pmem.WordSize
 	return pmem.LineSize + capacity*slotBytes + ringWords*pmem.WordSize
-}
-
-// SingleTierRegionBytes returns the bytes the retired single-tier
-// layout (every slot sized for the full maxOps window) would need.
-// Kept as the footprint baseline for EXPERIMENTS.md and the benchmark
-// artifact.
-func SingleTierRegionBytes(capacity, maxOps int) int {
-	slotBytes := alignLineWords(SlotWords(maxOps)) * pmem.WordSize
-	return pmem.LineSize + capacity*slotBytes
 }
 
 // Create formats a new log for process pid at a freshly allocated region

@@ -6,7 +6,6 @@ package workload
 import (
 	"fmt"
 	"math/rand"
-	"os"
 
 	"repro/internal/objects"
 	"repro/internal/spec"
@@ -26,10 +25,8 @@ type Handle interface {
 	Read(code uint64, args ...uint64) uint64
 }
 
-// RunSteps executes steps in order against h, the one step-dispatch
-// loop shared by the throughput harnesses (BenchmarkThroughput* and
-// `onllbench -exp et`) so both always measure identical behaviour. It
-// stops at the first update error.
+// RunSteps executes steps in order against h, the step-dispatch loop of
+// the BenchmarkThroughput* suites. It stops at the first update error.
 func RunSteps(h Handle, steps []Step) error {
 	for _, st := range steps {
 		if st.IsUpdate {
@@ -134,9 +131,6 @@ func NewYCSB(mix YCSBWorkload) *YCSB {
 	return &YCSB{Mix: mix, KeySpace: 1024, Theta: 1.01}
 }
 
-// Spec returns the object the workload targets.
-func (y *YCSB) Spec() spec.Spec { return objects.OrderedMapSpec{} }
-
 // UpdatePct returns the mix's update percentage (for fence accounting).
 func (y *YCSB) UpdatePct() int {
 	switch y.Mix {
@@ -152,9 +146,7 @@ func (y *YCSB) UpdatePct() int {
 // Preload populates the ordered map with the workload's whole key
 // space (as YCSB loads its dataset before measuring) through h, so
 // read-heavy mixes measure lookups against a populated index rather
-// than misses on an empty one. Both throughput harnesses
-// (BenchmarkThroughputYCSB and `onllbench -exp et`) load through this
-// one function so their datasets can never diverge.
+// than misses on an empty one.
 func (y *YCSB) Preload(h Handle) error {
 	space := y.KeySpace
 	if space == 0 {
@@ -278,22 +270,11 @@ func scramble(x uint64) uint64 {
 // Shared sizing policy for the throughput suites.
 // ---------------------------------------------------------------------
 
-// ThroughputCompactEvery and ThroughputLogCapacity return the instance
-// geometry both throughput harnesses (BenchmarkThroughput* and
-// `onllbench -exp et`) use for nprocs simulated processes, so the JSON
-// artifact and the Go benchmarks always measure the same configuration
-// (pfences/op depends on CompactEvery exactly). Past 8 processes the
-// per-process logs shrink — slot width scales with the fuzzy-window
-// bound, i.e. with nprocs — and compaction tightens, keeping 64 logs
-// inside a CI-class memory budget.
-func ThroughputCompactEvery(nprocs int) int {
-	if nprocs > 8 {
-		return 1 << 7
-	}
-	return 1 << 10
-}
-
-// ThroughputLogCapacity returns the per-process log slot count.
+// ThroughputLogCapacity and ThroughputPoolBytes are the instance
+// geometry the BenchmarkThroughput* suites and onllserve use for nprocs
+// simulated processes. Past 8 processes the per-process logs shrink —
+// slot width scales with the fuzzy-window bound, i.e. with nprocs —
+// keeping 64 logs inside a CI-class memory budget.
 func ThroughputLogCapacity(nprocs int) int {
 	if nprocs > 8 {
 		return 1 << 9
@@ -307,29 +288,4 @@ func ThroughputPoolBytes(nprocs int) int {
 		return 1 << 27
 	}
 	return 1 << 26
-}
-
-// ReadFastPathEnabled is the suite-wide default for core's
-// Config.ReadFastPath: on, unless the ONLL_READ_FASTPATH environment
-// variable is "off". CI runs a fast-path-off leg with it so both
-// configurations stay green; the throughput harnesses and the
-// read-heavy crash sweeps all take their default from here.
-func ReadFastPathEnabled() bool {
-	return os.Getenv("ONLL_READ_FASTPATH") != "off"
-}
-
-// DeltaSnapshotLeg resolves one sweep iteration's core.Config
-// DeltaSnapshots flag: the ONLL_DELTA_SNAPSHOTS environment variable
-// forces every leg on ("on") or off ("off") — CI's delta-compaction
-// matrix legs use "on" — and anything else falls back to alt, the
-// sweep's own per-iteration alternation, so default runs cover both
-// compaction schemes in the same sweep.
-func DeltaSnapshotLeg(alt bool) bool {
-	switch os.Getenv("ONLL_DELTA_SNAPSHOTS") {
-	case "on":
-		return true
-	case "off":
-		return false
-	}
-	return alt
 }

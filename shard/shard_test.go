@@ -16,16 +16,14 @@ import (
 	"repro/internal/spec"
 )
 
-// baseCfg is the per-shard template most tests use: the full Section 8
-// stack (local views, compaction, read fast path) so the composition
-// is exercised over the configuration the benches run.
+// baseCfg is the per-shard template most tests use: local views, a
+// tight full-snapshot compaction cadence and the read fast path, so the
+// composition is exercised with cuts landing mid-test.
 func baseCfg(nprocs int) core.Config {
 	return core.Config{
 		NProcs: nprocs, LogCapacity: 1 << 10, CompactEvery: 64, ReadFastPath: true,
 	}
 }
-
-func deltaSnapLeg() bool { return os.Getenv("ONLL_DELTA_SNAPSHOTS") == "on" }
 
 // TestShardRoutingAndReadYourWrites drives a sharded map through every
 // composed surface: keyed updates and reads route consistently (a key
@@ -130,9 +128,7 @@ func TestCrossShardReadOracle(t *testing.T) {
 		rounds = 500
 	}
 	pool := pmem.New(1<<26, nil)
-	base := baseCfg(nprocs)
-	base.DeltaSnapshots = deltaSnapLeg()
-	in, err := Open(pool, objects.MapSpec{}, Config{Shards: shards, Base: base})
+	in, err := Open(pool, objects.MapSpec{}, Config{Shards: shards, Base: baseCfg(nprocs)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,9 +212,8 @@ func shardSweepIters(def int) int {
 // single monotone writer per key: the recovered value must be exactly
 // the highest-round put that shard's report says linearized (recorded
 // at issue time with the shard index, since ids are per-shard), and
-// every linearized put must be covered by it. A delta-snapshots leg
-// (ONLL_DELTA_SNAPSHOTS=on, as in CI's crash-sweep matrix) runs the
-// same sweep over chain compaction.
+// every linearized put must be covered by it. Odd iterations cut
+// base+delta chains, even ones full snapshots.
 func TestShardCrashSweep(t *testing.T) {
 	const shards = 2
 	const nprocs = 4
@@ -235,7 +230,7 @@ func TestShardCrashSweep(t *testing.T) {
 			pool := pmem.New(1<<24, nil)
 			base := core.Config{
 				NProcs: nprocs, LogCapacity: 1 << 10, CompactEvery: 32,
-				ReadFastPath: true, Gate: gate, DeltaSnapshots: deltaSnapLeg(),
+				ReadFastPath: true, Gate: gate, DeltaSnapshots: it%2 == 1,
 			}
 			in, err := Open(pool, objects.MapSpec{}, Config{Shards: shards, Base: base})
 			if err != nil {

@@ -6,8 +6,7 @@ package onll
 // over 1/2/4/8. Unlike the E-series benchmarks (which regenerate the
 // paper's tables), this suite measures the simulator substrate itself:
 // it is the regression guard for the sharded-pool and allocation-free
-// replay work, and `onllbench -json` re-runs the same shape to produce
-// the BENCH_throughput.json trajectory artifact.
+// replay work. `-cpu 1,2,4` adds the GOMAXPROCS axis.
 
 import (
 	"fmt"
@@ -18,25 +17,21 @@ import (
 	"repro/internal/objects"
 	"repro/internal/pmem"
 	"repro/internal/workload"
+	"repro/shard"
 )
 
 // throughputProcs are the scaling points of the suite, up to the full
 // pid space (sched.MaxPids = core.MaxProcs = 64).
 var throughputProcs = []int{1, 2, 4, 8, 16, 32, 64}
 
-// throughputConfig sizes an instance for nprocs simulated processes,
-// using the sizing policy shared with `onllbench -exp et`
-// (workload.Throughput*), so the JSON artifact and these benchmarks
-// always measure the same configuration. The version-stamped read fast
-// path is on by default (ONLL_READ_FASTPATH=off opts out, the CI
-// fast-path-off leg).
+// throughputConfig is the pipeline bench/config.go prices, sized for
+// nprocs simulated processes.
 func throughputConfig(nprocs int) core.Config {
 	return core.Config{
-		NProcs:       nprocs,
-		LocalViews:   true,
-		ReadFastPath: workload.ReadFastPathEnabled(),
-		CompactEvery: workload.ThroughputCompactEvery(nprocs),
-		LogCapacity:  workload.ThroughputLogCapacity(nprocs),
+		NProcs:         nprocs,
+		LogCapacity:    workload.ThroughputLogCapacity(nprocs),
+		ReadFastPath:   true,
+		DeltaSnapshots: true,
 	}
 }
 
@@ -117,8 +112,7 @@ func BenchmarkThroughput(b *testing.B) {
 // read-latest (reads chase the insert frontier, stressing view
 // adoption under churn), E = order queries (floor/ceil/select) plus
 // inserts. The map is preloaded with the key space, as YCSB loads its
-// dataset, so read-heavy mixes hit a populated index. `onllbench -exp
-// et` records the same five mixes into BENCH_throughput.json.
+// dataset, so read-heavy mixes hit a populated index.
 func BenchmarkThroughputYCSB(b *testing.B) {
 	mixes := []workload.YCSBWorkload{workload.YCSBA, workload.YCSBB, workload.YCSBC, workload.YCSBD, workload.YCSBE}
 	for _, mix := range mixes {
@@ -129,36 +123,64 @@ func BenchmarkThroughputYCSB(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				y := workload.NewYCSB(mix)
-				if err := y.Preload(in.Handle(0)); err != nil {
-					b.Fatal(err)
-				}
-				per := b.N/nprocs + 1
-				streams, updates := y.Streams(nprocs, per)
-				pool.ResetStats()
-				b.ReportAllocs()
-				b.ResetTimer()
-				var wg sync.WaitGroup
-				for pid := 0; pid < nprocs; pid++ {
-					wg.Add(1)
-					go func(pid int) {
-						defer wg.Done()
-						if err := workload.RunSteps(in.Handle(pid), streams[pid]); err != nil {
-							panic(err)
-						}
-					}(pid)
-				}
-				wg.Wait()
-				b.StopTimer()
-				tot := pool.TotalStats()
-				b.ReportMetric(float64(per*nprocs)/b.Elapsed().Seconds(), "ops/sec")
-				if updates > 0 {
-					b.ReportMetric(float64(tot.PersistentFences)/float64(updates), "pfences/op")
-				} else if tot.PersistentFences > 0 {
-					b.Fatalf("%s: %d persistent fences on a read-only mix", mix, tot.PersistentFences)
-				}
+				benchYCSB(b, pool, mix, nprocs, func(pid int) workload.Handle { return in.Handle(pid) })
 			})
 		}
+	}
+}
+
+// BenchmarkThroughputSharded drives 4 handles over 1, 2 and 4 shards of
+// one pool (repro/shard): the composed handle routes each keyed op to
+// its partition, and the read-only mix must stay fence-free through the
+// router.
+func BenchmarkThroughputSharded(b *testing.B) {
+	const nprocs = 4
+	for _, mix := range []workload.YCSBWorkload{workload.YCSBA, workload.YCSBC} {
+		for _, nshards := range []int{1, 2, 4} {
+			b.Run(fmt.Sprintf("%s_s%d", mix, nshards), func(b *testing.B) {
+				pool := pmem.New(throughputPoolSize(nprocs)*nshards, nil)
+				in, err := shard.Open(pool, objects.OrderedMapSpec{}, shard.Config{Shards: nshards, Base: throughputConfig(nprocs)})
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchYCSB(b, pool, mix, nprocs, func(pid int) workload.Handle { return in.Handle(pid) })
+			})
+		}
+	}
+}
+
+// benchYCSB preloads the key space through handle(0), then times nprocs
+// goroutines each running its own stream of mix; a read-only mix fails
+// on any persistent fence.
+func benchYCSB(b *testing.B, pool *pmem.Pool, mix workload.YCSBWorkload, nprocs int, handle func(pid int) workload.Handle) {
+	b.Helper()
+	y := workload.NewYCSB(mix)
+	if err := y.Preload(handle(0)); err != nil {
+		b.Fatal(err)
+	}
+	per := b.N/nprocs + 1
+	streams, updates := y.Streams(nprocs, per)
+	pool.ResetStats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	var wg sync.WaitGroup
+	for pid := 0; pid < nprocs; pid++ {
+		wg.Add(1)
+		go func(pid int) {
+			defer wg.Done()
+			if err := workload.RunSteps(handle(pid), streams[pid]); err != nil {
+				panic(err)
+			}
+		}(pid)
+	}
+	wg.Wait()
+	b.StopTimer()
+	tot := pool.TotalStats()
+	b.ReportMetric(float64(per*nprocs)/b.Elapsed().Seconds(), "ops/sec")
+	if updates > 0 {
+		b.ReportMetric(float64(tot.PersistentFences)/float64(updates), "pfences/op")
+	} else if tot.PersistentFences > 0 {
+		b.Fatalf("%s: %d persistent fences on a read-only mix", mix, tot.PersistentFences)
 	}
 }
 
