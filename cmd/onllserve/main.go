@@ -63,6 +63,12 @@ func serve(stop <-chan struct{}, up chan<- *server.Server) error {
 	if *ackF != "persist" && *ackF != "linearize" {
 		return fmt.Errorf("-ack must be persist or linearize, got %q", *ackF)
 	}
+	if *batchF < 1 {
+		return fmt.Errorf("-batch must be at least 1, got %d", *batchF)
+	}
+	if *nprocsF < 2 {
+		return fmt.Errorf("-nprocs must be at least 2 (1 batcher + 1 read handle), got %d", *nprocsF)
+	}
 	pool := pmem.New(workload.ThroughputPoolBytes(*nprocsF), nil)
 	in, err := core.New(pool, objects.OrderedMapSpec{}, coreConfig(*nprocsF, *batchF))
 	if err != nil {

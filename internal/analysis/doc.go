@@ -38,8 +38,8 @@ package analysis
 //	    caller lexically: between an acquire and the covering release it
 //	    forbids allocations, channel operations, goroutine launches and
 //	    calls that may block, and flags any return path that would leave
-//	    the version odd. A function that releases internally (adoptSlot)
-//	    is annotated release so its callers' regions end at the call.
+//	    the version odd. A helper that releases internally is annotated
+//	    release so its callers' regions end at the call.
 //
 //	//onll:linepadded
 //	    The struct's fields are grouped into cache lines by blank pad

@@ -13,8 +13,8 @@
 // tracking whether the lock is held along the way. It understands the
 // repo's region idioms: the `v, ok := p.tryAcquire(); if !ok { return }`
 // bailout, release-then-return sequences, both branches of an if
-// releasing, and helpers that release internally (adoptSlot) when they
-// are annotated release. Regions are lexical per function: a helper
+// releasing, and helpers that release internally when they are
+// annotated release. Regions are lexical per function: a helper
 // called while the lock is held is not re-checked here (installView's
 // one-time lazy allocation is deliberate), and a loop body is walked
 // once with the state it enters with.

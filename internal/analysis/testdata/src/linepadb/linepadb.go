@@ -1,4 +1,4 @@
-// Package linepadb is the linepad NEGATIVE fixture: the pubView shape
+// Package linepadb is the linepad NEGATIVE fixture: a pubView-like shape
 // — three solo hot lines, one deliberately shared counter line, a
 // padded payload tail — plus an unannotated struct the analyzer must
 // ignore. No diagnostics expected.
@@ -12,8 +12,8 @@ type stripe struct {
 	_   [7]uint64
 	frontier uint64
 	_        [7]uint64
-	epochHint uint64
-	_         [7]uint64
+	hint uint64
+	_    [7]uint64
 	publishes uint64
 	stamps    uint64
 	serves    uint64

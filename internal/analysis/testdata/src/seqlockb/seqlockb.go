@@ -28,8 +28,8 @@ func (p *view) tryAcquire() (uint64, bool) {
 //onll:seqlock(release)
 func (p *view) release(v uint64) { p.ver = v + 2 }
 
-// adoptSlot releases internally, like the core helper of the same
-// name: annotating it release ends its callers' regions at the call.
+// adoptSlot releases internally: annotating it release ends its
+// callers' regions at the call.
 //
 //onll:seqlock(release)
 func (p *view) adoptSlot(v uint64) {

@@ -46,13 +46,6 @@ type AdoptPolicy struct {
 	// FixedMinLag: 32 (adoptFixedMinLag). Zero selects the adaptive
 	// threshold.
 	FixedMinLag int
-	// DisableUpdatePublish turns off update-side publication: updaters
-	// no longer offer their freshly caught-up view to the shared slot
-	// after computeUpdate, so the slot advances only on long read-side
-	// catch-ups and at compaction (the PR 4 behaviour). Kept as an
-	// ablation/test knob — under frontier-chasing churn it reopens the
-	// blind spot this policy exists to close.
-	DisableUpdatePublish bool
 	// PublishLag overrides the update-side publication damper: an
 	// updater offers its view only when the shared slot trails it by at
 	// least this many nodes, so hot updaters sample one atomic load per
@@ -112,12 +105,6 @@ const costAlphaShift = 3
 // the per-node cost of the LONG replays adoption can skip, which short
 // walks, dominated by fixed overheads, misestimate anyway.
 const costSampleMinNodes = 8
-
-// slotProbeEvery bounds the demand damper on stamp-time slot advances
-// (Handle.slotProbe): after served reads dry up, at most one advance
-// per this many skipped stamps — per handle — keeps probing for
-// returning demand.
-const slotProbeEvery = 32
 
 // Copy-timing sample gate: the first copyWarmupSamples slot copies are
 // all timed (the EWMA converges in well under that — alpha 1/8 closes

@@ -193,6 +193,11 @@ func TestFastPathCopiesAreSampleGated(t *testing.T) {
 	pool := pmem.New(1<<24, nil)
 	in, err := New(pool, objects.CounterSpec{}, Config{
 		NProcs: 2, ReadFastPath: true, SlotStripes: 1,
+		// Publish on every update: publication is the slot copy this
+		// loop drives, and the adaptive damper alone would let only a
+		// handful through. The threshold stays adaptive (FixedMinLag
+		// unset), so the cost model under test is live.
+		AdoptPolicy: AdoptPolicy{PublishLag: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -202,7 +207,7 @@ func TestFastPathCopiesAreSampleGated(t *testing.T) {
 		if _, _, err := h0.Update(objects.CounterInc); err != nil {
 			t.Fatal(err)
 		}
-		h1.Read(objects.CounterGet) // laggard: adopts/validates the slot
+		h1.Read(objects.CounterGet)
 	}
 	tick, samples := in.costs.copyTick.Load(), in.costs.copySamples.Load()
 	if tick <= copyWarmupSamples {

@@ -80,6 +80,9 @@ func (h *Handle) NewBatch() *Batch {
 	return &Batch{h: h, limit: limit}
 }
 
+// Limit returns the most operations Stage admits between two flushes.
+func (b *Batch) Limit() int { return b.limit }
+
 // Pending returns the number of staged, not-yet-persisted operations.
 func (b *Batch) Pending() int { return len(b.nodes) }
 
@@ -161,7 +164,7 @@ func (b *Batch) Flush() error {
 	}
 	in.gate.Step(h.pid, PointPersisted)
 
-	if in.pubs != nil && h.view != nil && !in.cfg.AdoptPolicy.DisableUpdatePublish {
+	if in.pubs != nil && h.view != nil {
 		h.publishFromUpdate()
 	}
 

@@ -56,10 +56,9 @@ const (
 	PointOrdered   = "onll.ordered"   // after the order stage
 	PointPersisted = "onll.persisted" // after the persist stage (the fence)
 	PointReturn    = "op.return"      // just before an operation returns
-	PointPublish   = "onll.publish"   // before acquiring the shared-view slot to publish/stamp
+	PointPublish   = "onll.publish"   // before acquiring the shared-view slot to publish
 	PointAdopt     = "onll.adopt"     // before acquiring the shared-view slot to adopt
 	PointSlotCopy  = "onll.slot-copy" // holding the slot, before the state copy
-	PointSlotRead  = "onll.slot-read" // before acquiring the shared-view slot to serve a read
 )
 
 // Root-table layout used to locate the construction after a crash.
@@ -175,12 +174,9 @@ type Config struct {
 	//     ordinary suffix walk on contention) instead of replaying the
 	//     whole suffix node by node. Updaters feed the slot too (damped
 	//     by AdoptPolicy.PublishLag), so it tracks the insert frontier
-	//     under churn; validating reads stamp the slot with the epoch
-	//     they just proved it current for, letting other handles serve
-	//     (and profitably adopt) straight from the slot without any
-	//     walk; and the adoption threshold is cost-aware by default
-	//     (AdoptPolicy, adoptpolicy.go) — copy cost vs replay cost
-	//     learned per instance — instead of one fixed constant.
+	//     under churn, and the adoption threshold is cost-aware by
+	//     default (AdoptPolicy, adoptpolicy.go) — copy cost vs replay
+	//     cost learned per instance — instead of one fixed constant.
 	//
 	// Reads stay fence-free and allocation-free; pfences/op is
 	// unchanged (updates 1, reads 0). The flat-combining and eager
@@ -195,13 +191,12 @@ type Config struct {
 	// Ignored unless ReadFastPath is set.
 	AdoptPolicy AdoptPolicy
 	// SlotStripes sets how many independent published-view slot stripes
-	// the read fast path carries (fastpath.go): publishers and stampers
-	// go to the stripe their pid hashes to, adopters and served reads
-	// scan all stripes for the freshest valid one, so concurrent
-	// handles stop serializing on a single slot CAS line. Zero
-	// auto-sizes to min(GOMAXPROCS, NProcs), capped at 8; 1 reproduces
-	// the single-slot layout (deterministic slot tests pin it). Ignored
-	// unless ReadFastPath is set.
+	// the read fast path carries (fastpath.go): publishers go to the
+	// stripe their pid hashes to, adopters scan all stripes for the
+	// freshest one, so concurrent handles stop serializing on a single
+	// slot CAS line. Zero auto-sizes to min(GOMAXPROCS, NProcs), capped
+	// at 8; 1 reproduces the single-slot layout (deterministic slot
+	// tests pin it). Ignored unless ReadFastPath is set.
 	SlotStripes int
 	// CompactEvery, if positive, makes each handle write a snapshot
 	// record and truncate its log every CompactEvery updates, and cut
@@ -499,15 +494,6 @@ type Handle struct {
 	adopt     spec.State
 	adoptions atomic.Uint64
 
-	// Stamp-time demand damper state (tryStampSlot), PER HANDLE: the
-	// stripe serve count this handle last advanced at, and its skipped
-	// stamps since. With the pre-PR 8 per-instance counters one hot
-	// stamper burned the whole probe budget and marked the serves as
-	// seen, starving every other handle's probe advance. A handle only
-	// ever stamps its own stripe, so one scalar pair suffices.
-	slotServesSeen uint64
-	slotProbe      uint32
-
 	// Scratch buffers reused across operations (a Handle runs one
 	// operation at a time, enforced by busy), keeping steady-state
 	// replay allocation-free: fuzzyBuf caps out at the fuzzy-window
@@ -542,6 +528,14 @@ type Handle struct {
 	// escalate straight to growth under sustained pressure (valve.go).
 	spillsAtGrow int
 	busy         atomic.Bool // guards against misuse (two ops at once)
+
+	// Every operation writes its own handle (busy, floor, seq, viewIdx),
+	// so two handles must never share a cache line. The pad rounds the
+	// struct to a line multiple; handles are allocated one by one, and a
+	// line-multiple size lands in a line-multiple allocator size class,
+	// so each starts on a line of its own (TestHandlesShareNoCacheLine,
+	// DESIGN.md §3.9).
+	_ [4]uint64
 }
 
 // maxFreeNodes caps a handle's freelist; beyond it, retired nodes are
@@ -650,7 +644,7 @@ func (h *Handle) Update(code uint64, args ...uint64) (ret, id uint64, err error)
 	// updater just paid the replay to its own node anyway, and under
 	// frontier-chasing churn this — not the rare long read catch-up —
 	// is what keeps the published view adoptably fresh.
-	if in.pubs != nil && h.view != nil && !in.cfg.AdoptPolicy.DisableUpdatePublish {
+	if in.pubs != nil && h.view != nil {
 		h.publishFromUpdate()
 	}
 
@@ -668,13 +662,18 @@ func (h *Handle) Update(code uint64, args ...uint64) (ret, id uint64, err error)
 }
 
 // Read executes the read-only operation (code, args) (paper Listing 4).
-// It issues no persistent fence and writes nothing shared.
+// It issues no persistent fence and writes nothing shared, with one
+// caveat under Config.ReadFastPath: a walk lagging past the adoption
+// threshold may acquire a slot stripe to copy a published view out, and
+// a walk that replayed more than publishMinLag nodes may acquire its
+// own stripe to copy its view in (both inside advanceView).
 //
-// With Config.ReadFastPath, the epoch check happens before the walk
-// floor is published: the fast path dereferences no trace node, so it
-// needs no reclamation cover, and a fast read costs one epoch load plus
-// the view read. The floor store is deferred to the slow path, which is
-// the only one that walks.
+// With Config.ReadFastPath a read takes one of two routes: an epoch hit
+// answers from the local view, anything else walks. The epoch check
+// happens before the walk floor is published: the fast route
+// dereferences no trace node, so it needs no reclamation cover, and a
+// fast read costs one epoch load plus the view read. The floor store is
+// deferred to the walk.
 //
 //onll:hotpath
 func (h *Handle) Read(code uint64, args ...uint64) uint64 {
@@ -705,29 +704,15 @@ func (h *Handle) Read(code uint64, args ...uint64) uint64 {
 			in.gate.Step(h.pid, PointReturn)
 			return ret
 		}
-		// The handle's own view is stale, but the shared slot may have
-		// been validated against this very epoch by another handle's
-		// read — then the slot IS the latest available prefix and this
-		// read needs no walk at all (fastpath.go).
-		if ret, ok := h.tryServeSlot(epoch, op); ok {
-			in.gate.Step(h.pid, PointReturn)
-			return ret
-		}
 	}
 	// Publish the walk floor BEFORE any trace read (sequentially
 	// consistent store): reclamation reads it to prove quiescence.
-	oldFloor := h.viewIdx
-	h.floor.Store(oldFloor)
+	h.floor.Store(h.viewIdx)
 	defer h.floor.Store(^uint64(0))
 	node := trace.LatestAvailableFrom(in.gate, h.pid, in.tr.Tail(h.pid))
 	ret := h.computeRead(node, op)
 	if fast {
 		h.seenEpoch = epoch
-		// Share the validation: stamp (and, if cheap, advance) the
-		// shared slot against the epoch this walk just validated, so
-		// the other handles' next reads can be served from the slot
-		// instead of each replaying the same suffix privately.
-		h.tryStampSlot(epoch, node, oldFloor)
 	}
 	in.gate.Step(h.pid, PointReturn)
 	return ret

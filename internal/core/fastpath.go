@@ -13,8 +13,8 @@ package core
 // Since PR 8 the slot is STRIPED: an instance carries a small array of
 // independent slots (Config.SlotStripes; auto-sized from GOMAXPROCS by
 // default) so the hot atomics are not one shared CAS line that every
-// publisher and server in the process serializes on. The protocol per
-// stripe is unchanged from the single-slot design:
+// publisher in the process serializes on. The protocol per stripe is
+// unchanged from the single-slot design:
 //
 //   - each slot is guarded seqlock-style by one version counter: even
 //     means free, odd means a publisher or adopter is inside. Both
@@ -26,25 +26,29 @@ package core
 //     with the view only after a successful copy, so a failed
 //     acquisition never leaves a torn view behind.
 //
-// Stripe selection is asymmetric by design. WRITERS to the slot —
-// publishers (publishFromUpdate, tryPublish, compact) and stampers
-// (tryStampSlot) — always touch their OWN stripe, picked by pid hash:
-// a hot updater's slot CAS and frontier stores then contend only with
-// the handles hashed onto the same stripe, not with every handle in
-// the instance. READERS of the slot — adopters (tryAdopt) and served
-// reads (tryServeSlot) — scan ALL stripes for the freshest valid one
-// (highest frontier mirror, matching epoch hint for serves), because a
-// laggard wants the best publication anywhere, not whatever its own
-// stripe happens to hold. The scan costs one plain atomic load per
-// stripe on lines that are read-mostly from this side, so it does not
-// reintroduce the shared-line bouncing the striping removes.
+// A slot has exactly two roles: publishers copy a view IN, adopters
+// copy it OUT. Nobody reads through a slot and nobody advances its
+// state in place — a read is an epoch hit on the handle's own view or a
+// walk (DESIGN.md §3.6 records why there is no third, slot-served
+// route: its measured traffic was zero).
 //
-// Within a pubView the hot atomics — ver, frontier, epochHint — are
-// each padded to their own cache line (PR 8's false-sharing fix, pinned
-// by TestPubViewCacheLineLayout): frontier is stored by publishers on
-// every publication while epochHint is polled by every fast-path read,
-// and before the padding a stamp invalidated the line a publisher was
-// about to load even when the slot was already caught up.
+// Stripe selection is asymmetric by design. PUBLISHERS
+// (publishFromUpdate, tryPublish, compact) always write their OWN
+// stripe, picked by pid hash: a hot updater's slot CAS and frontier
+// stores then contend only with the handles hashed onto the same
+// stripe, not with every handle in the instance. ADOPTERS (tryAdopt)
+// scan ALL stripes for the freshest one (highest frontier mirror),
+// because a laggard wants the best publication anywhere, not whatever
+// its own stripe happens to hold. The scan costs one plain atomic load
+// per stripe on lines that are read-mostly from this side, so it does
+// not reintroduce the shared-line bouncing the striping removes.
+//
+// Within a pubView the hot atomics — ver and frontier — are each padded
+// to their own cache line (PR 8's false-sharing fix, pinned by
+// TestPubViewCacheLineLayout): frontier is loaded by every updater's
+// publication damper and every adopter's scan, ver is CASed by whoever
+// holds the slot, and on one line each acquisition would invalidate the
+// line every damper check is about to load.
 //
 // The slots are fed from three sides: updaters that just caught their
 // view up in computeUpdate (damped by publishFromUpdate, so the slots
@@ -88,7 +92,7 @@ const epochNever = ^uint64(0)
 const publishMinLag = 32
 
 // maxSlotStripes caps the automatic stripe count: past a handful of
-// stripes the adopter/server scan cost grows while the contention win
+// stripes the adopter scan cost grows while the contention win
 // flattens (stripes beyond the core count can never be hot in
 // parallel).
 const maxSlotStripes = 8
@@ -98,11 +102,11 @@ const maxSlotStripes = 8
 const slotPadWords = pmem.LineSize/pmem.WordSize - 1
 
 // pubView is one stripe of the instance's shared latest-view slot
-// array. The three hot atomics each own a cache line (see the
-// false-sharing note in the package comment); the diagnostic counters
-// share a fourth line, padded so the guarded payload that follows
-// cannot land on it either. The linepad analyzer re-derives the layout
-// from the target sizes (the static twin of TestPubViewCacheLineLayout),
+// array. The two hot atomics each own a cache line (see the
+// false-sharing note in the package comment); the diagnostic counter
+// has a third line, padded so the guarded payload that follows cannot
+// land on it either. The linepad analyzer re-derives the layout from
+// the target sizes (the static twin of TestPubViewCacheLineLayout),
 // including the tail pad that rounds the whole struct to a line
 // multiple — instances hold stripes in a []pubView, so a ragged tail
 // would put the next stripe's hot ver line on this stripe's payload.
@@ -116,41 +120,18 @@ type pubView struct {
 	_   [slotPadWords]uint64
 	// frontier mirrors idx outside the slot: publishers store it while
 	// holding ver, anyone may load it without acquiring. It exists so
-	// the update-side publication damper, the adopter/server stripe
-	// scan, and tests can read how far the slot lags without touching
-	// the CAS.
+	// the update-side publication damper, the adopter stripe scan, and
+	// tests can read how far the slot lags without touching the CAS.
 	frontier atomic.Uint64
 	_        [slotPadWords]uint64
-	// epochHint mirrors epoch outside the slot (stored by stampers
-	// while holding ver): tryServeSlot pre-checks it with a plain load
-	// so the can't-serve case — every read while the slot's stamp is
-	// stale, i.e. most reads of a write-heavy mix — costs no RMW on the
-	// shared line. The authoritative comparison still happens under the
-	// slot; the hint can only cause a harmless miss.
-	epochHint atomic.Uint64
-	_         [slotPadWords]uint64
-	// publishes counts successful publications, stamps epoch-validated
-	// slot advances, serves reads answered straight from the slot
-	// (diagnostics/tests). Lower-traffic than the hot three, so they
-	// share one line.
+	// publishes counts successful publications (diagnostics/tests).
 	publishes atomic.Uint64
-	stamps    atomic.Uint64
-	serves    atomic.Uint64
-	_         [slotPadWords - 2]uint64
+	_         [slotPadWords]uint64
 	// The payload below is written and read only while holding ver.
 	state spec.State
 	idx   uint64
 	seqs  []uint64
-	// epoch is the publication epoch the slot state is validated
-	// against: a value loaded BEFORE the walk (or incremental advance)
-	// that brought the state to idx, exactly the per-handle seenEpoch
-	// rule lifted to the shared view. While Epoch() still equals it, no
-	// operation has been published since, so the slot state IS the
-	// latest available prefix and a read may be served from it without
-	// touching the trace (tryServeSlot). Meaningful only while state is
-	// non-nil; it only ever increases.
-	epoch uint64
-	_     [1]uint64 // rounds the stripe to a whole number of lines
+	_     [2]uint64 // rounds the stripe to a whole number of lines
 }
 
 // reset returns the slot to its initial free state, dropping any
@@ -167,8 +148,6 @@ func (p *pubView) reset() {
 	p.state = nil
 	p.idx = 0
 	p.seqs = nil
-	p.epoch = 0
-	p.epochHint.Store(0)
 	p.frontier.Store(0)
 	p.ver.Store(0)
 }
@@ -218,8 +197,8 @@ func resolveSlotStripes(cfg *Config) int {
 	return n
 }
 
-// stripe returns the handle's OWN stripe — the one its publications and
-// stamps go to. Pids are dense small integers, so the modulo IS the
+// stripe returns the handle's OWN stripe — the one its publications go
+// to. Pids are dense small integers, so the modulo IS the
 // pid hash: with stripes ≥ the hot-handle count every publisher owns a
 // stripe outright, and below that the handles sharing a stripe are the
 // only ones contending on its line.
@@ -296,7 +275,7 @@ func (h *Handle) tryPublish() {
 }
 
 // copyPriced is the slot-copy protocol step shared by every slot-side
-// state copy (publish, adopt, serve-adopt, stamp): announce
+// state copy (publish, adopt): announce
 // PointSlotCopy — the caller holds the slot, so deterministic
 // schedulers can preempt or crash-inject a holder here — then copy src
 // into dst, feeding the cost model when it is live. The timed region is
@@ -318,8 +297,9 @@ func (h *Handle) copyPriced(dst, src spec.State) {
 }
 
 // installView copies h's whole view into the slot payload — state
-// (priced), execution index and covered-sequence vector — the shared
-// tail of every full-copy publication path. The seqs vector grows
+// (priced), execution index and covered-sequence vector: the payload
+// step of a publication (kept apart from tryPublish so the slot's one
+// lazy allocation sits outside its seqlock region). The seqs vector grows
 // append-style into the retained array: the slot outlives every
 // publisher, so a fresh make per growth would strand the old array,
 // and steady state (fixed NProcs) never allocates. Caller holds the
@@ -386,6 +366,9 @@ func (h *Handle) tryAdopt(node *trace.Node, minLag, maxIdx uint64) {
 	if p == nil {
 		return
 	}
+	if h.adopt == nil {
+		h.adopt = h.in.sp.New() // once per handle, before the slot is held
+	}
 	v, ok := p.tryAcquire()
 	if !ok {
 		return // contention: fall back to the plain suffix walk
@@ -394,24 +377,9 @@ func (h *Handle) tryAdopt(node *trace.Node, minLag, maxIdx uint64) {
 		p.release(v)
 		return
 	}
-	h.adoptSlot(p, v)
-}
-
-// adoptSlot completes an adoption while holding the slot: copy the
-// published state into the scratch, merge the covered-sequence vector
-// (published vectors are elementwise >= those of any older view —
-// prefixes only grow — but merge defensively rather than assume),
-// release, and only then swap scratch and view, so no failure mode can
-// tear the live view. Shared by tryAdopt and tryServeSlot's adopting
-// branch. Annotated release: it frees the slot internally, so a
-// caller's seqlock region ends at this call.
-//
-//onll:seqlock(release)
-//onll:hotpath
-func (h *Handle) adoptSlot(p *pubView, v uint64) {
-	if h.adopt == nil {
-		h.adopt = h.in.sp.New()
-	}
+	// Published sequence vectors are elementwise >= those of any older
+	// view (prefixes only grow), but merge rather than assume. The
+	// scratch/view swap comes after the release.
 	h.copyPriced(h.adopt, p.state)
 	idx := p.idx
 	mergeSeqs(h.viewSeqs, p.seqs)
@@ -421,189 +389,17 @@ func (h *Handle) adoptSlot(p *pubView, v uint64) {
 	h.adoptions.Add(1)
 }
 
-// tryServeSlot answers a read through the shared slots: if some
-// stripe's validation epoch still equals the epoch this read loaded
-// before looking at anything else, no operation has been published
-// since that slot state was brought up to date, so the slot IS the
-// latest available prefix — no trace walk, no per-handle replay of the
-// operations every other handle already applied. This is what makes
-// the fast path pay under frontier-chasing churn: a single validating
-// read advances and stamps a shared state once, and the other
-// handles ride it instead of each replaying the same suffix privately.
-//
-// The serving stripe is found by scanning the epoch hints (one plain
-// load each; stale hints reject without any RMW) and taking the
-// freshest match by frontier; the authoritative epoch comparison still
-// happens under the slot, so a racing overwrite of the hint can only
-// cost a harmless miss.
-//
-// Crucially, an epoch-valid slot also lets the handle VALIDATE ITS OWN
-// VIEW: if the view already sits at the slot index the two are the
-// same prefix and the epoch transfers for free; if the slot leads by
-// more than the adoption threshold the handle adopts the slot state
-// (the ordinary scratch-swap copy) and inherits the validation. Either
-// way seenEpoch is recorded and the handle's NEXT read takes the plain
-// own-view fast path — a served handle never gets stuck paying the
-// slot CAS per read. A lead too small to be worth a copy is left to
-// the walk, which is cheap at that distance and revalidates too.
-//
-// Monotonicity holds because every slot index only grows and serving
-// requires it at or past the handle's own view (which the handle's own
-// updates advance — that same check gives read-your-writes). On
-// contention the caller falls back to the ordinary walk.
-//
-//onll:hotpath
-func (h *Handle) tryServeSlot(epoch uint64, op spec.Op) (uint64, bool) {
-	pubs := h.in.pubs
-	var p *pubView
-	var bestFront uint64
-	for i := range pubs {
-		c := &pubs[i]
-		if c.epochHint.Load() != epoch {
-			continue // stale stamp: no RMW, this stripe cannot serve
-		}
-		if f := c.frontier.Load(); p == nil || f > bestFront {
-			p, bestFront = c, f
-		}
-	}
-	if p == nil {
-		return 0, false // no stripe validated for this epoch: walk
-	}
-	h.in.gate.Step(h.pid, PointSlotRead)
-	v, ok := p.tryAcquire()
-	if !ok {
-		return 0, false
-	}
-	if p.state == nil || p.epoch != epoch || p.idx < h.viewIdx {
-		p.release(v)
-		return 0, false
-	}
-	if p.idx > h.viewIdx {
-		if p.idx-h.viewIdx <= h.adoptThreshold() {
-			p.release(v) // cheaper to walk than to copy at this distance
-			return 0, false
-		}
-		p.serves.Add(1)
-		h.adoptSlot(p, v)
-	} else {
-		p.serves.Add(1)
-		p.release(v)
-	}
-	h.seenEpoch = epoch
-	return h.view.Read(op), true
-}
-
-// tryStampSlot validates the handle's slot stripe against epoch after
-// a read's catch-up walk: the caller loaded epoch BEFORE the walk that
-// advanced its view to node (so the view covers every operation the
-// epoch covers) and oldFloor is the walk floor it published on entry
-// (its view index before the walk — the reclamation cover for
-// everything the walk may dereference). Three cases, cheapest first:
-//
-//   - the slot is already at or past the view: stamp only (the slot
-//     state is a superset of the epoch's covered prefix — covered ops
-//     all sit at or below the validated node);
-//   - the slot is a short, cut-free, floor-covered distance behind:
-//     re-walk that gap and apply the missing operations INTO the slot
-//     state — one incremental advance serving every future slot read,
-//     instead of one replay per handle;
-//   - the gap is unbridgeable (crosses a compaction cut, dips under
-//     the reclamation floor) or beyond the cost model's threshold: a
-//     full copy of the view, priced exactly like an adoption.
-//
-// Anything else leaves the slot unstamped — readers simply keep
-// falling back to the walk, the pre-stamp behaviour.
-//
-// Advancing the slot re-applies every missed operation into the shared
-// state, work that only pays while other handles are consuming served
-// reads, so it runs under a demand damper: skip the advance while the
-// stripe's serve counter has not moved since this handle's last
-// advance, with one probe advance per slotProbeEvery skips so a demand
-// shift is noticed. The skip budget is PER HANDLE (h.slotServesSeen /
-// h.slotProbe — PR 8's damper fix): with the old per-instance counters
-// one hot stamper consumed the whole probe budget and recorded the
-// serve counter as seen, so the other handles' stamps always saw a
-// "static" stripe and their advances starved.
-//
-//onll:hotpath
-func (h *Handle) tryStampSlot(epoch uint64, node *trace.Node, oldFloor uint64) {
-	if h.viewIdx < node.Idx() {
-		return // defensive: the view did not reach the validated node
-	}
-	h.in.gate.Step(h.pid, PointPublish)
-	p := h.stripe()
-	v, ok := p.tryAcquire()
-	if !ok {
-		return
-	}
-	if p.state != nil && p.idx < h.viewIdx {
-		// Advance only under demand (see the damper note above): if no
-		// read has been served from the stripe since this handle's last
-		// advance, skip the work and leave the old state — the stamp
-		// below is then a no-op too (the state does not cover this
-		// epoch), which is exactly the pre-stamp behaviour.
-		if serves := p.serves.Load(); serves == h.slotServesSeen && h.slotProbe < slotProbeEvery {
-			h.slotProbe++
-			p.release(v)
-			return
-		}
-		advanced := false
-		if p.idx+1 >= oldFloor {
-			// The gap's nodes all sit at or above the published walk
-			// floor, so dereferencing them is covered by the same
-			// reclamation guarantee as the walk that just finished.
-			nodes, base := trace.CollectBackInto(h.nodeBuf, node, p.idx)
-			h.nodeBuf = nodes
-			// A non-nil base always sits above p.idx (CollectBackInto
-			// only reports a base it stopped at strictly past downTo),
-			// i.e. the gap crosses a cut: fall through to the copy path.
-			if base == nil {
-				for _, n := range nodes {
-					p.state.Apply(n.Op)
-					p.idx = n.Idx()
-					if pid, seq := spec.SplitID(n.Op.ID); pid >= 0 && pid < len(p.seqs) && seq > p.seqs[pid] {
-						p.seqs[pid] = seq
-					}
-				}
-				advanced = true
-			}
-		}
-		if !advanced {
-			if h.viewIdx-p.idx <= h.adoptThreshold() {
-				// Not worth a full copy; leave the slot unstamped.
-				p.release(v)
-				return
-			}
-			h.installView(p)
-		}
-		h.slotServesSeen = p.serves.Load()
-		h.slotProbe = 0
-	}
-	if p.state == nil {
-		h.installView(p)
-		h.slotServesSeen = p.serves.Load()
-		h.slotProbe = 0
-	}
-	if epoch > p.epoch {
-		p.epoch = epoch
-	}
-	p.epochHint.Store(p.epoch)
-	p.frontier.Store(p.idx)
-	p.stamps.Add(1)
-	p.release(v)
-}
-
 // FastPathStats reports the shared-slot activity of the read fast path
-// since construction, summed over every stripe: successful
-// publications (from updates, long read catch-ups and compaction),
-// epoch stamps (validated slot advances), reads served straight from a
-// slot, and successful view adoptions across all handles. Zero-valued
-// when ReadFastPath is off. The counters are atomic, so a mid-run call
-// is safe, but the sums are sampled independently (diagnostics and
-// tests, not an invariant surface).
+// since construction: successful publications (from updates, long read
+// catch-ups and compaction) summed over every stripe, and successful
+// view adoptions across all handles. Zero-valued when ReadFastPath is
+// off. The counters are atomic, so a mid-run call is safe, but the sums
+// are sampled independently (diagnostics and tests, not an invariant
+// surface).
 type FastPathStats struct {
 	Publishes uint64
-	Stamps    uint64
+	// SlotReads is always 0: no read is served from a slot since PR 15.
+	// Kept only because bench/ reads it; the next benchmark PR drops it.
 	SlotReads uint64
 	Adoptions uint64
 	// Stripes is the resolved published-view stripe count (0 when the
@@ -619,10 +415,7 @@ func (in *Instance) FastPathStats() FastPathStats {
 	}
 	s.Stripes = len(in.pubs)
 	for i := range in.pubs {
-		p := &in.pubs[i]
-		s.Publishes += p.publishes.Load()
-		s.Stamps += p.stamps.Load()
-		s.SlotReads += p.serves.Load()
+		s.Publishes += in.pubs[i].publishes.Load()
 	}
 	for _, h := range in.hands {
 		s.Adoptions += h.adoptions.Load()

@@ -17,9 +17,9 @@ import (
 // ALREADY cut past, and proves it safe:
 //
 //  1. p0 performs 40 updates; p1's read catches up and publishes the
-//     slot at index 40 (the bootstrap stamp).
-//  2. p0 performs update 41 (so the next reader cannot take the
-//     epoch-validated serve and must walk).
+//     slot at index 40 (a catch-up past publishMinLag).
+//  2. p0 performs update 41 (so p2's validated node sits one past the
+//     publication and its adoption leaves a remainder walk).
 //  3. p2's read walks, decides to adopt, and is suspended at
 //     PointSlotCopy — HOLDING the slot, copy not yet done.
 //  4. p0 runs updates 42..45; its compaction cadence fires at 45,
@@ -85,7 +85,7 @@ func TestAdoptionAcrossCompactionCut(t *testing.T) {
 		t.Fatalf("slot published at %d, want 40", in.pubs[0].idx)
 	}
 
-	// 2: one more update invalidates the slot's epoch stamp.
+	// 2: one more update moves the frontier one past the publication.
 	if _, ok := ctl.RunPast(0, sched.AtPoint(PointReturn)); !ok {
 		t.Fatal("p0 ended before update 41")
 	}

@@ -14,9 +14,9 @@ import (
 // the shared-slot machinery at ZERO: an identical update/read cycle is
 // measured with the fast path off (the baseline — each update
 // allocates exactly its trace node here, compaction being off) and on
-// (the same cycle plus publications, stamps, serve-adoptions). The two
-// averages must match exactly; any difference is an allocation inside
-// publish/stamp/adopt — e.g. the old `make`-on-growth of the slot's
+// (the same cycle plus publications and adoptions). The two averages
+// must match exactly; any difference is an allocation inside
+// publish/adopt — e.g. the old `make`-on-growth of the slot's
 // seqs vector, which append-style growth now avoids.
 func TestPublishAdoptAllocFree(t *testing.T) {
 	cycle := func(fast bool) float64 {

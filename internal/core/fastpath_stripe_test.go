@@ -13,23 +13,23 @@ import (
 )
 
 // TestPubViewCacheLineLayout pins the false-sharing fix structurally:
-// the slot's three hot atomics — ver (CASed by every acquire),
+// the slot's two hot atomics — ver (CASed by every acquire) and
 // frontier (stored by every publication, loaded by every damper check
-// and stripe scan) and epochHint (polled by every fast-path read) —
-// must each own a 64-byte cache line, and the guarded payload must not
-// share a line with any of them. On the pre-PR 8 layout the three sat
-// on adjacent words, so a stamper's epochHint store invalidated the
-// line a publisher was about to load even when the slot was already
-// caught up; this test fails on that layout.
+// and stripe scan) — must each own a 64-byte cache line, the guarded
+// payload must not share a line with either or with the counter, and
+// the stripe is exactly four lines (ver | frontier | publishes |
+// payload) so consecutive stripes in the []pubView stay line-aligned.
+// On the pre-PR 8 layout the hot words sat adjacent, so a slot
+// acquisition invalidated the line a publisher's damper check was about
+// to load; this test fails on that layout.
 func TestPubViewCacheLineLayout(t *testing.T) {
 	var p pubView
 	line := func(off uintptr) uintptr { return off / pmem.LineSize }
 	offs := map[string]uintptr{
-		"ver":       unsafe.Offsetof(p.ver),
-		"frontier":  unsafe.Offsetof(p.frontier),
-		"epochHint": unsafe.Offsetof(p.epochHint),
-		"counters":  unsafe.Offsetof(p.publishes),
-		"payload":   unsafe.Offsetof(p.state),
+		"ver":      unsafe.Offsetof(p.ver),
+		"frontier": unsafe.Offsetof(p.frontier),
+		"counters": unsafe.Offsetof(p.publishes),
+		"payload":  unsafe.Offsetof(p.state),
 	}
 	seen := map[uintptr]string{}
 	for name, off := range offs {
@@ -40,10 +40,86 @@ func TestPubViewCacheLineLayout(t *testing.T) {
 		}
 		seen[line(off)] = name
 	}
-	for _, name := range []string{"ver", "frontier", "epochHint"} {
+	for _, name := range []string{"ver", "frontier"} {
 		if offs[name]%pmem.LineSize != 0 {
 			t.Errorf("%s at offset %d is not cache-line aligned within the struct", name, offs[name])
 		}
+	}
+	if got := unsafe.Sizeof(p); got != 4*pmem.LineSize {
+		t.Errorf("pubView is %d bytes, want %d (four cache lines)", got, 4*pmem.LineSize)
+	}
+}
+
+// TestHandlesShareNoCacheLine pins the other false-sharing layout: every
+// operation writes its own Handle (busy, floor, seq, viewIdx), so each
+// handle must start on a cache line and span a whole number of them.
+// Handles are allocated one by one, so this rests on the struct size
+// being a line multiple (the tail pad) and the allocator's size class
+// for it being one too; the address check catches either slipping.
+// Without the pad Handle is 288 bytes, every second handle starts
+// mid-line, and two readers on two cores ran at half speed.
+func TestHandlesShareNoCacheLine(t *testing.T) {
+	if sz := unsafe.Sizeof(Handle{}); sz%pmem.LineSize != 0 {
+		t.Errorf("Handle is %d bytes, not a multiple of the %d-byte line", sz, pmem.LineSize)
+	}
+	pool := pmem.New(1<<22, nil)
+	in, err := New(pool, objects.CounterSpec{}, Config{NProcs: 8, ReadFastPath: true, LogCapacity: 1 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pid, h := range in.hands {
+		if off := uintptr(unsafe.Pointer(h)) % pmem.LineSize; off != 0 {
+			t.Errorf("handle %d starts %d bytes into a cache line", pid, off)
+		}
+	}
+}
+
+// TestWalkingReadLeavesSlotsAlone pins the two-route read path: a read
+// is an epoch hit or a walk, and a walk inside the adoption threshold
+// acquires no slot stripe at all. After one foreign update the reader's
+// next Read must see the new value while every stripe's ver and
+// frontier stay exactly as they were (with the epoch-stamped third
+// route the walk ended in a stamp that acquired the reader's stripe and
+// bumped ver by 2 — this test fails there), and the walk must validate
+// the handle's view against the current epoch so the read after it is
+// an epoch hit.
+func TestWalkingReadLeavesSlotsAlone(t *testing.T) {
+	pool := pmem.New(1<<22, nil)
+	in, err := New(pool, objects.CounterSpec{}, Config{
+		NProcs: 2, ReadFastPath: true, LogCapacity: 1 << 10,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, r := in.Handle(0), in.Handle(1)
+	if got := r.Read(objects.CounterGet); got != 0 {
+		t.Fatalf("initial read %d, want 0", got)
+	}
+	if _, _, err := w.Update(objects.CounterInc); err != nil {
+		t.Fatal(err)
+	}
+	type slotWords struct{ ver, frontier uint64 }
+	snap := func() []slotWords {
+		out := make([]slotWords, len(in.pubs))
+		for i := range in.pubs {
+			out[i] = slotWords{in.pubs[i].ver.Load(), in.pubs[i].frontier.Load()}
+		}
+		return out
+	}
+	before := snap()
+	if got := r.Read(objects.CounterGet); got != 1 {
+		t.Fatalf("read after a foreign update returned %d, want 1", got)
+	}
+	for i, a := range snap() {
+		if a != before[i] {
+			t.Errorf("stripe %d moved from %+v to %+v under a one-node walking read", i, before[i], a)
+		}
+	}
+	if r.seenEpoch != in.tr.Epoch(r.pid) {
+		t.Fatalf("walk left seenEpoch %d, trace epoch is %d: the next read would walk again", r.seenEpoch, in.tr.Epoch(r.pid))
+	}
+	if got := r.Read(objects.CounterGet); got != 1 {
+		t.Fatalf("epoch-hit read returned %d, want 1", got)
 	}
 }
 
@@ -106,82 +182,6 @@ func TestSlotStripesResolve(t *testing.T) {
 	if p := in.freshestStripe(64, ^uint64(0)); p != nil {
 		t.Fatal("freshestStripe invented a stripe beyond every frontier")
 	}
-}
-
-// TestSlotDamperPerHandle is the regression test for the demand
-// damper's accounting scope (it fails on the pre-PR 8 code, where the
-// skip counter lived on the pubView): the damper must budget stamp-time
-// slot advances PER HANDLE, not per instance. The deterministic
-// scenario: a single-striped slot is published and stamped at index
-// 50, update-side publication is disabled, and serve demand is zero —
-// every subsequent read walks one node and hits the damper's skip
-// branch. Two reader handles alternate for 20 rounds: 40 skips total,
-// but only 20 per handle, so the slot must NOT advance (with the old
-// shared counter, the combined 32nd skip at round 16 triggered a probe
-// advance — the frontier moved and this test fails). The rounds then
-// continue until one handle's own budget (slotProbeEvery = 32) is
-// genuinely exhausted, and the probe advance must fire — proving the
-// fix throttled the probes without killing them.
-func TestSlotDamperPerHandle(t *testing.T) {
-	pool := pmem.New(1<<22, nil)
-	in, err := New(pool, objects.CounterSpec{}, Config{
-		NProcs: 3, ReadFastPath: true, LogCapacity: 1 << 12,
-		SlotStripes: 1,
-		// Fixed threshold: deterministic, and small enough that the
-		// probe advance (full copy) is always profitable once allowed.
-		// Update-side publication off: the slot moves only via stamps,
-		// so the damper is the ONLY thing deciding whether it advances.
-		AdoptPolicy: AdoptPolicy{FixedMinLag: 4, DisableUpdatePublish: true},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, r1, r2 := in.Handle(0), in.Handle(1), in.Handle(2)
-	for i := 0; i < 50; i++ {
-		if _, _, err := w.Update(objects.CounterInc); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Bootstrap: r1's 50-node catch-up publishes (walk > publishMinLag)
-	// and stamps the slot at index 50.
-	r1.Read(objects.CounterGet)
-	if f := in.pubs[0].frontier.Load(); f != 50 {
-		t.Fatalf("bootstrap published frontier %d, want 50", f)
-	}
-
-	round := func() {
-		if _, _, err := w.Update(objects.CounterInc); err != nil {
-			t.Fatal(err)
-		}
-		r1.Read(objects.CounterGet)
-		r2.Read(objects.CounterGet)
-	}
-	for i := 0; i < 20; i++ {
-		round()
-	}
-	// 40 combined skips, 20 per handle: under per-handle budgets the
-	// slot is still parked at 50. The shared-counter bug advanced it at
-	// the combined 32nd skip.
-	if f := in.pubs[0].frontier.Load(); f != 50 {
-		t.Fatalf("slot advanced to %d with every per-handle skip budget (20) below slotProbeEvery (%d): damper counts skips globally", f, slotProbeEvery)
-	}
-	if r1.slotProbe != 20 || r2.slotProbe != 20 {
-		t.Fatalf("per-handle probe counters (%d, %d), want (20, 20)", r1.slotProbe, r2.slotProbe)
-	}
-
-	// Keep going until r1's own budget runs out (32 skips): the probe
-	// advance must fire — the damper throttles, it does not starve.
-	for i := 0; i < 15; i++ {
-		round()
-	}
-	if f := in.pubs[0].frontier.Load(); f <= 50 {
-		t.Fatalf("slot frontier still %d after a handle exhausted its own probe budget", f)
-	}
-	if r1.slotProbe >= slotProbeEvery {
-		t.Fatalf("r1 probe counter %d never reset after its probe advance", r1.slotProbe)
-	}
-	stats := in.FastPathStats()
-	t.Logf("frontier=%d stamps=%d publishes=%d", in.pubs[0].frontier.Load(), stats.Stamps, stats.Publishes)
 }
 
 // TestStripedSlotSoak pounds the STRIPED slots under real concurrency

@@ -34,7 +34,9 @@ var ErrServerClosed = errors.New("server: closed")
 type BatcherConfig struct {
 	// MaxBatch flushes when this many ops are staged. It must leave
 	// headroom under the instance's Config.LogMaxOps for the helping
-	// tail (NewBatch's limit); Batcher clamps it there.
+	// tail (core.Batch.Limit); NewBatcher clamps it there, so a batch
+	// that can admit no more ops fences at once instead of waiting for
+	// MaxWait.
 	MaxBatch int
 	// MaxWait flushes a non-empty batch this long after its first op
 	// staged, bounding the latency a lone request pays for batching.
@@ -81,6 +83,9 @@ type Batcher struct {
 func NewBatcher(h *core.Handle, ring *timingRing, cfg BatcherConfig) *Batcher {
 	cfg.fill()
 	b := h.NewBatch()
+	if cfg.MaxBatch > b.Limit() {
+		cfg.MaxBatch = b.Limit()
+	}
 	if ring == nil {
 		ring = newTimingRing(0)
 	}
@@ -99,7 +104,7 @@ func NewBatcher(h *core.Handle, ring *timingRing, cfg BatcherConfig) *Batcher {
 //onll:hotpath
 func (ba *Batcher) Submit(r *Request) error {
 	r.EnqueueNs = ba.ring.nowNs()
-	ba.mu.Lock() //onll:lockok(closed-flag guard: two plain statements, never held across the send)
+	ba.mu.Lock() //onll:lockok(closed-flag guard held across the queue send so Close cannot close ba.in under a sender; a full queue blocks Close too: ROADMAP overload item)
 	if ba.closed {
 		ba.mu.Unlock()
 		return ErrServerClosed

@@ -120,6 +120,11 @@ func Dial(network, addr string) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
+	return newClient(conn), nil
+}
+
+// newClient wraps an established connection and starts its read loop.
+func newClient(conn net.Conn) *Client {
 	c := &Client{
 		conn:  conn,
 		w:     bufio.NewWriter(conn),
@@ -127,7 +132,7 @@ func Dial(network, addr string) (*Client, error) {
 		rdone: make(chan struct{}),
 	}
 	go c.readLoop()
-	return c, nil
+	return c
 }
 
 func (c *Client) readLoop() {
@@ -191,12 +196,19 @@ func (c *Client) Async(kind byte, code uint64, args ...uint64) <-chan Resp {
 	}
 	c.wmu.Unlock()
 	if err != nil {
+		// Resolve the call only if it is still ours to resolve: when the
+		// reader's fail() (or a response) got there first it already
+		// removed the tag and filled the 1-buffered channel, and a
+		// second send would block forever.
 		c.mu.Lock()
-		if c.tags[tag] == ch {
+		mine := c.tags[tag] == ch
+		if mine {
 			delete(c.tags, tag)
 		}
 		c.mu.Unlock()
-		ch <- Resp{Err: err}
+		if mine {
+			ch <- Resp{Err: err}
+		}
 	}
 	return ch
 }

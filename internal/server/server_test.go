@@ -1,6 +1,8 @@
 package server
 
 import (
+	"io"
+	"net"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -195,4 +197,78 @@ func TestStatsPollingRaceFree(t *testing.T) {
 	cliWG.Wait()
 	close(stop)
 	pollWG.Wait()
+}
+
+// TestBatcherClampsMaxBatchToBatchLimit pins BatcherConfig.MaxBatch's
+// documented clamp: on a log not sized for the batcher (default
+// LogMaxOps, so core.Batch admits one op per flush) a MaxBatch of 64
+// must not leave a full batch waiting for the next arrival or MaxWait.
+// One ack-on-persist request, MaxWait an hour: the ack can only arrive
+// through the fill trigger.
+func TestBatcherClampsMaxBatchToBatchLimit(t *testing.T) {
+	pool := pmem.New(1<<24, nil)
+	in, err := core.New(pool, objects.CounterSpec{}, core.Config{NProcs: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ba := NewBatcher(in.Handle(0), nil, BatcherConfig{MaxBatch: 64, MaxWait: time.Hour})
+	go ba.Run()
+	defer ba.Close()
+	done := make(chan *Request, 1)
+	if err := ba.Submit(&Request{Code: objects.CounterInc, AckPersist: true, done: done}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case r := <-done:
+		if r.Err != nil {
+			t.Fatalf("ack carried error: %v", r.Err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a batch at its admission limit waited for MaxWait instead of fencing")
+	}
+}
+
+// raceConn is a net.Conn whose Read fails as soon as a Write has
+// started and whose Write fails only after the client's read loop has
+// finished failing every outstanding call — the order a server closing
+// the connection under an active pipelined client can produce.
+type raceConn struct {
+	net.Conn     // nil: only Read, Write and Close are reached
+	writeStarted chan struct{}
+	client       *Client // set before the first Write
+}
+
+func (c *raceConn) Read([]byte) (int, error) {
+	<-c.writeStarted
+	return 0, io.ErrUnexpectedEOF
+}
+
+func (c *raceConn) Write([]byte) (int, error) {
+	close(c.writeStarted)
+	<-c.client.rdone // fail() has resolved every outstanding call
+	return 0, io.ErrClosedPipe
+}
+
+func (c *raceConn) Close() error { return nil }
+
+// TestClientAsyncWriteErrorAfterReaderFailed is the regression test for
+// Async's double resolution: the reader's fail() resolves the call
+// (tag removed, 1-buffered channel filled) while the write is still in
+// flight, then the write fails too. Async must return the channel with
+// the reader's error in it instead of blocking on a second send.
+func TestClientAsyncWriteErrorAfterReaderFailed(t *testing.T) {
+	conn := &raceConn{writeStarted: make(chan struct{})}
+	c := newClient(conn)
+	conn.client = c
+
+	got := make(chan Resp, 1)
+	go func() { got <- <-c.Async(KindRead, objects.CounterGet) }()
+	select {
+	case r := <-got:
+		if r.Err != io.ErrUnexpectedEOF {
+			t.Fatalf("call resolved with %v, want the reader's error", r.Err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Async blocked: second send on a channel the reader already filled")
+	}
 }

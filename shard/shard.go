@@ -201,8 +201,6 @@ func (in *Instance) FastPathStats() core.FastPathStats {
 	for _, s := range in.shards {
 		fs := s.FastPathStats()
 		t.Publishes += fs.Publishes
-		t.Stamps += fs.Stamps
-		t.SlotReads += fs.SlotReads
 		t.Adoptions += fs.Adoptions
 		t.Stripes += fs.Stripes
 	}
