@@ -4,7 +4,7 @@
 // and batches updates so one log append + one persistent fence covers
 // many client requests:
 //
-//	onllserve -addr 127.0.0.1:7171 -nprocs 8 -batch 64 -wait 200us
+//	onllserve -addr 127.0.0.1:7171 -nprocs 8 -batch 64
 //
 // The service is measured by bench/ (svc-read, svc-update-persist,
 // svc-open-mixed), which prices the same instance configuration.
@@ -16,7 +16,6 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/objects"
@@ -29,8 +28,7 @@ var (
 	addrFlag = flag.String("addr", "127.0.0.1:0", "listen address")
 	netFlag  = flag.String("net", "tcp", "listen network: tcp or unix")
 	nprocsF  = flag.Int("nprocs", 4, "simulated processes (1 batcher + n-1 read handles)")
-	batchF   = flag.Int("batch", 64, "flush when this many updates are staged")
-	waitF    = flag.Duration("wait", 200*time.Microsecond, "flush a non-empty batch after this long")
+	batchF   = flag.Int("batch", 64, "most updates one fence covers (a batch closes earlier when the queue runs dry)")
 	ackF     = flag.String("ack", "persist", "default ack mode for plain updates: persist|linearize")
 	timingsF = flag.String("timings", "", "after shutdown, dump per-request timing CSV to this file")
 )
@@ -74,9 +72,14 @@ func serve(stop <-chan struct{}, up chan<- *server.Server) error {
 	if err != nil {
 		return err
 	}
+	timingCap := -1 // no -timings: no capture, so no per-request clock reads
+	if *timingsF != "" {
+		timingCap = 0
+	}
 	s, err := server.New(in, server.Config{
 		AckOnPersist: *ackF == "persist",
-		Batcher:      server.BatcherConfig{MaxBatch: *batchF, MaxWait: *waitF},
+		Batcher:      server.BatcherConfig{MaxBatch: *batchF},
+		TimingCap:    timingCap,
 	})
 	if err != nil {
 		return err
@@ -84,8 +87,8 @@ func serve(stop <-chan struct{}, up chan<- *server.Server) error {
 	if err := s.Listen(*netFlag, *addrFlag); err != nil {
 		return err
 	}
-	fmt.Printf("onllserve: listening on %s %s (ack-on-%s, batch<=%d, wait %v)\n",
-		*netFlag, s.Addr(), *ackF, *batchF, *waitF)
+	fmt.Printf("onllserve: listening on %s %s (ack-on-%s, batch<=%d)\n",
+		*netFlag, s.Addr(), *ackF, *batchF)
 	if up != nil {
 		up <- s
 	}

@@ -1,6 +1,9 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -9,10 +12,11 @@ import (
 	"repro/internal/workload"
 )
 
-// TestServeDrains drives serve() itself: one ack-on-persist update and
-// one read over an ephemeral loopback listener, then a stop, which must
-// drain with both requests counted.
-func TestServeDrains(t *testing.T) {
+// serveOne drives serve() itself: one ack-on-persist update and one
+// read over an ephemeral loopback listener, then a stop, which must
+// drain with both requests counted. It returns the drained server.
+func serveOne(t *testing.T) *server.Server {
+	t.Helper()
 	stop := make(chan struct{})
 	up := make(chan *server.Server, 1)
 	done := make(chan error, 1)
@@ -40,6 +44,43 @@ func TestServeDrains(t *testing.T) {
 	}
 	if st := s.Stats(); st.Updates != 1 || st.Reads != 1 {
 		t.Fatalf("after drain: %d updates, %d reads, want 1 and 1", st.Updates, st.Reads)
+	}
+	return s
+}
+
+// TestServeDrains also pins that without -timings the request path
+// captures nothing: a disarmed ring is what gates off the per-request
+// clock reads (timingRing.nowNs), so the dump is the header alone.
+func TestServeDrains(t *testing.T) {
+	s := serveOne(t)
+	var sb strings.Builder
+	if err := s.DumpTimings(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.TrimSpace(sb.String()); got != server.CSVHeader {
+		t.Fatalf("timings captured without -timings:\n%s", got)
+	}
+}
+
+// TestServeTimingsFlagArmsCapture is the other side: -timings writes
+// the served update's full timeline.
+func TestServeTimingsFlagArmsCapture(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "timings.csv")
+	*timingsF = path
+	defer func() { *timingsF = "" }()
+	serveOne(t)
+	csv, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(csv)), "\n")
+	if len(lines) != 2 || lines[0] != server.CSVHeader {
+		t.Fatalf("-timings dump = %q, want the header and one update row", lines)
+	}
+	for i, col := range strings.Split(lines[1], ",")[6:] {
+		if col == "0" {
+			t.Fatalf("timeline column %d is 0 in %q: capture armed but a clock read was skipped", 6+i, lines[1])
+		}
 	}
 }
 

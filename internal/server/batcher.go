@@ -30,16 +30,16 @@ import (
 // began.
 var ErrServerClosed = errors.New("server: closed")
 
-// BatcherConfig sets the flush triggers.
+// BatcherConfig bounds the batch; the flush trigger itself has no
+// setting (Batcher.Run).
 type BatcherConfig struct {
-	// MaxBatch flushes when this many ops are staged. It must leave
-	// headroom under the instance's Config.LogMaxOps for the helping
-	// tail (core.Batch.Limit); NewBatcher clamps it there, so a batch
-	// that can admit no more ops fences at once instead of waiting for
-	// MaxWait.
+	// MaxBatch caps the ops one fence covers. It must leave headroom
+	// under the instance's Config.LogMaxOps for the helping tail
+	// (core.Batch.Limit); NewBatcher clamps it there, so a full batch
+	// fences before core.Batch has to refuse an op.
 	MaxBatch int
-	// MaxWait flushes a non-empty batch this long after its first op
-	// staged, bounding the latency a lone request pays for batching.
+	// MaxWait is ignored since PR 19: the batcher has no timer. Kept only
+	// until the next benchmark PR drops bench/config.go's svcMaxWait.
 	MaxWait time.Duration
 }
 
@@ -47,17 +47,14 @@ func (c *BatcherConfig) fill() {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 64
 	}
-	if c.MaxWait <= 0 {
-		c.MaxWait = 200 * time.Microsecond
-	}
 }
 
 // Batcher owns the instance's single updating handle (the batch entry
 // point's single-updater regime) and runs the stage-on-arrival loop:
 // every request is ordered + linearized the moment it is dequeued —
 // ack-on-linearize responses leave immediately — and the flush fence
-// runs when the batch fills or MaxWait expires, releasing the
-// ack-on-persist responses.
+// runs as soon as the queue is dry or the batch is full (group commit),
+// releasing the ack-on-persist responses.
 type Batcher struct {
 	batch *core.Batch
 	cfg   BatcherConfig
@@ -132,10 +129,16 @@ func (ba *Batcher) Close() {
 // suffix).
 func (ba *Batcher) Killed() bool { return ba.killed.Load() }
 
-// Run is the batcher loop. It exits when Close drains the queue — or,
-// under a crash-injection gate, when a kill fires inside a stage or
-// flush, in which case the loop dies exactly like a process in the
-// crash harness: responses not yet delivered never will be.
+// Run is the batcher loop, the group-commit rule: block for a request
+// only while nothing is staged; stage whatever else is already queued,
+// up to MaxBatch; fence. A batch is therefore what arrived while the
+// previous stage + fence was in flight — its size follows the load, a
+// lone request is fenced at once, and no request waits on a clock.
+//
+// It exits when Close drains the queue — or, under a crash-injection
+// gate, when a kill fires inside a stage or flush, in which case the
+// loop dies exactly like a process in the crash harness: responses not
+// yet delivered never will be.
 func (ba *Batcher) Run() {
 	defer close(ba.stopped)
 	defer func() {
@@ -147,30 +150,9 @@ func (ba *Batcher) Run() {
 			panic(r)
 		}
 	}()
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	defer timer.Stop()
-	for {
-		var timeout <-chan time.Time
-		if len(ba.pending) > 0 {
-			timeout = timer.C
-		}
-		select {
-		case r, ok := <-ba.in:
-			if !ok {
-				ba.flush()
-				return
-			}
-			if len(ba.pending) == 0 {
-				timer.Reset(ba.cfg.MaxWait)
-			}
-			ba.stage(r)
-			if len(ba.pending) >= ba.cfg.MaxBatch {
-				ba.flush()
-			}
-		case <-timeout:
+	for r := range ba.in {
+		ba.stage(r)
+		if len(ba.in) == 0 || len(ba.pending) >= ba.cfg.MaxBatch {
 			ba.flush()
 		}
 	}

@@ -37,9 +37,9 @@ func (k *killAtPoint) Step(pid int, point string) {
 
 // TestBatcherCrashBetweenFenceAndResponse is the crash-sweep leg for
 // the batcher (wired into CI's crash-sweep job): the machine dies right
-// after the second flush's fence, before its responses go out. The
-// deterministic submission order (one submitter, MaxBatch-sized
-// batches, MaxWait effectively off) pins which ops land where:
+// after the second flush's fence, before its responses go out. All ten
+// requests are queued before the loop starts, so MaxBatch alone cuts
+// the batches and pins which ops land where:
 //
 //	ops 1-4  — batch 1, flushed, ACKED:    must be recovered
 //	ops 5-8  — batch 2, flushed, unacked:  must be recovered anyway
@@ -55,8 +55,7 @@ func TestBatcherCrashBetweenFenceAndResponse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ba := NewBatcher(in.Handle(0), nil, BatcherConfig{MaxBatch: 4, MaxWait: time.Hour})
-	go ba.Run()
+	ba := NewBatcher(in.Handle(0), nil, BatcherConfig{MaxBatch: 4})
 
 	const n = 10
 	respCh := make(chan *Request, n)
@@ -67,6 +66,7 @@ func TestBatcherCrashBetweenFenceAndResponse(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	go ba.Run()
 	// The batcher dies inside batch 2's flush; wait for the corpse.
 	select {
 	case <-ba.stopped:

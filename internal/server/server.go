@@ -20,7 +20,7 @@ type Config struct {
 	// (fast; a crash may lose the acked suffix, detectably). Requests
 	// override per-op with KindUpdatePersist / KindUpdateLinearize.
 	AckOnPersist bool
-	// Batcher sets the flush triggers.
+	// Batcher bounds the batch one fence covers.
 	Batcher BatcherConfig
 	// TimingCap bounds the retained per-request timing records
 	// (DumpTimings). Zero selects a default; negative disables capture
