@@ -56,8 +56,16 @@ func (s *bankState) CopyFrom(src spec.State) {
 	}
 }
 
+// omapState takes src's block shape as it is: the receiver's own blocks
+// and spares are refilled before any is allocated, so a destination
+// that has held a map this large copies without allocating.
 func (s *omapState) CopyFrom(src spec.State) {
 	o := src.(*omapState)
-	s.keys = reuse(s.keys, o.keys)
-	s.vals = reuse(s.vals, o.vals)
+	s.setBlocks(len(o.blocks))
+	for i := range o.blocks {
+		b, ob := &s.blocks[i], &o.blocks[i]
+		b.keys, b.vals = append(b.keys[:0], ob.keys...), append(b.vals[:0], ob.vals...)
+	}
+	copy(s.maxs, o.maxs)
+	s.n = o.n
 }

@@ -168,17 +168,27 @@ func (s *omapState) EmitDelta(dst []uint64, ops []spec.Op) ([]uint64, bool) {
 	dst = appendTouchedKeys(dst, ops)
 	n := len(dst) - start - 2
 	dst[start+1] = uint64(n)
-	// The touched keys and the state's key array are both sorted, so one
-	// merge pass prices every key with sequential reads. Per-key binary
-	// search (closure-calling sort.Search) here cost ~90µs per cut on
-	// zipfian windows — most of the delta path's CPU.
-	i := 0
+	// The touched keys are sorted, so the walk only moves forward: whole
+	// blocks are skipped by a search of maxs, and a block that holds a
+	// touched key is merged against them with sequential reads. A cut
+	// whose keys sit at both ends of the map reads those two blocks,
+	// not the map. (Per-key binary search of the whole state here cost
+	// ~90µs per cut on zipfian windows — most of the delta path's CPU.)
+	bi, pos := 0, 0
 	for _, k := range dst[start+2 : start+2+n] {
-		for i < len(s.keys) && s.keys[i] < k {
-			i++
+		if bi < len(s.maxs) && s.maxs[bi] < k {
+			bi, pos = bi+1+lowerBound(s.maxs[bi+1:], k), 0
 		}
-		if i < len(s.keys) && s.keys[i] == k {
-			dst = append(dst, deltaPresent, s.vals[i])
+		if bi == len(s.blocks) {
+			dst = append(dst, deltaAbsent, 0)
+			continue
+		}
+		b := &s.blocks[bi]
+		for b.keys[pos] < k { // stops by the block's last key, which is >= k
+			pos++
+		}
+		if b.keys[pos] == k {
+			dst = append(dst, deltaPresent, b.vals[pos])
 		} else {
 			dst = append(dst, deltaAbsent, 0)
 		}

@@ -36,7 +36,8 @@ func (s *logState) SizeHint() int      { return 1 + len(s.xs) }
 // is the right magnitude.
 func (s *bankState) SizeHint() int { return 1 + 2*len(s.m) }
 
-func (s *omapState) SizeHint() int { return 1 + len(s.keys) + len(s.vals) }
+// omapState copies block by block: every pair plus the block index.
+func (s *omapState) SizeHint() int { return 1 + 2*s.n + len(s.maxs) }
 
 // Compile-time checks: every shipped state prices its copies.
 var (

@@ -67,3 +67,25 @@ func fillState(t *testing.T, sp spec.Spec, st spec.State, n int) int {
 	}
 	return applied
 }
+
+// TestOrderedMapSizeHintPricesBlocks: the ordered map's hint is what
+// CopyFrom moves — two words a pair plus one index word a block — so a
+// map split into half-full blocks hints more than the same pairs in
+// full ones, and the hint never reads the blocks themselves.
+func TestOrderedMapSizeHintPricesBlocks(t *testing.T) {
+	const n = 8 * omapBlockCap
+	full, split := OrderedMapSpec{}.New().(*omapState), OrderedMapSpec{}.New().(*omapState)
+	for k := uint64(0); k < n; k++ {
+		full.put(k, k)    // ascending: every block full
+		split.put(n-k, k) // descending: every block but the first a half
+	}
+	for _, s := range []*omapState{full, split} {
+		if got, want := s.SizeHint(), 1+2*n+len(s.blocks); got != want {
+			t.Fatalf("hint %d for %d pairs in %d blocks, want %d", got, n, len(s.blocks), want)
+		}
+	}
+	if len(full.blocks) != 8 || full.SizeHint() >= split.SizeHint() {
+		t.Fatalf("full: %d blocks hint %d; split: %d blocks hint %d",
+			len(full.blocks), full.SizeHint(), len(split.blocks), split.SizeHint())
+	}
+}
