@@ -1,7 +1,7 @@
 // Command onllvet is the repo's static-invariant gate: it runs the
 // stock `go vet` passes and then the ONLL analyzer suite
-// (internal/analysis: fencepath, atomicmix, seqlockregion, hotpath,
-// linepad) over the named packages, exiting non-zero on any finding.
+// (internal/analysis: fencepath, atomicmix, hotpath, linepad) over the
+// named packages, exiting non-zero on any finding.
 //
 //	go run ./cmd/onllvet ./...
 //

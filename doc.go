@@ -29,9 +29,9 @@
 // reproduced claims.
 //
 // The structural invariants behind those claims — no fence reachable
-// from the read surface, no plain access to atomic fields, seqlock
-// regions that cannot leak or block, allocation/clock/lock-free hot
-// paths, cache-line-exact padded layouts — are statically enforced by
+// from the read surface, no plain access to atomic fields,
+// allocation/clock/lock-free hot paths, cache-line-exact padded
+// layouts — are statically enforced by
 // the analyzer suite in internal/analysis:
 //
 //	go run ./cmd/onllvet ./...

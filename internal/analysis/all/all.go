@@ -8,14 +8,12 @@ import (
 	"repro/internal/analysis/fencepath"
 	"repro/internal/analysis/hotpath"
 	"repro/internal/analysis/linepad"
-	"repro/internal/analysis/seqlockregion"
 )
 
 // Analyzers is the suite in a deterministic order.
 var Analyzers = []*analysis.Analyzer{
 	fencepath.Analyzer,
 	atomicmix.Analyzer,
-	seqlockregion.Analyzer,
 	hotpath.Analyzer,
 	linepad.Analyzer,
 }

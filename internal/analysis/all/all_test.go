@@ -13,8 +13,8 @@ import (
 // TestModuleTreeClean is the acceptance regression for the static
 // invariant gate: the whole module must be onllvet-clean. If a change
 // reintroduces a fence on the read fast path, a plain read of an
-// atomic field, a seqlock-region violation, an un-gated clock read on
-// a hot path, or a ragged line-padded struct, this test — and so
+// atomic field, an un-gated clock read on a hot path, or a ragged
+// line-padded struct, this test — and so
 // `go test ./...` — fails with the same diagnostics onllvet prints.
 func TestModuleTreeClean(t *testing.T) {
 	if testing.Short() {

@@ -2,8 +2,8 @@
 // dependency-free reimplementation of the golang.org/x/tools/go/analysis
 // driver shape (Analyzer, Pass, diagnostics, cross-package facts) plus
 // the ONLL-specific analyzers built on it (subpackages fencepath,
-// atomicmix, seqlockregion, hotpath, linepad) and the cmd/onllvet
-// front end that runs them over the module.
+// atomicmix, hotpath, linepad) and the cmd/onllvet front end that runs
+// them over the module.
 //
 // x/tools itself is deliberately not imported — the module is
 // stdlib-only — so the loader resolves dependency types from the

@@ -32,28 +32,19 @@ package analysis
 //	    the function cannot actually reach a fence — stale escapes rot
 //	    the audit, so they fail the build.
 //
-//	//onll:seqlock(acquire) / //onll:seqlock(release)
-//	    The function acquires (odd version CAS) or releases a
-//	    seqlock-style stripe. The seqlockregion analyzer checks every
-//	    caller lexically: between an acquire and the covering release it
-//	    forbids allocations, channel operations, goroutine launches and
-//	    calls that may block, and flags any return path that would leave
-//	    the version odd. A helper that releases internally is annotated
-//	    release so its callers' regions end at the call.
-//
 //	//onll:linepadded
 //	    The struct's fields are grouped into cache lines by blank pad
 //	    arrays ("_ [N]uint64"): the linepad analyzer recomputes the
 //	    layout with the target sizes and reports any padded group that
 //	    does not start and end on a 64-byte line boundary or whose live
-//	    fields spill over one line — the static twin of the
-//	    unsafe.Offsetof layout test on the pubView stripe.
+//	    fields spill over one line (pmem's per-pid pending-line
+//	    table, one line per process).
 //
 // Line escapes (trailing comments; the reason is mandatory and shows
 // up in reviews, like a nolint directive that has to justify itself):
 //
 //	//onll:clockok(reason)   hotpath: this clock read is deliberate
-//	                         (sample-gated EWMA probe, gated timing)
+//	                         (gated timing capture)
 //	//onll:lockok(reason)    hotpath: this lock is allowlisted (striped
 //	                         pool shard, bounded critical section)
 //	//onll:allocok(reason)   hotpath: this allocation is deliberate

@@ -6,9 +6,9 @@
 //
 //   - allocations: make, new, slice/map composite literals, closures
 //     (escape: //onll:allocok(reason) on the line);
-//   - clock reads: time.Now, time.Since — the cost-model EWMA samples
-//     the clock behind an explicit gate, and an un-gated read is
-//     exactly the class the PR 9 timing audit chased by hand
+//   - clock reads: time.Now, time.Since — the server's timing capture
+//     reads the clock only behind its armed-ring gate, and an un-gated
+//     read is exactly the class the PR 9 timing audit chased by hand
 //     (escape: //onll:clockok(reason));
 //   - mutex acquisition: sync.Mutex/RWMutex Lock/RLock — the pool's
 //     striped shard locks are the one allowed case and each takes a

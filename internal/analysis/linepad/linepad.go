@@ -1,19 +1,18 @@
 // Package linepad is the fieldalignment check for the repo's
-// line-padded hot structs (the pubView stripe): structs annotated
-// //onll:linepadded group their fields into 64-byte cache lines with
-// blank pad arrays ("_ [N]uint64"), and the analyzer recomputes the
-// layout with the target platform's sizes to verify the grouping — the
-// static twin of the unsafe.Offsetof layout test, so the two can never
-// drift apart.
+// line-padded hot structs (pmem's pidPending, one write-back set per
+// process): structs annotated //onll:linepadded group their fields into
+// 64-byte cache lines with blank pad arrays ("_ [N]uint64"), and the
+// analyzer recomputes the layout with the target platform's sizes to
+// verify the grouping, so a hand-counted pad cannot drift when a field
+// is added.
 //
 // A "padded group" is a maximal run of live fields followed by one or
 // more blank pads. Each padded group must start and end on a 64-byte
 // boundary and its live fields must fit in a single line (fields that
-// deliberately share a line — the pubView diagnostic counters — simply
-// form one group). The struct's total size must also be a multiple of
-// 64: these structs are used as array elements (one stripe per slot),
-// and a ragged tail would put the next element's hot line on this
-// element's payload.
+// deliberately share a line simply form one group). The struct's total
+// size must also be a multiple of 64: these structs are used as array
+// elements (pidPending sits in a [MaxPids] array), and a ragged tail
+// would put the next element's hot line on this element's payload.
 package linepad
 
 import (

@@ -1,6 +1,6 @@
 // Package linepada is the linepad POSITIVE fixture: a short pad, an
 // unaligned trailing group, an overfull live run, and the ragged-tail
-// case found on the real pubView (array elements sharing lines).
+// case (array elements sharing lines).
 package linepada
 
 //onll:linepadded

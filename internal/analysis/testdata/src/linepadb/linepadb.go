@@ -1,4 +1,4 @@
-// Package linepadb is the linepad NEGATIVE fixture: a pubView-like shape
+// Package linepadb is the linepad NEGATIVE fixture: a striped-slot shape
 // — three solo hot lines, one deliberately shared counter line, a
 // padded payload tail — plus an unannotated struct the analyzer must
 // ignore. No diagnostics expected.

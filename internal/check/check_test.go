@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/objects"
 	"repro/internal/pmem"
 	"repro/internal/spec"
@@ -273,14 +274,12 @@ func TestE5CrashInjectionSweep(t *testing.T) {
 
 func TestE5CrashInjectionWithExtensions(t *testing.T) {
 	for _, cfg := range []struct {
-		name string
-		wf   bool
-		lv   bool
-		ce   int
+		name  string
+		shape core.Config
 	}{
-		{"waitfree", true, false, 0},
-		{"localviews", false, true, 0},
-		{"compaction", false, true, 5},
+		{"waitfree", core.Config{WaitFree: true}},
+		{"localviews", core.Config{LocalViews: true}},
+		{"compaction", core.Config{LocalViews: true, CompactEvery: 5}},
 	} {
 		cfg := cfg
 		t.Run(cfg.name, func(t *testing.T) {
@@ -288,7 +287,7 @@ func TestE5CrashInjectionWithExtensions(t *testing.T) {
 			for seed := int64(1); seed <= 3; seed++ {
 				probe, err := RunLive(HarnessConfig{
 					Spec: objects.CounterSpec{}, NProcs: 3, OpsPerProc: 15, UpdatePct: 80,
-					Seed: seed, WaitFree: cfg.wf, LocalViews: cfg.lv, CompactEvery: cfg.ce,
+					Seed: seed, Core: cfg.shape,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -301,7 +300,7 @@ func TestE5CrashInjectionWithExtensions(t *testing.T) {
 					if _, err := RunCrash(HarnessConfig{
 						Spec: objects.CounterSpec{}, NProcs: 3, OpsPerProc: 15, UpdatePct: 80,
 						Seed: seed, CrashStep: crash, Oracle: pmem.SeededOracle(uint64(seed), 1, 3),
-						WaitFree: cfg.wf, LocalViews: cfg.lv, CompactEvery: cfg.ce,
+						Core: cfg.shape,
 					}); err != nil {
 						t.Fatalf("seed=%d crash@%d%%: %v", seed, frac, err)
 					}

@@ -78,17 +78,17 @@ func runFaultIteration(t *testing.T, sp spec.Spec, nprocs, it int, rng *rand.Ran
 		// Spill-heavy shape: every helped record overflows, compaction
 		// churns the ring, and faults land on chunk and snapshot lines
 		// too, not just inline slots.
-		base.LogInlineOps = 1
-		base.LocalViews = true
-		base.CompactEvery = 8
+		base.Core.LogInlineOps = 1
+		base.Core.LocalViews = true
+		base.Core.CompactEvery = 8
 	}
 	if it%3 == 0 {
-		base.WaitFree = true
+		base.Core.WaitFree = true
 	}
 	// Alternate compaction schemes across the compacting legs, so
 	// faults land on chain bodies and back-references too and salvage
 	// composes with unresolvable chains, not just broken snapshots.
-	base.DeltaSnapshots = it%4 == 0
+	base.Core.DeltaSnapshots = it%4 == 0
 	probe, err := RunLive(base)
 	if err != nil {
 		t.Fatalf("p%d i%d: live probe: %v", nprocs, it, err)

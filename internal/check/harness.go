@@ -17,25 +17,18 @@ import (
 // every process, the pool crashes under a chosen oracle, recovery runs,
 // and the combined history is validated against Definition 5.6.
 type HarnessConfig struct {
-	Spec         spec.Spec
-	NProcs       int
-	OpsPerProc   int
-	UpdatePct    int // 0..100
-	Seed         int64
-	CrashStep    uint64      // 0 = run to completion (no crash)
-	Oracle       pmem.Oracle // survival of in-flight lines
-	WaitFree     bool
-	LocalViews   bool
-	CompactEvery int
-	// ReadFastPath enables the version-stamped read fast path (shared
-	// published view + epoch-checked reads) in both the pre-crash and
-	// the recovered instance, so crash sweeps exercise adoption across
-	// recovery.
-	ReadFastPath bool
-	// LogInlineOps is the two-tier inline slot budget passed through to
-	// core.Config (0 = plog default); sweeps shrink it to force records
-	// through the overflow ring.
-	LogInlineOps int
+	Spec       spec.Spec
+	NProcs     int
+	OpsPerProc int
+	UpdatePct  int // 0..100
+	Seed       int64
+	CrashStep  uint64      // 0 = run to completion (no crash)
+	Oracle     pmem.Oracle // survival of in-flight lines
+	// Core is the construction's shape, used for both the pre-crash and
+	// the recovered instance as given; RunCrash sets only NProcs, Gate
+	// and LogCapacity (and Salvage on fault runs). Sweeps shrink
+	// Core.LogInlineOps to force records through the overflow ring.
+	Core core.Config
 	// EvictionRate, if nonzero, enables spontaneous cache eviction at
 	// roughly one write-back per EvictionRate stores (seeded by Seed):
 	// data may become durable earlier than fenced, never later.
@@ -51,14 +44,6 @@ type HarnessConfig struct {
 	// oracle (fault_sweep_test.go).
 	FaultCount int
 	FaultSeed  uint64
-	// Salvage recovers in salvage mode even without faults (clean
-	// crashes must classify Healthy and pass the same checks).
-	Salvage bool
-	// DeltaSnapshots switches compaction cuts to base + delta chains
-	// (core.Config.DeltaSnapshots) in both the pre-crash and the
-	// recovered instance, so crash and fault sweeps exercise chain
-	// append, truncation-behind-chains, and base+delta refolding.
-	DeltaSnapshots bool
 }
 
 // HarnessResult carries the artifacts of one run, so tests can make
@@ -88,7 +73,7 @@ func poolSizeFor(cfg HarnessConfig) (int, int) {
 		// possible ring growth under pressure.
 		mult = 4
 	}
-	size := cfg.NProcs*plog.RegionBytesInline(logCap, cfg.NProcs, cfg.LogInlineOps)*mult + (1 << 21)
+	size := cfg.NProcs*plog.RegionBytesInline(logCap, cfg.NProcs, cfg.Core.LogInlineOps)*mult + (1 << 21)
 	return size, logCap
 }
 
@@ -105,12 +90,9 @@ func RunCrash(cfg HarnessConfig) (*HarnessResult, error) {
 	if cfg.EvictionRate > 0 {
 		pool.SetEviction(pmem.SeededEviction(uint64(cfg.Seed)+1, cfg.EvictionRate))
 	}
-	in, err := core.New(pool, cfg.Spec, core.Config{
-		NProcs: cfg.NProcs, LogCapacity: logCap, Gate: gate,
-		WaitFree: cfg.WaitFree, LocalViews: cfg.LocalViews, CompactEvery: cfg.CompactEvery,
-		ReadFastPath: cfg.ReadFastPath, LogInlineOps: cfg.LogInlineOps,
-		DeltaSnapshots: cfg.DeltaSnapshots,
-	})
+	cc := cfg.Core
+	cc.NProcs, cc.LogCapacity, cc.Gate = cfg.NProcs, logCap, gate
+	in, err := core.New(pool, cfg.Spec, cc)
 	if err != nil {
 		return nil, err
 	}
@@ -156,11 +138,11 @@ func RunCrash(cfg HarnessConfig) (*HarnessResult, error) {
 		res.FaultPlan = pmem.PlanFaults(cfg.FaultSeed, cfg.FaultCount, rootLines, pool.AllocatedLines())
 		pool.InjectFaults(res.FaultPlan)
 	}
-	in2, rep, err := core.Recover(pool, cfg.Spec, core.Config{
-		WaitFree: cfg.WaitFree, LocalViews: cfg.LocalViews, CompactEvery: cfg.CompactEvery,
-		ReadFastPath: cfg.ReadFastPath, DeltaSnapshots: cfg.DeltaSnapshots,
-		Salvage: cfg.Salvage || cfg.FaultCount > 0,
-	})
+	cc.Gate = nil
+	if cfg.FaultCount > 0 {
+		cc.Salvage = true
+	}
+	in2, rep, err := core.Recover(pool, cfg.Spec, cc)
 	if err != nil {
 		res.RecoverErr = err
 		return res, fmt.Errorf("recovery failed: %w", err)

@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/objects"
 	"repro/internal/pmem"
 	"repro/internal/spec"
@@ -76,20 +77,20 @@ func TestCrashInjectionSweep(t *testing.T) {
 					cfg.Seed = int64(i)*104729 + int64(si)*31 + 17
 					cfg.CrashStep = 1 + uint64(rng.Int63n(int64(probe.Steps)))
 					cfg.Oracle = pmem.SeededOracle(uint64(cfg.Seed)+uint64(i), uint64(rng.Intn(4)), 3)
-					cfg.LocalViews, cfg.CompactEvery = true, 8
+					cfg.Core.LocalViews, cfg.Core.CompactEvery = true, 8
 					if i%2 == 0 {
-						cfg.LogInlineOps = 1 // force helped records through the overflow ring
+						cfg.Core.LogInlineOps = 1 // force helped records through the overflow ring
 					}
-					cfg.WaitFree = i%3 == 0 // wait-free ordering + compaction combo
+					cfg.Core.WaitFree = i%3 == 0 // wait-free ordering + compaction combo
 					// The pipeline legs put chain append, truncation
 					// behind a live chain and base+delta refolding under
 					// the random crash point.
 					pipeline := i%2 == 1
-					cfg.ReadFastPath, cfg.DeltaSnapshots = pipeline, pipeline
+					cfg.Core.ReadFastPath, cfg.Core.DeltaSnapshots = pipeline, pipeline
 					res, err := RunCrash(cfg)
 					if err != nil {
-						t.Fatalf("%s procs=%d iter=%d crash@%d inline=%d compact=%d fastpath=%v delta=%v: %v",
-							sp.Name(), nprocs, i, cfg.CrashStep, cfg.LogInlineOps, cfg.CompactEvery, cfg.ReadFastPath, cfg.DeltaSnapshots, err)
+						t.Fatalf("%s procs=%d iter=%d crash@%d inline=%d pipeline=%v: %v",
+							sp.Name(), nprocs, i, cfg.CrashStep, cfg.Core.LogInlineOps, pipeline, err)
 					}
 					// The recovered instance must be servable by every
 					// replacement process, not just consistent on paper.
@@ -107,18 +108,17 @@ func TestCrashInjectionSweep(t *testing.T) {
 
 // readHeavySweep is the read-heavy crash mix: 15% updates and a tight
 // compaction cadence, even iterations on the pipeline (so epoch-checked
-// reads, shared-view publication and adoption all run under the random
-// crash point) and odd ones on the reference read path — and again in
-// the recovered era, where every replacement handle starts cold and
-// must catch up to a trace it never walked. Probing a read from EVERY
-// handle after recovery forces that cold-start path: on the pipeline
-// the first walker republishes, the rest adopt.
+// reads and delta cuts run under the random crash point) and odd ones
+// on the reference read path — and again in the recovered era, where
+// every replacement handle starts cold and must catch up to a trace it
+// never walked. Probing a read from EVERY handle after recovery forces
+// that cold-start path.
 func readHeavySweep(t *testing.T, nprocs, iters int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(int64(nprocs)*4049 + 3))
 	base := HarnessConfig{
 		Spec: objects.MapSpec{}, NProcs: nprocs, OpsPerProc: 30, UpdatePct: 15,
-		Seed: int64(nprocs)*13 + 5, LocalViews: true, CompactEvery: 8,
+		Seed: int64(nprocs)*13 + 5, Core: core.Config{LocalViews: true, CompactEvery: 8},
 	}
 	probe, err := RunLive(base)
 	if err != nil {
@@ -129,13 +129,13 @@ func readHeavySweep(t *testing.T, nprocs, iters int) {
 		cfg.Seed = int64(i)*50021 + 29
 		cfg.CrashStep = 1 + uint64(rng.Int63n(int64(probe.Steps)))
 		cfg.Oracle = pmem.SeededOracle(uint64(cfg.Seed), uint64(rng.Intn(4)), 3)
-		cfg.WaitFree = i%2 == 1
+		cfg.Core.WaitFree = i%2 == 1
 		pipeline := i%2 == 0
-		cfg.ReadFastPath, cfg.DeltaSnapshots = pipeline, pipeline
+		cfg.Core.ReadFastPath, cfg.Core.DeltaSnapshots = pipeline, pipeline
 		res, err := RunCrash(cfg)
 		if err != nil {
-			t.Fatalf("read-heavy procs=%d iter=%d crash@%d waitfree=%v fastpath=%v delta=%v: %v",
-				nprocs, i, cfg.CrashStep, cfg.WaitFree, cfg.ReadFastPath, cfg.DeltaSnapshots, err)
+			t.Fatalf("read-heavy procs=%d iter=%d crash@%d waitfree=%v pipeline=%v: %v",
+				nprocs, i, cfg.CrashStep, cfg.Core.WaitFree, pipeline, err)
 		}
 		if res.Instance != nil {
 			for pid := 0; pid < nprocs; pid++ {
@@ -163,7 +163,7 @@ func TestCrashInjectionSweepPfences(t *testing.T) {
 	for _, inline := range []int{0, 1} {
 		cfg := HarnessConfig{
 			Spec: objects.MapSpec{}, NProcs: 16, OpsPerProc: 25, UpdatePct: 100,
-			Seed: 9, LogInlineOps: inline,
+			Seed: 9, Core: core.Config{LogInlineOps: inline},
 		}
 		res, err := RunLive(cfg)
 		if err != nil {

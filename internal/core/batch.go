@@ -127,8 +127,8 @@ func (b *Batch) Stage(code uint64, args ...uint64) (ret, id uint64, err error) {
 
 // Flush persists every staged operation — plus any unavailable helping
 // tail below the batch — with one log append and ONE persistent fence,
-// then runs the update path's post-persist bookkeeping (view
-// publication, compaction cadence). A no-op when nothing is staged.
+// then runs the update path's compaction cadence. A no-op when nothing
+// is staged.
 // On success the previously staged ops are durable.
 func (b *Batch) Flush() error {
 	if len(b.nodes) == 0 {
@@ -163,10 +163,6 @@ func (b *Batch) Flush() error {
 		}
 	}
 	in.gate.Step(h.pid, PointPersisted)
-
-	if in.pubs != nil && h.view != nil {
-		h.publishFromUpdate()
-	}
 
 	var err error
 	if ce := h.cutEvery(); ce > 0 {

@@ -41,7 +41,6 @@ import (
 	"fmt"
 	"sort"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/plog"
 	"repro/internal/pmem"
@@ -56,9 +55,6 @@ const (
 	PointOrdered   = "onll.ordered"   // after the order stage
 	PointPersisted = "onll.persisted" // after the persist stage (the fence)
 	PointReturn    = "op.return"      // just before an operation returns
-	PointPublish   = "onll.publish"   // before acquiring the shared-view slot to publish
-	PointAdopt     = "onll.adopt"     // before acquiring the shared-view slot to adopt
-	PointSlotCopy  = "onll.slot-copy" // holding the slot, before the state copy
 )
 
 // Root-table layout used to locate the construction after a crash.
@@ -161,22 +157,13 @@ type Config struct {
 	// requires local views.
 	LocalViews bool
 	// ReadFastPath enables the version-stamped read fast path on top of
-	// local views (implied; setting it turns LocalViews on):
-	//
-	//   - every linearize stage bumps the trace's publication epoch, and
-	//     a read whose handle has already observed the current epoch is
-	//     served straight from the local view, without touching the
-	//     trace at all — on read-heavy mixes the per-read trace walk
-	//     disappears whenever no update has landed in between;
-	//   - a cold or lagging handle may adopt a copy of the instance's
-	//     latest published view (a seqlock-style shared slot: publishers
-	//     and adopters acquire it with one CAS and fall back to the
-	//     ordinary suffix walk on contention) instead of replaying the
-	//     whole suffix node by node. Updaters feed the slot too (damped
-	//     by AdoptPolicy.PublishLag), so it tracks the insert frontier
-	//     under churn, and the adoption threshold is cost-aware by
-	//     default (AdoptPolicy, adoptpolicy.go) — copy cost vs replay
-	//     cost learned per instance — instead of one fixed constant.
+	// local views (implied; setting it turns LocalViews on): every
+	// linearize stage bumps the trace's publication epoch, and a read
+	// whose handle has already observed the current epoch is served
+	// straight from the local view, without touching the trace at all —
+	// on read-heavy mixes the per-read trace walk disappears whenever no
+	// update has landed in between. Any other read walks the lag since
+	// the handle last looked (Section 8).
 	//
 	// Reads stay fence-free and allocation-free; pfences/op is
 	// unchanged (updates 1, reads 0). The flat-combining and eager
@@ -184,20 +171,6 @@ type Config struct {
 	// equivalent, so E6/E7 keep comparing against the unassisted
 	// designs the paper describes.
 	ReadFastPath bool
-	// AdoptPolicy tunes the read fast path's shared-view economics
-	// (adoptpolicy.go): the zero value selects the cost-aware adaptive
-	// adoption threshold and damped update-side publication; the
-	// pre-adaptive fixed threshold is AdoptPolicy{FixedMinLag: 32}.
-	// Ignored unless ReadFastPath is set.
-	AdoptPolicy AdoptPolicy
-	// SlotStripes sets how many independent published-view slot stripes
-	// the read fast path carries (fastpath.go): publishers go to the
-	// stripe their pid hashes to, adopters scan all stripes for the
-	// freshest one, so concurrent handles stop serializing on a single
-	// slot CAS line. Zero auto-sizes to min(GOMAXPROCS, NProcs), capped
-	// at 8; 1 reproduces the single-slot layout (deterministic slot
-	// tests pin it). Ignored unless ReadFastPath is set.
-	SlotStripes int
 	// CompactEvery, if positive, makes each handle write a snapshot
 	// record and truncate its log every CompactEvery updates, and cut
 	// the trace behind the snapshot (Section 8 memory reclamation).
@@ -260,15 +233,6 @@ func (c *Config) fill() error {
 	if c.LogMaxOps < c.NProcs {
 		c.LogMaxOps = c.NProcs
 	}
-	if c.AdoptPolicy.FixedMinLag < 0 {
-		return fmt.Errorf("core: AdoptPolicy.FixedMinLag %d negative", c.AdoptPolicy.FixedMinLag)
-	}
-	if c.AdoptPolicy.PublishLag < 0 {
-		return fmt.Errorf("core: AdoptPolicy.PublishLag %d negative", c.AdoptPolicy.PublishLag)
-	}
-	if c.SlotStripes < 0 || c.SlotStripes > MaxProcs {
-		return fmt.Errorf("core: SlotStripes %d out of range [0,%d]", c.SlotStripes, MaxProcs)
-	}
 	if c.RootBase < 0 || c.RootBase+rootLogBase+c.NProcs > pmem.RootSlots {
 		return fmt.Errorf("core: RootBase %d leaves no room for %d log roots (table has %d slots)",
 			c.RootBase, c.NProcs, pmem.RootSlots)
@@ -302,14 +266,6 @@ type Instance struct {
 	tr    trace.Interface
 	logs  []*plog.Log
 	hands []*Handle
-	// pubs holds the striped shared latest-view slots (ReadFastPath
-	// only, else nil). Value slice, indexed by address — a pubView must
-	// never be copied after construction (it embeds atomics and the
-	// seqlock protocol keys on the address).
-	pubs []pubView
-	// costs is the adaptive adoption cost model (nil when the fast
-	// path is off or AdoptPolicy pins a fixed threshold).
-	costs *adoptCosts
 
 	// health is the salvage-mode health state (health.go); nil means
 	// healthy (instances built by New, or strict recovery). One atomic
@@ -361,7 +317,6 @@ func New(pool *pmem.Pool, sp spec.Spec, cfg Config) (*Instance, error) {
 	if err := claimRoots(pool, &cfg); err != nil {
 		return nil, err
 	}
-	in.initFastPath()
 	in.tr = newTrace(&cfg, nil)
 	for pid := 0; pid < cfg.NProcs; pid++ {
 		l, err := plog.CreateInline(pool, pid, cfg.LogCapacity, cfg.LogMaxOps, cfg.LogInlineOps)
@@ -390,29 +345,6 @@ func claimRoots(pool *pmem.Pool, cfg *Config) error {
 			ErrRootOverlap, lo, hi, conflict[0], conflict[1])
 	}
 	return nil
-}
-
-// initFastPath wires the read fast path's shared machinery: the
-// latest-view slot stripes (always reset — a slot must never be born
-// held; see pubView.reset) and the cost model when the adaptive
-// adoption policy is selected.
-func (in *Instance) initFastPath() {
-	if !in.cfg.ReadFastPath {
-		return
-	}
-	in.pubs = make([]pubView, resolveSlotStripes(&in.cfg))
-	in.resetSlots()
-	if in.cfg.AdoptPolicy.FixedMinLag == 0 {
-		in.costs = &adoptCosts{}
-	}
-}
-
-// resetSlots returns every slot stripe to its initial free state
-// (construction, recovery, recreation).
-func (in *Instance) resetSlots() {
-	for i := range in.pubs {
-		in.pubs[i].reset()
-	}
 }
 
 func (in *Instance) makeHandles(seqs map[int]uint64) {
@@ -486,13 +418,7 @@ type Handle struct {
 	// Read serves from it without touching the trace. epochNever marks
 	// a view that has not been validated against any epoch yet (fresh
 	// or recovered handles), forcing the first read onto the walk.
-	// adopt is the scratch state adoption copies into (the view and the
-	// scratch swap roles on success, so a copy torn by contention never
-	// replaces a good view); adoptions counts successful adoptions
-	// (atomic so Instance.FastPathStats can sum mid-run).
 	seenEpoch uint64
-	adopt     spec.State
-	adoptions atomic.Uint64
 
 	// Scratch buffers reused across operations (a Handle runs one
 	// operation at a time, enforced by busy), keeping steady-state
@@ -535,7 +461,7 @@ type Handle struct {
 	// line-multiple size lands in a line-multiple allocator size class,
 	// so each starts on a line of its own (TestHandlesShareNoCacheLine,
 	// DESIGN.md §3.9).
-	_ [4]uint64
+	_ [7]uint64
 }
 
 // maxFreeNodes caps a handle's freelist; beyond it, retired nodes are
@@ -640,14 +566,6 @@ func (h *Handle) Update(code uint64, args ...uint64) (ret, id uint64, err error)
 	// available node from the tail, not a fixed one.
 	ret = h.computeUpdate(node)
 
-	// Offer the freshly caught-up view to the shared slot (damped): the
-	// updater just paid the replay to its own node anyway, and under
-	// frontier-chasing churn this — not the rare long read catch-up —
-	// is what keeps the published view adoptably fresh.
-	if in.pubs != nil && h.view != nil {
-		h.publishFromUpdate()
-	}
-
 	if ce := h.cutEvery(); ce > 0 {
 		h.sinceCompact++
 		if h.sinceCompact >= ce {
@@ -662,11 +580,8 @@ func (h *Handle) Update(code uint64, args ...uint64) (ret, id uint64, err error)
 }
 
 // Read executes the read-only operation (code, args) (paper Listing 4).
-// It issues no persistent fence and writes nothing shared, with one
-// caveat under Config.ReadFastPath: a walk lagging past the adoption
-// threshold may acquire a slot stripe to copy a published view out, and
-// a walk that replayed more than publishMinLag nodes may acquire its
-// own stripe to copy its view in (both inside advanceView).
+// It issues no persistent fence and writes nothing shared beyond the
+// handle's own reclamation floor.
 //
 // With Config.ReadFastPath a read takes one of two routes: an epoch hit
 // answers from the local view, anything else walks. The epoch check
@@ -724,7 +639,7 @@ func (h *Handle) Read(code uint64, args ...uint64) uint64 {
 //onll:hotpath
 func (h *Handle) computeUpdate(node *trace.Node) uint64 {
 	if h.view != nil && h.viewIdx < node.Idx() {
-		return h.advanceView(node, true)
+		return h.advanceView(node)
 	}
 	// Fresh replay (no local views, or — defensively — a view that has
 	// somehow moved past node).
@@ -749,7 +664,7 @@ func (h *Handle) computeUpdate(node *trace.Node) uint64 {
 func (h *Handle) computeRead(node *trace.Node, op spec.Op) uint64 {
 	if h.view != nil {
 		if h.viewIdx < node.Idx() {
-			h.advanceView(node, false)
+			h.advanceView(node)
 		}
 		// If viewIdx > node.Idx(), the view already reflects
 		// operations this process has itself observed as linearized;
@@ -773,38 +688,13 @@ func (h *Handle) computeRead(node *trace.Node, op spec.Op) uint64 {
 
 // advanceView applies the operations between the view and node to the
 // local view and returns the value of the last one applied (node's own
-// operation). If the walk meets a compaction base newer than the view,
-// the view is restored from the base first. With the read fast path
-// enabled, a handle lagging beyond the adoption threshold (cost-aware
-// by default, adoptpolicy.go) first tries to adopt the instance's
-// published view (cutting the replay to the distance from the
-// publication point), and a handle that just finished a long catch-up
-// publishes its view so the next laggard can adopt it. When the cost
-// model is live, the apply loop is timed — gate steps never fall
-// inside the timed region, so deterministic schedulers cannot inflate
-// the samples — feeding the per-node replay cost estimate.
-//
-// forUpdate distinguishes the two callers: an update must end with
-// node's own operation applied by this handle (its return value is the
-// update's), so adoption stays strictly below node; a read only needs
-// the view AT node, so it may adopt a publication sitting exactly
-// there — under frontier-chasing churn the slot is almost always
-// published at the latest available node, and the strict bound would
-// turn the fast path off for exactly the reads it should relieve.
+// operation): the Section 8 loop. If the walk meets a compaction base
+// newer than the view, the view is restored from the base first, so a
+// handle idle across any number of cuts replays at most the window
+// above the newest base, never its whole lag.
 //
 //onll:hotpath
-func (h *Handle) advanceView(node *trace.Node, forUpdate bool) uint64 {
-	if h.in.pubs != nil {
-		if lag := node.DistanceFrom(h.viewIdx); lag > 0 {
-			if thr := h.adoptThreshold(); lag > thr {
-				maxIdx := node.Idx()
-				if forUpdate {
-					maxIdx--
-				}
-				h.tryAdopt(node, thr, maxIdx)
-			}
-		}
-	}
+func (h *Handle) advanceView(node *trace.Node) uint64 {
 	nodes, base := trace.CollectBackInto(h.nodeBuf, node, h.viewIdx)
 	h.nodeBuf = nodes
 	if base != nil && base.Idx() > h.viewIdx {
@@ -814,11 +704,6 @@ func (h *Handle) advanceView(node *trace.Node, forUpdate bool) uint64 {
 		h.viewIdx = base.Idx()
 		mergeSeqs(h.viewSeqs, base.Seqs)
 	}
-	var walkStart time.Time
-	sample := h.in.costs != nil && len(nodes) >= costSampleMinNodes
-	if sample {
-		walkStart = time.Now() //onll:clockok(cost-model walk probe: only walks of costSampleMinNodes+ nodes are timed)
-	}
 	ret := spec.RetOK
 	for _, n := range nodes {
 		ret = h.view.Apply(n.Op)
@@ -827,25 +712,7 @@ func (h *Handle) advanceView(node *trace.Node, forUpdate bool) uint64 {
 			h.viewSeqs[pid] = seq
 		}
 	}
-	if sample {
-		h.in.costs.observeWalk(len(nodes), time.Since(walkStart)) //onll:clockok(cost-model walk probe)
-	}
-	if h.in.pubs != nil && len(nodes) > publishMinLag {
-		h.tryPublish()
-	}
 	return ret
-}
-
-// adoptThreshold returns the minimum published-view lead (in trace
-// nodes) for adoption to be attempted: the configured fixed constant,
-// or the instance cost model's current estimate.
-//
-//onll:hotpath
-func (h *Handle) adoptThreshold() uint64 {
-	if fl := h.in.cfg.AdoptPolicy.FixedMinLag; fl > 0 {
-		return uint64(fl)
-	}
-	return h.in.costs.threshold(h.view)
 }
 
 // newNode returns a trace node for op, reusing a pooled node when the
@@ -1035,12 +902,6 @@ func (h *Handle) compact(node *trace.Node) error {
 	base := trace.NewBase(s, snap, seqs)
 	node.SetNextBase(base)
 	h.reclaim(old)
-	if h.in.pubs != nil {
-		// The compacting handle is exactly caught up at s; publishing
-		// here gives laggards (whose walks now stop at the new base
-		// anyway) a state to adopt without deserializing the snapshot.
-		h.tryPublish()
-	}
 	return nil
 }
 
@@ -1201,7 +1062,6 @@ func Recover(pool *pmem.Pool, sp spec.Spec, cfg Config) (*Instance, *Report, err
 	if err := claimRoots(pool, &cfg); err != nil {
 		return nil, nil, err
 	}
-	in.initFastPath()
 	var (
 		records  []plog.Record
 		cands    []baseCand // compaction records recovery may restart from

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/objects"
@@ -155,5 +156,34 @@ func TestFreshHandleReadAfterOthersUpdated(t *testing.T) {
 	}
 	if v := in.Handle(2).Read(objects.CounterGet); v != 25 {
 		t.Fatalf("fresh handle read %d", v)
+	}
+}
+
+// TestRootOverlapRejected is the regression test for the RootBase
+// partition check (pre-PR 8, two instances with overlapping root
+// ranges were accepted and silently clobbered each other's root
+// slots): a partial overlap must fail with ErrRootOverlap at create
+// time, disjoint ranges must tile fine, and re-claiming the IDENTICAL
+// range must stay allowed — that is recovery of the same instance on
+// the same in-process pool, which crash tests do routinely.
+func TestRootOverlapRejected(t *testing.T) {
+	pool := pmem.New(1<<22, nil)
+	cfg := Config{NProcs: 2, LogCapacity: 1 << 10}
+	if _, err := New(pool, objects.CounterSpec{}, cfg); err != nil {
+		t.Fatal(err)
+	}
+	over := cfg
+	over.RootBase = RootSpan(2) - 1 // last slot of the first claim
+	if _, err := New(pool, objects.CounterSpec{}, over); !errors.Is(err, ErrRootOverlap) {
+		t.Fatalf("overlapping RootBase accepted (err=%v), want ErrRootOverlap", err)
+	}
+	next := cfg
+	next.RootBase = RootSpan(2)
+	if _, err := New(pool, objects.CounterSpec{}, next); err != nil {
+		t.Fatalf("disjoint RootBase rejected: %v", err)
+	}
+	// Identical re-claim: recovering instance 0 on the same pool object.
+	if _, _, err := Recover(pool, objects.CounterSpec{}, Config{LogCapacity: 1 << 10}); err != nil {
+		t.Fatalf("same-range recovery rejected: %v", err)
 	}
 }

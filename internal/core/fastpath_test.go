@@ -114,12 +114,12 @@ func TestReadFastPathEquivalence(t *testing.T) {
 	}
 }
 
-// TestReadFastPathAdoptionUnderCompaction drives a lagging reader
-// against a compacting writer deterministically: the reader's rare
-// reads land far behind a writer that has cut the trace several times,
-// so each one either adopts the published view or restores from a base
-// — both must agree with the reference value.
-func TestReadFastPathAdoptionUnderCompaction(t *testing.T) {
+// TestLaggingReaderUnderCompaction drives a lagging reader against a
+// compacting writer deterministically: the reader's rare reads land far
+// behind a writer that has cut the trace several times, so each one
+// restores from a base and replays the window above it — the result
+// must agree with the reference value.
+func TestLaggingReaderUnderCompaction(t *testing.T) {
 	pool := pmem.New(1<<24, nil)
 	in, err := New(pool, objects.CounterSpec{}, Config{
 		NProcs: 2, ReadFastPath: true, CompactEvery: 16, LogCapacity: 2048,
@@ -142,7 +142,55 @@ func TestReadFastPathAdoptionUnderCompaction(t *testing.T) {
 			t.Fatalf("round %d: lagging reader saw %d, want %d", round, got, done)
 		}
 	}
-	if r.adoptions.Load() == 0 && w.adoptions.Load() == 0 {
-		t.Log("note: no adoption triggered (bases won every race); lag coverage via base restore only")
+}
+
+// TestIdleHandleRestoresFromNewestBase pins how a cold handle catches
+// up on the pipeline shape: idle across several chain-base cuts, its
+// next read returns the current value, leaves the view at the tail, and
+// got there by restoring the newest base and replaying only the window
+// above it — not by replaying its whole lag from its stale index.
+func TestIdleHandleRestoresFromNewestBase(t *testing.T) {
+	const cutEvery, chain, keys = 8, 4, 256
+	pool := pmem.New(1<<24, nil)
+	in, err := New(pool, objects.OrderedMapSpec{}, Config{
+		NProcs: 2, ReadFastPath: true, DeltaSnapshots: true,
+		CompactEvery: cutEvery, MaxDeltaChain: chain, LogCapacity: 2048,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, r := in.Handle(0), in.Handle(1)
+	put := func(k, v uint64) {
+		t.Helper()
+		if _, _, err := w.Update(objects.OMapPut, k, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for k := uint64(0); k < keys; k++ {
+		put(k, 0)
+	}
+	if got := r.Read(objects.OMapLen); got != keys {
+		t.Fatalf("initial read: len %d, want %d", got, keys)
+	}
+	before := in.CompactionStats()
+	const lag = 20 * cutEvery * chain
+	for i := uint64(1); i <= lag; i++ {
+		put(i%keys, i)
+	}
+	after := in.CompactionStats()
+	if after.Bases-before.Bases < 2 || after.Deltas == before.Deltas {
+		t.Fatalf("reader idled across %d base and %d delta cuts; the test needs at least 2 bases with deltas between",
+			after.Bases-before.Bases, after.Deltas-before.Deltas)
+	}
+	if got := r.Read(objects.OMapGet, lag%keys); got != lag {
+		t.Fatalf("idle reader saw %d under the last key written, want %d", got, lag)
+	}
+	if tail := in.tr.Tail(r.pid).Idx(); r.viewIdx != tail {
+		t.Fatalf("view left at %d, trace tail is %d", r.viewIdx, tail)
+	}
+	// The walk stops at the newest base, so at most one chain's worth of
+	// cut windows is replayed however long the handle idled.
+	if n := len(r.nodeBuf); n > cutEvery*chain {
+		t.Fatalf("catch-up replayed %d nodes for a lag of %d; want at most %d (restore from the newest base)", n, lag, cutEvery*chain)
 	}
 }

@@ -257,7 +257,6 @@ func (in *Instance) Recreate() error {
 	for pid, s := range sb.seqs {
 		seqs[pid] = s
 	}
-	in.resetSlots()
 	in.makeHandles(seqs)
 	in.salvBase = nil
 	in.health.Store(&Health{Mode: ModeHealthy})

@@ -97,7 +97,7 @@ func (h *Handle) catchUpView() {
 	}
 	n := trace.LatestAvailableFrom(h.in.gate, h.pid, h.in.tr.Tail(h.pid))
 	if n != nil && n.Idx() > h.viewIdx {
-		h.advanceView(n, false)
+		h.advanceView(n)
 	}
 }
 

@@ -36,15 +36,11 @@ type Config struct {
 	WorkSeed int64
 	// CrashAtStep, if positive, kills all processes after that many
 	// granted steps and crashes the pool under Oracle.
-	CrashAtStep  int
-	Oracle       pmem.Oracle
-	WaitFree     bool
-	LocalViews   bool
-	CompactEvery int
-	// ReadFastPath enables the version-stamped read fast path, so the
-	// deterministic scheduler can interleave epoch checks, adoption and
-	// publication at single-step granularity (and crash between them).
-	ReadFastPath bool
+	CrashAtStep int
+	Oracle      pmem.Oracle
+	// Core is the construction's shape, passed to core.New and
+	// core.Recover as given; Run sets only NProcs, Gate and LogCapacity.
+	Core core.Config
 }
 
 // Result carries what a run produced.
@@ -61,11 +57,9 @@ func Run(cfg Config) (*Result, error) {
 	}
 	ctl := sched.NewController()
 	pool := pmem.New(1<<24, ctl)
-	in, err := core.New(pool, cfg.Spec, core.Config{
-		NProcs: cfg.NProcs, Gate: ctl, LogCapacity: cfg.OpsPerProc*2 + 64,
-		WaitFree: cfg.WaitFree, LocalViews: cfg.LocalViews, CompactEvery: cfg.CompactEvery,
-		ReadFastPath: cfg.ReadFastPath,
-	})
+	cc := cfg.Core
+	cc.NProcs, cc.Gate, cc.LogCapacity = cfg.NProcs, ctl, cfg.OpsPerProc*2+64
+	in, err := core.New(pool, cfg.Spec, cc)
 	if err != nil {
 		return nil, err
 	}
@@ -117,10 +111,8 @@ func Run(cfg Config) (*Result, error) {
 		res.History = hist.Ops()
 		pool.Crash(cfg.Oracle)
 		pool.SetGate(nil)
-		_, rep, err := core.Recover(pool, cfg.Spec, core.Config{
-			WaitFree: cfg.WaitFree, LocalViews: cfg.LocalViews, CompactEvery: cfg.CompactEvery,
-			ReadFastPath: cfg.ReadFastPath,
-		})
+		cc.Gate = nil // the pre-crash machine's scheduler died with it
+		_, rep, err := core.Recover(pool, cfg.Spec, cc)
 		if err != nil {
 			return res, fmt.Errorf("recovery: %w", err)
 		}

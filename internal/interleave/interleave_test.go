@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/objects"
 	"repro/internal/pmem"
 	"repro/internal/spec"
@@ -114,14 +115,12 @@ func TestScheduledCrashEveryStepWithHelping(t *testing.T) {
 
 func TestScheduledExtensionsSweep(t *testing.T) {
 	for _, mode := range []struct {
-		name string
-		wf   bool
-		lv   bool
-		ce   int
+		name  string
+		shape core.Config
 	}{
-		{"waitfree", true, false, 0},
-		{"localviews", false, true, 0},
-		{"compaction", false, true, 3},
+		{"waitfree", core.Config{WaitFree: true}},
+		{"localviews", core.Config{LocalViews: true}},
+		{"compaction", core.Config{LocalViews: true, CompactEvery: 3}},
 	} {
 		mode := mode
 		t.Run(mode.name, func(t *testing.T) {
@@ -129,7 +128,7 @@ func TestScheduledExtensionsSweep(t *testing.T) {
 			runs, err := Sweep(Config{
 				Spec: objects.CounterSpec{}, NProcs: 3, OpsPerProc: 4, UpdatePct: 90,
 				WorkSeed: 4, Oracle: pmem.SeededOracle(1, 2, 3),
-				WaitFree: mode.wf, LocalViews: mode.lv, CompactEvery: mode.ce,
+				Core: mode.shape,
 			}, 6, []int{10, 40, 70})
 			if err != nil {
 				t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/objects"
 	"repro/internal/pmem"
 )
@@ -14,15 +15,17 @@ import (
 // -short mode a reduced matrix runs.
 func TestMatrixAllObjectsAllConfigs(t *testing.T) {
 	variants := []struct {
-		name string
-		wf   bool
-		lv   bool
-		ce   int
+		name  string
+		shape core.Config
 	}{
-		{"plain", false, false, 0},
-		{"waitfree", true, false, 0},
-		{"localviews", false, true, 0},
-		{"compaction", false, true, 4},
+		{"plain", core.Config{}},
+		{"waitfree", core.Config{WaitFree: true}},
+		{"localviews", core.Config{LocalViews: true}},
+		{"compaction", core.Config{LocalViews: true, CompactEvery: 4}},
+		// The shape everything builds, serves and measures, with the
+		// cadence small enough that base cuts, delta cuts and foreign
+		// bases all occur inside a five-op stream.
+		{"pipeline", core.Config{ReadFastPath: true, DeltaSnapshots: true, CompactEvery: 2}},
 	}
 	seeds := 4
 	fracs := []int{15, 45, 80}
@@ -37,8 +40,8 @@ func TestMatrixAllObjectsAllConfigs(t *testing.T) {
 				t.Parallel()
 				runs, err := Sweep(Config{
 					Spec: sp, NProcs: 3, OpsPerProc: 5, UpdatePct: 75,
-					WorkSeed: int64(len(sp.Name())), Oracle: pmem.SeededOracle(uint64(v.ce)+3, 1, 2),
-					WaitFree: v.wf, LocalViews: v.lv, CompactEvery: v.ce,
+					WorkSeed: int64(len(sp.Name())), Oracle: pmem.SeededOracle(uint64(v.shape.CompactEvery)+3, 1, 2),
+					Core: v.shape,
 				}, seeds, fracs)
 				if err != nil {
 					t.Fatal(err)

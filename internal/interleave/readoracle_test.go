@@ -27,8 +27,8 @@ import (
 //   - read-your-writes: a read after the handle's own update returns at
 //     least that update's return value (the update is in the view).
 //
-// Compaction is on so epoch checks, adoption, publication and base
-// restores all interleave with the scheduler's preemptions; the final
+// Compaction is on so epoch checks, catch-up walks and base restores
+// all interleave with the scheduler's preemptions; the final
 // read cross-checks that no increment was lost. ONLL_ORACLE_SEEDS
 // overrides the seed count (CI bounds it; -short trims it).
 func TestDurableReadOracle(t *testing.T) {
@@ -141,12 +141,12 @@ func runReadOracle(t *testing.T, fast, wf bool, seed int64) {
 //   - per-handle view monotonicity: the map size a handle observes
 //     never shrinks (keys are only ever inserted).
 //
-// An eager adoption threshold plus compaction forces publications,
-// adoptions and base restores to interleave with the scheduler's
-// preemptions; the final cross-check counts every insert. The whole
-// matrix runs with full-snapshot AND delta-chain compaction, so the
-// fast path's epoch checks and adoptions interleave with delta cuts,
-// ordered-map diff emission and chain-base collapses too.
+// A tight compaction cadence forces catch-up walks and base restores to
+// interleave with the scheduler's preemptions; the final cross-check
+// counts every insert. The whole matrix runs with full-snapshot AND
+// delta-chain compaction, so the fast path's epoch checks interleave
+// with delta cuts, ordered-map diff emission and chain-base collapses
+// too.
 func TestDurableReadOracleYCSBD(t *testing.T) {
 	seeds := 16
 	if testing.Short() {
@@ -180,10 +180,6 @@ func runReadLatestOracle(t *testing.T, deltaSnap bool, seed int64) {
 		NProcs: nprocs, Gate: ctl, ReadFastPath: true,
 		CompactEvery: 6, LogCapacity: 512,
 		DeltaSnapshots: deltaSnap, MaxDeltaChain: 3,
-		AdoptPolicy: core.AdoptPolicy{
-			FixedMinLag: 2, // adopt eagerly: tiny runs must still exercise the slot
-			PublishLag:  1,
-		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -254,8 +250,8 @@ func runReadLatestOracle(t *testing.T, deltaSnap bool, seed int64) {
 // TestDurableReadOracleCrashes drives the fast path through the
 // deterministic crash sweep: seeded interleavings crashed at several
 // points, recovered, and checked against Definition 5.6 — with the
-// fast path on in both eras, so epoch state and the shared view slot
-// are rebuilt from a recovered trace rather than a live one.
+// fast path on in both eras, so epoch state is rebuilt from a recovered
+// trace rather than a live one.
 func TestDurableReadOracleCrashes(t *testing.T) {
 	schedSeeds := 3
 	if testing.Short() {
@@ -263,7 +259,7 @@ func TestDurableReadOracleCrashes(t *testing.T) {
 	}
 	runs, err := Sweep(Config{
 		Spec: objects.CounterSpec{}, NProcs: 3, OpsPerProc: 5, UpdatePct: 50,
-		WorkSeed: 11, LocalViews: true, CompactEvery: 4, ReadFastPath: true,
+		WorkSeed: 11, Core: core.Config{CompactEvery: 4, ReadFastPath: true},
 	}, schedSeeds, []int{25, 60, 90})
 	if err != nil {
 		t.Fatalf("after %d validated runs: %v", runs, err)

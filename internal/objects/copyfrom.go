@@ -4,10 +4,9 @@ import "repro/internal/spec"
 
 // spec.Copier implementations for every shipped state: CopyFrom
 // replaces the receiver with a deep copy of src while reusing the
-// receiver's storage (slices, dense tables) when the shapes match.
-// core's read fast path overwrites the same destination state on every
-// view adoption and every shared-view publication, so these keep that
-// path allocation-free in steady state — Clone (which always allocates)
+// receiver's storage (slices, dense tables) when the shapes match, so
+// a caller that overwrites the same destination over and over stays
+// allocation-free in steady state — Clone (which always allocates)
 // stays the right tool for one-shot copies.
 //
 // Each CopyFrom panics via the type assertion if src is a state of a
@@ -15,8 +14,8 @@ import "repro/internal/spec"
 // Instance's spec.
 
 // reuse copies src into dst, reusing dst's backing array when it is
-// large enough (the adoption steady state, where the same scratch state
-// absorbs similarly-sized views over and over).
+// large enough (the steady state, where the same destination absorbs
+// similarly-sized states over and over).
 func reuse(dst, src []uint64) []uint64 {
 	if cap(dst) < len(src) {
 		return append(dst[:0:0], src...)

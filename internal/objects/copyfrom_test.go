@@ -10,9 +10,8 @@ import (
 // TestCopyFromMatchesCloneAndIsIndependent: for every shipped object,
 // CopyFrom onto a fresh state and onto a previously-used (dirty) state
 // must both serialize identically to the source, and mutating the copy
-// must not leak into the source — the exact contract view adoption
-// depends on (the same scratch state absorbs a different view every
-// time).
+// must not leak into the source (the same destination absorbs a
+// different state every time).
 func TestCopyFromMatchesCloneAndIsIndependent(t *testing.T) {
 	for _, sp := range All() {
 		sp := sp

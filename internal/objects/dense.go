@@ -186,9 +186,8 @@ func (t *denseTable) reset(hasVals bool, capHint int) {
 }
 
 // copyFrom replaces the table contents with src's, reusing the
-// receiver's arrays when they are already the right shape — the
-// steady-state path of core's view adoption copies the same table
-// layout back and forth without allocating.
+// receiver's arrays when they are already the right shape, so copying
+// the same table layout back and forth does not allocate.
 func (t *denseTable) copyFrom(src *denseTable) {
 	if cap(t.meta) < len(src.meta) {
 		t.meta = make([]uint8, len(src.meta))

@@ -4,8 +4,8 @@ import "repro/internal/spec"
 
 // spec.Sizer implementations for every shipped state: SizeHint prices
 // one spec.Copy of the state in 64-bit words, O(1) and allocation-free,
-// so core's cost-aware adoption policy can weigh "copy the published
-// view" against "replay the trace suffix" before every lagging read.
+// so core's delta-cut policy can pace cuts by state size after every
+// update (core/deltacompact.go).
 // The hints measure what CopyFrom actually moves (backing arrays at
 // their live length, table slots at capacity), not the snapshot wire
 // format; a fixed +1 keeps even empty states non-zero, since 0 means

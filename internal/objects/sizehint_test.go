@@ -8,8 +8,8 @@ import (
 
 // TestSizeHint checks every shipped state's copy-cost hint: always
 // positive (0 means "unknown" to spec.SizeHint and would silently turn
-// core's cost model off for the object), O(1)-cheap by construction,
-// and growing with the state so the adoption threshold can track it.
+// core's size-aware cut cadence off for the object), O(1)-cheap by
+// construction, and growing with the state so the cadence can track it.
 // The hint prices what CopyFrom moves, not the snapshot wire format,
 // so the comparison is order-of-magnitude, not equality.
 func TestSizeHint(t *testing.T) {

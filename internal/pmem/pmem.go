@@ -189,6 +189,8 @@ type pendingEntry struct {
 // once at the crossing and maintained incrementally; the map is
 // retained (emptied, not dropped) across fences so a snapshot-heavy
 // process allocates it once.
+//
+//onll:linepadded
 type pidPending struct {
 	mu      sync.Mutex
 	entries []pendingEntry

@@ -164,10 +164,9 @@ func TestStatsPollingRaceFree(t *testing.T) {
 			default:
 			}
 			st := s.Stats()
-			fp := s.Instance().FastPathStats()
 			cs := s.Instance().CompactionStats()
 			pr := s.Instance().Pressure()
-			sink.Store(st.Updates + fp.Publishes + cs.Bases + cs.Deltas + uint64(pr.Spills))
+			sink.Store(st.Updates + cs.Bases + cs.Deltas + uint64(pr.Spills))
 		}
 	}()
 	var cliWG sync.WaitGroup

@@ -95,10 +95,9 @@ type State interface {
 // Copier is an optional State extension: CopyFrom replaces the receiver
 // with a deep copy of src (which must be a state of the same spec),
 // reusing the receiver's existing storage where possible. It is the
-// allocation-light alternative to Clone used by core's view-adoption
-// fast path, where the same destination state is overwritten over and
-// over. States that do not implement it are copied through
-// Snapshot/Restore instead.
+// allocation-light alternative to Clone for a destination state that is
+// overwritten over and over. States that do not implement it are copied
+// through Snapshot/Restore instead.
 type Copier interface {
 	CopyFrom(src State)
 }
@@ -106,11 +105,11 @@ type Copier interface {
 // Sizer is an optional State extension paired with Copier: SizeHint
 // returns the approximate size of the state in 64-bit words — the
 // volume one Copy into a same-shaped receiver moves. It must be O(1)
-// and allocation-free: core's cost-aware adoption policy consults it
-// on the read path to price a state copy against replaying the trace
-// suffix, so it may be called before every lagging read. The hint is
-// an estimate (capacity vs live entries, table overheads), not a wire
-// format; only its magnitude matters.
+// and allocation-free: core's delta-cut policy consults it after every
+// update to pace cuts and to decide when a delta chain has outgrown the
+// state (deltacompact.go). The hint is an estimate (capacity vs live
+// entries, table overheads), not a wire format; only its magnitude
+// matters.
 type Sizer interface {
 	SizeHint() int
 }

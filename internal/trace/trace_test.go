@@ -480,31 +480,3 @@ func TestEpochCoversAvailability(t *testing.T) {
 		})
 	}
 }
-
-// TestDistanceFrom pins the arithmetic node-distance helper: the
-// replay length core's adoption policy prices before any walk.
-func TestDistanceFrom(t *testing.T) {
-	tr := NewLockFree(nil)
-	var last *Node
-	for i := 0; i < 5; i++ {
-		n := NewNode(spec.Op{Code: 1})
-		tr.Insert(0, n)
-		tr.SetAvailable(0, n)
-		last = n
-	}
-	if got := last.DistanceFrom(0); got != 5 {
-		t.Fatalf("DistanceFrom(0) = %d, want 5", got)
-	}
-	if got := last.DistanceFrom(3); got != 2 {
-		t.Fatalf("DistanceFrom(3) = %d, want 2", got)
-	}
-	if got := last.DistanceFrom(5); got != 0 {
-		t.Fatalf("DistanceFrom(5) = %d, want 0 (at the node)", got)
-	}
-	if got := last.DistanceFrom(9); got != 0 {
-		t.Fatalf("DistanceFrom(9) = %d, want saturation at 0", got)
-	}
-	if got := tr.Sentinel().DistanceFrom(0); got != 0 {
-		t.Fatalf("sentinel DistanceFrom(0) = %d, want 0", got)
-	}
-}

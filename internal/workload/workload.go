@@ -191,7 +191,7 @@ func (y *YCSB) Streams(nprocs, per int) (streams [][]Step, updates int) {
 // keeps the workload deterministic while preserving the property that
 // matters: a reader's hot set is perpetually a few updates old, so
 // cached views are always stale and the view-advance machinery (epoch
-// checks, adoption) is exercised under churn rather than at rest.
+// checks, catch-up walks) is exercised under churn rather than at rest.
 func (y *YCSB) Stream(seed int64, n int) []Step {
 	rng := rand.New(rand.NewSource(seed))
 	space := y.KeySpace

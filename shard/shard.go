@@ -4,8 +4,8 @@
 // one trace tail (the order stage's CAS) no matter how many processes
 // drive it; sharding multiplies the tails. Each shard is a complete,
 // unmodified core instance — its own per-process logs, trace,
-// compaction cadence, pressure valve, salvage state and published-view
-// slot stripes — laid out in the shared pool's root table at
+// compaction cadence, pressure valve and salvage state — laid out in
+// the shared pool's root table at
 // RootBase + i*core.RootSpan(NProcs) and guarded against overlap by
 // the pool's root-claim registry (core.ErrRootOverlap).
 //
@@ -193,19 +193,6 @@ func (in *Instance) Shard(i int) *core.Instance { return in.shards[i] }
 // Handle returns the per-process composed handle for pid. Like a core
 // handle, it must only be used by one operation at a time.
 func (in *Instance) Handle(pid int) *Handle { return in.hands[pid] }
-
-// FastPathStats sums the read fast path's slot activity over every
-// shard (diagnostics; see core.FastPathStats).
-func (in *Instance) FastPathStats() core.FastPathStats {
-	var t core.FastPathStats
-	for _, s := range in.shards {
-		fs := s.FastPathStats()
-		t.Publishes += fs.Publishes
-		t.Adoptions += fs.Adoptions
-		t.Stripes += fs.Stripes
-	}
-	return t
-}
 
 // shardOf maps a routing key to its partition. The multiplicative
 // scramble (the 64-bit golden-ratio constant) decorrelates the

@@ -407,7 +407,7 @@ func TestShardFaultIsolation(t *testing.T) {
 }
 
 // TestShardAggregateAllocs pins the sharded aggregate path's
-// allocation profile: after warmup (fast-path views adopted, scratch
+// allocation profile: after warmup (fast-path views caught up, scratch
 // buffer grown to the shard count), ReadSum and a reused-buffer
 // ReadEachInto must not allocate per call. ReadEach without a buffer
 // is the documented allocating variant.
@@ -423,8 +423,8 @@ func TestShardAggregateAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Warm up: first aggregate grows the scratch buffer and may adopt
-	// fast-path views.
+	// Warm up: the first aggregate grows the scratch buffer and walks
+	// every shard's view up to date.
 	for i := 0; i < 8; i++ {
 		h.ReadSum(objects.MapLen)
 	}

@@ -35,9 +35,24 @@ func throughputConfig(nprocs int) core.Config {
 	}
 }
 
-// throughputPoolSize returns a pool size that fits nprocs logs.
-func throughputPoolSize(nprocs int) int {
-	return workload.ThroughputPoolBytes(nprocs)
+// throughputPoolSize returns a pool size that fits nprocs logs and a
+// map that grows by inserts keys during the run (mix D; 0 elsewhere).
+// Every process's log re-bases on the grown state (regions doubled on
+// each regrowth, the outgrown ones leaked by the bump allocator), so the
+// need scales with nprocs × inserts and any fixed size runs out at some
+// -benchtime: 64 B per inserted key per process is ~2.4× the 27 B
+// measured at p64. The logs themselves take under a quarter of the
+// fixed size (17 of 128 MiB at p64), so a run whose growth fits in the
+// rest keeps the fixed size — and with it the pages the N=1 probe run
+// already faulted in: a pool of a new size is fresh memory, and its
+// first-touch faults land in the timed window (ycsb-d_p4, 3M ops:
+// 7.7M → 5.7M ops/s).
+func throughputPoolSize(nprocs, inserts int) int {
+	size := workload.ThroughputPoolBytes(nprocs)
+	if need := size/4 + nprocs*inserts*64; need > size {
+		return need
+	}
+	return size
 }
 
 // runThroughput drives nprocs goroutine-backed handles for per ops each
@@ -67,7 +82,7 @@ func runThroughput(b *testing.B, in *core.Instance, nprocs, per, updatePct int) 
 
 func benchThroughput(b *testing.B, nprocs, updatePct int) {
 	b.Helper()
-	pool := pmem.New(throughputPoolSize(nprocs), nil)
+	pool := pmem.New(throughputPoolSize(nprocs, 0), nil)
 	in, err := core.New(pool, objects.CounterSpec{}, throughputConfig(nprocs))
 	if err != nil {
 		b.Fatal(err)
@@ -109,8 +124,8 @@ func BenchmarkThroughput(b *testing.B) {
 // BenchmarkThroughputYCSB drives the five YCSB mixes (zipfian keys over
 // the ordered map — the index-tree-shaped object) at each scaling
 // point: A = 50/50 get/put, B = 95/5 read-mostly, C = read-only, D =
-// read-latest (reads chase the insert frontier, stressing view
-// adoption under churn), E = order queries (floor/ceil/select) plus
+// read-latest (reads chase the insert frontier, so every cached view is
+// a few updates stale), E = order queries (floor/ceil/select) plus
 // inserts. The map is preloaded with the key space, as YCSB loads its
 // dataset, so read-heavy mixes hit a populated index.
 func BenchmarkThroughputYCSB(b *testing.B) {
@@ -118,7 +133,11 @@ func BenchmarkThroughputYCSB(b *testing.B) {
 	for _, mix := range mixes {
 		for _, nprocs := range throughputProcs {
 			b.Run(fmt.Sprintf("%s_p%d", mix, nprocs), func(b *testing.B) {
-				pool := pmem.New(throughputPoolSize(nprocs), nil)
+				inserts := 0
+				if mix == workload.YCSBD {
+					inserts = b.N * workload.NewYCSB(mix).UpdatePct() / 100
+				}
+				pool := pmem.New(throughputPoolSize(nprocs, inserts), nil)
 				in, err := core.New(pool, objects.OrderedMapSpec{}, throughputConfig(nprocs))
 				if err != nil {
 					b.Fatal(err)
@@ -138,7 +157,7 @@ func BenchmarkThroughputSharded(b *testing.B) {
 	for _, mix := range []workload.YCSBWorkload{workload.YCSBA, workload.YCSBC} {
 		for _, nshards := range []int{1, 2, 4} {
 			b.Run(fmt.Sprintf("%s_s%d", mix, nshards), func(b *testing.B) {
-				pool := pmem.New(throughputPoolSize(nprocs)*nshards, nil)
+				pool := pmem.New(throughputPoolSize(nprocs, 0)*nshards, nil)
 				in, err := shard.Open(pool, objects.OrderedMapSpec{}, shard.Config{Shards: nshards, Base: throughputConfig(nprocs)})
 				if err != nil {
 					b.Fatal(err)
@@ -151,7 +170,8 @@ func BenchmarkThroughputSharded(b *testing.B) {
 
 // benchYCSB preloads the key space through handle(0), then times nprocs
 // goroutines each running its own stream of mix; a read-only mix fails
-// on any persistent fence.
+// on any persistent fence. A worker's error (pool or log exhaustion)
+// fails the benchmark from this goroutine instead of killing the binary.
 func benchYCSB(b *testing.B, pool *pmem.Pool, mix workload.YCSBWorkload, nprocs int, handle func(pid int) workload.Handle) {
 	b.Helper()
 	y := workload.NewYCSB(mix)
@@ -160,6 +180,7 @@ func benchYCSB(b *testing.B, pool *pmem.Pool, mix workload.YCSBWorkload, nprocs 
 	}
 	per := b.N/nprocs + 1
 	streams, updates := y.Streams(nprocs, per)
+	errs := make([]error, nprocs)
 	pool.ResetStats()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -168,13 +189,16 @@ func benchYCSB(b *testing.B, pool *pmem.Pool, mix workload.YCSBWorkload, nprocs 
 		wg.Add(1)
 		go func(pid int) {
 			defer wg.Done()
-			if err := workload.RunSteps(handle(pid), streams[pid]); err != nil {
-				panic(err)
-			}
+			errs[pid] = workload.RunSteps(handle(pid), streams[pid])
 		}(pid)
 	}
 	wg.Wait()
 	b.StopTimer()
+	for pid, err := range errs {
+		if err != nil {
+			b.Fatalf("%s p%d of %d: %v (pool %d MiB, b.N %d)", mix, pid, nprocs, err, pool.Size()>>20, b.N)
+		}
+	}
 	tot := pool.TotalStats()
 	b.ReportMetric(float64(per*nprocs)/b.Elapsed().Seconds(), "ops/sec")
 	if updates > 0 {
