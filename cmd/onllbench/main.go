@@ -167,7 +167,7 @@ func e1() error {
 						variant = "waitfree"
 					}
 					if delta {
-						cfg.DeltaSnapshots, cfg.CompactEvery = true, 8
+						cfg.CompactEvery = 8
 						variant += "+cuts"
 					}
 					in, err := core.New(pool, sp, cfg)
@@ -468,37 +468,57 @@ func e8() error {
 	return nil
 }
 
-// e9: memory reclamation via compaction.
+// e9: memory reclamation via compaction, bounds checked after every
+// update. Only base cuts cut the trace, so it spans up to a chain of
+// cadences: the counter's 1-word state makes every delta oversize, the
+// map's 1 024 keys let its chains grow to MaxDeltaChain links.
 func e9() error {
 	header("E9 (Section 8): compaction bounds log and trace growth")
-	row("variant", "ops", "live log recs", "trace nodes", "extra pf")
-	const n = 5000
-	for _, ce := range []int{0, 64} {
-		pool := pmem.New(poolSize, nil)
-		in, err := core.New(pool, objects.CounterSpec{}, core.Config{
-			NProcs: 1, LocalViews: true, CompactEvery: ce, LogCapacity: 2*n + 64,
-		})
-		if err != nil {
-			return err
-		}
-		pool.ResetStats()
-		h := in.Handle(0)
-		for i := 0; i < n; i++ {
-			if _, _, err := h.Update(objects.CounterInc); err != nil {
+	row("object/variant", "ops", "max live recs", "max trace nodes", "deltas", "extra pf")
+	const n, nprocs, maxChain = 5000, 1, 8
+	for _, sp := range []spec.Spec{objects.CounterSpec{}, objects.MapSpec{}} {
+		_, isMap := sp.(objects.MapSpec)
+		for _, ce := range []int{0, 64} {
+			pool := pmem.New(poolSize, nil)
+			in, err := core.New(pool, sp, core.Config{
+				NProcs: nprocs, LocalViews: true, CompactEvery: ce, MaxDeltaChain: maxChain,
+				LogCapacity: 2*n + 64,
+			})
+			if err != nil {
 				return err
 			}
+			pool.ResetStats()
+			h := in.Handle(0)
+			live, nodes := 0, 0
+			for i := 0; i < n; i++ {
+				if isMap {
+					_, _, err = h.Update(objects.MapPut, uint64(i%1024), uint64(i))
+				} else {
+					_, _, err = h.Update(objects.CounterInc)
+				}
+				if err != nil {
+					return err
+				}
+				live = max(live, in.Log(0).Len())
+				reach := 0
+				for cur := in.Trace().Tail(0); cur != nil && cur.Kind == trace.KindUpdate; cur = cur.Next() {
+					reach++
+				}
+				nodes = max(nodes, reach)
+			}
+			variant := "no-compaction"
+			if ce > 0 {
+				variant = fmt.Sprintf("compact-every-%d", ce)
+			}
+			deltas := in.CompactionStats().Deltas
+			row(sp.Name()+"/"+variant, n, live, nodes, deltas, pool.StatsOf(0).PersistentFences-uint64(n))
+			if ce > 0 && (live > ce+1 || nodes > maxChain*ce+nprocs || isMap && deltas == 0) {
+				return fmt.Errorf("e9: %s/%s: %d live records (bound %d), %d trace nodes (bound %d), %d delta cuts",
+					sp.Name(), variant, live, ce+1, nodes, maxChain*ce+nprocs, deltas)
+			}
 		}
-		nodes := 0
-		for cur := in.Trace().Tail(0); cur != nil && cur.Kind == trace.KindUpdate; cur = cur.Next() {
-			nodes++
-		}
-		variant := "no-compaction"
-		if ce > 0 {
-			variant = fmt.Sprintf("compact-every-%d", ce)
-		}
-		row(variant, n, in.Log(0).Len(), nodes, pool.StatsOf(0).PersistentFences-uint64(n))
 	}
-	fmt.Println("PASS: with compaction, live records and reachable trace nodes stay bounded")
+	fmt.Println("PASS: with compaction, live records <= CompactEvery+1 and reachable trace nodes <= MaxDeltaChain*CompactEvery+NProcs")
 	return nil
 }
 

@@ -85,10 +85,12 @@ func runFaultIteration(t *testing.T, sp spec.Spec, nprocs, it int, rng *rand.Ran
 	if it%3 == 0 {
 		base.Core.WaitFree = true
 	}
-	// Alternate compaction schemes across the compacting legs, so
-	// faults land on chain bodies and back-references too and salvage
-	// composes with unresolvable chains, not just broken snapshots.
-	base.Core.DeltaSnapshots = it%4 == 0
+	// Alternate chain lengths across the compacting legs, so faults
+	// land on delta bodies and back-references too and salvage composes
+	// with unresolvable chains, not just broken bases.
+	if it%4 != 0 {
+		base.Core.MaxDeltaChain = 1
+	}
 	probe, err := RunLive(base)
 	if err != nil {
 		t.Fatalf("p%d i%d: live probe: %v", nprocs, it, err)

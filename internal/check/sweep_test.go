@@ -29,15 +29,16 @@ import (
 // the compactForSpace pressure valve is armed should a burst exhaust
 // the ring (without local views that would be a hard error, per
 // core.Config's docs). Odd iterations run the default inline budget
-// with compaction, exercising snapshot records at scale. Every third
+// with compaction, exercising chain records at scale. Every third
 // iteration additionally switches to the wait-free execution trace, so
 // the wait-free ordering + compaction combination (helping across a
 // cut) is crashed and recovered at every process count.
 //
 // The iteration index also picks the shape: odd iterations crash the
-// pipeline (read fast path, base+delta-chain cuts), even ones the
-// reference construction (local views, full-snapshot cuts), so a
-// default run covers both.
+// pipeline (read fast path, base+delta chains of the default length),
+// even ones the reference construction (local views, MaxDeltaChain 1:
+// every cut is a base that cuts the trace), so a default run covers
+// both.
 //
 // -short trims the sweep to 16 processes (the bounded CI job);
 // ONLL_SWEEP_ITERS overrides the per-configuration iteration count.
@@ -82,11 +83,14 @@ func TestCrashInjectionSweep(t *testing.T) {
 						cfg.Core.LogInlineOps = 1 // force helped records through the overflow ring
 					}
 					cfg.Core.WaitFree = i%3 == 0 // wait-free ordering + compaction combo
-					// The pipeline legs put chain append, truncation
+					// The pipeline legs put delta append, truncation
 					// behind a live chain and base+delta refolding under
 					// the random crash point.
 					pipeline := i%2 == 1
-					cfg.Core.ReadFastPath, cfg.Core.DeltaSnapshots = pipeline, pipeline
+					cfg.Core.ReadFastPath = pipeline
+					if !pipeline {
+						cfg.Core.MaxDeltaChain = 1
+					}
 					res, err := RunCrash(cfg)
 					if err != nil {
 						t.Fatalf("%s procs=%d iter=%d crash@%d inline=%d pipeline=%v: %v",
@@ -109,10 +113,10 @@ func TestCrashInjectionSweep(t *testing.T) {
 // readHeavySweep is the read-heavy crash mix: 15% updates and a tight
 // compaction cadence, even iterations on the pipeline (so epoch-checked
 // reads and delta cuts run under the random crash point) and odd ones
-// on the reference read path — and again in the recovered era, where
-// every replacement handle starts cold and must catch up to a trace it
-// never walked. Probing a read from EVERY handle after recovery forces
-// that cold-start path.
+// on the reference read path with every cut a base — and again in the
+// recovered era, where every replacement handle starts cold and must
+// catch up to a trace it never walked. Probing a read from EVERY handle
+// after recovery forces that cold-start path.
 func readHeavySweep(t *testing.T, nprocs, iters int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(int64(nprocs)*4049 + 3))
@@ -131,7 +135,10 @@ func readHeavySweep(t *testing.T, nprocs, iters int) {
 		cfg.Oracle = pmem.SeededOracle(uint64(cfg.Seed), uint64(rng.Intn(4)), 3)
 		cfg.Core.WaitFree = i%2 == 1
 		pipeline := i%2 == 0
-		cfg.Core.ReadFastPath, cfg.Core.DeltaSnapshots = pipeline, pipeline
+		cfg.Core.ReadFastPath = pipeline
+		if !pipeline {
+			cfg.Core.MaxDeltaChain = 1
+		}
 		res, err := RunCrash(cfg)
 		if err != nil {
 			t.Fatalf("read-heavy procs=%d iter=%d crash@%d waitfree=%v pipeline=%v: %v",

@@ -145,9 +145,9 @@ func (b *Batch) Flush() error {
 
 	// The collection walk descends below the batch into the helping
 	// tail; lower the reclamation floor so no concurrent compaction
-	// frees those nodes under us (enter() published h.viewIdx, which
-	// sits at the batch's last node after staging).
-	if fi := first.Idx(); fi < h.viewIdx {
+	// frees those nodes under us (enter() published at most h.viewIdx,
+	// which sits at the batch's last node after staging).
+	if fi := first.Idx(); fi < h.floor.Load() {
 		h.floor.Store(fi)
 	}
 	b.ops = collectBatchOps(b.ops[:0], in, h.pid, last, first.Idx())

@@ -171,24 +171,24 @@ type Config struct {
 	// equivalent, so E6/E7 keep comparing against the unassisted
 	// designs the paper describes.
 	ReadFastPath bool
-	// CompactEvery, if positive, makes each handle write a snapshot
-	// record and truncate its log every CompactEvery updates, and cut
-	// the trace behind the snapshot (Section 8 memory reclamation).
-	CompactEvery int
-	// DeltaSnapshots selects delta-chain compaction (DESIGN.md §3.8,
-	// deltacompact.go): a cut appends a chain base (full snapshot) once
-	// and then per-cut delta records — object-specific diffs via
+	// CompactEvery, if positive, makes each handle cut every
+	// CompactEvery updates (Section 8 memory reclamation; DESIGN.md
+	// §3.8, deltacompact.go): a cut appends a chain base (full snapshot)
+	// once and then per-cut delta records — object-specific diffs via
 	// spec.DeltaEmitter where available, verbatim op replay otherwise —
-	// collapsing back to a fresh base when the chain reaches
-	// MaxDeltaChain links or the accumulated delta volume rivals the
-	// state size. Cuts cost O(churn-since-cut) instead of O(state).
-	// Implies LocalViews. With CompactEvery left 0 the cut cadence is
-	// size-aware (Handle.cutEvery) instead of disabled.
+	// and truncates the log behind them, collapsing back to a fresh base
+	// that also cuts the trace when the chain reaches MaxDeltaChain
+	// links or the accumulated delta volume rivals the state size.
+	CompactEvery int
+	// DeltaSnapshots only selects the size-aware cadence
+	// (Handle.cutEvery) when CompactEvery is 0, and implies LocalViews.
+	// The settings give three behaviours: no compaction, size-aware
+	// cadence, and a cut every CompactEvery updates.
 	DeltaSnapshots bool
 	// MaxDeltaChain caps a delta chain's length in links (base
 	// included) before a cut collapses it, bounding both recovery's
 	// fold depth and the volatile trace window between trace cuts. Zero
-	// selects 8. Ignored unless DeltaSnapshots.
+	// selects 8; 1 makes every cut a base that cuts the trace.
 	MaxDeltaChain int
 	// Salvage selects salvaging recovery: instead of failing wholesale
 	// on the first corrupt structure, Recover keeps the longest valid
@@ -282,13 +282,12 @@ type Instance struct {
 	scrubRuns  atomic.Uint64
 	scrubBad   atomic.Uint64
 
-	// Delta-compaction counters (CompactionStats, deltacompact.go).
-	cmpBases       atomic.Uint64
-	cmpDeltas      atomic.Uint64
-	cmpCollapses   atomic.Uint64
-	cmpValveDeltas atomic.Uint64
-	cmpSnapWords   atomic.Uint64
-	cmpFullWords   atomic.Uint64
+	// Compaction counters (CompactionStats, deltacompact.go).
+	cmpBases     atomic.Uint64
+	cmpDeltas    atomic.Uint64
+	cmpCollapses atomic.Uint64
+	cmpSnapWords atomic.Uint64
+	cmpFullWords atomic.Uint64
 }
 
 // newTrace returns the execution trace cfg selects, rooted at sentinel
@@ -432,17 +431,20 @@ type Handle struct {
 	deltaOps []spec.Op
 	deltaBuf []uint64
 
-	// Trace-node pooling (the last alloc/op on the update path). floor
-	// publishes, for the handle's in-flight operation, a lower bound on
-	// the execution indices it may dereference: every walk this handle
-	// performs touches only nodes with index >= floor - NProcs (its own
-	// CollectBack walks stop at viewIdx >= floor; fuzzy/latest-available
-	// walks start at or above the tail, whose index is >= floor, and by
-	// Proposition 5.2 descend at most NProcs nodes). Idle handles publish
-	// MaxUint64. A retired node is promoted to the free list only once
-	// idx + NProcs < min over all published floors, so no in-flight walk
-	// can still reach it; nodes retired later stay in retired until a
-	// future compaction re-checks. freeNodes/retired are handle-private.
+	// Trace-node pooling (the last alloc/op on the update path). The
+	// floor invariant: every walk of the handle's in-flight operation
+	// touches only nodes with index >= floor - NProcs, and the floor is
+	// published before the operation inserts its node — a base cut
+	// above that node severs the segment a delta walk descends, and the
+	// cutter's reclaim must already see the floor. enter publishes the
+	// lower of viewIdx (replay walks stop there) and the chain head (a
+	// delta cut's walk stops there); fuzzy/latest-available walks start
+	// at or above the tail and by Proposition 5.2 descend at most NProcs
+	// nodes. Idle handles publish MaxUint64. A retired node is promoted to the free
+	// list only once idx + NProcs < min over all published floors, so no
+	// in-flight walk can still reach it; nodes retired later stay in
+	// retired until a future compaction re-checks. freeNodes/retired are
+	// handle-private.
 	floor     atomic.Uint64
 	claiming  atomic.Bool // set while reclaim's claim walk holds chain pointers
 	freeNodes []*trace.Node
@@ -483,9 +485,13 @@ func (h *Handle) enter() {
 	if !h.busy.CompareAndSwap(false, true) {
 		panic(errBusy)
 	}
-	// Publish the walk floor BEFORE any trace read (sequentially
-	// consistent store): reclamation reads it to prove quiescence.
-	h.floor.Store(h.viewIdx)
+	// Publish the walk floor BEFORE the insert and any trace read
+	// (sequentially consistent store; see the floor field).
+	f := h.viewIdx
+	if l := h.in.logs[h.pid]; l.ChainLen() > 0 && l.ChainHead() < f {
+		f = l.ChainHead()
+	}
+	h.floor.Store(f)
 }
 
 func (h *Handle) exit() {
@@ -854,122 +860,66 @@ func snapDecode(words []uint64) (seqs, state []uint64, err error) {
 }
 
 // compact implements the Section 8 reclamation scheme after the update
-// that created node: durably snapshot the state at s = node.Idx() (one
-// snapshot record, one persistent fence), truncate every earlier record
-// of this process's log (the snapshot covers them), and cut the trace by
-// linking node to a base node at index s, so the old prefix becomes
-// unreachable for new walkers and is garbage-collected. Recovery ignores
-// logged operations with indices <= the newest snapshot index, so other
+// that created node: durably append a chain record covering the state
+// at s = node.Idx() (one persistent fence) and truncate every earlier
+// record of this process's log. A delta cut leaves the trace alone: its
+// window must stay walkable for the next delta. A base cut also links
+// node to a base node at index s, so the old prefix becomes unreachable
+// for new walkers and its nodes are reclaimed. Recovery ignores logged
+// operations with indices <= the newest chain head, so other
 // processes' still-live records of old operations are harmless.
 func (h *Handle) compact(node *trace.Node) error {
 	s := node.Idx()
 	if h.viewIdx != s {
 		return fmt.Errorf("core: compact view at %d, node at %d", h.viewIdx, s)
 	}
-	var snap, seqs []uint64
-	var err error
-	if h.in.cfg.DeltaSnapshots {
-		// Delta cuts truncate the log but do NOT cut the trace: the
-		// window they cover must stay walkable for the next delta, and
-		// recovery reaches the chain through body back-references. The
-		// trace is cut only on base/collapse cuts below.
-		done, foreign, derr := h.tryDeltaCut(node)
-		if done || derr != nil {
-			return derr
-		}
-		snap, seqs, err = h.chainBaseAndTruncate(s)
-		if err != nil {
-			return err
-		}
-		if foreign {
-			// This base was forced by a sentinel another handle
-			// spliced inside our window, so the trace was already cut
-			// (and bounded) at that sentinel moments ago. Splicing our
-			// own sentinel here would land inside THAT handle's next
-			// window and force it to collapse too — with two or more
-			// cutters the induced bases ping-pong forever and no delta
-			// ever lands. Leave the trace alone; the next clean-window
-			// base (oversize or scheduled collapse) splices as usual.
-			return nil
-		}
-	} else {
-		snap, seqs, err = h.snapshotAndTruncate(s)
+	done, foreign, err := h.tryDeltaCut(node)
+	if done || err != nil {
+		return err
 	}
+	snap, seqs, err := h.chainBaseAndTruncate(s)
 	if err != nil {
 		return err
 	}
+	if foreign {
+		// This base was forced by a sentinel another handle spliced
+		// inside our window, so the trace was already cut (and bounded)
+		// at that sentinel moments ago. Splicing our own sentinel here
+		// would land inside THAT handle's next window and force it to
+		// collapse too — with two or more cutters the induced bases
+		// ping-pong forever and no delta ever lands. Leave the trace
+		// alone; the next clean-window base (oversize or scheduled
+		// collapse) splices as usual.
+		return nil
+	}
 	old := node.Next()
-	base := trace.NewBase(s, snap, seqs)
-	node.SetNextBase(base)
+	node.SetNextBase(trace.NewBase(s, snap, seqs))
 	h.reclaim(old)
 	return nil
 }
 
 // compactForSpace is the overflow-ring pressure valve, called from the
-// persist stage when plog reports ErrOvfFull: it durably snapshots the
-// local view at its current index and truncates every earlier record
-// of this process's log, freeing the records' overflow chunks so the
-// in-flight append can retry. Every operation at or below the view
-// index is already durable (the previous update's fence covered its
-// whole fuzzy window), so the snapshot is a valid recovery base — this
-// is exactly compact's log half. Unlike compact it does NOT cut the
-// trace: the in-flight operation (node, ordered but not yet available)
-// is only used to reach the delta window; the trace must stay intact
-// for readers and walkers. Costs two extra persistent fences (snapshot
-// + truncate), only on the exhaustion path.
-//
-// Under DeltaSnapshots the valve prefers a delta cut — O(churn) where
-// the full snapshot is O(state) — and falls back to a collapsing base
-// cut when the chain cannot absorb one. A view still sitting at the
-// chain head has nothing new to cover; that is reported as an error so
-// the valve ladder's catch-up rung advances the view first.
-func (h *Handle) compactForSpace(node *trace.Node) error {
+// persist stage when plog reports ErrOvfFull: it lays a chain base of
+// the local view where it stands and truncates the log behind it,
+// freeing overflow chunks so the in-flight append can retry. Every
+// operation at or below the view index is already durable, so this is
+// exactly compact's log half; it does NOT cut the trace. Two extra
+// persistent fences, only on the exhaustion path. A view still at the
+// chain head has nothing new to cover: the error sends the valve
+// ladder to its catch-up rung.
+func (h *Handle) compactForSpace() error {
 	if h.view == nil {
 		return errors.New("core: overflow ring full and no local view to compact from")
 	}
-	if h.viewIdx == 0 || h.in.logs[h.pid].Len() == 0 {
+	log := h.in.logs[h.pid]
+	if h.viewIdx == 0 || log.Len() == 0 {
 		return errors.New("core: overflow ring full with nothing to compact")
 	}
-	if !h.in.cfg.DeltaSnapshots {
-		_, _, err := h.snapshotAndTruncate(h.viewIdx)
-		return err
-	}
-	log := h.in.logs[h.pid]
-	if log.ChainLen() > 0 && h.viewIdx > log.ChainHead() && !h.shouldCollapse(log) {
-		if err := h.valveDeltaCut(log, node); err == nil {
-			h.in.cmpValveDeltas.Add(1)
-			return nil
-		}
-		// Any delta failure (oversize, foreign base, log geometry) falls
-		// through to the collapsing base cut: strictly more coverage.
-	}
 	if log.ChainLen() > 0 && h.viewIdx == log.ChainHead() && log.Len() <= 1 {
-		return fmt.Errorf("core: view at %d already covered by the delta chain head", h.viewIdx)
+		return fmt.Errorf("core: view at %d already covered by the chain head", h.viewIdx)
 	}
 	_, _, err := h.chainBaseAndTruncate(h.viewIdx)
 	return err
-}
-
-// snapshotAndTruncate durably appends a snapshot of the local view
-// (state + covered-sequence vector) at execution index idx and
-// truncates every earlier record of this process's log — the log half
-// of compaction, shared by the regular cadence (compact) and the
-// overflow pressure valve (compactForSpace). It returns the snapshot
-// body and sequence vector for callers that also cut the trace.
-func (h *Handle) snapshotAndTruncate(idx uint64) (snap, seqs []uint64, err error) {
-	snap = h.view.Snapshot()
-	seqs = append([]uint64(nil), h.viewSeqs...)
-	log := h.in.logs[h.pid]
-	seq, err := log.AppendSnapshot(snapEncode(seqs, snap), idx)
-	if err != nil {
-		return nil, nil, err
-	}
-	if seq > 1 {
-		if err := log.Truncate(seq - 1); err != nil {
-			return nil, nil, err
-		}
-	}
-	return snap, seqs, nil
 }
 
 // ---------------------------------------------------------------------

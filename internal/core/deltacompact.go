@@ -1,17 +1,17 @@
 package core
 
-// Delta-chain compaction (DESIGN.md §3.8). Full-state snapshot cuts
-// write O(state) words every CompactEvery updates, so for large objects
-// compaction dominates the write volume of the very workloads it is
-// supposed to relieve. With Config.DeltaSnapshots a cut appends a
-// plog.KindDelta record instead: a chain BASE (a full snapshot) once,
-// then per-cut DELTAS covering only the operations since the previous
-// cut, each O(churn) instead of O(state). A delta cut still truncates
-// the log fully — the chain stays reachable through the records' body
-// back-references (internal/plog/chain.go) — so the log bound is the
-// same as under full snapshots; the trace, however, is only cut on base
-// cuts, so the volatile node window grows to at most MaxDeltaChain
-// cadences before a collapse reclaims it.
+// Delta-chain compaction (DESIGN.md §3.8), the one cut algorithm. A
+// full snapshot per cut would write O(state) words every time, so every
+// cut — the cadence's, the pressure valve's, the seeds of a grown ring
+// or a recreated object — appends a plog.KindDelta record: a chain BASE
+// (a full snapshot) once, then per-cut DELTAS covering only the
+// operations since the previous cut, each O(churn). A delta cut still
+// truncates the log fully — the chain stays reachable through the
+// records' body back-references (internal/plog/chain.go); the trace,
+// however, is only cut on base cuts, so the volatile node window grows
+// to at most MaxDeltaChain cadences before a collapse reclaims it.
+// MaxDeltaChain 1 is the paper's full-snapshot shape. Recovery still
+// reads the plog.KindSnapshot records older images hold.
 //
 // Delta payload layout (the caller words inside plog's chain frame):
 //
@@ -53,11 +53,6 @@ const (
 // be at least as large as a full snapshot, so the caller should collapse
 // the chain instead of appending it.
 var errDeltaOversize = errors.New("core: delta payload not smaller than a full snapshot")
-
-// errForeignBase is the internal signal that the trace between the
-// chain head and the cut point has been cut by another process's base
-// node, so the delta window is not collectible.
-var errForeignBase = errors.New("core: trace cut by a foreign base below the cut point")
 
 // cutEvery returns the handle's compaction cadence in updates: the
 // configured CompactEvery when set; otherwise, under DeltaSnapshots, a
@@ -151,7 +146,7 @@ func (h *Handle) tryDeltaCut(node *trace.Node) (done, foreign bool, err error) {
 // (log.ChainHead(), idx], with the view exactly at idx — and truncates
 // the log behind it. Object-specific diff when the state emits one,
 // verbatim op replay otherwise. Two persistent fences (append +
-// truncate), the same as a snapshot cut.
+// truncate), the same as a base cut.
 func (h *Handle) deltaCutAt(log *plog.Log, idx uint64, ops []spec.Op) error {
 	payload := append(h.deltaBuf[:0], deltaFmtDiff, uint64(len(h.viewSeqs)))
 	payload = append(payload, h.viewSeqs...)
@@ -193,10 +188,11 @@ func (h *Handle) deltaCutAt(log *plog.Log, idx uint64, ops []spec.Op) error {
 	return nil
 }
 
-// chainBaseAndTruncate is snapshotAndTruncate's delta-chain sibling: it
-// starts (or collapses to) a fresh chain base at idx and truncates the
-// log behind it, returning the snapshot body and sequence vector for
-// callers that also cut the trace.
+// chainBaseAndTruncate starts (or collapses to) a fresh chain base of
+// the local view at idx and truncates the log behind it — the log half
+// of the cadence's and the pressure valve's base cuts — returning the
+// snapshot body and sequence vector for callers that also cut the
+// trace.
 func (h *Handle) chainBaseAndTruncate(idx uint64) (snap, seqs []uint64, err error) {
 	snap = h.view.Snapshot()
 	seqs = append([]uint64(nil), h.viewSeqs...)
@@ -221,34 +217,9 @@ func (h *Handle) chainBaseAndTruncate(idx uint64) (snap, seqs []uint64, err erro
 	return snap, seqs, nil
 }
 
-// valveDeltaCut is the delta leg of the overflow pressure valve: cut a
-// delta at the CURRENT view index mid-persist. node is the in-flight
-// (ordered, not yet available) operation; the window (ChainHead,
-// viewIdx] is collected through it and filtered down to the view — the
-// suffix above the view belongs to operations the view has not applied.
-func (h *Handle) valveDeltaCut(log *plog.Log, node *trace.Node) error {
-	nodes, base := trace.CollectBackInto(h.nodeBuf, node, log.ChainHead())
-	h.nodeBuf = nodes
-	if base != nil {
-		return errForeignBase
-	}
-	ops := h.deltaOps[:0]
-	for _, n := range nodes {
-		if n.Idx() <= h.viewIdx {
-			ops = append(ops, n.Op)
-		}
-	}
-	h.deltaOps = ops
-	if uint64(len(ops)) != h.viewIdx-log.ChainHead() {
-		return fmt.Errorf("core: delta window (%d,%d] collected %d ops",
-			log.ChainHead(), h.viewIdx, len(ops))
-	}
-	return h.deltaCutAt(log, h.viewIdx, ops)
-}
-
 // baseCand is one compaction-record candidate recovery may restart
-// from: a plain full snapshot or the head of a delta chain, with the
-// log that owns it (chains resolve through their log's pool).
+// from: the head of a delta chain or an older image's full snapshot,
+// with the log that owns it (chains resolve through their log's pool).
 type baseCand struct {
 	pid int
 	log *plog.Log
@@ -318,26 +289,25 @@ func foldBaseCandidate(sp spec.Spec, l *plog.Log, rec plog.Record) (seqs, state 
 // the state has no Sizer), so SnapshotWords/FullEquivWords is the
 // write-volume ratio delta chains buy.
 type CompactionStats struct {
-	// Bases counts chain-base cuts (fresh bases and collapses alike);
-	// Collapses counts the subset that superseded a live chain.
+	// Bases counts chain-base cuts (fresh bases and collapses alike,
+	// the pressure valve's included); Collapses counts the subset that
+	// superseded a live chain.
 	Bases, Collapses uint64
-	// Deltas counts delta cuts; ValveDeltas the subset taken by the
-	// overflow pressure valve rather than the update cadence.
-	Deltas, ValveDeltas uint64
+	// Deltas counts delta cuts.
+	Deltas uint64
 	// SnapshotWords is the payload words actually appended by all cuts;
 	// FullEquivWords the full-snapshot-equivalent estimate.
 	SnapshotWords, FullEquivWords uint64
 }
 
-// CompactionStats returns the instance's cumulative delta-compaction
-// counters (all zero unless Config.DeltaSnapshots). Safe to call
-// mid-run.
+// CompactionStats returns the instance's cumulative compaction
+// counters (all zero unless the instance compacts: CompactEvery > 0 or
+// DeltaSnapshots, or the pressure valve fired). Safe to call mid-run.
 func (in *Instance) CompactionStats() CompactionStats {
 	return CompactionStats{
 		Bases:          in.cmpBases.Load(),
 		Collapses:      in.cmpCollapses.Load(),
 		Deltas:         in.cmpDeltas.Load(),
-		ValveDeltas:    in.cmpValveDeltas.Load(),
 		SnapshotWords:  in.cmpSnapWords.Load(),
 		FullEquivWords: in.cmpFullWords.Load(),
 	}

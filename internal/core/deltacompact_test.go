@@ -17,8 +17,7 @@ import (
 func TestDeltaCompactionRoundTrip(t *testing.T) {
 	pool := pmem.New(1<<22, nil)
 	in, err := New(pool, objects.MapSpec{}, Config{
-		NProcs: 2, LogCapacity: 256,
-		DeltaSnapshots: true, CompactEvery: 8, MaxDeltaChain: 4,
+		NProcs: 2, LogCapacity: 256, CompactEvery: 8, MaxDeltaChain: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -56,7 +55,7 @@ func TestDeltaCompactionRoundTrip(t *testing.T) {
 	}
 
 	pool.Crash(pmem.DropAll)
-	in2, rep, err := Recover(pool, objects.MapSpec{}, Config{DeltaSnapshots: true})
+	in2, rep, err := Recover(pool, objects.MapSpec{}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,12 +88,12 @@ func TestDeltaCompactionRoundTrip(t *testing.T) {
 
 // TestDeltaCompactionPfences pins the fence bill under delta-chain
 // compaction: N updates at cadence C cost exactly N + 2*cuts persistent
-// fences (each cut is one chain append plus one truncate, identical to
-// a full-snapshot cut), and reads stay at zero.
+// fences (each cut, base or delta, is one chain append plus one
+// truncate), and reads stay at zero.
 func TestDeltaCompactionPfences(t *testing.T) {
 	pool := pmem.New(1<<22, nil)
 	in, err := New(pool, objects.MapSpec{}, Config{
-		NProcs: 1, LogCapacity: 256, DeltaSnapshots: true, CompactEvery: 4,
+		NProcs: 1, LogCapacity: 256, CompactEvery: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -132,8 +131,7 @@ func TestDeltaChainCollapseCadence(t *testing.T) {
 	pool := pmem.New(1<<22, nil)
 	const m = 3
 	in, err := New(pool, objects.MapSpec{}, Config{
-		NProcs: 1, LogCapacity: 256,
-		DeltaSnapshots: true, CompactEvery: 4, MaxDeltaChain: m,
+		NProcs: 1, LogCapacity: 256, CompactEvery: 4, MaxDeltaChain: m,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -196,116 +194,6 @@ func TestSizeAwareCadenceDefault(t *testing.T) {
 	}
 }
 
-// TestValveUsesDeltaPath pins the pressure valve's delta leg. The
-// overflow-ring geometry and stall choreography mirror
-// TestUpdateSurvivesOverflowRingExhaustion: each round p1 stalls
-// between order and persist, so every p0 record spills past the inline
-// budget of 1 into the 16-tail ring. The first exhaustion lays a chain
-// base; later exhaustions must cut deltas (ValveDeltas advances)
-// instead of rewriting the by-then-large map snapshot, and the full
-// history still survives a crash.
-func TestValveUsesDeltaPath(t *testing.T) {
-	const seed = 40   // distinct keys, so the state dwarfs any delta
-	const rounds = 48 // ~3 ring exhaustions at 16 spilled tails each
-	ctl := sched.NewController()
-	pool := pmem.New(1<<22, ctl)
-	in, err := New(pool, objects.MapSpec{}, Config{
-		NProcs: 3, LogCapacity: 64, LogInlineOps: 1,
-		LocalViews: true, DeltaSnapshots: true, CompactEvery: 1 << 20, Gate: ctl,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	done1 := ctl.Spawn(1, func() {
-		h := in.Handle(1)
-		for i := 0; i < rounds; i++ {
-			if _, _, err := h.Update(objects.MapPut, uint64(10000+i), 1); err != nil {
-				panic(err)
-			}
-		}
-	})
-	done0 := ctl.Spawn(0, func() {
-		h := in.Handle(0)
-		for i := 0; i < seed; i++ {
-			if _, _, err := h.Update(objects.MapPut, uint64(i), uint64(i)); err != nil {
-				panic(err)
-			}
-		}
-		for i := 0; i < rounds; i++ {
-			if _, _, err := h.Update(objects.MapPut, uint64(20000+i), 1); err != nil {
-				panic(err)
-			}
-		}
-	})
-	for i := 0; i < seed; i++ {
-		if _, ok := ctl.RunPast(0, sched.AtPoint(PointReturn)); !ok {
-			t.Fatalf("seed %d: p0 finished early", i)
-		}
-	}
-	for i := 0; i < rounds; i++ {
-		if _, ok := ctl.RunUntil(1, sched.AtPoint(PointOrdered)); !ok {
-			t.Fatalf("round %d: p1 finished early", i)
-		}
-		if _, ok := ctl.RunPast(0, sched.AtPoint(PointReturn)); !ok {
-			t.Fatalf("round %d: p0 finished early", i)
-		}
-		if _, ok := ctl.RunPast(1, sched.AtPoint(PointReturn)); !ok {
-			t.Fatalf("round %d: p1 could not finish its update", i)
-		}
-	}
-	ctl.RunToCompletion(0)
-	ctl.RunToCompletion(1)
-	if out := <-done0; out != nil {
-		t.Fatalf("p0 failed under ring exhaustion: %v", out)
-	}
-	if out := <-done1; out != nil {
-		t.Fatalf("p1 failed: %v", out)
-	}
-	ctl.KillAll()
-
-	st := in.CompactionStats()
-	if st.Bases == 0 {
-		t.Fatalf("valve never laid a chain base: %+v (valve fired %d times)",
-			st, in.Pressure().ValveFires)
-	}
-	if st.ValveDeltas == 0 {
-		t.Fatalf("valve never took the delta path: %+v (valve fired %d times)",
-			st, in.Pressure().ValveFires)
-	}
-
-	pool.SetGate(nil)
-	pool.Crash(pmem.DropAll)
-	in2, rep, err := Recover(pool, objects.MapSpec{}, Config{DeltaSnapshots: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := in2.Handle(0)
-	for i := 0; i < seed; i++ {
-		if got := h.Read(objects.MapGet, uint64(i)); got != uint64(i) {
-			t.Fatalf("seed key %d recovered as %d", i, got)
-		}
-	}
-	for i := 0; i < rounds; i++ {
-		if got := h.Read(objects.MapGet, uint64(20000+i)); got != 1 {
-			t.Fatalf("p0 round key %d recovered as %d", i, got)
-		}
-		if got := h.Read(objects.MapGet, uint64(10000+i)); got != 1 {
-			t.Fatalf("p1 round key %d recovered as %d", i, got)
-		}
-	}
-	for pid := 0; pid < 2; pid++ {
-		n := uint64(rounds)
-		if pid == 0 {
-			n += seed
-		}
-		for seq := uint64(1); seq <= n; seq++ {
-			if _, ok := rep.WasLinearized(spec.MakeID(pid, seq)); !ok {
-				t.Fatalf("p%d op %d vanished across valve delta cuts", pid, seq)
-			}
-		}
-	}
-}
-
 // TestDeltaFallbackOpReplay pins the universal fallback: an object
 // without a DeltaEmitter (queue) still delta-compacts once its state
 // outgrows the op window, via verbatim op-replay deltas, and recovery
@@ -315,7 +203,7 @@ func TestValveUsesDeltaPath(t *testing.T) {
 func TestDeltaFallbackOpReplay(t *testing.T) {
 	pool := pmem.New(1<<22, nil)
 	in, err := New(pool, objects.QueueSpec{}, Config{
-		NProcs: 1, LogCapacity: 256, DeltaSnapshots: true, CompactEvery: 8,
+		NProcs: 1, LogCapacity: 256, CompactEvery: 8,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -334,7 +222,7 @@ func TestDeltaFallbackOpReplay(t *testing.T) {
 		t.Fatalf("op-replay fallback never cut a delta: %+v", st)
 	}
 	pool.Crash(pmem.DropAll)
-	in2, _, err := Recover(pool, objects.QueueSpec{}, Config{DeltaSnapshots: true})
+	in2, _, err := Recover(pool, objects.QueueSpec{}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,6 +234,116 @@ func TestDeltaFallbackOpReplay(t *testing.T) {
 		}
 		if got != uint64(i+1) {
 			t.Fatalf("dequeue %d: got %d", i, got)
+		}
+	}
+}
+
+// TestDeltaWalkCoveredByFloor pins the reclamation floor's cover of
+// the delta cut's walk (see Handle.floor). p0 owns a chain with head H
+// and a view well above it, and parks the update that will cut a delta
+// over (H, N0] right after ordering node N0. p1 then runs until its
+// first cut lays a base above N0: the splice severs N0's segment, and
+// p1's reclaim claims every node in it. p1 keeps updating and parks
+// just after reinitialising its second pooled node, before inserting
+// it. Then p0 finishes. Its delta must fold to the state at N0, and
+// recovery must restore every update. With the floor published at the
+// view instead of at H, p1 pools the window's bottom nodes and reuses
+// them under p0's walk, which stops at the reinitialised node and
+// writes a delta without the window's first operation (key 500).
+func TestDeltaWalkCoveredByFloor(t *testing.T) {
+	const ce = 8
+	ctl := sched.NewController()
+	pool := pmem.New(1<<22, ctl)
+	in, err := New(pool, objects.MapSpec{}, Config{
+		NProcs: 2, LogCapacity: 256, CompactEvery: ce, Gate: ctl,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := map[uint64]uint64{}
+	var p0, p1 [][2]uint64
+	for i := uint64(0); i < ce; i++ {
+		p0 = append(p0, [2]uint64{i, i + 1}) // the base cut at ce
+	}
+	p0 = append(p0, [2]uint64{500, 1}) // the delta window's first op
+	for i := uint64(1); i < ce; i++ {
+		p0 = append(p0, [2]uint64{100, i})
+	}
+	for i := uint64(0); i < ce+2; i++ {
+		p1 = append(p1, [2]uint64{1000 + i, i + 1})
+	}
+	run := func(pid int, puts [][2]uint64) <-chan any {
+		for _, kv := range puts {
+			model[kv[0]] = kv[1]
+		}
+		return ctl.Spawn(pid, func() {
+			h := in.Handle(pid)
+			for _, kv := range puts {
+				if _, _, err := h.Update(objects.MapPut, kv[0], kv[1]); err != nil {
+					panic(err)
+				}
+			}
+		})
+	}
+	done0, done1 := run(0, p0), run(1, p1)
+	step := func(pid, n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if _, ok := ctl.RunPast(pid, sched.AtPoint(PointReturn)); !ok {
+				t.Fatalf("p%d finished early", pid)
+			}
+		}
+	}
+	step(0, 2*ce-1) // base at ce, view at 2ce-1
+	if _, ok := ctl.RunUntil(0, sched.AtPoint(PointOrdered)); !ok {
+		t.Fatal("p0 finished early")
+	}
+	step(1, ce+1) // the ce-th update splices a base above p0's node
+	if _, ok := ctl.RunUntil(1, sched.AtPoint("trace.read-tail")); !ok {
+		t.Fatal("p1 finished early")
+	}
+	step(0, 1) // p0 cuts its delta
+	ctl.RunToCompletion(0)
+	if out := <-done0; out != nil {
+		t.Fatal(out)
+	}
+
+	l := in.Log(0)
+	if l.ChainLen() != 2 || l.ChainHead() != 2*ce {
+		t.Fatalf("p0 chain: %d links, head %d; want a delta at %d", l.ChainLen(), l.ChainHead(), 2*ce)
+	}
+	recs := l.Records()
+	seqs, state, err := foldBaseCandidate(objects.MapSpec{}, l, recs[len(recs)-1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := objects.MapSpec{}.New()
+	if err := st.Restore(state); err != nil {
+		t.Fatal(err)
+	}
+	for _, kv := range p0 {
+		if got := st.Read(mkOp(objects.MapGet, kv[0])); got != model[kv[0]] {
+			t.Fatalf("p0's delta folds key %d to %d, want %d", kv[0], got, model[kv[0]])
+		}
+	}
+	if n := st.Read(mkOp(objects.MapLen)); n != ce+2 || seqs[0] != 2*ce || seqs[1] != 0 {
+		t.Fatalf("p0's delta folds to %d keys, seqs %v; want %d keys, seqs [%d 0]", n, seqs, ce+2, 2*ce)
+	}
+
+	ctl.RunToCompletion(1)
+	if out := <-done1; out != nil {
+		t.Fatal(out)
+	}
+	pool.SetGate(nil)
+	pool.Crash(pmem.DropAll)
+	in2, _, err := Recover(pool, objects.MapSpec{}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := in2.Handle(0)
+	for k, v := range model {
+		if got := h.Read(objects.MapGet, k); got != v {
+			t.Fatalf("key %d recovered as %d, want %d", k, got, v)
 		}
 	}
 }

@@ -142,7 +142,7 @@ func primaryEvidence(evidence []error) error {
 }
 
 // replaySalvaged computes the object state at the end of the salvaged
-// prefix (for Recreate's seed snapshot).
+// prefix (for Recreate's seed chain base).
 func (in *Instance) replaySalvaged(rep *Report) *salvageBase {
 	sb := &salvageBase{idx: rep.LastIdx, seqs: make([]uint64, in.cfg.NProcs)}
 	if rep.LastIdx == 0 {
@@ -199,7 +199,7 @@ func (h *Handle) TryRead(code uint64, args ...uint64) (uint64, error) {
 }
 
 // Recreate rebuilds a quarantined object in place from its salvaged
-// prefix: fresh per-process logs, a seed snapshot of the salvaged
+// prefix: fresh per-process logs, a seed chain base of the salvaged
 // state, a durable root flip, and a fresh trace — then the instance
 // returns to ModeHealthy. Operations beyond the salvaged prefix are
 // permanently lost; that is exactly what quarantine reported, and
@@ -239,14 +239,14 @@ func (in *Instance) Recreate() error {
 	if sb.idx > 0 {
 		// Seed log 0 with the salvaged prefix so the next crash recovers
 		// it; the other logs start empty, as after New.
-		if _, err := logs[0].AppendSnapshot(snapEncode(sb.seqs, sb.state), sb.idx); err != nil {
-			return fmt.Errorf("core: seeding salvaged snapshot: %w", err)
+		if _, err := logs[0].AppendChainBase(snapEncode(sb.seqs, sb.state), sb.idx); err != nil {
+			return fmt.Errorf("core: seeding salvaged chain base: %w", err)
 		}
 		sentinel = trace.NewBase(sb.idx, sb.state, sb.seqs)
 	}
 	// Durable root flip: after the last SetRoot the new generation is
 	// what any future recovery sees. A crash mid-flip recovers a mix of
-	// old and new logs; the seed snapshot in log 0 (flipped first)
+	// old and new logs; the seed base in log 0 (flipped first)
 	// keeps that mix at least as new as the salvaged prefix.
 	for pid := 0; pid < cfg.NProcs; pid++ {
 		in.pool.SetRoot(cfg.RootBase+rootLogBase+pid, uint64(logs[pid].Base()))

@@ -6,21 +6,57 @@ import (
 	"repro/internal/objects"
 	"repro/internal/pmem"
 	"repro/internal/sched"
+	"repro/internal/spec"
 )
 
 // TestUpdateSurvivesOverflowRingExhaustion pins the overflow-ring
 // pressure valve. Each round stalls p1 between order and persist and
 // lets p0 run one update, so every p0 record carries p1's pending op —
 // past the inline budget of 1, into the overflow ring. The geometry
-// below gives the ring room for 16 spilled tails; 20 rounds exhaust
-// it, and the exhaustion must be absorbed by compactForSpace
-// (snapshot + truncate + retry) instead of failing the update, with
-// the full history surviving a crash.
+// below gives the ring room for 16 spilled tails; the rounds exhaust
+// it, and every exhaustion must be absorbed by compactForSpace (a chain
+// base of the view + truncate + retry) instead of failing the update,
+// with the full history surviving a crash.
 func TestUpdateSurvivesOverflowRingExhaustion(t *testing.T) {
-	const rounds = 20
+	inputs := []struct {
+		name         string
+		sp           spec.Spec
+		seed, rounds int // p0 updates before the stalled rounds; rounds
+	}{
+		{"counter", objects.CounterSpec{}, 0, 20},
+		// Distinct keys, so every valve base rewrites a state that
+		// dwarfs the window it covers: ~3 exhaustions.
+		{"map", objects.MapSpec{}, 40, 48},
+	}
+	for _, tc := range inputs {
+		t.Run(tc.name, func(t *testing.T) { runRingExhaustion(t, tc.sp, tc.seed, tc.rounds) })
+	}
+}
+
+func runRingExhaustion(t *testing.T, sp spec.Spec, seed, rounds int) {
+	_, counter := sp.(objects.CounterSpec)
+	update := func(h *Handle, k uint64) error {
+		var err error
+		if counter {
+			_, _, err = h.Update(objects.CounterInc)
+		} else {
+			_, _, err = h.Update(objects.MapPut, k, k+1)
+		}
+		return err
+	}
+	// p0 seeds keys 0..seed-1, then each round p0 puts 20000+i and p1
+	// puts 10000+i.
+	var keys []uint64
+	for i := 0; i < seed; i++ {
+		keys = append(keys, uint64(i))
+	}
+	for i := 0; i < rounds; i++ {
+		keys = append(keys, uint64(10000+i), uint64(20000+i))
+	}
+
 	ctl := sched.NewController()
 	pool := pmem.New(1<<22, ctl)
-	in, err := New(pool, objects.CounterSpec{}, Config{
+	in, err := New(pool, sp, Config{
 		// CompactEvery is set far past the run so only the pressure
 		// valve — never the regular compaction cadence — truncates.
 		// Ring: max(64 slots * 16-word chunk / 8, 4*16) = 128 words,
@@ -34,19 +70,29 @@ func TestUpdateSurvivesOverflowRingExhaustion(t *testing.T) {
 	done1 := ctl.Spawn(1, func() {
 		h := in.Handle(1)
 		for i := 0; i < rounds; i++ {
-			if _, _, err := h.Update(objects.CounterInc); err != nil {
+			if err := update(h, uint64(10000+i)); err != nil {
 				panic(err)
 			}
 		}
 	})
 	done0 := ctl.Spawn(0, func() {
 		h := in.Handle(0)
+		for i := 0; i < seed; i++ {
+			if err := update(h, uint64(i)); err != nil {
+				panic(err)
+			}
+		}
 		for i := 0; i < rounds; i++ {
-			if _, _, err := h.Update(objects.CounterInc); err != nil {
+			if err := update(h, uint64(20000+i)); err != nil {
 				panic(err)
 			}
 		}
 	})
+	for i := 0; i < seed; i++ {
+		if _, ok := ctl.RunPast(0, sched.AtPoint(PointReturn)); !ok {
+			t.Fatalf("seed %d: p0 finished early", i)
+		}
+	}
 	for i := 0; i < rounds; i++ {
 		if _, ok := ctl.RunUntil(1, sched.AtPoint(PointOrdered)); !ok {
 			t.Fatalf("round %d: p1 finished early", i)
@@ -68,26 +114,43 @@ func TestUpdateSurvivesOverflowRingExhaustion(t *testing.T) {
 	}
 	ctl.KillAll()
 
-	// The valve must actually have fired: without truncation p0's log
-	// would hold all its records.
+	// The valve must actually have fired, laying chain bases: without
+	// truncation p0's log would hold all its records.
 	if live := in.Log(0).Len(); live >= rounds {
 		t.Fatalf("p0 log holds %d records; compactForSpace never truncated", live)
+	}
+	if st := in.CompactionStats(); st.Bases == 0 || st.Deltas != 0 {
+		t.Fatalf("valve cuts %+v, want chain bases only (valve fired %d times)",
+			st, in.Pressure().ValveFires)
 	}
 
 	pool.SetGate(nil)
 	pool.Crash(pmem.DropAll) // every update was fenced: all must survive
-	in2, rep, err := Recover(pool, objects.CounterSpec{}, Config{})
+	in2, rep, err := Recover(pool, sp, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := in2.Handle(0).Read(objects.CounterGet); got != 2*rounds {
-		t.Fatalf("recovered counter %d, want %d", got, 2*rounds)
+	h := in2.Handle(0)
+	if counter {
+		if got := h.Read(objects.CounterGet); got != uint64(seed+2*rounds) {
+			t.Fatalf("recovered counter %d, want %d", got, seed+2*rounds)
+		}
+	} else {
+		for _, k := range keys {
+			if got := h.Read(objects.MapGet, k); got != k+1 {
+				t.Fatalf("key %d recovered as %d, want %d", k, got, k+1)
+			}
+		}
 	}
 	for pid := 0; pid < 2; pid++ {
-		for seq := uint64(1); seq <= rounds; seq++ {
+		n := uint64(rounds)
+		if pid == 0 {
+			n += uint64(seed)
+		}
+		for seq := uint64(1); seq <= n; seq++ {
 			// Every completed update must stay detectable, via the
-			// emergency snapshots' covered-sequence vector or records.
-			if _, ok := rep.WasLinearized(uint64(pid+1)<<48 | seq); !ok {
+			// valve bases' covered-sequence vector or records.
+			if _, ok := rep.WasLinearized(spec.MakeID(pid, seq)); !ok {
 				t.Fatalf("p%d op %d vanished across the emergency compaction", pid, seq)
 			}
 		}

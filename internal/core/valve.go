@@ -58,8 +58,8 @@ func (h *Handle) persistWithValve(fuzzy []spec.Op, node *trace.Node, aerr error)
 		run  func() error
 	}
 	ladder := []rung{
-		{"compact", func() error { return h.compactForSpace(node) }},
-		{"catch-up+compact", func() error { h.catchUpView(); return h.compactForSpace(node) }},
+		{"compact", h.compactForSpace},
+		{"catch-up+compact", func() error { h.catchUpView(); return h.compactForSpace() }},
 		{"grow-ring", h.growRing},
 	}
 	if in.logs[h.pid].Spills()-h.spillsAtGrow > growSpillThreshold {
@@ -67,7 +67,7 @@ func (h *Handle) persistWithValve(fuzzy []spec.Op, node *trace.Node, aerr error)
 		// only briefly. Go straight to growth, keeping one compaction
 		// rung as the pre-growth cleanup.
 		ladder = []rung{
-			{"compact", func() error { return h.compactForSpace(node) }},
+			{"compact", h.compactForSpace},
 			{"grow-ring", h.growRing},
 		}
 	}
@@ -103,7 +103,7 @@ func (h *Handle) catchUpView() {
 
 // growRing replaces this process's log with one whose overflow ring is
 // twice the size, seeded so that recovery from the new log alone sees
-// everything the old one covered: first a snapshot of the local view
+// everything the old one covered: first a chain base of the local view
 // (when one exists), then every live record beyond it, re-appended in
 // order. The durable root flip is the atomic cutover — a crash on
 // either side of it recovers a complete log. The old region leaks (the
@@ -120,28 +120,29 @@ func (h *Handle) growRing() error {
 	if err != nil {
 		return fmt.Errorf("core: allocating grown log: %w", err)
 	}
-	snapIdx := uint64(0)
+	seedIdx := uint64(0)
 	if h.view != nil && h.viewIdx > 0 {
-		if _, err := nl.AppendSnapshot(snapEncode(h.viewSeqs, h.view.Snapshot()), h.viewIdx); err != nil {
+		if _, err := nl.AppendChainBase(snapEncode(h.viewSeqs, h.view.Snapshot()), h.viewIdx); err != nil {
 			return fmt.Errorf("core: seeding grown log: %w", err)
 		}
-		snapIdx = h.viewIdx
+		seedIdx = h.viewIdx
 	}
 	for _, rec := range old.Records() {
-		if rec.ExecIdx <= snapIdx {
-			continue // covered by (or identical to) the seed snapshot
+		if rec.ExecIdx <= seedIdx {
+			continue // covered by (or identical to) the seed base
 		}
 		switch rec.Kind {
 		case plog.KindOps:
 			_, err = nl.Append(rec.Ops, rec.ExecIdx)
 		case plog.KindSnapshot:
-			_, err = nl.AppendSnapshot(rec.State, rec.ExecIdx)
+			// An older image's full snapshot: the payload is a chain
+			// base's (snapEncode), so it moves over as one.
+			_, err = nl.AppendChainBase(rec.State, rec.ExecIdx)
 		case plog.KindDelta:
 			// A chain record's index never exceeds its owner's view
-			// index (cuts happen at the view), so the seed snapshot
-			// above always covers it. The grown log starts chainless;
-			// the next cut lays a fresh base.
-			err = fmt.Errorf("core: delta chain record at index %d above grow seed %d", rec.ExecIdx, snapIdx)
+			// index (cuts happen at the view), so the seed base above
+			// always covers it.
+			err = fmt.Errorf("core: delta chain record at index %d above grow seed %d", rec.ExecIdx, seedIdx)
 		}
 		if err != nil {
 			return fmt.Errorf("core: migrating record to grown log: %w", err)

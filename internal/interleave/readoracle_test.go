@@ -143,10 +143,10 @@ func runReadOracle(t *testing.T, fast, wf bool, seed int64) {
 //
 // A tight compaction cadence forces catch-up walks and base restores to
 // interleave with the scheduler's preemptions; the final cross-check
-// counts every insert. The whole matrix runs with full-snapshot AND
-// delta-chain compaction, so the fast path's epoch checks interleave
-// with delta cuts, ordered-map diff emission and chain-base collapses
-// too.
+// counts every insert. The whole matrix runs with every cut a base
+// (MaxDeltaChain 1, the delta=false leg) AND with delta chains, so the
+// fast path's epoch checks interleave with delta cuts, ordered-map diff
+// emission and chain-base collapses too.
 func TestDurableReadOracleYCSBD(t *testing.T) {
 	seeds := 16
 	if testing.Short() {
@@ -174,12 +174,16 @@ func runReadLatestOracle(t *testing.T, deltaSnap bool, seed int64) {
 	t.Helper()
 	const nprocs = 3
 	const perProc = 16
+	chain := 1
+	if deltaSnap {
+		chain = 3
+	}
 	ctl := sched.NewController()
 	pool := pmem.New(1<<22, ctl)
 	in, err := core.New(pool, objects.OrderedMapSpec{}, core.Config{
 		NProcs: nprocs, Gate: ctl, ReadFastPath: true,
 		CompactEvery: 6, LogCapacity: 512,
-		DeltaSnapshots: deltaSnap, MaxDeltaChain: 3,
+		MaxDeltaChain: chain,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -17,7 +17,7 @@ import (
 )
 
 // baseCfg is the per-shard template most tests use: local views, a
-// tight full-snapshot compaction cadence and the read fast path, so the
+// tight compaction cadence and the read fast path, so the
 // composition is exercised with cuts landing mid-test.
 func baseCfg(nprocs int) core.Config {
 	return core.Config{
@@ -213,7 +213,8 @@ func shardSweepIters(def int) int {
 // the highest-round put that shard's report says linearized (recorded
 // at issue time with the shard index, since ids are per-shard), and
 // every linearized put must be covered by it. Odd iterations cut
-// base+delta chains, even ones full snapshots.
+// base+delta chains of the default length, even ones MaxDeltaChain 1:
+// every cut is a base that cuts the trace.
 func TestShardCrashSweep(t *testing.T) {
 	const shards = 2
 	const nprocs = 4
@@ -230,7 +231,10 @@ func TestShardCrashSweep(t *testing.T) {
 			pool := pmem.New(1<<24, nil)
 			base := core.Config{
 				NProcs: nprocs, LogCapacity: 1 << 10, CompactEvery: 32,
-				ReadFastPath: true, Gate: gate, DeltaSnapshots: it%2 == 1,
+				ReadFastPath: true, Gate: gate,
+			}
+			if it%2 == 0 {
+				base.MaxDeltaChain = 1
 			}
 			in, err := Open(pool, objects.MapSpec{}, Config{Shards: shards, Base: base})
 			if err != nil {
