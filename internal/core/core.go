@@ -443,12 +443,18 @@ type Handle struct {
 	// nodes. Idle handles publish MaxUint64. A retired node is promoted to the free
 	// list only once idx + NProcs < min over all published floors, so no
 	// in-flight walk can still reach it; nodes retired later stay in
-	// retired until a future compaction re-checks. freeNodes/retired are
-	// handle-private.
+	// retired until a future compaction re-checks. The same rule
+	// (walkLimit) guards the base bodies a walk restores views from: a
+	// base cut reuses one only once its base is below the limit.
+	// freeNodes/retired are handle-private.
 	floor     atomic.Uint64
 	claiming  atomic.Bool // set while reclaim's claim walk holds chain pointers
 	freeNodes []*trace.Node
 	retired   []*trace.Node
+
+	// bases holds the two chain-base bodies the handle's base cuts
+	// alternate between (deltacompact.go), allocated at the first cut.
+	bases *baseBufs
 
 	sinceCompact int
 	// spillsAtGrow snapshots the log's spill counter at the last ring
@@ -463,12 +469,13 @@ type Handle struct {
 	// line-multiple size lands in a line-multiple allocator size class,
 	// so each starts on a line of its own (TestHandlesShareNoCacheLine,
 	// DESIGN.md §3.9).
-	_ [7]uint64
+	_ [6]uint64
 }
 
-// maxFreeNodes caps a handle's freelist; beyond it, retired nodes are
-// dropped to the garbage collector (pooling is an optimization, not a
-// leak trade).
+// maxFreeNodes caps a handle's deferred-promotion backlog, and its
+// freelist unless the trace window is wider (freeCap); beyond the caps,
+// retired nodes are dropped to the garbage collector (pooling is an
+// optimization, not a leak trade).
 const maxFreeNodes = 1 << 12
 
 // PID returns the handle's process id.
@@ -723,7 +730,7 @@ func (h *Handle) advanceView(node *trace.Node) uint64 {
 
 // newNode returns a trace node for op, reusing a pooled node when the
 // freelist has one: steady-state updates under compaction allocate
-// nothing.
+// nothing (freeCap holds a whole trace window).
 //
 //onll:hotpath
 func (h *Handle) newNode(op spec.Op) *trace.Node {
@@ -782,27 +789,18 @@ func (h *Handle) reclaim(old *trace.Node) {
 	}
 	h.claiming.Store(false)
 
-	minFloor := ^uint64(0)
-	for _, other := range h.in.hands {
-		if other != h && other.claiming.Load() {
-			h.capRetired()
-			return // an in-flight claim walk may hold uncovered pointers
-		}
-		if f := other.floor.Load(); f < minFloor {
-			minFloor = f
-		}
+	limit, ok := h.walkLimit()
+	if !ok {
+		h.capRetired()
+		return
 	}
-	slack := uint64(h.in.cfg.NProcs)
-	var limit uint64
-	if minFloor > slack {
-		limit = minFloor - slack
-	}
+	free := h.freeCap()
 	kept := h.retired[:0]
 	for _, n := range h.retired {
 		switch {
 		case n.Idx() >= limit:
 			kept = append(kept, n) // possibly still walkable: retry later
-		case len(h.freeNodes) < maxFreeNodes:
+		case len(h.freeNodes) < free:
 			h.freeNodes = append(h.freeNodes, n)
 		}
 		// else: freelist full, drop to GC.
@@ -812,6 +810,35 @@ func (h *Handle) reclaim(old *trace.Node) {
 	}
 	h.retired = kept
 	h.capRetired()
+}
+
+// walkLimit is reclaim's quiescence rule, shared with the base-body
+// reuse of deltacompact.go: no in-flight walk can reach a node or a base
+// whose index is below limit (the minimum published floor minus NProcs;
+// see the floor field). ok is false while another handle's claim walk is
+// in flight, since such a walk may hold pointers no floor covers.
+func (h *Handle) walkLimit() (limit uint64, ok bool) {
+	minFloor := ^uint64(0)
+	for _, other := range h.in.hands {
+		if other != h && other.claiming.Load() {
+			return 0, false
+		}
+		if f := other.floor.Load(); f < minFloor {
+			minFloor = f
+		}
+	}
+	if slack := uint64(h.in.cfg.NProcs); minFloor > slack {
+		return minFloor - slack, true
+	}
+	return 0, true
+}
+
+// freeCap is the freelist's bound: maxFreeNodes, or the trace window
+// delta chains keep between trace cuts (MaxDeltaChain cadences plus the
+// fuzzy window) when that is wider, so a base cut's whole severed
+// segment is pooled and the updates until the next one allocate no node.
+func (h *Handle) freeCap() int {
+	return max(maxFreeNodes, h.in.cfg.MaxDeltaChain*h.cutEvery()+h.in.cfg.NProcs)
 }
 
 // capRetired bounds the deferred-promotion backlog: claimed nodes past
@@ -841,11 +868,12 @@ func mergeSeqs(dst, src []uint64) {
 
 // Snapshot payload layout on the persistent log: the covered-sequence
 // vector (detectability across compaction) followed by the object state.
-func snapEncode(seqs, state []uint64) []uint64 {
-	out := make([]uint64, 0, 1+len(seqs)+len(state))
-	out = append(out, uint64(len(seqs)))
-	out = append(out, seqs...)
-	return append(out, state...)
+// snapEncode appends the envelope — the vector's length, then the
+// vector — to dst; the caller appends the state (spec.State's
+// AppendSnapshot, or a delta body) after it.
+func snapEncode(dst, seqs []uint64) []uint64 {
+	dst = append(dst, uint64(len(seqs)))
+	return append(dst, seqs...)
 }
 
 func snapDecode(words []uint64) (seqs, state []uint64, err error) {
@@ -856,7 +884,7 @@ func snapDecode(words []uint64) (seqs, state []uint64, err error) {
 	if n < 0 || n > MaxProcs || 1+n > len(words) {
 		return nil, nil, fmt.Errorf("core: corrupt snapshot header %d", words[0])
 	}
-	return words[1 : 1+n], words[1+n:], nil
+	return words[1 : 1+n : 1+n], words[1+n:], nil
 }
 
 // compact implements the Section 8 reclamation scheme after the update
@@ -877,7 +905,7 @@ func (h *Handle) compact(node *trace.Node) error {
 	if done || err != nil {
 		return err
 	}
-	snap, seqs, err := h.chainBaseAndTruncate(s)
+	slot, body, err := h.chainBaseAndTruncate(s)
 	if err != nil {
 		return err
 	}
@@ -893,7 +921,9 @@ func (h *Handle) compact(node *trace.Node) error {
 		return nil
 	}
 	old := node.Next()
+	seqs, snap, _ := snapDecode(body)
 	node.SetNextBase(trace.NewBase(s, snap, seqs))
+	h.bases.idx[slot] = s
 	h.reclaim(old)
 	return nil
 }

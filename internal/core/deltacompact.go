@@ -15,8 +15,8 @@ package core
 //
 // Delta payload layout (the caller words inside plog's chain frame):
 //
-//	base:  snapEncode(seqs, state)            — same as a KindSnapshot
-//	delta: [format] ++ snapEncode(seqs, body)
+//	base:  snapEncode(seqs) ++ state          — same as a KindSnapshot
+//	delta: [format] ++ snapEncode(seqs) ++ body
 //
 // where format selects how recovery folds body into the restored base:
 // deltaFmtOps replays verbatim operations (the universal fallback,
@@ -148,8 +148,7 @@ func (h *Handle) tryDeltaCut(node *trace.Node) (done, foreign bool, err error) {
 // verbatim op replay otherwise. Two persistent fences (append +
 // truncate), the same as a base cut.
 func (h *Handle) deltaCutAt(log *plog.Log, idx uint64, ops []spec.Op) error {
-	payload := append(h.deltaBuf[:0], deltaFmtDiff, uint64(len(h.viewSeqs)))
-	payload = append(payload, h.viewSeqs...)
+	payload := snapEncode(append(h.deltaBuf[:0], deltaFmtDiff), h.viewSeqs)
 	hdr := len(payload)
 	emitted := false
 	if em, ok := h.view.(spec.DeltaEmitter); ok {
@@ -190,31 +189,81 @@ func (h *Handle) deltaCutAt(log *plog.Log, idx uint64, ops []spec.Op) error {
 
 // chainBaseAndTruncate starts (or collapses to) a fresh chain base of
 // the local view at idx and truncates the log behind it — the log half
-// of the cadence's and the pressure valve's base cuts — returning the
-// snapshot body and sequence vector for callers that also cut the
-// trace.
-func (h *Handle) chainBaseAndTruncate(idx uint64) (snap, seqs []uint64, err error) {
-	snap = h.view.Snapshot()
-	seqs = append([]uint64(nil), h.viewSeqs...)
+// of the cadence's and the pressure valve's base cuts. It returns the
+// base body (encodeBase) and its slot, for callers that also cut the
+// trace: the base node's Snap and Seqs are subslices of the body, and
+// the caller records the splice in h.bases.idx[slot].
+func (h *Handle) chainBaseAndTruncate(idx uint64) (slot int, body []uint64, err error) {
+	slot, body = h.encodeBase()
 	log := h.in.logs[h.pid]
 	if log.ChainLen() > 0 {
 		h.in.cmpCollapses.Add(1)
 	}
-	payload := snapEncode(seqs, snap)
-	seq, err := log.AppendChainBase(payload, idx)
+	seq, err := log.AppendChainBase(body, idx)
 	if err != nil {
-		return nil, nil, err
+		return 0, nil, err
 	}
 	if seq > 1 {
 		if err := log.Truncate(seq - 1); err != nil {
-			return nil, nil, err
+			return 0, nil, err
 		}
 	}
 	in := h.in
 	in.cmpBases.Add(1)
-	in.cmpSnapWords.Add(uint64(len(payload)))
-	in.cmpFullWords.Add(uint64(len(payload)))
-	return snap, seqs, nil
+	in.cmpSnapWords.Add(uint64(len(body)))
+	in.cmpFullWords.Add(uint64(len(body)))
+	return slot, body, nil
+}
+
+// baseBufs are the two chain-base bodies a handle's base cuts alternate
+// between. A cut encodes the snapEncode envelope and the state once,
+// into one of them; plog copies it to NVM, and a spliced base node's
+// Snap and Seqs are subslices of it. idx[i] is the index of the trace
+// base words[i] backs, 0 while no base node refers to it.
+type baseBufs struct {
+	words [2][]uint64
+	idx   [2]uint64
+}
+
+// baseSlot picks the body the next base overwrites: one no base node
+// refers to, else the older of the two. The older body backs a base
+// below the newest one this handle spliced, so no walk that starts from
+// now on reaches it; it is reused only when no walk still in flight can
+// either — its index below walkLimit, reclaim's quiescence rule.
+// Otherwise a walker may yet restore from it: the slot lets it go to the
+// garbage collector and starts over with a fresh buffer.
+func (h *Handle) baseSlot() int {
+	if h.bases == nil {
+		h.bases = &baseBufs{}
+	}
+	b := h.bases
+	i := 0
+	if b.idx[1] < b.idx[0] {
+		i = 1
+	}
+	if b.idx[i] != 0 {
+		if limit, ok := h.walkLimit(); !ok || b.idx[i] >= limit {
+			b.words[i] = nil
+		}
+		b.idx[i] = 0
+	}
+	return i
+}
+
+// encodeBase writes a chain-base body of the local view — the
+// snapEncode envelope, then the state — into the body baseSlot picks
+// and returns the slot and the body. A buffer is sized once from the
+// state's SizeHint, so a base never grows it by doubling, and a state of
+// unchanged size re-encodes into it without allocating.
+func (h *Handle) encodeBase() (int, []uint64) {
+	i := h.baseSlot()
+	buf := h.bases.words[i][:0]
+	if need := 1 + len(h.viewSeqs) + spec.SizeHint(h.view) + 2; cap(buf) < need {
+		buf = make([]uint64, 0, need)
+	}
+	buf = h.view.AppendSnapshot(snapEncode(buf, h.viewSeqs))
+	h.bases.words[i] = buf
+	return i, buf
 }
 
 // baseCand is one compaction-record candidate recovery may restart

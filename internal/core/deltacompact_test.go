@@ -347,3 +347,77 @@ func TestDeltaWalkCoveredByFloor(t *testing.T) {
 		}
 	}
 }
+
+// parkingState parks its process at pointViewRestore on every Restore,
+// before the words are read: between a walk that returned a base and
+// the view's restore from that base's Snap.
+type parkingState struct {
+	spec.State
+	gate sched.Gate
+	pid  int
+}
+
+const pointViewRestore = "view.restore"
+
+func (s *parkingState) Restore(w []uint64) error {
+	s.gate.Step(s.pid, pointViewRestore)
+	return s.State.Restore(w)
+}
+
+// TestBaseBodyNotReusedUnderWalker pins the quiescence rule on base
+// bodies (Handle.baseSlot). A base node's Snap is a subslice of its
+// cutter's base buffer, and a handle catching up restores its view from
+// it. p1, a lagging reader, parks after its walk returned p0's first
+// base and before restoring from it. p0 then cuts two more bases, the
+// second into the buffer behind the first base unless p1's floor keeps
+// it. p1's view must come out as the state at the first base. With the
+// floor check planted out, the third base overwrites the words p1 is
+// about to restore, and p1's view holds the third base's values.
+func TestBaseBodyNotReusedUnderWalker(t *testing.T) {
+	const ce = 8
+	ctl := sched.NewController()
+	pool := pmem.New(1<<22, ctl)
+	in, err := New(pool, objects.MapSpec{}, Config{
+		NProcs: 2, LogCapacity: 256, CompactEvery: ce, MaxDeltaChain: 1, Gate: ctl,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h0, h1 := in.Handle(0), in.Handle(1)
+	h1.view = &parkingState{State: h1.view, gate: ctl, pid: 1}
+	// p0 runs on the test goroutine (never spawned, so never parked) and
+	// rewrites the same ce keys: the state keeps its size, so a reused
+	// buffer would be overwritten in place.
+	op := func(i int) spec.Op { return mkOp(objects.MapPut, uint64(i%ce), uint64(i)) }
+	upd := func(from, to int) {
+		t.Helper()
+		for i := from; i < to; i++ {
+			o := op(i)
+			if _, _, err := h0.Update(o.Code, o.Args[:2]...); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	upd(0, ce) // first base at ce
+	done := ctl.Spawn(1, func() { h1.Read(objects.MapLen) })
+	if _, ok := ctl.RunUntil(1, sched.AtPoint(pointViewRestore)); !ok {
+		t.Fatal("p1 finished without restoring from a base")
+	}
+	upd(ce, 3*ce) // bases at 2ce and 3ce
+	if st := in.CompactionStats(); st.Bases != 3 {
+		t.Fatalf("%d base cuts, want 3", st.Bases)
+	}
+	ctl.RunToCompletion(1)
+	if out := <-done; out != nil {
+		t.Fatal(out)
+	}
+	var first []spec.Op
+	for i := 0; i < ce; i++ {
+		first = append(first, op(i))
+	}
+	want, _ := spec.Replay(objects.MapSpec{}, first)
+	if h1.viewIdx != ce || !spec.Equal(h1.view, want) {
+		t.Fatalf("p1 restored %v at index %d, want the state at %d: %v",
+			h1.view.Snapshot(), h1.viewIdx, ce, want.Snapshot())
+	}
+}

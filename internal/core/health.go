@@ -239,7 +239,7 @@ func (in *Instance) Recreate() error {
 	if sb.idx > 0 {
 		// Seed log 0 with the salvaged prefix so the next crash recovers
 		// it; the other logs start empty, as after New.
-		if _, err := logs[0].AppendChainBase(snapEncode(sb.seqs, sb.state), sb.idx); err != nil {
+		if _, err := logs[0].AppendChainBase(append(snapEncode(nil, sb.seqs), sb.state...), sb.idx); err != nil {
 			return fmt.Errorf("core: seeding salvaged chain base: %w", err)
 		}
 		sentinel = trace.NewBase(sb.idx, sb.state, sb.seqs)

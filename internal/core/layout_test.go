@@ -14,7 +14,7 @@ import (
 // Handles are allocated one by one, so this rests on the struct size
 // being a line multiple (the tail pad) and the allocator's size class
 // for it being one too; the address check catches either slipping.
-// Without the pad Handle is 264 bytes, the allocator rounds it to 288,
+// Without the pad Handle is 272 bytes, the allocator rounds it to 288,
 // every second handle starts mid-line, and two readers on two cores ran
 // at half speed.
 func TestHandlesShareNoCacheLine(t *testing.T) {

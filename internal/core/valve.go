@@ -122,7 +122,8 @@ func (h *Handle) growRing() error {
 	}
 	seedIdx := uint64(0)
 	if h.view != nil && h.viewIdx > 0 {
-		if _, err := nl.AppendChainBase(snapEncode(h.viewSeqs, h.view.Snapshot()), h.viewIdx); err != nil {
+		_, body := h.encodeBase()
+		if _, err := nl.AppendChainBase(body, h.viewIdx); err != nil {
 			return fmt.Errorf("core: seeding grown log: %w", err)
 		}
 		seedIdx = h.viewIdx
@@ -136,7 +137,8 @@ func (h *Handle) growRing() error {
 			_, err = nl.Append(rec.Ops, rec.ExecIdx)
 		case plog.KindSnapshot:
 			// An older image's full snapshot: the payload is a chain
-			// base's (snapEncode), so it moves over as one.
+			// base's (snapEncode envelope, then state), so it moves over
+			// as one.
 			_, err = nl.AppendChainBase(rec.State, rec.ExecIdx)
 		case plog.KindDelta:
 			// A chain record's index never exceeds its owner's view

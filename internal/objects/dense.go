@@ -1,6 +1,6 @@
 package objects
 
-import "sort"
+import "slices"
 
 // denseTable is an open-addressed hash table from uint64 keys to uint64
 // values, the allocation-free replacement for the Go maps that used to
@@ -218,8 +218,8 @@ func (t *denseTable) clone() *denseTable {
 
 // appendSnapshot appends the table contents to out in ascending key
 // order — the exact wire format the map-backed states produced — and
-// returns the extended slice. With values enabled each key is followed
-// by its value.
+// returns the extended slice, allocating nothing beyond out's growth.
+// With values enabled each key is followed by its value.
 func (t *denseTable) appendSnapshot(out []uint64) []uint64 {
 	start := len(out)
 	for i, m := range t.meta {
@@ -228,7 +228,7 @@ func (t *denseTable) appendSnapshot(out []uint64) []uint64 {
 		}
 	}
 	ks := out[start:]
-	sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
+	slices.Sort(ks)
 	if t.vals == nil {
 		return out
 	}

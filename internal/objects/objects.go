@@ -10,7 +10,7 @@ package objects
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/spec"
 )
@@ -62,15 +62,12 @@ const (
 	tagBank     = 0xC0DE000A
 )
 
-// sortedKeys returns the keys of m in ascending order (deterministic
-// snapshots for map-backed objects).
-func sortedKeys[V any](m map[uint64]V) []uint64 {
-	ks := make([]uint64, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
-	return ks
+// snapshotOf is every state's Snapshot: its one encoder,
+// AppendSnapshot, into a slice pre-sized from its SizeHint. Every hint
+// covers the snapshot's words but its two-word header, so the encoder
+// never grows the slice.
+func snapshotOf(s spec.State) []uint64 {
+	return s.AppendSnapshot(make([]uint64, 0, spec.SizeHint(s)+2))
 }
 
 // ---------------------------------------------------------------------
@@ -120,7 +117,11 @@ func (s *counterState) Read(op spec.Op) uint64 {
 
 func (s *counterState) Clone() spec.State { c := *s; return &c }
 
-func (s *counterState) Snapshot() []uint64 { return []uint64{tagCounter, s.v} }
+func (s *counterState) Snapshot() []uint64 { return snapshotOf(s) }
+
+func (s *counterState) AppendSnapshot(dst []uint64) []uint64 {
+	return append(dst, tagCounter, s.v)
+}
 
 func (s *counterState) Restore(w []uint64) error {
 	if len(w) != 2 || w[0] != tagCounter {
@@ -180,7 +181,10 @@ func (s *registerState) Read(op spec.Op) uint64 {
 }
 
 func (s *registerState) Clone() spec.State  { c := *s; return &c }
-func (s *registerState) Snapshot() []uint64 { return []uint64{tagRegister, s.v} }
+func (s *registerState) Snapshot() []uint64 { return snapshotOf(s) }
+func (s *registerState) AppendSnapshot(dst []uint64) []uint64 {
+	return append(dst, tagRegister, s.v)
+}
 func (s *registerState) Restore(w []uint64) error {
 	if len(w) != 2 || w[0] != tagRegister {
 		return snapshotHeaderMismatch("register", tagRegister, first(w))
@@ -252,10 +256,11 @@ func (s *stackState) Clone() spec.State {
 	return c
 }
 
-func (s *stackState) Snapshot() []uint64 {
-	out := make([]uint64, 0, len(s.xs)+2)
-	out = append(out, tagStack, uint64(len(s.xs)))
-	return append(out, s.xs...)
+func (s *stackState) Snapshot() []uint64 { return snapshotOf(s) }
+
+func (s *stackState) AppendSnapshot(dst []uint64) []uint64 {
+	dst = append(dst, tagStack, uint64(len(s.xs)))
+	return append(dst, s.xs...)
 }
 
 func (s *stackState) Restore(w []uint64) error {
@@ -337,11 +342,12 @@ func (s *queueState) Clone() spec.State {
 	return c
 }
 
-func (s *queueState) Snapshot() []uint64 {
+func (s *queueState) Snapshot() []uint64 { return snapshotOf(s) }
+
+func (s *queueState) AppendSnapshot(dst []uint64) []uint64 {
 	live := s.xs[s.head:]
-	out := make([]uint64, 0, len(live)+2)
-	out = append(out, tagQueue, uint64(len(live)))
-	return append(out, live...)
+	dst = append(dst, tagQueue, uint64(len(live)))
+	return append(dst, live...)
 }
 
 func (s *queueState) Restore(w []uint64) error {
@@ -435,10 +441,11 @@ func (s *dequeState) Clone() spec.State {
 	return &dequeState{xs: append([]uint64(nil), s.xs...)}
 }
 
-func (s *dequeState) Snapshot() []uint64 {
-	out := make([]uint64, 0, len(s.xs)+2)
-	out = append(out, tagDeque, uint64(len(s.xs)))
-	return append(out, s.xs...)
+func (s *dequeState) Snapshot() []uint64 { return snapshotOf(s) }
+
+func (s *dequeState) AppendSnapshot(dst []uint64) []uint64 {
+	dst = append(dst, tagDeque, uint64(len(s.xs)))
+	return append(dst, s.xs...)
 }
 
 func (s *dequeState) Restore(w []uint64) error {
@@ -513,10 +520,10 @@ func (s *setState) Read(op spec.Op) uint64 {
 
 func (s *setState) Clone() spec.State { return &setState{t: s.t.clone()} }
 
-func (s *setState) Snapshot() []uint64 {
-	out := make([]uint64, 0, s.t.live+2)
-	out = append(out, tagSet, uint64(s.t.live))
-	return s.t.appendSnapshot(out)
+func (s *setState) Snapshot() []uint64 { return snapshotOf(s) }
+
+func (s *setState) AppendSnapshot(dst []uint64) []uint64 {
+	return s.t.appendSnapshot(append(dst, tagSet, uint64(s.t.live)))
 }
 
 func (s *setState) Restore(w []uint64) error {
@@ -606,10 +613,10 @@ func (s *mapState) Read(op spec.Op) uint64 {
 
 func (s *mapState) Clone() spec.State { return &mapState{t: s.t.clone()} }
 
-func (s *mapState) Snapshot() []uint64 {
-	out := make([]uint64, 0, 2*s.t.live+2)
-	out = append(out, tagMap, uint64(s.t.live))
-	return s.t.appendSnapshot(out)
+func (s *mapState) Snapshot() []uint64 { return snapshotOf(s) }
+
+func (s *mapState) AppendSnapshot(dst []uint64) []uint64 {
+	return s.t.appendSnapshot(append(dst, tagMap, uint64(s.t.live)))
 }
 
 func (s *mapState) Restore(w []uint64) error {
@@ -723,18 +730,19 @@ func (s *pqState) Clone() spec.State {
 	return &pqState{h: append([]uint64(nil), s.h...)}
 }
 
-// Snapshot stores the elements in sorted order so that two heaps with
-// the same contents (but different internal shapes reached via different
-// op orders... which cannot happen for a deterministic object, but
-// sorting is cheap insurance) serialize identically. The sort happens
-// directly in the output slice — one allocation, no scratch copy.
-func (s *pqState) Snapshot() []uint64 {
-	out := make([]uint64, 0, len(s.h)+2)
-	out = append(out, tagPQ, uint64(len(s.h)))
-	out = append(out, s.h...)
-	xs := out[2:]
-	sort.Slice(xs, func(i, j int) bool { return xs[i] < xs[j] })
-	return out
+func (s *pqState) Snapshot() []uint64 { return snapshotOf(s) }
+
+// AppendSnapshot stores the elements in sorted order so that two heaps
+// with the same contents (but different internal shapes reached via
+// different op orders... which cannot happen for a deterministic object,
+// but sorting is cheap insurance) serialize identically. The sort
+// happens in place in dst, with no scratch copy.
+func (s *pqState) AppendSnapshot(dst []uint64) []uint64 {
+	dst = append(dst, tagPQ, uint64(len(s.h)))
+	start := len(dst)
+	dst = append(dst, s.h...)
+	slices.Sort(dst[start:])
+	return dst
 }
 
 func (s *pqState) Restore(w []uint64) error {
@@ -799,10 +807,11 @@ func (s *logState) Clone() spec.State {
 	return &logState{xs: append([]uint64(nil), s.xs...)}
 }
 
-func (s *logState) Snapshot() []uint64 {
-	out := make([]uint64, 0, len(s.xs)+2)
-	out = append(out, tagLog, uint64(len(s.xs)))
-	return append(out, s.xs...)
+func (s *logState) Snapshot() []uint64 { return snapshotOf(s) }
+
+func (s *logState) AppendSnapshot(dst []uint64) []uint64 {
+	dst = append(dst, tagLog, uint64(len(s.xs)))
+	return append(dst, s.xs...)
 }
 
 func (s *logState) Restore(w []uint64) error {
@@ -901,13 +910,26 @@ func (s *bankState) Clone() spec.State {
 	return c
 }
 
-func (s *bankState) Snapshot() []uint64 {
-	out := make([]uint64, 0, 2*len(s.m)+2)
-	out = append(out, tagBank, uint64(len(s.m)))
-	for _, k := range sortedKeys(s.m) {
-		out = append(out, k, s.m[k])
+func (s *bankState) Snapshot() []uint64 { return snapshotOf(s) }
+
+// AppendSnapshot writes the accounts in ascending order: the keys are
+// sorted in place in dst, then spread into (key, balance) pairs from
+// the back, where pair i's slots 2i and 2i+1 are at or above key i and
+// every key below i is still unread.
+func (s *bankState) AppendSnapshot(dst []uint64) []uint64 {
+	dst = append(dst, tagBank, uint64(len(s.m)))
+	start := len(dst)
+	for k := range s.m {
+		dst = append(dst, k)
 	}
-	return out
+	slices.Sort(dst[start:])
+	n := len(s.m)
+	dst = slices.Grow(dst, n)[:start+2*n]
+	for i := n - 1; i >= 0; i-- {
+		k := dst[start+i]
+		dst[start+2*i], dst[start+2*i+1] = k, s.m[k]
+	}
+	return dst
 }
 
 func (s *bankState) Restore(w []uint64) error {

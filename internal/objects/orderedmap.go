@@ -351,15 +351,21 @@ func (s *omapState) Clone() spec.State {
 
 const tagOMap = 0xC0DE000B
 
-func (s *omapState) Snapshot() []uint64 {
-	out := make([]uint64, 0, 2*s.n+2)
-	out = append(out, tagOMap, uint64(s.n))
+func (s *omapState) Snapshot() []uint64 { return snapshotOf(s) }
+
+// AppendSnapshot writes the pairs block by block: each block grows dst
+// once and interleaves its key and value halves into it.
+func (s *omapState) AppendSnapshot(dst []uint64) []uint64 {
+	dst = append(dst, tagOMap, uint64(s.n))
 	for _, b := range s.blocks {
+		at := len(dst)
+		dst = slices.Grow(dst, 2*len(b.keys))[:at+2*len(b.keys)]
+		out := dst[at:]
 		for i, k := range b.keys {
-			out = append(out, k, b.vals[i])
+			out[2*i], out[2*i+1] = k, b.vals[i]
 		}
 	}
-	return out
+	return dst
 }
 
 func (s *omapState) Restore(w []uint64) error {

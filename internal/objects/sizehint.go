@@ -9,7 +9,9 @@ import "repro/internal/spec"
 // The hints measure what CopyFrom actually moves (backing arrays at
 // their live length, table slots at capacity), not the snapshot wire
 // format; a fixed +1 keeps even empty states non-zero, since 0 means
-// "unknown" to spec.SizeHint.
+// "unknown" to spec.SizeHint. Snapshot buffers are sized from them
+// (snapshotOf, and core's base bodies), so every hint must be at least
+// the snapshot's length minus its two-word header.
 
 // sizeWords prices a dense-table copy: meta bytes (packed 8/word) plus
 // the key and value arrays copyFrom duplicates in full.

@@ -153,20 +153,22 @@ func (l *Log) releaseChain() {
 
 // appendChainBody writes one chain body and its KindDelta record,
 // durable under the append's single fence. prev* is zero for a base.
+// The frame and the caller's payload go to NVM as two stores, and the
+// body checksum runs across both: the words are those of the frame and
+// payload concatenated, without ever copying the payload.
 func (l *Log) appendChainBody(bodyKind uint64, payload []uint64, execIdx uint64, prev chainLink) (uint64, chainLink, error) {
-	body := l.chainBuf[:0]
-	body = append(body, bodyKind, execIdx, uint64(prev.addr), uint64(prev.words), prev.sum)
-	body = append(body, payload...)
-	l.chainBuf = body
-	addr, cap, err := l.allocBody(len(body))
+	frame := [cbHdrWords]uint64{bodyKind, execIdx, uint64(prev.addr), uint64(prev.words), prev.sum}
+	words := cbHdrWords + len(payload)
+	addr, cap, err := l.allocBody(words)
 	if err != nil {
 		return 0, chainLink{}, err
 	}
-	l.pool.StoreRange(l.pid, addr, body)
-	l.pool.FlushRange(l.pid, addr, len(body)*pmem.WordSize)
-	sum := checksum(body)
-	rec := []uint64{uint64(addr), uint64(len(body)), sum}
-	seq, err := l.appendRecord(KindDelta, uint64(len(rec)), execIdx, rec)
+	l.pool.StoreRange(l.pid, addr, frame[:])
+	l.pool.StoreRange(l.pid, addr+cbHdrWords*pmem.WordSize, payload)
+	l.pool.FlushRange(l.pid, addr, words*pmem.WordSize)
+	sum := sumFinal(sumWords(sumWords(sumSeed, frame[:]), payload))
+	rec := [...]uint64{uint64(addr), uint64(words), sum}
+	seq, err := l.appendRecord(KindDelta, uint64(len(rec)), execIdx, rec[:])
 	if err != nil {
 		// The claimed region was never referenced by a fenced record:
 		// hand it straight back.
@@ -174,7 +176,7 @@ func (l *Log) appendChainBody(bodyKind uint64, payload []uint64, execIdx uint64,
 		return 0, chainLink{}, err
 	}
 	return seq, chainLink{
-		execIdx: execIdx, addr: addr, words: len(body), sum: sum,
+		execIdx: execIdx, addr: addr, words: words, sum: sum,
 		cap: cap, base: bodyKind == chainBodyBase,
 	}, nil
 }

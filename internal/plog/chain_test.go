@@ -320,3 +320,55 @@ func TestFlippedBackRefRejected(t *testing.T) {
 		t.Fatalf("flipped back-ref probes %v, want bad-delta", st)
 	}
 }
+
+// TestChainBodyWrittenInTwoParts pins appendChainBody's split write:
+// the frame and the caller's payload go to NVM as two stores and the
+// checksum runs across both, so the durable body and its checksum must
+// equal the frame and payload concatenated — for a base and for a delta
+// whose frame pins the base's sum, with payloads that share the frame's
+// cache line and span several more.
+func TestChainBodyWrittenInTwoParts(t *testing.T) {
+	pool, l := newLog(t, 64, 4)
+	payload := func(ix uint64, n int) []uint64 {
+		p := make([]uint64, n)
+		for i := range p {
+			p[i] = ix<<32 | uint64(i)
+		}
+		return p
+	}
+	base, delta := payload(10, 21), payload(20, 3)
+	if _, err := l.AppendChainBase(base, 10); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.AppendDelta(delta, 20); err != nil {
+		t.Fatal(err)
+	}
+	pool.Crash(pmem.DropAll)
+	l2, err := Open(pool, 0, l.Base())
+	if err != nil {
+		t.Fatal(err)
+	}
+	links, bodies, err := l2.resolveLinks(newestDelta(t, l2), l2.cachedReader())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := links[0]
+	wants := [][]uint64{
+		append([]uint64{chainBodyBase, 10, 0, 0, 0}, base...),
+		append([]uint64{chainBodyDelta, 20, uint64(b.addr), uint64(b.words), b.sum}, delta...),
+	}
+	for i, want := range wants {
+		if len(bodies[i]) != len(want) {
+			t.Fatalf("link %d: %d durable words, want %d", i, len(bodies[i]), len(want))
+		}
+		for k := range want {
+			if bodies[i][k] != want[k] {
+				t.Fatalf("link %d word %d: %#x, want %#x", i, k, bodies[i][k], want[k])
+			}
+		}
+		if sum := checksum(want); links[i].sum != sum || l.chain[i].sum != sum {
+			t.Fatalf("link %d: durable sum %#x, appended %#x, concatenated form %#x",
+				i, links[i].sum, l.chain[i].sum, sum)
+		}
+	}
+}

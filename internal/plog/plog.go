@@ -175,12 +175,11 @@ type Log struct {
 	snapNext   int
 
 	// Delta-chain state (chain.go): the resolved live chain base-first,
-	// the seq of its newest record (Truncate must not drop it), the
-	// body-region free list and the body encoding scratch.
+	// the seq of its newest record (Truncate must not drop it) and the
+	// body-region free list.
 	chain     []chainLink
 	chainSeq  uint64
 	chainPool []chainRegion
-	chainBuf  []uint64
 
 	// Encoding scratch, reused across appends (a Log is owned by one
 	// process, so appends never overlap): steady-state Append is
@@ -490,15 +489,25 @@ func (l *Log) slotAddr(seq uint64) pmem.Addr {
 // checksum is a 64-bit FNV-1a-style mix over record words. It only needs
 // to make "a subset of this record's lines are stale" astronomically
 // unlikely to verify, not to resist adversaries.
-func checksum(words []uint64) uint64 {
-	h := uint64(0xcbf29ce484222325)
+func checksum(words []uint64) uint64 { return sumFinal(sumWords(sumSeed, words)) }
+
+// sumSeed, sumWords and sumFinal are checksum in pieces, for a record
+// written from several slices: sumWords continues the mix from h, so
+// mixing a then b equals mixing a and b concatenated.
+const sumSeed = 0xcbf29ce484222325
+
+func sumWords(h uint64, words []uint64) uint64 {
 	for _, w := range words {
 		h ^= w
 		h *= 0x100000001b3
 		h ^= h >> 29
 	}
+	return h
+}
+
+func sumFinal(h uint64) uint64 {
 	if h == 0 { // reserve 0 so an all-zero slot can never verify
-		h = 1
+		return 1
 	}
 	return h
 }

@@ -72,7 +72,7 @@ const (
 
 // State is a mutable sequential object state.
 //
-// Apply and Read must be deterministic. Snapshot must be deterministic
+// Apply and Read must be deterministic. Snapshots must be deterministic
 // too (two states reached by the same update sequence must produce equal
 // snapshots) — checkers compare states by snapshot, and snapshots are
 // written to the persistent log by the compaction extension (paper
@@ -86,9 +86,17 @@ type State interface {
 	Read(op Op) uint64
 	// Clone returns an independent deep copy.
 	Clone() State
-	// Snapshot serializes the state to words.
+	// AppendSnapshot appends the state's serialization to dst and
+	// returns the extended slice, leaving dst's existing words intact.
+	// It is the state's one encoder: it must not allocate beyond growing
+	// dst, so a caller that keeps its buffer (core's chain-base cuts)
+	// encodes a state of unchanged size with no allocation at all.
+	AppendSnapshot(dst []uint64) []uint64
+	// Snapshot returns AppendSnapshot's words in a fresh slice.
 	Snapshot() []uint64
-	// Restore replaces the state with a previously snapshotted one.
+	// Restore replaces the state with a previously snapshotted one. It
+	// must not retain words: core restores views from base bodies it
+	// later overwrites.
 	Restore(words []uint64) error
 }
 

@@ -72,7 +72,10 @@ type toyState struct{ sum uint64 }
 func (s *toyState) Apply(op Op) uint64 { s.sum += op.Args[0]; return s.sum }
 func (s *toyState) Read(Op) uint64     { return s.sum }
 func (s *toyState) Clone() State       { c := *s; return &c }
-func (s *toyState) Snapshot() []uint64 { return []uint64{s.sum} }
+func (s *toyState) Snapshot() []uint64 { return s.AppendSnapshot(nil) }
+func (s *toyState) AppendSnapshot(dst []uint64) []uint64 {
+	return append(dst, s.sum)
+}
 func (s *toyState) Restore(w []uint64) error {
 	s.sum = w[0]
 	return nil
