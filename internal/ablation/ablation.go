@@ -41,14 +41,38 @@ const poolSize = 1 << 24
 
 // NoHelping constructs the gap execution against a counter with
 // helping disabled and returns the (expected) durability violation.
+// Recovery sees the gap by itself: the completed operation persisted
+// beyond it is stranded, which Proposition 5.10 rules out, so strict
+// recovery refuses the image with core.ErrTornRecord. A salvaging one
+// quarantines it and hands back the prefix before the gap, which the
+// checker then holds against the history.
 func NoHelping() (*Outcome, error) {
+	pool, hist, err := noHelpingImage()
+	if err != nil {
+		return nil, err
+	}
+	_, rep, err := core.Recover(pool, objects.CounterSpec{}, core.Config{Salvage: true})
+	if err != nil {
+		return nil, err
+	}
+	rec := check.MakeRecovered(rep.Ordered)
+	rec.BaseState, rec.CoveredSeq = rep.BaseState, rep.CoveredSeq
+	return &Outcome{
+		Name:      "no-helping",
+		Violation: check.CheckDurable(objects.CounterSpec{}, hist.Ops(), rec),
+	}, nil
+}
+
+// noHelpingImage runs the gap execution and returns the crashed pool
+// and the history.
+func noHelpingImage() (*pmem.Pool, *check.History, error) {
 	ctl := sched.NewController()
 	pool := pmem.New(poolSize, ctl)
 	in, err := core.New(pool, objects.CounterSpec{}, core.Config{
 		NProcs: 2, Gate: ctl, UnsafeNoHelping: true,
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	hist := check.NewHistory()
 
@@ -60,7 +84,7 @@ func NoHelping() (*Outcome, error) {
 		hist.Return(tok0, ret)
 	})
 	if _, ok := ctl.RunUntil(0, sched.AtPoint(core.PointOrdered)); !ok {
-		return nil, fmt.Errorf("ablation: p0 finished early")
+		return nil, nil, fmt.Errorf("ablation: p0 finished early")
 	}
 
 	// p1 runs a full update (index 2): with helping it would persist
@@ -77,16 +101,7 @@ func NoHelping() (*Outcome, error) {
 	ctl.KillAll()
 	pool.Crash(pmem.DropAll)
 	pool.SetGate(nil)
-	_, rep, err := core.Recover(pool, objects.CounterSpec{}, core.Config{})
-	if err != nil {
-		return nil, err
-	}
-	rec := check.MakeRecovered(rep.Ordered)
-	rec.BaseState, rec.CoveredSeq = rep.BaseState, rep.CoveredSeq
-	return &Outcome{
-		Name:      "no-helping",
-		Violation: check.CheckDurable(objects.CounterSpec{}, hist.Ops(), rec),
-	}, nil
+	return pool, hist, nil
 }
 
 // LinearizeFirst constructs the exposed-then-erased execution against

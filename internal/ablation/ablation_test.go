@@ -1,8 +1,12 @@
 package ablation
 
 import (
+	"errors"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/objects"
 )
 
 func TestE13NoHelpingViolatesDurability(t *testing.T) {
@@ -17,6 +21,15 @@ func TestE13NoHelpingViolatesDurability(t *testing.T) {
 	// recovery cannot linearize past the gap p0 left at index 1.
 	if !strings.Contains(out.Violation.Error(), "R1") {
 		t.Fatalf("expected an R1 (erased completed op) violation, got: %v", out.Violation)
+	}
+	// Recovery detects the Proposition 5.10 violation by itself: strict
+	// recovery of the same image refuses it.
+	pool, _, err := noHelpingImage()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := core.Recover(pool, objects.CounterSpec{}, core.Config{}); !errors.Is(err, core.ErrTornRecord) {
+		t.Fatalf("strict recovery of the no-helping image: err=%v, want ErrTornRecord", err)
 	}
 }
 

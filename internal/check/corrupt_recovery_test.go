@@ -2,7 +2,9 @@ package check
 
 import (
 	"errors"
+	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -53,17 +55,19 @@ func durablyCorrupt(pool *pmem.Pool, addr pmem.Addr, val uint64) {
 	pool.Crash(pmem.DropAll)
 }
 
-// recoverGuarded runs core.Recover and converts panics into test
-// failures; it returns whether recovery succeeded.
-func recoverGuarded(t *testing.T, pool *pmem.Pool, sp spec.Spec, label string) (ok bool) {
+// recoverGuarded recovers the image of an nprocs-process map both ways
+// (checkStrictMatchesSalvage) and converts panics into test failures;
+// it returns whether strict recovery succeeded.
+func recoverGuarded(t *testing.T, pool *pmem.Pool, sp spec.Spec, nprocs int, label string) (ok bool) {
 	t.Helper()
 	defer func() {
 		if r := recover(); r != nil {
 			t.Fatalf("%s: recovery panicked: %v", label, r)
 		}
 	}()
-	in, _, err := core.Recover(pool, sp, core.Config{})
-	if err != nil {
+	salv, srep, serr := core.Recover(pool, sp, core.Config{Salvage: true})
+	in := checkStrictMatchesSalvage(t, pool, sp, core.Config{}, nprocs, salv, srep, serr, label)
+	if in == nil {
 		return false
 	}
 	// A successful recovery must produce a servable object.
@@ -71,9 +75,79 @@ func recoverGuarded(t *testing.T, pool *pmem.Pool, sp spec.Spec, label string) (
 	return true
 }
 
+// checkStrictMatchesSalvage recovers the image in pool strictly, after
+// dropping the cache behind the salvaging recovery that returned (salv,
+// srep, serr), and holds the two modes to the one-algorithm contract:
+// strict recovery succeeds exactly when salvage does not quarantine;
+// when both succeed they agree on the recovered order, the base, the
+// last index, the covered seqs, the linearized ids and the health; when
+// strict recovery fails, its error matches the same evidence classes
+// as the quarantine reason; and a salvage that fails outright fails
+// strict recovery with the same error. The one read that differs by
+// mode is the stale end (DESIGN.md §3.7): an image with records or
+// damage past a log's stale end gives salvage more to go on, so it is
+// only logged. It returns the strict instance (nil when strict recovery
+// failed).
+func checkStrictMatchesSalvage(t *testing.T, pool *pmem.Pool, sp spec.Spec, cfg core.Config, nprocs int,
+	salv *core.Instance, srep *core.Report, serr error, label string) *core.Instance {
+	t.Helper()
+	pool.Crash(pmem.DropAll)
+	cfg.Salvage = false
+	in, rep, err := core.Recover(pool, sp, cfg)
+	if readsPastStaleEnd(pool, cfg.RootBase, nprocs) {
+		t.Logf("%s: salvage read past a stale end; modes not compared (strict err=%v)", label, err)
+		return in
+	}
+	switch {
+	case serr != nil:
+		if err == nil || err.Error() != serr.Error() {
+			t.Errorf("%s: salvage failed with %v, strict recovery with %v", label, serr, err)
+		}
+	case salv.Health().Mode == core.ModeQuarantined:
+		reason := salv.Health().Reason
+		if err == nil {
+			t.Errorf("%s: strict recovery succeeded where salvage quarantined (%v)", label, reason)
+			break
+		}
+		for _, class := range []error{core.ErrBadSlotHeader, core.ErrSnapshotCorrupt, core.ErrTornRecord} {
+			if errors.Is(err, class) != errors.Is(reason, class) {
+				t.Errorf("%s: strict error %v and quarantine reason %v disagree on %v", label, err, reason, class)
+			}
+		}
+	case err != nil:
+		t.Errorf("%s: strict recovery failed where salvage came back %v: %v", label, salv.Health().Mode, err)
+	case !slices.Equal(rep.Ordered, srep.Ordered) || rep.BaseIdx != srep.BaseIdx || rep.LastIdx != srep.LastIdx ||
+		!maps.Equal(rep.CoveredSeq, srep.CoveredSeq) || !maps.Equal(rep.Linearized, srep.Linearized) ||
+		in.Health() != salv.Health():
+		t.Errorf("%s: strict recovery (%d ops from %d, %+v) differs from salvage (%d ops from %d, %+v)",
+			label, len(rep.Ordered), rep.BaseIdx, in.Health(), len(srep.Ordered), srep.BaseIdx, salv.Health())
+	}
+	return in
+}
+
+// readsPastStaleEnd reports whether a log of the nprocs-process image
+// at rootBase holds valid records or damage beyond its stale end, where
+// only a salvaging recovery reads.
+func readsPastStaleEnd(pool *pmem.Pool, rootBase, nprocs int) bool {
+	for pid := 0; pid < nprocs; pid++ {
+		// RootSpan(pid) is the root slot of pid's log pointer.
+		l, w, err := plog.OpenWalk(pool, pid, pmem.Addr(pool.Root(rootBase+core.RootSpan(pid))))
+		if err != nil {
+			continue
+		}
+		found := len(w.Orphans) + len(w.BadSeqs)
+		l.Resume(w)
+		if len(w.Orphans)+len(w.BadSeqs) > found {
+			return true
+		}
+	}
+	return false
+}
+
 // TestRecoveryFuzzRandomCorruption sprays durable word corruption over
 // crashed images — hitting logs, snapshot regions and the root table —
-// and requires recovery to error or succeed, never panic.
+// and requires recovery to error or succeed, never panic, with strict
+// and salvaging recovery agreeing (checkStrictMatchesSalvage).
 func TestRecoveryFuzzRandomCorruption(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 60; trial++ {
@@ -92,7 +166,7 @@ func TestRecoveryFuzzRandomCorruption(t *testing.T) {
 			}
 			durablyCorrupt(pool, addr, val)
 		}
-		recoverGuarded(t, pool, objects.MapSpec{}, "random corruption")
+		recoverGuarded(t, pool, objects.MapSpec{}, 2, "random corruption")
 	}
 }
 
@@ -104,7 +178,7 @@ func TestRecoveryClobberedRootSlots(t *testing.T) {
 		pool := buildCrashedImage(t, objects.MapSpec{})
 		// Root slot 8 holds process 0's log base (core's rootLogBase).
 		durablyCorrupt(pool, pmem.Addr(8*pmem.WordSize), bad)
-		if recoverGuarded(t, pool, objects.MapSpec{}, "clobbered root") {
+		if recoverGuarded(t, pool, objects.MapSpec{}, 2, "clobbered root") {
 			// Mid-pool pointers may land on non-magic words and already
 			// fail; succeeding is only acceptable if the pointer happens
 			// to frame a valid log, which none of these values do.
@@ -113,14 +187,18 @@ func TestRecoveryClobberedRootSlots(t *testing.T) {
 	}
 }
 
-// TestRecoveryTornOverflowFallsBack builds a deterministic image in
+// TestRecoveryTornOverflowRefusesLoss builds a deterministic image in
 // which one record spilled to its log's overflow ring (a process is
 // stalled between order and persist, so the next updater's record
 // carries two ops — past the inline budget of 1), then corrupts the
-// spilled record's overflow chunk. Whole-image recovery must fall back
-// to the records before the tear: it recovers exactly the prefix whose
-// records still verify, serves reads from it, and never panics.
-func TestRecoveryTornOverflowFallsBack(t *testing.T) {
+// spilled record's overflow chunk. That record was fenced and p0's four
+// updates completed; the three records after it still verify, but their
+// operations sit beyond the gap the damage opened at index 1, which no
+// other log holds. Completed updates are lost, so strict recovery must
+// refuse the image with ErrTornRecord rather than report an empty
+// object, and salvaging recovery must quarantine it with the empty
+// prefix and serve again after Recreate.
+func TestRecoveryTornOverflowRefusesLoss(t *testing.T) {
 	ctl := sched.NewController()
 	pool := pmem.New(1<<22, ctl)
 	in, err := core.New(pool, objects.MapSpec{}, core.Config{
@@ -162,18 +240,32 @@ func TestRecoveryTornOverflowFallsBack(t *testing.T) {
 	pool.Crash(pmem.KeepAll) // everything in flight lands; image is intact
 	durablyCorrupt(pool, ovfBase+pmem.Addr(off*pmem.WordSize), 0xBADC0DE)
 
-	in2, rep, err := core.Recover(pool, objects.MapSpec{}, core.Config{})
+	if _, _, err := core.Recover(pool, objects.MapSpec{}, core.Config{}); !errors.Is(err, core.ErrTornRecord) {
+		t.Fatalf("strict recovery after a torn fenced overflow chunk: err=%v, want ErrTornRecord", err)
+	}
+	pool.Crash(pmem.DropAll)
+	in2, rep, err := core.Recover(pool, objects.MapSpec{}, core.Config{Salvage: true})
 	if err != nil {
-		t.Fatalf("recovery after torn overflow: %v", err)
+		t.Fatalf("salvaging recovery after torn overflow: %v", err)
+	}
+	if h := in2.Health(); h.Mode != core.ModeQuarantined || !errors.Is(h.Reason, core.ErrTornRecord) {
+		t.Fatalf("health %v (%v), want quarantined with ErrTornRecord", h.Mode, h.Reason)
 	}
 	// The spilled record held indices 1 (p1's helped op) and 2 (p0's
-	// first own op); tearing its chunk kills p0's whole log prefix, so
-	// nothing is recoverable: index 1 exists in no other log.
+	// first own op); index 1 exists in no other log, so the salvaged
+	// prefix is empty.
 	if rep.LastIdx != 0 || len(rep.Ordered) != 0 {
-		t.Fatalf("recovered %d ops past a torn overflow chunk: %+v", rep.LastIdx, rep.Ordered)
+		t.Fatalf("salvaged %d ops past a torn overflow chunk: %+v", rep.LastIdx, rep.Ordered)
 	}
-	if got := in2.Handle(0).Read(objects.MapLen); got != 0 {
-		t.Fatalf("post-recovery map has %d entries, want 0", got)
+	if err := in2.Recreate(); err != nil {
+		t.Fatalf("Recreate: %v", err)
+	}
+	h := in2.Handle(0)
+	if _, _, err := h.Update(objects.MapPut, 7, 70); err != nil {
+		t.Fatalf("update after Recreate: %v", err)
+	}
+	if got := h.Read(objects.MapLen); got != 1 {
+		t.Fatalf("recreated map has %d entries, want 1", got)
 	}
 }
 
@@ -464,7 +556,8 @@ func TestRecoveryChainBaseBeforeFirstDelta(t *testing.T) {
 // an image whose logs hold live chains (record slots, chain bodies and
 // back-references alike) must leave recovery erroring or returning a
 // consistent, servable instance — never panicking, never chasing a
-// forged chain pointer out of bounds.
+// forged chain pointer out of bounds — and strict and salvaging
+// recovery agreeing.
 func TestRecoveryFuzzRandomCorruptionDeltaChains(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for trial := 0; trial < 60; trial++ {
@@ -483,6 +576,6 @@ func TestRecoveryFuzzRandomCorruptionDeltaChains(t *testing.T) {
 			}
 			durablyCorrupt(pool, addr, val)
 		}
-		recoverGuarded(t, pool, objects.MapSpec{}, "delta-chain corruption")
+		recoverGuarded(t, pool, objects.MapSpec{}, 1, "delta-chain corruption")
 	}
 }

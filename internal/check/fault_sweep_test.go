@@ -34,9 +34,11 @@ import (
 //     error naming the evidence, and Recreate must return the object
 //     to service on the salvaged prefix.
 //
-// In every outcome recovery must not panic or invent operations, and
-// the scrubber must agree with salvage (damage bridged in degraded
-// mode is still latent on media) while spending zero fences.
+// In every outcome recovery must not panic or invent operations, the
+// scrubber must agree with salvage (damage bridged in degraded mode is
+// still latent on media) while spending zero fences, and strict
+// recovery of the same image must be salvage plus a verdict
+// (checkStrictMatchesSalvage).
 //
 // -short trims the sweep to 16 processes (the bounded CI job);
 // ONLL_FAULT_SWEEP_ITERS overrides the per-count iteration count.
@@ -114,6 +116,9 @@ func runFaultIteration(t *testing.T, sp spec.Spec, nprocs, it int, rng *rand.Ran
 	t.Logf("p%d i%d: crash=%d faults=%d -> %v (bad=%d orphans=%d unopened=%d)",
 		nprocs, it, cfg.CrashStep, len(res.FaultPlan.Faults), health.Mode,
 		health.BadSlots, health.Orphans, health.LogsUnopened)
+	// The same image, recovered strictly, is salvage plus a verdict.
+	checkStrictMatchesSalvage(t, res.Pool, sp, base.Core, nprocs, in, rep, nil,
+		fmt.Sprintf("p%d i%d (crash=%d faults=%v)", nprocs, it, cfg.CrashStep, res.FaultPlan.Faults))
 
 	// No invention, in every mode: each recovered op was really invoked.
 	known := make(map[uint64]bool, len(res.History))

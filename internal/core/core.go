@@ -190,12 +190,15 @@ type Config struct {
 	// fold depth and the volatile trace window between trace cuts. Zero
 	// selects 8; 1 makes every cut a base that cuts the trace.
 	MaxDeltaChain int
-	// Salvage selects salvaging recovery: instead of failing wholesale
-	// on the first corrupt structure, Recover keeps the longest valid
-	// prefix of every log, harvests checksummed records stranded beyond
-	// damage (helping often bridges the gap), and classifies the result
-	// into Healthy / Degraded / Quarantined (health.go). Strict mode
-	// (false, the default) preserves the original fail-closed behavior.
+	// Salvage selects salvaging recovery. Both modes run one algorithm
+	// (Recover): every log contributes its longest valid prefix and the
+	// checksummed records stranded beyond damage (helping often bridges
+	// the gap), and the result is classified Healthy / Degraded /
+	// Quarantined (health.go). Salvage changes two things. It reads
+	// every slot past a log's stale end, where strict mode stops (the
+	// end of an undamaged log; DESIGN.md §3.7). And on evidence of lost
+	// operations it returns the instance quarantined, where strict mode
+	// (false, the default) fails with that evidence.
 	Salvage bool
 	// RootBase offsets this instance's root-table slots, letting
 	// several instances (independent objects) share one pool. Each
@@ -267,9 +270,9 @@ type Instance struct {
 	logs  []*plog.Log
 	hands []*Handle
 
-	// health is the salvage-mode health state (health.go); nil means
-	// healthy (instances built by New, or strict recovery). One atomic
-	// load on the update path is the whole hot-path cost.
+	// health is the recovered health state (health.go); nil means
+	// healthy (instances built by New). One atomic load on the update
+	// path is the whole hot-path cost.
 	health atomic.Pointer[Health]
 	// salvBase caches the salvaged-prefix state for Recreate (set only
 	// when recovery quarantined the object).
@@ -980,9 +983,9 @@ type Report struct {
 	// PerProcessSeq records the highest per-process op sequence number
 	// seen, so replacement processes do not reuse ids.
 	PerProcessSeq map[int]uint64
-	// Salvage details what salvaging recovery found (nil in strict
-	// mode): per-process salvage counters, the health classification,
-	// and the full loss evidence (health.go).
+	// Salvage details what recovery found, in either mode: per-process
+	// salvage counters, the health classification, and the full loss
+	// evidence (health.go).
 	Salvage *SalvageReport
 }
 
@@ -1002,20 +1005,26 @@ func (r *Report) WasLinearized(id uint64) (idx uint64, ok bool) {
 }
 
 // Recover rebuilds the object from the durable contents of pool after a
-// crash, per Listing 5: it restores the newest valid snapshot (if any),
-// then stitches together the operation sequence from all per-process
-// logs, inserting each found operation into a fresh execution trace with
-// its available flag set. The returned instance is ready for new
-// operations; its processes are the crash survivors' replacements.
+// crash, per Listing 5: it restores the newest valid compaction record
+// (if any), then stitches together the operation sequence from all
+// per-process logs, inserting each found operation into a fresh
+// execution trace with its available flag set. The returned instance is
+// ready for new operations; its processes are the crash survivors'
+// replacements.
 //
-// With cfg.Salvage, structures that fail validation no longer abort
-// recovery: each log contributes its longest valid prefix plus any
-// checksummed records stranded beyond damage (orphans — helping usually
-// re-persisted the missing operations in another log, bridging the
-// gap), and the instance comes back Healthy, Degraded, or Quarantined
-// (health.go); Report.Salvage details what was found. Quarantined
-// instances still carry the best-effort prefix for inspection and
-// Recreate.
+// Recovery is one algorithm, and it reads each log once
+// (plog.OpenWalk): the longest valid prefix, plus — when an invalid
+// record ends the prefix — every checksummed record stranded beyond it
+// (orphans; helping usually re-persisted the missing operations in
+// another log, bridging the gap). Whatever fails validation becomes
+// typed evidence, and the instance is classified Healthy, Degraded or
+// Quarantined (health.go); Report.Salvage details what was found.
+// Config.Salvage decides two things only. A salvaging recovery also reads
+// past a log's stale end (plog.Log.Resume), where a destroyed sequence
+// word would otherwise hide orphans. And where the evidence shows lost
+// operations, a salvaging recovery returns the instance quarantined,
+// still carrying the best-effort prefix for inspection and Recreate,
+// while a strict one fails with the primary evidence.
 func Recover(pool *pmem.Pool, sp spec.Spec, cfg Config) (*Instance, *Report, error) {
 	rb := cfg.RootBase
 	if rb < 0 || rb+rootLogBase >= pmem.RootSlots {
@@ -1042,53 +1051,39 @@ func Recover(pool *pmem.Pool, sp spec.Spec, cfg Config) (*Instance, *Report, err
 	if err := claimRoots(pool, &cfg); err != nil {
 		return nil, nil, err
 	}
+	rep := &Report{
+		Linearized: map[uint64]uint64{}, PerProcessSeq: map[int]uint64{},
+		CoveredSeq: map[int]uint64{}, Salvage: &SalvageReport{PerPid: make([]PidSalvage, nprocs)},
+	}
 	var (
 		records  []plog.Record
 		cands    []baseCand // compaction records recovery may restart from
-		salv     *SalvageReport
-		evidence []error // loss evidence: any entry quarantines
-		damaged  bool    // non-benign damage seen (degraded unless loss)
+		evidence []error    // loss evidence: quarantines, or fails a strict recovery
+		damaged  bool       // non-benign damage seen (degraded unless loss)
 	)
-	collect := func(pid int, l *plog.Log, recs []plog.Record) {
-		records = append(records, recs...)
-		for _, r := range recs {
-			if r.Kind == plog.KindSnapshot || r.Kind == plog.KindDelta {
-				cands = append(cands, baseCand{pid: pid, log: l, rec: r})
-			}
-		}
-	}
-	if cfg.Salvage {
-		salv = &SalvageReport{PerPid: make([]PidSalvage, nprocs)}
-	}
 	for pid := 0; pid < nprocs; pid++ {
-		base := pmem.Addr(pool.Root(rb + rootLogBase + pid))
-		l, err := plog.Open(pool, pid, base)
+		ps := &rep.Salvage.PerPid[pid]
+		l, w, err := plog.OpenWalk(pool, pid, pmem.Addr(pool.Root(rb+rootLogBase+pid)))
+		in.logs = append(in.logs, l)
 		if err != nil {
-			if !cfg.Salvage {
-				return nil, nil, fmt.Errorf("core: reopening log of p%d: %w", pid, err)
-			}
 			// The whole log is unreadable. Its process's un-helped
 			// operations are gone: loss evidence.
-			salv.PerPid[pid].OpenErr = err
-			evidence = append(evidence, fmt.Errorf("%w: log of p%d: %v", ErrBadSlotHeader, pid, err))
-			in.logs = append(in.logs, nil)
+			ps.OpenErr = err
+			evidence = append(evidence, fmt.Errorf("%w: log of p%d: %w", ErrBadSlotHeader, pid, err))
 			continue
 		}
-		in.logs = append(in.logs, l)
-		var live []plog.Record
 		if cfg.Salvage {
-			s := l.SalvageScan()
-			ps := &salv.PerPid[pid]
-			ps.BadSlots, ps.Orphans, ps.TailTorn = len(s.BadSeqs), len(s.Orphans), s.TailTorn()
-			collect(pid, l, s.Live)
-			collect(pid, l, s.Orphans)
-			if s.Damaged() {
-				damaged = true
+			l.Resume(w)
+		}
+		ps.BadSlots, ps.Orphans, ps.TailTorn = len(w.BadSeqs), len(w.Orphans), w.TailTorn()
+		damaged = damaged || w.Damaged()
+		for _, recs := range [][]plog.Record{w.Live, w.Orphans} {
+			records = append(records, recs...)
+			for _, r := range recs {
+				if r.Kind != plog.KindOps {
+					cands = append(cands, baseCand{pid: pid, log: l, rec: r})
+				}
 			}
-			live = s.Live
-		} else {
-			live = l.Records()
-			collect(pid, l, live)
 		}
 		// Truncation-coverage invariant: headSeq > 0 means compaction
 		// truncated records, and compaction always leaves its covering
@@ -1096,34 +1091,24 @@ func Recover(pool *pmem.Pool, sp spec.Spec, cfg Config) (*Instance, *Report, err
 		// still resolve — as the oldest live record (the covering
 		// append is fenced before the truncate is, so every crash-legal
 		// image satisfies this). A violated invariant means the
-		// coverage, and everything it covered, is gone: silent loss,
-		// fatal in strict mode and quarantine evidence under salvage.
+		// coverage, and everything it covered, is gone: silent loss.
 		if l.HeadSeq() > 0 {
 			covered := false
-			if len(live) > 0 && live[0].Seq == l.HeadSeq()+1 {
-				switch live[0].Kind {
+			if len(w.Live) > 0 {
+				switch w.Live[0].Kind {
 				case plog.KindSnapshot:
 					covered = true
 				case plog.KindDelta:
-					_, rerr := l.ResolveChain(live[0])
+					_, rerr := l.ResolveChain(w.Live[0])
 					covered = rerr == nil
 				}
 			}
 			if !covered {
-				cerr := fmt.Errorf(
+				evidence = append(evidence, fmt.Errorf(
 					"%w: p%d truncated through seq %d but the covering snapshot is unreadable",
-					ErrSnapshotCorrupt, pid, l.HeadSeq())
-				if !cfg.Salvage {
-					return nil, nil, cerr
-				}
-				evidence = append(evidence, cerr)
+					ErrSnapshotCorrupt, pid, l.HeadSeq()))
 			}
 		}
-	}
-
-	rep := &Report{
-		Linearized: map[uint64]uint64{}, PerProcessSeq: map[int]uint64{},
-		CoveredSeq: map[int]uint64{}, Salvage: salv,
 	}
 
 	// Newest valid compaction record wins: a plain full snapshot, or
@@ -1131,18 +1116,13 @@ func Recover(pool *pmem.Pool, sp spec.Spec, cfg Config) (*Instance, *Report, err
 	// (foldBaseCandidate, deltacompact.go). Candidates are tried
 	// newest-first; one that does not fold — an unresolvable chain, an
 	// undecodable payload, a corrupt diff — is unreconstructible
-	// coverage: fatal in strict mode, loss evidence plus the next
-	// candidate under salvage.
+	// coverage: loss evidence, and the next candidate is tried.
 	sort.Slice(cands, func(i, j int) bool { return cands[i].rec.ExecIdx > cands[j].rec.ExecIdx })
 	var baseSeqs []uint64
 	for _, c := range cands {
 		seqs, state, err := foldBaseCandidate(sp, c.log, c.rec)
 		if err != nil {
-			err = fmt.Errorf("%w: p%d at index %d: %v", ErrSnapshotCorrupt, c.pid, c.rec.ExecIdx, err)
-			if !cfg.Salvage {
-				return nil, nil, err
-			}
-			evidence = append(evidence, err)
+			evidence = append(evidence, fmt.Errorf("%w: p%d at index %d: %w", ErrSnapshotCorrupt, c.pid, c.rec.ExecIdx, err))
 			continue
 		}
 		rep.BaseIdx, rep.BaseState, baseSeqs = c.rec.ExecIdx, state, seqs
@@ -1171,13 +1151,10 @@ func Recover(pool *pmem.Pool, sp spec.Spec, cfg Config) (*Instance, *Report, err
 				continue
 			}
 			if prev, dup := byIdx[idx]; dup && prev != op {
-				if !cfg.Salvage {
-					return nil, nil, fmt.Errorf("core: logs disagree at index %d: %v vs %v", idx, prev, op)
-				}
 				// Two checksummed records disagree about an index:
 				// impossible in a crash-only execution, so one of them
 				// is silent media damage we cannot tell apart.
-				evidence = append(evidence, fmt.Errorf("%w: logs disagree at index %d", ErrTornRecord, idx))
+				evidence = append(evidence, fmt.Errorf("%w: logs disagree at index %d: %v vs %v", ErrTornRecord, idx, prev, op))
 				continue
 			}
 			byIdx[idx] = op
@@ -1200,7 +1177,7 @@ func Recover(pool *pmem.Pool, sp spec.Spec, cfg Config) (*Instance, *Report, err
 	rep.LastIdx = rep.BaseIdx + uint64(len(ordered))
 	rep.Ordered = ordered
 
-	if cfg.Salvage && len(byIdx) > len(ordered) {
+	if len(byIdx) > len(ordered) {
 		// Persisted operations stranded beyond the first gap. Proposition
 		// 5.10 rules this out for crash-only executions (helping persists
 		// the whole fuzzy window below every operation), so the gap is a
@@ -1209,6 +1186,9 @@ func Recover(pool *pmem.Pool, sp spec.Spec, cfg Config) (*Instance, *Report, err
 		evidence = append(evidence, fmt.Errorf(
 			"%w: %d persisted operations stranded beyond index %d",
 			ErrTornRecord, len(byIdx)-len(ordered), rep.LastIdx))
+	}
+	if len(evidence) > 0 && !cfg.Salvage {
+		return nil, nil, primaryEvidence(evidence)
 	}
 
 	// Rebuild the trace: base (or INITIALIZE sentinel), then one
@@ -1234,8 +1214,6 @@ func Recover(pool *pmem.Pool, sp spec.Spec, cfg Config) (*Instance, *Report, err
 	}
 
 	in.makeHandles(rep.PerProcessSeq)
-	if cfg.Salvage {
-		in.classifySalvage(rep, evidence, damaged)
-	}
+	in.classifySalvage(rep, evidence, damaged)
 	return in, rep, nil
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/objects"
+	"repro/internal/plog"
 	"repro/internal/pmem"
 	"repro/internal/sched"
 	"repro/internal/spec"
@@ -472,6 +473,59 @@ func TestRecoverOnUninitializedPoolFails(t *testing.T) {
 	pool := pmem.New(testPoolSize, nil)
 	if _, _, err := Recover(pool, objects.CounterSpec{}, Config{}); err == nil {
 		t.Fatal("Recover on an empty pool should fail")
+	}
+}
+
+// TestRecoverReadsEachLogOnce pins that recovery reads each log once. On
+// a crashed image of 1 024 keys over two logs, each with a chain base,
+// a delta and a log tail, Recover issues exactly the pmem loads of
+// opening every log plus its root-table reads (the magic, the process
+// count and one log pointer per process): neither the slots nor the
+// chain bodies are read a second time.
+func TestRecoverReadsEachLogOnce(t *testing.T) {
+	const nprocs, keys = 2, 1024
+	pool := pmem.New(1<<24, nil)
+	in, err := New(pool, objects.MapSpec{}, Config{NProcs: nprocs, LogCapacity: 1024, CompactEvery: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One process after the other, so neither cut lands in the other's
+	// window: p0 puts keys 0..599 and p1 keys 424..1023, each cutting a
+	// base at its 256th update and a delta at its 512th.
+	const perProc = 600
+	for pid := 0; pid < nprocs; pid++ {
+		for i := 0; i < perProc; i++ {
+			k := uint64(pid*(keys-perProc) + i)
+			if _, _, err := in.Handle(pid).Update(objects.MapPut, k, k+1); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for pid := 0; pid < nprocs; pid++ {
+		if l := in.Log(pid); l.ChainLen() < 2 || l.Len() < 2 {
+			t.Fatalf("setup: p%d log holds %d records and a chain of %d links, want a base, a delta and a tail",
+				pid, l.Len(), l.ChainLen())
+		}
+	}
+	pool.Crash(pmem.DropAll)
+
+	var open uint64
+	for pid := 0; pid < nprocs; pid++ {
+		base := pmem.Addr(pool.Root(rootLogBase + pid))
+		before := pool.TotalStats().Loads
+		if _, err := plog.Open(pool, pid, base); err != nil {
+			t.Fatal(err)
+		}
+		open += pool.TotalStats().Loads - before
+	}
+	pool.Crash(pmem.DropAll)
+	pool.ResetStats()
+	if _, rep, err := Recover(pool, objects.MapSpec{}, Config{}); err != nil || rep.LastIdx != nprocs*perProc {
+		t.Fatalf("recovery: %v (LastIdx %d)", err, rep.LastIdx)
+	}
+	if got, want := pool.TotalStats().Loads, open+2+nprocs; got != want {
+		t.Fatalf("Recover issued %d loads, want %d: %d opening the logs + %d root reads (%.2fx)",
+			got, want, open, 2+nprocs, float64(got)/float64(want))
 	}
 }
 

@@ -1,6 +1,6 @@
 package core
 
-// Degraded-mode machinery (PR 6): health classification of a salvaged
+// Degraded-mode machinery: health classification of a recovered
 // instance, the quarantine gate, error-returning reads, in-place
 // recreation of a quarantined object, and the latent-fault scrubber.
 //
@@ -19,7 +19,7 @@ package core
 //     nothing: the instance is merely Degraded.
 //   - A single invalid record at a log's append frontier is the
 //     ordinary torn in-flight append every crash can produce; it is
-//     not damage at all (Salvage.BenignTear).
+//     not damage at all (plog.Walk.BenignTear).
 
 import (
 	"errors"
@@ -29,7 +29,7 @@ import (
 	"repro/internal/trace"
 )
 
-// HealthMode is the coarse health state of a salvaged instance.
+// HealthMode is the coarse health state of a recovered instance.
 type HealthMode int
 
 const (
@@ -71,7 +71,7 @@ type Health struct {
 	LogsUnopened int
 }
 
-// SalvageReport details what salvaging recovery found (Report.Salvage).
+// SalvageReport details what recovery found (Report.Salvage).
 type SalvageReport struct {
 	Mode HealthMode
 	// Reason is the primary loss evidence (nil unless quarantined).
@@ -101,9 +101,10 @@ type salvageBase struct {
 	seqs  []uint64 // per-pid highest op seq within the prefix
 }
 
-// classifySalvage turns the recovery scan's findings into the
-// instance's health state and the report's salvage section. Called
-// only under cfg.Salvage, after the report is fully built.
+// classifySalvage turns the recovery walk's findings into the
+// instance's health state and the report's salvage section, after the
+// report is fully built. Both modes call it; a strict recovery reaches
+// it only without loss evidence, so it classifies Healthy or Degraded.
 func (in *Instance) classifySalvage(rep *Report, evidence []error, damaged bool) {
 	salv := rep.Salvage
 	h := &Health{Mode: ModeHealthy}
@@ -170,8 +171,8 @@ func (in *Instance) replaySalvaged(rep *Report) *salvageBase {
 }
 
 // quarErr returns the quarantine error when the object refuses
-// operations, nil otherwise. One atomic load; nil health (fresh or
-// strict-recovered instances) is healthy.
+// operations, nil otherwise. One atomic load; nil health (instances
+// built by New) is healthy.
 func (in *Instance) quarErr() error {
 	if h := in.health.Load(); h != nil && h.Mode == ModeQuarantined {
 		return h.Reason
@@ -180,7 +181,9 @@ func (in *Instance) quarErr() error {
 }
 
 // Health returns the instance's current health snapshot. Instances
-// built by New or recovered strictly are always healthy.
+// built by New are always healthy; a recovered instance reports what
+// recovery classified, and a strict recovery may come back Degraded
+// (a strict recovery that finds loss fails instead of quarantining).
 func (in *Instance) Health() Health {
 	if h := in.health.Load(); h != nil {
 		return *h

@@ -136,17 +136,19 @@ func TestQuarantineBadHeader(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The evidence keeps its cause: both the class and plog's error.
 	h := in2.Health()
-	if h.Mode != ModeQuarantined || !errors.Is(h.Reason, ErrBadSlotHeader) {
-		t.Fatalf("mode %v reason %v, want quarantined ErrBadSlotHeader", h.Mode, h.Reason)
+	if h.Mode != ModeQuarantined || !errors.Is(h.Reason, ErrBadSlotHeader) || !errors.Is(h.Reason, plog.ErrCorrupt) {
+		t.Fatalf("mode %v reason %v, want quarantined ErrBadSlotHeader wrapping plog.ErrCorrupt", h.Mode, h.Reason)
 	}
 	if h.LogsUnopened != 1 {
 		t.Fatalf("LogsUnopened %d, want 1", h.LogsUnopened)
 	}
-	// Strict recovery of the same pool fails outright — the fail-closed
-	// contract salvage mode explicitly relaxes.
-	if _, _, err := Recover(pool, objects.CounterSpec{}, Config{}); err == nil {
-		t.Fatal("strict recovery accepted an unreadable log")
+	// Strict recovery of the same pool fails outright, with the same
+	// evidence — the verdict salvage mode replaces with quarantine.
+	pool.Crash(pmem.DropAll)
+	if _, _, err := Recover(pool, objects.CounterSpec{}, Config{}); !errors.Is(err, ErrBadSlotHeader) || !errors.Is(err, plog.ErrCorrupt) {
+		t.Fatalf("strict recovery of an unreadable log: err=%v, want ErrBadSlotHeader wrapping plog.ErrCorrupt", err)
 	}
 }
 
@@ -243,6 +245,17 @@ func TestDegradedHelpingBridge(t *testing.T) {
 	}
 	if got := in2.Handle(0).Read(objects.CounterGet); got != 3 {
 		t.Fatalf("recovered counter %d, want 3", got)
+	}
+	// Strict recovery runs the same algorithm on the same walk: it reads
+	// the orphan too (p1's second op is in no other log) and comes back
+	// Degraded with all three ops.
+	pool.Crash(pmem.DropAll)
+	in3, rep3, err := Recover(pool, objects.CounterSpec{}, Config{})
+	if err != nil {
+		t.Fatalf("strict recovery of a bridged image: %v", err)
+	}
+	if in3.Health() != h || len(rep3.Ordered) != 3 {
+		t.Fatalf("strict recovery: %d ops, health %+v; want 3 ops, health %+v", len(rep3.Ordered), in3.Health(), h)
 	}
 	// Degraded serves: updates and reads keep working.
 	if _, _, err := in2.Handle(0).Update(objects.CounterInc); err != nil {

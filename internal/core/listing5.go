@@ -29,26 +29,24 @@ type listing5 struct {
 //	}
 //
 // The TestRecoveryMatchesListing5* tests cross-check the two on
-// randomized crash states, salvaged ones reading the records salvage
+// randomized crash states. The reference reads every record the slot
+// walk finds, to the last slot: on a crash-only image that is what
+// Recover reads in either mode, and on a faulted one what salvage
 // reads. Compaction (Section 8) starts i after the newest snapshot or
 // chain record, whose state is folded here with code of its own.
-func recoverListing5(pool *pmem.Pool, sp spec.Spec, nprocs, rootBase int, salvage bool) (res listing5, err error) {
+func recoverListing5(pool *pmem.Pool, sp spec.Spec, nprocs, rootBase int) (res listing5, err error) {
 	// Load all live records once per iteration, as the listing's
 	// "find log entry" does conceptually (it scans the logs).
 	logs := make([][]plog.Record, nprocs)
 	var newest *plog.Record
 	var newestLog *plog.Log
 	for pid := 0; pid < nprocs; pid++ {
-		l, oerr := plog.Open(pool, pid, pmem.Addr(pool.Root(rootBase+rootLogBase+pid)))
+		l, w, oerr := plog.OpenWalk(pool, pid, pmem.Addr(pool.Root(rootBase+rootLogBase+pid)))
 		if oerr != nil {
 			return res, oerr
 		}
-		if salvage {
-			s := l.SalvageScan()
-			logs[pid] = append(s.Live, s.Orphans...)
-		} else {
-			logs[pid] = l.Records()
-		}
+		l.Resume(w)
+		logs[pid] = append(w.Live, w.Orphans...)
 		for k := range logs[pid] {
 			rec := &logs[pid][k]
 			if rec.Kind != plog.KindOps && (newest == nil || rec.ExecIdx > newest.ExecIdx) {

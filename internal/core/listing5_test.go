@@ -156,8 +156,8 @@ func TestQuickCrashPrefix(t *testing.T) {
 }
 
 // matchListing5 recovers the crashed image in pool with the production
-// recovery and with the Listing 5 reference, reading the same records
-// (cfg.Salvage selects salvaged ones), and fails unless both restart
+// recovery (in the mode cfg selects) and with the Listing 5 reference,
+// reading the same records, and fails unless both restart
 // from the same base — index, state and covered seqs — and recover the
 // same ordered suffix. A quarantined salvage is not compared: its
 // recovery deliberately stops short of what the records hold. It
@@ -172,7 +172,7 @@ func matchListing5(t *testing.T, pool *pmem.Pool, sp spec.Spec, nprocs int, cfg 
 	if in.Health().Mode == ModeQuarantined {
 		return rep, 0
 	}
-	lit, err := recoverListing5(pool, sp, nprocs, cfg.RootBase, cfg.Salvage)
+	lit, err := recoverListing5(pool, sp, nprocs, cfg.RootBase)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -282,9 +282,18 @@ func (l *Log) resolveLinks(rec Record, rd wordReader) ([]chainLink, [][]uint64, 
 
 // ResolveChain resolves a KindDelta record to its full chain, base
 // first, reading through the cache (the recovery path). Every element
-// carries the caller payload with the chain frame stripped.
+// carries the caller payload with the chain frame stripped. The newest
+// live chain record of a walk Open handed over comes resolved already,
+// and resolving it again reads nothing.
 func (l *Log) ResolveChain(rec Record) ([]ChainElem, error) {
-	links, bodies, err := l.resolveLinks(rec, l.cachedReader())
+	if rec.chain != nil || rec.chainErr != nil {
+		return rec.chain, rec.chainErr
+	}
+	return chainElems(l.resolveLinks(rec, l.cachedReader()))
+}
+
+// chainElems turns resolveLinks' result into ChainElems.
+func chainElems(links []chainLink, bodies [][]uint64, err error) ([]ChainElem, error) {
 	if err != nil {
 		return nil, err
 	}
@@ -302,8 +311,8 @@ func (l *Log) ResolveChain(rec Record) ([]ChainElem, error) {
 // rebuildChain reconstructs the volatile chain state from the live
 // records after Open: the newest KindDelta record defines the chain. An
 // unresolvable chain leaves the state empty — the log stays usable and
-// the next cut starts a fresh base; recovery surfaces the damage
-// through its own resolution attempt.
+// the next cut starts a fresh base; recovery surfaces the damage when
+// it asks ResolveChain for the resolution left in the record.
 func (l *Log) rebuildChain(recs []Record) {
 	l.chain = l.chain[:0]
 	l.chainSeq = 0
@@ -311,7 +320,8 @@ func (l *Log) rebuildChain(recs []Record) {
 		if recs[i].Kind != KindDelta {
 			continue
 		}
-		links, _, err := l.resolveLinks(recs[i], l.cachedReader())
+		links, bodies, err := l.resolveLinks(recs[i], l.cachedReader())
+		recs[i].chain, recs[i].chainErr = chainElems(links, bodies, err)
 		if err == nil {
 			l.chain = links // caps are 0: post-crash regions are leaked
 			l.chainSeq = recs[i].Seq

@@ -300,8 +300,8 @@ func TestSnapshotWrongTagSurvivesRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Find the region via the record payload and corrupt the tag word.
-	rec, ok := l.readSlot(seq)
-	if !ok || rec.Kind != KindSnapshot {
+	rec, st := l.probeSlot(seq, l.cachedReader())
+	if st != SlotOK || rec.Kind != KindSnapshot {
 		t.Fatal("snapshot record should verify before corruption")
 	}
 	regionAddr := pmem.Addr(pool.Load(0, l.slotAddr(seq)+pmem.Addr(3*pmem.WordSize)))

@@ -350,10 +350,11 @@ const (
 	maxPlausibleOps      = 1 << 16
 )
 
-// Open attaches to an existing log region (after a crash). It scans the
-// slots, validates records, and positions nextSeq after the last valid
-// record. The owning pid of the reopened log may differ from the
-// pre-crash one (crashed processes are replaced by new ones).
+// Open attaches to an existing log region (after a crash). It walks the
+// slots (see Walk), validates records, and positions nextSeq after the
+// last record of the valid prefix. The owning pid of the reopened log
+// may differ from the pre-crash one (crashed processes are replaced by
+// new ones).
 //
 // Everything Open reads — the base pointer handed in (typically from a
 // root slot) and the header geometry — is untrusted: a corrupted image
@@ -363,24 +364,32 @@ const (
 // geometry cannot frame slots or overflow chunks at attacker-chosen
 // addresses.
 func Open(pool *pmem.Pool, pid int, base pmem.Addr) (*Log, error) {
+	l, _, err := OpenWalk(pool, pid, base)
+	return l, err
+}
+
+// OpenWalk is Open that also hands over what its walk read, so that
+// recovery reads each log once. The Log keeps none of it: a chain
+// base's body alone can be megabytes.
+func OpenWalk(pool *pmem.Pool, pid int, base pmem.Addr) (*Log, *Walk, error) {
 	if !pool.Contains(base, hdrWords*pmem.WordSize) {
-		return nil, ErrCorrupt
+		return nil, nil, ErrCorrupt
 	}
 	rd := func(i int) uint64 { return pool.Load(pid, base+pmem.Addr(i*pmem.WordSize)) }
 	if rd(hdrMagic) != logMagic {
-		return nil, ErrCorrupt
+		return nil, nil, ErrCorrupt
 	}
 	var hdr [hdrWords]uint64
 	for i := range hdr {
 		hdr[i] = rd(i)
 	}
 	if hdr[hdrSum] != checksum(hdr[:hdrSum]) {
-		return nil, ErrCorrupt
+		return nil, nil, ErrCorrupt
 	}
 	if hdr[hdrCapacity] > maxPlausibleCapacity || hdr[hdrMaxOps] > maxPlausibleOps ||
 		hdr[hdrInlineOps] > maxPlausibleOps || hdr[hdrSlotW] > maxPlausibleCapacity ||
 		hdr[hdrOvfWords] > maxPlausibleCapacity {
-		return nil, ErrCorrupt
+		return nil, nil, ErrCorrupt
 	}
 	l := &Log{
 		pool: pool, pid: pid, base: base,
@@ -392,10 +401,10 @@ func Open(pool *pmem.Pool, pid int, base pmem.Addr) (*Log, error) {
 		headSeq:   hdr[hdrHeadSeq],
 	}
 	if l.capacity < 1 || l.maxOps < 1 || l.inlineOps < 1 || l.inlineOps > l.maxOps {
-		return nil, ErrCorrupt
+		return nil, nil, ErrCorrupt
 	}
 	if l.slotW != alignLineWords(slotWordsInline(l.maxOps, l.inlineOps)) {
-		return nil, ErrCorrupt
+		return nil, nil, ErrCorrupt
 	}
 	// The ring width is a floor-checked budget, not an exact recompute:
 	// adaptive growth creates logs with rings above the formula's 1/8
@@ -405,25 +414,25 @@ func Open(pool *pmem.Pool, pid int, base pmem.Addr) (*Log, error) {
 	// allocated region.
 	if floor := ovfRegionWords(l.capacity, l.maxOps, l.inlineOps); floor == 0 {
 		if l.ovfWords != 0 {
-			return nil, ErrCorrupt
+			return nil, nil, ErrCorrupt
 		}
 	} else if l.ovfWords < floor || l.ovfWords%pmem.LineWords != 0 {
-		return nil, ErrCorrupt
+		return nil, nil, ErrCorrupt
 	}
 	if !pool.Contains(base, RegionBytesRing(l.capacity, l.maxOps, l.inlineOps, l.ovfWords)) {
-		return nil, ErrCorrupt
+		return nil, nil, ErrCorrupt
 	}
 	l.ovfBase = l.base + pmem.Addr(hdrWords*pmem.WordSize) +
 		pmem.Addr(l.capacity*l.slotW*pmem.WordSize)
-	recs := l.scan()
+	w := l.startWalk(l.cachedReader())
 	l.nextSeq = l.headSeq + 1
-	if n := len(recs); n > 0 {
-		l.nextSeq = recs[n-1].Seq + 1
+	if n := len(w.Live); n > 0 {
+		l.nextSeq = w.Live[n-1].Seq + 1
 	}
 	// Rebuild the volatile overflow-ring state from the live records:
 	// their chunks are in use, and the bump pointer resumes after the
 	// newest one.
-	for _, rec := range recs {
+	for _, rec := range w.Live {
 		if rec.Overflow {
 			l.ovfLive = append(l.ovfLive, ovfRef{seq: rec.Seq, off: rec.ovfOff, words: rec.ovfLen})
 			l.ovfNext = rec.ovfOff + alignLineWords(rec.ovfLen)
@@ -432,8 +441,8 @@ func Open(pool *pmem.Pool, pid int, base pmem.Addr) (*Log, error) {
 	// Rebuild the volatile delta-chain state from the newest live
 	// KindDelta record, so a recovered log continues its chain instead
 	// of forcing a fresh base.
-	l.rebuildChain(recs)
-	return l, nil
+	l.rebuildChain(w.Live)
+	return l, w, nil
 }
 
 // Base returns the log's region address (stored in the pool root table by
@@ -718,6 +727,11 @@ type Record struct {
 
 	ovfOff, ovfLen int       // claimed span, when Overflow
 	bodyAddr       pmem.Addr // chain body address, when KindDelta
+	// chain and chainErr are the record's chain resolution when Open
+	// already made it (the newest live chain record), so ResolveChain
+	// does not read the chain's bodies a second time.
+	chain    []ChainElem
+	chainErr error
 }
 
 // ChainBase reports whether a KindDelta record is a chain base (a full
@@ -815,13 +829,6 @@ func (l *Log) cachedReader() wordReader {
 
 func (l *Log) durableReader() wordReader {
 	return func(a pmem.Addr) uint64 { return l.pool.DurableWord(a) }
-}
-
-// readSlot validates and decodes the record in the slot that seq maps
-// to, through the cache (the production recovery path).
-func (l *Log) readSlot(seq uint64) (Record, bool) {
-	rec, st := l.probeSlot(seq, l.cachedReader())
-	return rec, st == SlotOK
 }
 
 // probeSlot validates and decodes the record in the slot that seq maps
@@ -948,55 +955,83 @@ func (l *Log) probeSlot(seq uint64, rd wordReader) (Record, SlotStatus) {
 	return rec, SlotOK
 }
 
-// scan returns the contiguous run of valid records starting at
-// headSeq+1. A record can only be torn if it was the last append in
-// flight at a crash (appends are sequential and each is fenced before
-// the next), so validity is prefix-closed; scan stops at the first
-// invalid slot.
-func (l *Log) scan() []Record {
-	var out []Record
-	for seq := l.headSeq + 1; ; seq++ {
-		if int(seq-1-l.headSeq) >= l.capacity {
-			break // scanned every slot
-		}
-		rec, ok := l.readSlot(seq)
-		if !ok {
-			break
-		}
-		out = append(out, rec)
-	}
-	return out
-}
-
-// Records returns the live, validated records in sequence order. After a
-// crash (Open), this is what survived; on a live log it reflects all
-// appends so far.
-func (l *Log) Records() []Record { return l.scan() }
-
-// Salvage is the result of a full-slot walk: the longest valid prefix,
-// plus everything provably intact beyond the first damage. Orphan
-// records verified their checksums, so their contents are exactly what
-// was appended — recovery can use their operations to bridge gaps the
-// damage opened (another process may have helped-persisted the missing
-// indices).
-type Salvage struct {
-	// Live is the contiguous valid prefix from headSeq+1 — what the
-	// strict scan returns.
+// Walk is what one walk over a log's slots found, from headSeq+1 on.
+// A record can only be torn if it was the last append in flight at a
+// crash (appends are sequential and each is fenced before the next), so
+// validity is prefix-closed, and the first slot that does not probe OK
+// ends the log. Valid records before that end are the live prefix;
+// valid records beyond it are orphans. Orphans verified their
+// checksums, so their contents are exactly what was appended —
+// recovery can use their operations to bridge gaps the damage opened
+// (another process may have helped-persist the missing indices).
+type Walk struct {
+	// Live is the contiguous valid prefix from headSeq+1.
 	Live []Record
-	// Orphans are valid records found beyond the first non-OK slot.
+	// Orphans are valid records found beyond the end.
 	Orphans []Record
 	// BadSeqs lists the sequence numbers whose slot held a same-seq
 	// record that failed validation (status SlotBad/SlotBadOvf/
 	// SlotBadSnap/SlotBadDelta), in probe order. Stale slots are not
 	// damage.
 	BadSeqs []uint64
-	// FirstBadStatus is the status of the first non-OK, non-final slot
-	// probe (SlotStale when the walk simply ran off the appended end).
-	FirstBadStatus SlotStatus
 	// LastValid is the highest sequence number that probed SlotOK
 	// (headSeq when none did).
 	LastValid uint64
+
+	next  uint64 // the next sequence number to probe
+	ended bool   // a slot before next did not probe OK
 }
+
+// startWalk walks the log from headSeq+1 through rd (see walk).
+func (l *Log) startWalk(rd wordReader) *Walk {
+	w := &Walk{LastValid: l.headSeq, next: l.headSeq + 1}
+	l.walk(w, rd)
+	return w
+}
+
+// walk is the one slot-walk loop: it probes the slots from w.next on,
+// up to the last one. A stale end — a first non-OK slot that holds no
+// record for its sequence number, which is where an undamaged log's
+// appends end — stops it there. A same-seq invalid first slot (a tear
+// or damage) does not: only the slots beyond it tell a benign tear from
+// orphans. Calling walk again after a stale end resumes past it.
+func (l *Log) walk(w *Walk, rd wordReader) {
+	for ; int(w.next-1-l.headSeq) < l.capacity; w.next++ {
+		rec, st := l.probeSlot(w.next, rd)
+		switch {
+		case st == SlotOK:
+			if w.ended {
+				w.Orphans = append(w.Orphans, rec)
+			} else {
+				w.Live = append(w.Live, rec)
+			}
+			w.LastValid = w.next
+		case st == SlotStale && !w.ended:
+			w.ended = true
+			w.next++
+			return
+		default:
+			if st != SlotStale {
+				w.BadSeqs = append(w.BadSeqs, w.next)
+			}
+			w.ended = true
+		}
+	}
+}
+
+// Resume continues a walk Open stopped at a stale end through every
+// slot beyond it, adding what it finds there to w; a walk that already
+// reached the last slot reads nothing more. A destroyed sequence word
+// reads exactly like the end of the log, and only the slots beyond it
+// tell the two apart — at the price of probing the never-written tail
+// one slot at a time, which salvaging recovery pays and strict recovery
+// does not.
+func (l *Log) Resume(w *Walk) { l.walk(w, l.cachedReader()) }
+
+// Records returns the live, validated records in sequence order. After a
+// crash (Open), this is what survived; on a live log it reflects all
+// appends so far.
+func (l *Log) Records() []Record { return l.startWalk(l.cachedReader()).Live }
 
 // BenignTear reports whether the damage picture is indistinguishable
 // from an ordinary crash mid-append: exactly one invalid same-seq
@@ -1004,8 +1039,8 @@ type Salvage struct {
 // valid one, with nothing beyond it. Recovery treats that record as
 // never appended (the paper's torn-record rule); anything else is
 // media damage.
-func (s *Salvage) BenignTear() bool {
-	return len(s.Orphans) == 0 && len(s.BadSeqs) == 1 && s.BadSeqs[0] == s.LastValid+1
+func (w *Walk) BenignTear() bool {
+	return len(w.Orphans) == 0 && len(w.BadSeqs) == 1 && w.BadSeqs[0] == w.LastValid+1
 }
 
 // TailTorn reports whether every invalid record sits beyond the last
@@ -1013,12 +1048,12 @@ func (s *Salvage) BenignTear() bool {
 // records (if any) can only be the log owner's trailing appends. The
 // fault harness uses it to decide whether an oracle mismatch is
 // explainable as absorbed tail loss.
-func (s *Salvage) TailTorn() bool {
-	if len(s.BadSeqs) == 0 || len(s.Orphans) != 0 {
+func (w *Walk) TailTorn() bool {
+	if len(w.BadSeqs) == 0 || len(w.Orphans) != 0 {
 		return false
 	}
-	for _, b := range s.BadSeqs {
-		if b <= s.LastValid {
+	for _, b := range w.BadSeqs {
+		if b <= w.LastValid {
 			return false
 		}
 	}
@@ -1027,41 +1062,8 @@ func (s *Salvage) TailTorn() bool {
 
 // Damaged reports any non-benign invalid slot or orphaned record —
 // evidence a fenced record was corrupted after the fact.
-func (s *Salvage) Damaged() bool {
-	return len(s.Orphans) > 0 || (len(s.BadSeqs) > 0 && !s.BenignTear())
-}
-
-// SalvageScan probes every live slot (headSeq+1 up to capacity) and
-// classifies what it finds, reading through the cache like recovery
-// does. Unlike scan it does not stop at the first invalid slot: valid
-// records beyond the damage are collected as orphans.
-func (l *Log) SalvageScan() Salvage {
-	return l.salvageWalk(l.cachedReader())
-}
-
-func (l *Log) salvageWalk(rd wordReader) Salvage {
-	s := Salvage{LastValid: l.headSeq}
-	sawBad := false
-	for seq := l.headSeq + 1; int(seq-1-l.headSeq) < l.capacity; seq++ {
-		rec, st := l.probeSlot(seq, rd)
-		switch st {
-		case SlotOK:
-			if !sawBad {
-				s.Live = append(s.Live, rec)
-			} else {
-				s.Orphans = append(s.Orphans, rec)
-			}
-			s.LastValid = seq
-			continue
-		case SlotBad, SlotBadOvf, SlotBadSnap, SlotBadDelta:
-			s.BadSeqs = append(s.BadSeqs, seq)
-		}
-		if !sawBad {
-			s.FirstBadStatus = st
-			sawBad = true
-		}
-	}
-	return s
+func (w *Walk) Damaged() bool {
+	return len(w.Orphans) > 0 || (len(w.BadSeqs) > 0 && !w.BenignTear())
 }
 
 // ScrubResult summarizes one scrubber pass over the log's durable
@@ -1072,7 +1074,7 @@ type ScrubResult struct {
 	LiveOK      int      // valid records (prefix + orphans)
 	BadSlots    []uint64 // seqs of invalid same-seq records (latent faults)
 	Orphans     int      // valid records stranded beyond damage
-	// BenignTear mirrors Salvage.BenignTear for the walk: a single
+	// BenignTear mirrors Walk.BenignTear for the walk: a single
 	// invalid record at the append frontier is what an interrupted
 	// append leaves and is not latent corruption.
 	BenignTear bool
@@ -1116,8 +1118,10 @@ func (l *Log) Scrub() ScrubResult {
 		int(hdr[hdrOvfWords]) == l.ovfWords
 	// The durable headSeq may trail the volatile one only if a Truncate
 	// is in flight; on a quiescent log they agree and the walk below
-	// covers exactly the live slots.
-	s := l.salvageWalk(l.durableReader())
+	// covers exactly the live slots, past a stale end too.
+	rd := l.durableReader()
+	s := l.startWalk(rd)
+	l.walk(s, rd)
 	res.LiveOK = len(s.Live) + len(s.Orphans)
 	res.Orphans = len(s.Orphans)
 	res.BadSlots = s.BadSeqs
@@ -1130,7 +1134,7 @@ func (l *Log) Scrub() ScrubResult {
 			if recs[i].Kind != KindDelta {
 				continue
 			}
-			if _, _, err := l.resolveLinks(recs[i], l.durableReader()); err != nil {
+			if _, _, err := l.resolveLinks(recs[i], rd); err != nil {
 				res.ChainBad = true
 			}
 			break // only the newest chain record per group is live

@@ -296,8 +296,8 @@ func TestSnapshotTornBodyInvalidatesRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec2, ok := l.readSlot(seq)
-	if !ok || rec2.Kind != KindSnapshot {
+	rec2, st := l.probeSlot(seq, l.cachedReader())
+	if st != SlotOK || rec2.Kind != KindSnapshot {
 		t.Fatal("snapshot record unreadable")
 	}
 	// Corrupt one durable word of the region it points to.

@@ -35,35 +35,34 @@ func smash(pool *pmem.Pool, l *Log, seq uint64) {
 }
 
 // TestSalvageScanOrphans pins orphan harvesting: a destroyed mid-log
-// record strands the records after it for the strict scan, but the
-// salvage walk recovers them as checksummed orphans.
+// record ends the live prefix, and Open's walk follows it to the last
+// slot, collecting the records after it as checksummed orphans.
 func TestSalvageScanOrphans(t *testing.T) {
 	pool, l := buildLog(t, 16, 8)
 	smash(pool, l, 3)
-	l2, err := Open(pool, 0, l.Base())
+	l2, w, err := OpenWalk(pool, 0, l.Base())
 	if err != nil {
 		t.Fatalf("Open after mid-log damage: %v", err)
 	}
 	if got := len(l2.Records()); got != 2 {
-		t.Fatalf("strict scan salvaged %d records, want prefix of 2", got)
+		t.Fatalf("Records returned %d records, want the prefix of 2", got)
 	}
-	s := l2.SalvageScan()
-	if len(s.Live) != 2 || len(s.Orphans) != 5 {
-		t.Fatalf("salvage live=%d orphans=%d, want 2/5", len(s.Live), len(s.Orphans))
+	if len(w.Live) != 2 || len(w.Orphans) != 5 {
+		t.Fatalf("walk live=%d orphans=%d, want 2/5", len(w.Live), len(w.Orphans))
 	}
-	if len(s.BadSeqs) != 1 || s.BadSeqs[0] != 3 {
-		t.Fatalf("bad seqs %v, want [3]", s.BadSeqs)
+	if len(w.BadSeqs) != 1 || w.BadSeqs[0] != 3 {
+		t.Fatalf("bad seqs %v, want [3]", w.BadSeqs)
 	}
-	if s.FirstBadStatus != SlotBad {
-		t.Fatalf("first bad status %v, want %v", s.FirstBadStatus, SlotBad)
+	if _, st := l2.probeSlot(3, l2.cachedReader()); st != SlotBad {
+		t.Fatalf("slot 3 probes %v, want %v", st, SlotBad)
 	}
-	if s.LastValid != 8 {
-		t.Fatalf("last valid %d, want 8", s.LastValid)
+	if w.LastValid != 8 {
+		t.Fatalf("last valid %d, want 8", w.LastValid)
 	}
-	if !s.Damaged() || s.BenignTear() || s.TailTorn() {
-		t.Fatalf("classification wrong: damaged=%v benign=%v tail=%v", s.Damaged(), s.BenignTear(), s.TailTorn())
+	if !w.Damaged() || w.BenignTear() || w.TailTorn() {
+		t.Fatalf("classification wrong: damaged=%v benign=%v tail=%v", w.Damaged(), w.BenignTear(), w.TailTorn())
 	}
-	for i, rec := range s.Orphans {
+	for i, rec := range w.Orphans {
 		if rec.Seq != uint64(4+i) {
 			t.Fatalf("orphan %d has seq %d", i, rec.Seq)
 		}
@@ -75,16 +74,45 @@ func TestSalvageScanOrphans(t *testing.T) {
 func TestSalvageBenignTear(t *testing.T) {
 	pool, l := buildLog(t, 16, 8)
 	smash(pool, l, 8)
-	l2, err := Open(pool, 0, l.Base())
+	_, w, err := OpenWalk(pool, 0, l.Base())
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := l2.SalvageScan()
-	if len(s.Live) != 7 || len(s.Orphans) != 0 {
-		t.Fatalf("live=%d orphans=%d, want 7/0", len(s.Live), len(s.Orphans))
+	if len(w.Live) != 7 || len(w.Orphans) != 0 {
+		t.Fatalf("live=%d orphans=%d, want 7/0", len(w.Live), len(w.Orphans))
 	}
-	if !s.BenignTear() || !s.TailTorn() || s.Damaged() {
-		t.Fatalf("classification wrong: benign=%v tail=%v damaged=%v", s.BenignTear(), s.TailTorn(), s.Damaged())
+	if !w.BenignTear() || !w.TailTorn() || w.Damaged() {
+		t.Fatalf("classification wrong: benign=%v tail=%v damaged=%v", w.BenignTear(), w.TailTorn(), w.Damaged())
+	}
+}
+
+// TestWalkStopsAtStaleEnd pins the one place the two recovery modes
+// read differently. A destroyed sequence word makes a mid-log slot read
+// like the end of the log: Open's walk stops there without probing the
+// slots beyond it, and Resume reads on to the last slot, where the
+// records after it turn up as orphans. Resuming a walk that already
+// reached the last slot reads nothing.
+func TestWalkStopsAtStaleEnd(t *testing.T) {
+	pool, l := buildLog(t, 16, 8)
+	corrupt(pool, l.slotAddr(3), 0xDEAD)
+	pool.Crash(pmem.DropAll)
+	l2, w, err := OpenWalk(pool, 0, l.Base())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(w.Live) != 2 || len(w.Orphans) != 0 || len(w.BadSeqs) != 0 || w.Damaged() {
+		t.Fatalf("Open's walk: live=%d orphans=%d bad=%v, want the prefix of 2 and nothing else",
+			len(w.Live), len(w.Orphans), w.BadSeqs)
+	}
+	l2.Resume(w)
+	if len(w.Live) != 2 || len(w.Orphans) != 5 || len(w.BadSeqs) != 0 || !w.Damaged() {
+		t.Fatalf("resumed walk: live=%d orphans=%d bad=%v, want 2 live and 5 orphans",
+			len(w.Live), len(w.Orphans), w.BadSeqs)
+	}
+	before := pool.TotalStats().Loads
+	l2.Resume(w)
+	if loads := pool.TotalStats().Loads - before; loads != 0 || len(w.Orphans) != 5 {
+		t.Fatalf("resuming a finished walk read %d words and found %d orphans", loads, len(w.Orphans))
 	}
 }
 
@@ -110,16 +138,15 @@ func TestSalvageTornOverflowClassified(t *testing.T) {
 	ovfBase, _ := l.OverflowRegion()
 	corrupt(pool, ovfBase+pmem.Addr(off*pmem.WordSize), 0xFEEDFACE)
 	pool.Crash(pmem.DropAll)
-	l2, err := Open(pool, 0, l.Base())
+	l2, w, err := OpenWalk(pool, 0, l.Base())
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := l2.SalvageScan()
-	if s.FirstBadStatus != SlotBadOvf {
-		t.Fatalf("first bad status %v, want %v", s.FirstBadStatus, SlotBadOvf)
+	if _, st := l2.probeSlot(2, l2.cachedReader()); st != SlotBadOvf {
+		t.Fatalf("slot 2 probes %v, want %v", st, SlotBadOvf)
 	}
-	if len(s.Live) != 1 || len(s.Orphans) != 1 || len(s.BadSeqs) != 1 {
-		t.Fatalf("live=%d orphans=%d bad=%v", len(s.Live), len(s.Orphans), s.BadSeqs)
+	if len(w.Live) != 1 || len(w.Orphans) != 1 || len(w.BadSeqs) != 1 {
+		t.Fatalf("live=%d orphans=%d bad=%v", len(w.Live), len(w.Orphans), w.BadSeqs)
 	}
 }
 

@@ -38,11 +38,11 @@ type (
 	// Health is an instance's health snapshot (Instance.Health): mode,
 	// quarantine reason, and aggregate salvage counters.
 	Health = core.Health
-	// HealthMode classifies a salvaged instance: healthy, degraded, or
+	// HealthMode classifies a recovered instance: healthy, degraded, or
 	// quarantined.
 	HealthMode = core.HealthMode
-	// SalvageReport details what salvaging recovery found (Report.Salvage,
-	// non-nil when Config.Salvage was set).
+	// SalvageReport details what recovery found (Report.Salvage, set in
+	// both modes).
 	SalvageReport = core.SalvageReport
 	// PidSalvage is one process's salvage outcome.
 	PidSalvage = core.PidSalvage
