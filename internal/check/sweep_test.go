@@ -26,19 +26,18 @@ import (
 // Even iterations shrink the two-tier inline budget to 1 AND enable
 // compaction: every record with a helped operation spills, truncation
 // frees and reuses overflow chunks under the random crash point, and
-// the compactForSpace pressure valve is armed should a burst exhaust
-// the ring (without local views that would be a hard error, per
-// core.Config's docs). Odd iterations run the default inline budget
+// the pressure valve is armed should a burst exhaust the ring (a chain
+// base at the caught-up view). Odd iterations run the default inline budget
 // with compaction, exercising chain records at scale. Every third
 // iteration additionally switches to the wait-free execution trace, so
 // the wait-free ordering + compaction combination (helping across a
 // cut) is crashed and recovered at every process count.
 //
-// The iteration index also picks the shape: odd iterations crash the
-// pipeline (read fast path, base+delta chains of the default length),
-// even ones the reference construction (local views, MaxDeltaChain 1:
-// every cut is a base that cuts the trace), so a default run covers
-// both.
+// The iteration index also picks the chain shape: odd iterations crash
+// the pipeline (base+delta chains of the default length), even ones the
+// reference chain (MaxDeltaChain 1: every cut is a base that cuts the
+// trace), so a default run covers both. Every leg has local views, so
+// every read takes the epoch check.
 //
 // -short trims the sweep to 16 processes (the bounded CI job);
 // ONLL_SWEEP_ITERS overrides the per-configuration iteration count.
@@ -87,7 +86,6 @@ func TestCrashInjectionSweep(t *testing.T) {
 					// behind a live chain and base+delta refolding under
 					// the random crash point.
 					pipeline := i%2 == 1
-					cfg.Core.ReadFastPath = pipeline
 					if !pipeline {
 						cfg.Core.MaxDeltaChain = 1
 					}
@@ -111,10 +109,9 @@ func TestCrashInjectionSweep(t *testing.T) {
 }
 
 // readHeavySweep is the read-heavy crash mix: 15% updates and a tight
-// compaction cadence, even iterations on the pipeline (so epoch-checked
-// reads and delta cuts run under the random crash point) and odd ones
-// on the reference read path with every cut a base — and again in the
-// recovered era, where every replacement handle starts cold and must
+// compaction cadence, so epoch-checked reads run under the random crash
+// point, even iterations with delta chains and odd ones with every cut
+// a base — and again in the recovered era, where every replacement handle starts cold and must
 // catch up to a trace it never walked. Probing a read from EVERY handle
 // after recovery forces that cold-start path.
 func readHeavySweep(t *testing.T, nprocs, iters int) {
@@ -135,7 +132,6 @@ func readHeavySweep(t *testing.T, nprocs, iters int) {
 		cfg.Oracle = pmem.SeededOracle(uint64(cfg.Seed), uint64(rng.Intn(4)), 3)
 		cfg.Core.WaitFree = i%2 == 1
 		pipeline := i%2 == 0
-		cfg.Core.ReadFastPath = pipeline
 		if !pipeline {
 			cfg.Core.MaxDeltaChain = 1
 		}

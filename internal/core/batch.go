@@ -37,7 +37,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
 
 	"repro/internal/spec"
 	"repro/internal/trace"
@@ -65,9 +64,6 @@ type Batch struct {
 	// limit is the most ops Stage admits per flush interval:
 	// log.MaxOps() minus headroom for the helping tail.
 	limit int
-
-	flushes uint64 // completed Flush calls that appended a record
-	staged  uint64 // total ops staged over the batch's lifetime
 }
 
 // NewBatch returns a batch staging area for the handle. One batch per
@@ -94,42 +90,35 @@ func (b *Batch) Pending() int { return len(b.nodes) }
 //
 //onll:hotpath
 func (b *Batch) Stage(code uint64, args ...uint64) (ret, id uint64, err error) {
-	h := b.h
-	if qerr := h.in.quarErr(); qerr != nil {
-		return 0, 0, qerr
-	}
 	if len(b.nodes) >= b.limit {
 		return 0, 0, ErrBatchFull
 	}
-	h.enter()
+	h := b.h
+	node, err := h.order(code, args)
+	if err != nil {
+		return 0, 0, err
+	}
 	defer h.exit()
-	h.seq++
-	op := spec.Op{Code: code, ID: spec.MakeID(h.pid, h.seq)}
-	copy(op.Args[:], args)
-
-	in := h.in
-	node := h.newNode(op)
-	in.tr.Insert(h.pid, node)
-	in.gate.Step(h.pid, PointOrdered)
 
 	// Linearize now, before any persist: under the single-updater
 	// regime this is the buffered-durability window, not the unsound
 	// UnsafeLinearizeFirst ordering — no concurrent updater can fence
 	// an op above our volatile suffix.
-	in.tr.SetAvailable(h.pid, node)
+	h.in.tr.SetAvailable(h.pid, node)
 	ret = h.computeUpdate(node)
 
 	b.nodes = append(b.nodes, node)
-	b.staged++
-	in.gate.Step(h.pid, PointReturn)
-	return ret, op.ID, nil
+	h.in.gate.Step(h.pid, PointReturn)
+	return ret, node.Op.ID, nil
 }
 
 // Flush persists every staged operation — plus any unavailable helping
 // tail below the batch — with one log append and ONE persistent fence,
 // then runs the update path's compaction cadence. A no-op when nothing
-// is staged.
-// On success the previously staged ops are durable.
+// is staged. On success the previously staged ops are durable. The
+// pressure valve's base, should the append need it, covers the staged
+// ops too: they just become durable a little early, which is always
+// sound (the exposed suffix only shrinks).
 func (b *Batch) Flush() error {
 	if len(b.nodes) == 0 {
 		return nil
@@ -140,7 +129,6 @@ func (b *Batch) Flush() error {
 	}
 	h.enter()
 	defer h.exit()
-	in := h.in
 	first, last := b.nodes[0], b.nodes[len(b.nodes)-1]
 
 	// The collection walk descends below the batch into the helping
@@ -150,41 +138,14 @@ func (b *Batch) Flush() error {
 	if fi := first.Idx(); fi < h.floor.Load() {
 		h.floor.Store(fi)
 	}
-	b.ops = collectBatchOps(b.ops[:0], in, h.pid, last, first.Idx())
-
-	if _, err := in.logs[h.pid].Append(b.ops, last.Idx()); err != nil {
-		// Same pressure valve as Update: compact behind the view, catch
-		// up and compact deeper, grow the ring. The valve's snapshot
-		// fences cover the staged ops too — they just become durable a
-		// little early, which is always sound (the exposed suffix only
-		// shrinks).
-		if err = h.persistWithValve(b.ops, last, err); err != nil {
-			return fmt.Errorf("core: batch persist stage: %w", err)
-		}
+	b.ops = collectBatchOps(b.ops[:0], h.in, h.pid, last, first.Idx())
+	if err := h.persist(b.ops, last); err != nil {
+		return err
 	}
-	in.gate.Step(h.pid, PointPersisted)
-
-	var err error
-	if ce := h.cutEvery(); ce > 0 {
-		h.sinceCompact += len(b.nodes)
-		if h.sinceCompact >= ce {
-			h.sinceCompact = 0
-			if cerr := h.compact(last); cerr != nil {
-				err = fmt.Errorf("core: compaction: %w", cerr)
-			}
-		}
-	}
-
+	err := h.cutCadence(last, len(b.nodes))
 	b.nodes = b.nodes[:0]
-	b.flushes++
 	return err
 }
-
-// Flushes returns how many Flush calls appended a record (diagnostic).
-func (b *Batch) Flushes() uint64 { return b.flushes }
-
-// Staged returns the total ops staged over the batch's lifetime.
-func (b *Batch) Staged() uint64 { return b.staged }
 
 // collectBatchOps assembles the flush record: every update node from
 // last down through firstIdx (the whole batch, newest first — the

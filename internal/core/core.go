@@ -84,8 +84,8 @@ var (
 	// object refuses updates and typed reads until Recreate.
 	ErrObjectQuarantined = errors.New("core: object quarantined (salvage found evidence of loss)")
 	// ErrLogPressure: the persist stage could not place a record even
-	// after the full escalation ladder (compaction, view catch-up,
-	// ring growth).
+	// after the pressure valve's one relief (a chain base at the
+	// caught-up view, or ring growth without a view).
 	ErrLogPressure = errors.New("core: log pressure not relieved by compaction or ring growth")
 	// ErrRootOverlap: this instance's root-table range [RootBase,
 	// RootBase+rootLogBase+NProcs) overlaps a range another live
@@ -128,13 +128,10 @@ type Config struct {
 	// the worst-case window, the pre-two-tier layout).
 	//
 	// The ring is sized at 1/8 of the worst case, so a sustained run of
-	// deep fuzzy windows can exhaust it before the slot ring fills.
-	// With LocalViews enabled, Update absorbs that transparently (the
-	// compactForSpace pressure valve); without them there is no state
-	// to snapshot from and Update fails with plog.ErrOvfFull, a failure
-	// the single-tier layout only hit at full slot capacity — workloads
-	// that stall processes deeply and cannot enable local views should
-	// keep the logs single-tier.
+	// deep fuzzy windows can exhaust it before the slot ring fills. The
+	// persist stage absorbs that (the pressure valve, valve.go): a
+	// handle with a local view lays a chain base at its view, which
+	// frees the ring, and a handle without one grows its ring.
 	LogInlineOps int
 	// LogMaxOps raises the per-record op bound of each per-process log
 	// above the default (NProcs, the deepest fuzzy window a single
@@ -154,22 +151,16 @@ type Config struct {
 	WaitFree bool
 	// LocalViews gives each handle a cached state so reads replay only
 	// the lag since the handle last looked (Section 8). Compaction
-	// requires local views.
+	// requires local views. A read on a handle with a view takes the
+	// epoch check first (DESIGN.md §3.5): every linearize stage bumps
+	// the trace's publication epoch, and a read whose handle has already
+	// observed the current epoch is served straight from the view,
+	// without touching the trace; any other read walks the lag. Reads
+	// stay fence-free and allocation-free either way.
 	LocalViews bool
-	// ReadFastPath enables the version-stamped read fast path on top of
-	// local views (implied; setting it turns LocalViews on): every
-	// linearize stage bumps the trace's publication epoch, and a read
-	// whose handle has already observed the current epoch is served
-	// straight from the local view, without touching the trace at all —
-	// on read-heavy mixes the per-read trace walk disappears whenever no
-	// update has landed in between. Any other read walks the lag since
-	// the handle last looked (Section 8).
-	//
-	// Reads stay fence-free and allocation-free; pfences/op is
-	// unchanged (updates 1, reads 0). The flat-combining and eager
-	// baselines (internal/baselines) deliberately do not implement an
-	// equivalent, so E6/E7 keep comparing against the unassisted
-	// designs the paper describes.
+	// ReadFastPath only implies LocalViews, which carry the epoch check
+	// themselves. It stays only until the benchmark PR drops it from
+	// bench/config.go.
 	ReadFastPath bool
 	// CompactEvery, if positive, makes each handle cut every
 	// CompactEvery updates (Section 8 memory reclamation; DESIGN.md
@@ -413,7 +404,7 @@ type Handle struct {
 	viewIdx  uint64
 	viewSeqs []uint64
 
-	// Read fast path (Config.ReadFastPath). seenEpoch is the trace
+	// Read fast path (the epoch check). seenEpoch is the trace
 	// publication epoch loaded BEFORE the walk that last caught the
 	// view up: while Epoch() still equals it, no operation has been
 	// published since, so the view is the latest available prefix and
@@ -426,9 +417,7 @@ type Handle struct {
 	// operation at a time, enforced by busy), keeping steady-state
 	// replay allocation-free: fuzzyBuf caps out at the fuzzy-window
 	// bound (Proposition 5.2), nodeBuf at the read lag. deltaOps and
-	// deltaBuf are the delta-cut scratch (deltacompact.go) — separate
-	// from fuzzyBuf, which still holds the in-flight window when the
-	// pressure valve cuts a delta mid-persist.
+	// deltaBuf are the delta-cut scratch (deltacompact.go).
 	fuzzyBuf []spec.Op
 	nodeBuf  []*trace.Node
 	deltaOps []spec.Op
@@ -460,10 +449,6 @@ type Handle struct {
 	bases *baseBufs
 
 	sinceCompact int
-	// spillsAtGrow snapshots the log's spill counter at the last ring
-	// growth; the delta is the observed spill rate that lets the valve
-	// escalate straight to growth under sustained pressure (valve.go).
-	spillsAtGrow int
 	busy         atomic.Bool // guards against misuse (two ops at once)
 
 	// Every operation writes its own handle (busy, floor, seq, viewIdx),
@@ -472,7 +457,7 @@ type Handle struct {
 	// line-multiple size lands in a line-multiple allocator size class,
 	// so each starts on a line of its own (TestHandlesShareNoCacheLine,
 	// DESIGN.md §3.9).
-	_ [6]uint64
+	_ [7]uint64
 }
 
 // maxFreeNodes caps a handle's deferred-promotion backlog, and its
@@ -509,6 +494,67 @@ func (h *Handle) exit() {
 	h.busy.Store(false)
 }
 
+// order runs the order stage for (code, args): the quarantine check,
+// enter, the op's id, a pooled node, and its insert into the trace,
+// which fixes the operation's linearization order. The CAS inside the
+// insert is a concurrency fence but no NVM write-back is pending, so it
+// is not a persistent fence (paper footnote 2). On success the handle
+// is entered and the caller must exit it.
+//
+//onll:hotpath
+func (h *Handle) order(code uint64, args []uint64) (*trace.Node, error) {
+	in := h.in
+	if qerr := in.quarErr(); qerr != nil {
+		return nil, qerr
+	}
+	h.enter()
+	h.seq++
+	op := spec.Op{Code: code, ID: spec.MakeID(h.pid, h.seq)}
+	copy(op.Args[:], args)
+	node := h.newNode(op)
+	in.tr.Insert(h.pid, node)
+	in.gate.Step(h.pid, PointOrdered)
+	return node, nil
+}
+
+// persist runs the persist stage: one log append of ops, the record
+// whose newest operation is node's, with ONE persistent fence. Append
+// copies the ops into NVM and retains nothing, so ops may be scratch.
+// The record is assembled against the log's inline budget transparently
+// (a window deeper than Config.LogInlineOps spills to the overflow ring
+// inside the same single-fence append), and an append the ring refuses
+// takes the pressure valve (valve.go).
+//
+//onll:hotpath
+func (h *Handle) persist(ops []spec.Op, node *trace.Node) error {
+	in := h.in
+	if _, err := in.logs[h.pid].Append(ops, node.Idx()); err != nil {
+		if err = h.persistWithValve(ops, node, err); err != nil {
+			return fmt.Errorf("core: persist stage: %w", err)
+		}
+	}
+	in.gate.Step(h.pid, PointPersisted)
+	return nil
+}
+
+// cutCadence counts n persisted updates toward the handle's compaction
+// cadence and, when a cut is due, cuts at node (the newest of them).
+func (h *Handle) cutCadence(node *trace.Node, n int) error {
+	ce := h.cutEvery()
+	if ce == 0 {
+		return nil
+	}
+	h.sinceCompact += n
+	if h.sinceCompact < ce {
+		return nil
+	}
+	h.sinceCompact = 0
+	if err := h.compact(node); err != nil {
+		return fmt.Errorf("core: compaction: %w", err)
+	}
+	return nil
+}
+
 // Update executes the update operation (code, args) through the
 // order/persist/linearize pipeline (paper Listing 3). It returns the
 // operation's return value and its unique id (usable with
@@ -518,35 +564,21 @@ func (h *Handle) exit() {
 //
 //onll:hotpath
 func (h *Handle) Update(code uint64, args ...uint64) (ret, id uint64, err error) {
-	if qerr := h.in.quarErr(); qerr != nil {
-		return 0, 0, qerr
+	node, err := h.order(code, args)
+	if err != nil {
+		return 0, 0, err
 	}
-	h.enter()
 	defer h.exit()
-	h.seq++
-	op := spec.Op{Code: code, ID: spec.MakeID(h.pid, h.seq)}
-	copy(op.Args[:], args)
-
+	id = node.Op.ID
 	in := h.in
-	// Order: fix the linearization order by appending to the trace.
-	// The CAS inside is a concurrency fence but no NVM write-back is
-	// pending, so it is not a persistent fence (paper footnote 2).
-	node := h.newNode(op)
-	in.tr.Insert(h.pid, node)
-	in.gate.Step(h.pid, PointOrdered)
 
-	// Persist: this operation plus the fuzzy window before it (helping
-	// delayed processes), one log append, ONE persistent fence. The
-	// scratch buffer is safe to reuse: Append copies the ops into NVM
-	// and retains nothing. The record is assembled against the log's
-	// inline budget transparently — a window deeper than
-	// Config.LogInlineOps spills to the log's overflow ring inside the
-	// same single-fence append.
+	// Persist this operation plus the fuzzy window before it (helping
+	// delayed processes).
 	h.fuzzyBuf = trace.GetFuzzyOpsInto(h.fuzzyBuf, in.gate, h.pid, node)
 	fuzzy := h.fuzzyBuf
 	if in.cfg.UnsafeNoHelping {
 		// ABLATION (E13): persist only our own operation.
-		fuzzy = []spec.Op{op} //onll:allocok(E13 ablation branch only; the production path reuses fuzzyBuf)
+		fuzzy = []spec.Op{node.Op} //onll:allocok(E13 ablation branch only; the production path reuses fuzzyBuf)
 	}
 	if in.cfg.UnsafeLinearizeFirst {
 		// ABLATION (E13): linearize before persisting — the ordering
@@ -554,17 +586,9 @@ func (h *Handle) Update(code uint64, args ...uint64) (ret, id uint64, err error)
 		// before it is durable.
 		in.tr.SetAvailable(h.pid, node)
 	}
-	if _, err = in.logs[h.pid].Append(fuzzy, node.Idx()); err != nil {
-		// The overflow ring is sized at a fraction of the worst case, so
-		// a burst of deep fuzzy windows can exhaust it long before the
-		// slot ring fills. persistWithValve escalates: compact behind
-		// the view, catch the view up and compact deeper, grow the ring
-		// — and only then fails with a typed ErrLogPressure (valve.go).
-		if err = h.persistWithValve(fuzzy, node, err); err != nil {
-			return 0, op.ID, fmt.Errorf("core: persist stage: %w", err)
-		}
+	if err = h.persist(fuzzy, node); err != nil {
+		return 0, id, err
 	}
-	in.gate.Step(h.pid, PointPersisted)
 
 	// Linearize: make the operation visible to readers.
 	if !in.cfg.UnsafeLinearizeFirst {
@@ -581,30 +605,21 @@ func (h *Handle) Update(code uint64, args ...uint64) (ret, id uint64, err error)
 	// Read's epoch is safe precisely because its walk reaches the latest
 	// available node from the tail, not a fixed one.
 	ret = h.computeUpdate(node)
-
-	if ce := h.cutEvery(); ce > 0 {
-		h.sinceCompact++
-		if h.sinceCompact >= ce {
-			h.sinceCompact = 0
-			if cerr := h.compact(node); cerr != nil {
-				err = fmt.Errorf("core: compaction: %w", cerr)
-			}
-		}
-	}
+	err = h.cutCadence(node, 1)
 	in.gate.Step(h.pid, PointReturn)
-	return ret, op.ID, err
+	return ret, id, err
 }
 
 // Read executes the read-only operation (code, args) (paper Listing 4).
 // It issues no persistent fence and writes nothing shared beyond the
 // handle's own reclamation floor.
 //
-// With Config.ReadFastPath a read takes one of two routes: an epoch hit
-// answers from the local view, anything else walks. The epoch check
-// happens before the walk floor is published: the fast route
-// dereferences no trace node, so it needs no reclamation cover, and a
-// fast read costs one epoch load plus the view read. The floor store is
-// deferred to the walk.
+// A handle with a local view takes one of two routes: an epoch hit
+// answers from the view, anything else walks. The epoch check happens
+// before the walk floor is published: the fast route dereferences no
+// trace node, so it needs no reclamation cover, and a fast read costs
+// one epoch load plus the view read. The floor store is deferred to the
+// walk. A handle without a view always walks and replays (Section 3).
 //
 //onll:hotpath
 func (h *Handle) Read(code uint64, args ...uint64) uint64 {
@@ -621,9 +636,8 @@ func (h *Handle) Read(code uint64, args ...uint64) uint64 {
 	op := spec.Op{Code: code}
 	copy(op.Args[:], args)
 	in := h.in
-	fast := in.cfg.ReadFastPath && h.view != nil
 	var epoch uint64
-	if fast {
+	if h.view != nil {
 		// Load the epoch BEFORE the tail read below: any operation
 		// whose publication the loaded value covers already has its
 		// available flag set, so the walk is guaranteed to reach a node
@@ -642,9 +656,7 @@ func (h *Handle) Read(code uint64, args ...uint64) uint64 {
 	defer h.floor.Store(^uint64(0))
 	node := trace.LatestAvailableFrom(in.gate, h.pid, in.tr.Tail(h.pid))
 	ret := h.computeRead(node, op)
-	if fast {
-		h.seenEpoch = epoch
-	}
+	h.seenEpoch = epoch
 	in.gate.Step(h.pid, PointReturn)
 	return ret
 }
@@ -657,20 +669,9 @@ func (h *Handle) computeUpdate(node *trace.Node) uint64 {
 	if h.view != nil && h.viewIdx < node.Idx() {
 		return h.advanceView(node)
 	}
-	// Fresh replay (no local views, or — defensively — a view that has
-	// somehow moved past node).
-	st := h.in.sp.New()
-	nodes, base := trace.CollectBackInto(h.nodeBuf, node, 0)
-	h.nodeBuf = nodes
-	if base != nil {
-		if err := st.Restore(base.Snap); err != nil {
-			panic(fmt.Sprintf("core: corrupt base snapshot: %v", err))
-		}
-	}
-	ret := spec.RetOK
-	for _, n := range nodes {
-		ret = st.Apply(n.Op)
-	}
+	// No local view, or (defensively) a view that has somehow moved
+	// past node.
+	_, ret := h.replay(node)
 	return ret
 }
 
@@ -688,6 +689,17 @@ func (h *Handle) computeRead(node *trace.Node, op spec.Op) uint64 {
 		// linearizes after them).
 		return h.view.Read(op)
 	}
+	st, _ := h.replay(node)
+	return st.Read(op)
+}
+
+// replay is the plain Section 3 computation: a fresh state holding the
+// prefix ending at node, rebuilt from the nearest base (or INITIALIZE),
+// and the value of the last operation applied (node's own, for an
+// update node).
+//
+//onll:hotpath
+func (h *Handle) replay(node *trace.Node) (spec.State, uint64) {
 	st := h.in.sp.New()
 	nodes, base := trace.CollectBackInto(h.nodeBuf, node, 0)
 	h.nodeBuf = nodes
@@ -696,10 +708,11 @@ func (h *Handle) computeRead(node *trace.Node, op spec.Op) uint64 {
 			panic(fmt.Sprintf("core: corrupt base snapshot: %v", err))
 		}
 	}
+	ret := spec.RetOK
 	for _, n := range nodes {
-		st.Apply(n.Op)
+		ret = st.Apply(n.Op)
 	}
-	return st.Read(op)
+	return st, ret
 }
 
 // advanceView applies the operations between the view and node to the
@@ -929,30 +942,6 @@ func (h *Handle) compact(node *trace.Node) error {
 	h.bases.idx[slot] = s
 	h.reclaim(old)
 	return nil
-}
-
-// compactForSpace is the overflow-ring pressure valve, called from the
-// persist stage when plog reports ErrOvfFull: it lays a chain base of
-// the local view where it stands and truncates the log behind it,
-// freeing overflow chunks so the in-flight append can retry. Every
-// operation at or below the view index is already durable, so this is
-// exactly compact's log half; it does NOT cut the trace. Two extra
-// persistent fences, only on the exhaustion path. A view still at the
-// chain head has nothing new to cover: the error sends the valve
-// ladder to its catch-up rung.
-func (h *Handle) compactForSpace() error {
-	if h.view == nil {
-		return errors.New("core: overflow ring full and no local view to compact from")
-	}
-	log := h.in.logs[h.pid]
-	if h.viewIdx == 0 || log.Len() == 0 {
-		return errors.New("core: overflow ring full with nothing to compact")
-	}
-	if log.ChainLen() > 0 && h.viewIdx == log.ChainHead() && log.Len() <= 1 {
-		return fmt.Errorf("core: view at %d already covered by the chain head", h.viewIdx)
-	}
-	_, _, err := h.chainBaseAndTruncate(h.viewIdx)
-	return err
 }
 
 // ---------------------------------------------------------------------

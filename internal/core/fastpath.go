@@ -1,11 +1,11 @@
 package core
 
-// The read fast path (Config.ReadFastPath, DESIGN.md §3.5) is the epoch
-// check in Read (core.go): the trace bumps a publication epoch on every
-// linearize stage, and a read whose handle has already validated its
-// view against the current epoch skips the trace walk entirely. A
-// handle that misses catches up by walking (advanceView); nothing is
-// shared between handles' views.
+// The read fast path (DESIGN.md §3.5) is the epoch check every read on
+// a handle with a local view takes in Read: the trace bumps a
+// publication epoch on every linearize stage, and a read whose handle
+// has already validated its view against the current epoch skips the
+// trace walk entirely. A handle that misses catches up by walking
+// (advanceView); nothing is shared between handles' views.
 
 // epochNever marks a handle whose view has not been validated against
 // any trace epoch (fresh or freshly recovered); the first read always

@@ -73,9 +73,11 @@ func TestReadFastPathSkipsWalk(t *testing.T) {
 }
 
 // TestReadFastPathEquivalence replays identical single-process op
-// streams against a fast-path-on and a fast-path-off instance for every
-// shipped object: every return value must match — the fast path is an
-// optimization, never a semantic.
+// streams against the pipeline (local views, so epoch-checked reads,
+// and compaction) and against the plain Section 3 construction (no
+// views: every read walks and replays from INITIALIZE) for every
+// shipped object: every return value must match — the epoch check is
+// an optimization, never a semantic.
 func TestReadFastPathEquivalence(t *testing.T) {
 	for _, sp := range objects.All() {
 		sp := sp
@@ -83,12 +85,13 @@ func TestReadFastPathEquivalence(t *testing.T) {
 			gen := workload.NewGenerator(sp)
 			steps := gen.Stream(77, 400, 50)
 			var rets [2][]uint64
-			for leg, fast := range map[int]bool{0: false, 1: true} {
+			legs := [2]Config{
+				{NProcs: 1, LogCapacity: 2048},
+				{NProcs: 1, LocalViews: true, CompactEvery: 16, LogCapacity: 2048},
+			}
+			for leg, cfg := range legs {
 				pool := pmem.New(1<<24, nil)
-				in, err := New(pool, sp, Config{
-					NProcs: 1, LocalViews: true, ReadFastPath: fast,
-					CompactEvery: 16, LogCapacity: 2048,
-				})
+				in, err := New(pool, sp, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -107,7 +110,7 @@ func TestReadFastPathEquivalence(t *testing.T) {
 			}
 			for i := range rets[0] {
 				if rets[0][i] != rets[1][i] {
-					t.Fatalf("step %d: fast-path-off returned %d, on returned %d", i, rets[0][i], rets[1][i])
+					t.Fatalf("step %d: plain construction returned %d, pipeline returned %d", i, rets[0][i], rets[1][i])
 				}
 			}
 		})

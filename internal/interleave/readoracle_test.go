@@ -17,8 +17,10 @@ import (
 // TestDurableReadOracle is the model-checked oracle for the read path:
 // under fully deterministic, seeded interleavings (every shared-memory
 // step individually granted by the controller), it asserts the two
-// properties the version-stamped fast path must preserve on every
-// handle, with the fast path both off and on, over both trace variants:
+// properties every read must preserve on every handle, over both trace
+// variants, on the pipeline (fast=true: local views, so epoch-checked
+// reads, and compaction) and on the plain Section 3 construction
+// (fast=false: no views, every read walks and replays):
 //
 //   - per-handle view monotonicity: a read never observes an older view
 //     than any previous operation on the same handle — on the counter,
@@ -27,9 +29,9 @@ import (
 //   - read-your-writes: a read after the handle's own update returns at
 //     least that update's return value (the update is in the view).
 //
-// Compaction is on so epoch checks, catch-up walks and base restores
-// all interleave with the scheduler's preemptions; the final
-// read cross-checks that no increment was lost. ONLL_ORACLE_SEEDS
+// On the pipeline, compaction is on so epoch checks, catch-up walks and
+// base restores all interleave with the scheduler's preemptions; the
+// final read cross-checks that no increment was lost. ONLL_ORACLE_SEEDS
 // overrides the seed count (CI bounds it; -short trims it).
 func TestDurableReadOracle(t *testing.T) {
 	seeds := 10
@@ -60,10 +62,11 @@ func runReadOracle(t *testing.T, fast, wf bool, seed int64) {
 	const perProc = 14
 	ctl := sched.NewController()
 	pool := pmem.New(1<<22, ctl)
-	in, err := core.New(pool, objects.CounterSpec{}, core.Config{
-		NProcs: nprocs, Gate: ctl, LocalViews: true, ReadFastPath: fast,
-		WaitFree: wf, CompactEvery: 5, LogCapacity: 256,
-	})
+	cfg := core.Config{NProcs: nprocs, Gate: ctl, WaitFree: wf, LogCapacity: 256}
+	if fast {
+		cfg.LocalViews, cfg.CompactEvery = true, 5
+	}
+	in, err := core.New(pool, objects.CounterSpec{}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,18 +10,22 @@ package server
 //	response: tag u32 | status u8 | ret u64 | id u64
 //
 // kind selects the operation and, for updates, the ack mode; status is
-// 0 for success, 1 for a server-side error (quarantined instance,
-// shutdown race). Reads carry id 0 — they have no durability to
-// detect, which is the paper's 0-fences-per-read guarantee surfacing
-// in the protocol.
+// 0 for success, 2 for a quarantined instance (the client reports
+// core.ErrObjectQuarantined) and 1 for any other server-side error
+// (shutdown race, unknown kind; the client reports ErrServerClosed).
+// Reads carry id 0 — they have no durability to detect, which is the
+// paper's 0-fences-per-read guarantee surfacing in the protocol.
 
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"net"
 	"sync"
+
+	"repro/internal/core"
 )
 
 // Request kinds.
@@ -37,6 +41,35 @@ const (
 )
 
 const maxArgs = 3
+
+// Response status bytes.
+const (
+	statusOK          = 0
+	statusFailed      = 1
+	statusQuarantined = 2
+)
+
+// statusOf maps a request's outcome to its response status byte.
+func statusOf(err error) byte {
+	switch {
+	case err == nil:
+		return statusOK
+	case errors.Is(err, core.ErrObjectQuarantined):
+		return statusQuarantined
+	}
+	return statusFailed
+}
+
+// errOf is statusOf's inverse on the client side.
+func errOf(status byte) error {
+	switch status {
+	case statusOK:
+		return nil
+	case statusQuarantined:
+		return core.ErrObjectQuarantined
+	}
+	return ErrServerClosed
+}
 
 func writeRequest(w io.Writer, tag uint32, kind byte, code uint64, args []uint64) error {
 	if len(args) > maxArgs {
@@ -148,9 +181,7 @@ func (c *Client) readLoop() {
 		resp := Resp{
 			Ret: binary.LittleEndian.Uint64(buf[5:]),
 			ID:  binary.LittleEndian.Uint64(buf[13:]),
-		}
-		if buf[4] != 0 {
-			resp.Err = ErrServerClosed
+			Err: errOf(buf[4]),
 		}
 		c.mu.Lock()
 		ch := c.tags[tag]

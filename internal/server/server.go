@@ -170,11 +170,7 @@ func (s *Server) handleConn(conn net.Conn) {
 		defer close(writerDone)
 		bw := bufio.NewWriter(conn)
 		for r := range respCh {
-			status := byte(0)
-			if r.Err != nil {
-				status = 1
-			}
-			werr := writeResponse(bw, r.Tag, status, r.Ret, r.ID)
+			werr := writeResponse(bw, r.Tag, statusOf(r.Err), r.Ret, r.ID)
 			// Flush when the queue is momentarily empty: batches of
 			// responses coalesce into one syscall, a lone response
 			// leaves immediately.
@@ -224,7 +220,9 @@ func (s *Server) handleConn(conn net.Conn) {
 // serveRead answers one read request on the connection's read slot,
 // bypassing the batcher entirely: 0 persistent fences, served on the
 // slot's handle. Reads observe staged-but-unflushed updates —
-// linearization, not durability, orders reads. The readpath annotation
+// linearization, not durability, orders reads. A quarantined instance
+// answers with its typed error (TryRead), never a panic that would take
+// the whole server down. The readpath annotation
 // makes the fencepath analyzer prove the 0-pfence claim transitively
 // (nothing reachable from here may touch a pmem store or fence), and
 // hotpath keeps the serve loop allocation- and clock-free.
@@ -233,7 +231,7 @@ func (s *Server) handleConn(conn net.Conn) {
 //onll:hotpath
 func (s *Server) serveRead(slot *readSlot, r *Request) {
 	slot.mu.Lock() //onll:lockok(per-connection read-handle guard: models more clients than pids, never held across I/O)
-	r.Ret = slot.h.Read(r.Code, r.args()...)
+	r.Ret, r.Err = slot.h.TryRead(r.Code, r.args()...)
 	slot.mu.Unlock()
 	s.rops.Add(1)
 }

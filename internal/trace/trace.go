@@ -7,7 +7,7 @@
 // fuzzy window (Figure 2): the fuzzy window spans from the latest node
 // down to (but not including) the latest node whose available flag is
 // set. Proposition 5.2 guarantees the fuzzy window never exceeds
-// MAX_PROCESSES nodes, which makes GetFuzzyOps and LatestAvailable
+// MAX_PROCESSES nodes, which makes GetFuzzyOps and LatestAvailableFrom
 // wait-free.
 //
 // The trace is deliberately volatile: it lives in ordinary Go memory, is
@@ -188,6 +188,7 @@ func GetFuzzyOps(gate sched.Gate, pid int, n *Node) []spec.Op {
 // GetFuzzyOpsInto is GetFuzzyOps appending into buf[:0], so a caller
 // replaying in a loop can reuse one scratch buffer and stay
 // allocation-free once the buffer has grown to the fuzzy-window bound.
+//
 //onll:hotpath
 func GetFuzzyOpsInto(buf []spec.Op, gate sched.Gate, pid int, n *Node) []spec.Op {
 	ops := buf[:0]
@@ -207,6 +208,7 @@ func GetFuzzyOpsInto(buf []spec.Op, gate sched.Gate, pid int, n *Node) []spec.Op
 // the paper notes, the result is the latest OBSERVED available node,
 // which may momentarily not be the true latest; ONLL is correct despite
 // this (Proposition 5.9).
+//
 //onll:hotpath
 func LatestAvailableFrom(gate sched.Gate, pid int, n *Node) *Node {
 	cur := n
@@ -256,6 +258,7 @@ func NewLockFreeAt(gate sched.Gate, base *Node) *LockFree {
 // Insert implements Interface (Listing 2 insert). The CAS on the tail is
 // a concurrency fence but involves no NVM write-back, so it does not
 // count as a persistent fence (paper footnote 2).
+//
 //onll:hotpath
 func (t *LockFree) Insert(pid int, node *Node) {
 	node.available.Store(false)
@@ -272,6 +275,7 @@ func (t *LockFree) Insert(pid int, node *Node) {
 }
 
 // Tail implements Interface.
+//
 //onll:hotpath
 func (t *LockFree) Tail(pid int) *Node {
 	t.gate.Step(pid, "trace.read-tail")
@@ -281,6 +285,7 @@ func (t *LockFree) Tail(pid int) *Node {
 // SetAvailable implements Interface. The epoch bump is ordered after the
 // available store: a reader whose Epoch load covers the bump is
 // guaranteed to find node available on a subsequent walk.
+//
 //onll:hotpath
 func (t *LockFree) SetAvailable(pid int, node *Node) {
 	t.gate.Step(pid, "trace.set-available")
@@ -289,6 +294,7 @@ func (t *LockFree) SetAvailable(pid int, node *Node) {
 }
 
 // Epoch implements Interface.
+//
 //onll:hotpath
 func (t *LockFree) Epoch(pid int) uint64 {
 	t.gate.Step(pid, "trace.epoch")
@@ -297,12 +303,6 @@ func (t *LockFree) Epoch(pid int) uint64 {
 
 // Sentinel implements Interface.
 func (t *LockFree) Sentinel() *Node { return t.sentinel }
-
-// LatestAvailable returns the latest observed available node starting
-// from the current tail (Listing 2 latestAvailable).
-func (t *LockFree) LatestAvailable(pid int) *Node {
-	return LatestAvailableFrom(t.gate, pid, t.Tail(pid))
-}
 
 // ---------------------------------------------------------------------
 // WaitFree — Section 8 extension.
@@ -454,11 +454,6 @@ func (t *WaitFree) Epoch(pid int) uint64 {
 // Sentinel implements Interface.
 func (t *WaitFree) Sentinel() *Node { return t.sentinel }
 
-// LatestAvailable returns the latest observed available node.
-func (t *WaitFree) LatestAvailable(pid int) *Node {
-	return LatestAvailableFrom(t.gate, pid, t.Tail(pid))
-}
-
 // ---------------------------------------------------------------------
 // Shared traversal helpers.
 // ---------------------------------------------------------------------
@@ -479,6 +474,7 @@ func CollectBack(n *Node, downTo uint64) (nodes []*Node, base *Node) {
 // base's snapshot (they have the smallest indices, so they sit at the
 // end), and reverses in place — one buffer, no second slice, and zero
 // allocations once the caller's scratch buffer has grown to the lag.
+//
 //onll:hotpath
 func CollectBackInto(buf []*Node, n *Node, downTo uint64) (nodes []*Node, base *Node) {
 	out := buf[:0]
