@@ -39,7 +39,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync/atomic"
 
 	"repro/internal/plog"
@@ -460,12 +459,6 @@ type Handle struct {
 	_ [7]uint64
 }
 
-// maxFreeNodes caps a handle's deferred-promotion backlog, and its
-// freelist unless the trace window is wider (freeCap); beyond the caps,
-// retired nodes are dropped to the garbage collector (pooling is an
-// optimization, not a leak trade).
-const maxFreeNodes = 1 << 12
-
 // PID returns the handle's process id.
 func (h *Handle) PID() int { return h.pid }
 
@@ -492,717 +485,4 @@ func (h *Handle) enter() {
 func (h *Handle) exit() {
 	h.floor.Store(^uint64(0))
 	h.busy.Store(false)
-}
-
-// order runs the order stage for (code, args): the quarantine check,
-// enter, the op's id, a pooled node, and its insert into the trace,
-// which fixes the operation's linearization order. The CAS inside the
-// insert is a concurrency fence but no NVM write-back is pending, so it
-// is not a persistent fence (paper footnote 2). On success the handle
-// is entered and the caller must exit it.
-//
-//onll:hotpath
-func (h *Handle) order(code uint64, args []uint64) (*trace.Node, error) {
-	in := h.in
-	if qerr := in.quarErr(); qerr != nil {
-		return nil, qerr
-	}
-	h.enter()
-	h.seq++
-	op := spec.Op{Code: code, ID: spec.MakeID(h.pid, h.seq)}
-	copy(op.Args[:], args)
-	node := h.newNode(op)
-	in.tr.Insert(h.pid, node)
-	in.gate.Step(h.pid, PointOrdered)
-	return node, nil
-}
-
-// persist runs the persist stage: one log append of ops, the record
-// whose newest operation is node's, with ONE persistent fence. Append
-// copies the ops into NVM and retains nothing, so ops may be scratch.
-// The record is assembled against the log's inline budget transparently
-// (a window deeper than Config.LogInlineOps spills to the overflow ring
-// inside the same single-fence append), and an append the ring refuses
-// takes the pressure valve (valve.go).
-//
-//onll:hotpath
-func (h *Handle) persist(ops []spec.Op, node *trace.Node) error {
-	in := h.in
-	if _, err := in.logs[h.pid].Append(ops, node.Idx()); err != nil {
-		if err = h.persistWithValve(ops, node, err); err != nil {
-			return fmt.Errorf("core: persist stage: %w", err)
-		}
-	}
-	in.gate.Step(h.pid, PointPersisted)
-	return nil
-}
-
-// cutCadence counts n persisted updates toward the handle's compaction
-// cadence and, when a cut is due, cuts at node (the newest of them).
-func (h *Handle) cutCadence(node *trace.Node, n int) error {
-	ce := h.cutEvery()
-	if ce == 0 {
-		return nil
-	}
-	h.sinceCompact += n
-	if h.sinceCompact < ce {
-		return nil
-	}
-	h.sinceCompact = 0
-	if err := h.compact(node); err != nil {
-		return fmt.Errorf("core: compaction: %w", err)
-	}
-	return nil
-}
-
-// Update executes the update operation (code, args) through the
-// order/persist/linearize pipeline (paper Listing 3). It returns the
-// operation's return value and its unique id (usable with
-// Report.WasLinearized after a crash). The call issues exactly one
-// persistent fence (plus, every CompactEvery updates, the compaction
-// snapshot's fence).
-//
-//onll:hotpath
-func (h *Handle) Update(code uint64, args ...uint64) (ret, id uint64, err error) {
-	node, err := h.order(code, args)
-	if err != nil {
-		return 0, 0, err
-	}
-	defer h.exit()
-	id = node.Op.ID
-	in := h.in
-
-	// Persist this operation plus the fuzzy window before it (helping
-	// delayed processes).
-	h.fuzzyBuf = trace.GetFuzzyOpsInto(h.fuzzyBuf, in.gate, h.pid, node)
-	fuzzy := h.fuzzyBuf
-	if in.cfg.UnsafeNoHelping {
-		// ABLATION (E13): persist only our own operation.
-		fuzzy = []spec.Op{node.Op} //onll:allocok(E13 ablation branch only; the production path reuses fuzzyBuf)
-	}
-	if in.cfg.UnsafeLinearizeFirst {
-		// ABLATION (E13): linearize before persisting — the ordering
-		// Section 3.1 proves unsound. Readers can now expose this op
-		// before it is durable.
-		in.tr.SetAvailable(h.pid, node)
-	}
-	if err = h.persist(fuzzy, node); err != nil {
-		return 0, id, err
-	}
-
-	// Linearize: make the operation visible to readers.
-	if !in.cfg.UnsafeLinearizeFirst {
-		in.tr.SetAvailable(h.pid, node)
-	}
-
-	// Compute the return value on the state up to and including node.
-	// seenEpoch is deliberately NOT refreshed here, so the handle's next
-	// read revalidates with a walk: computeUpdate advances the view only
-	// to OUR node, while an epoch loaded now also covers concurrently
-	// published nodes with HIGHER indices (ordered after us, linearized
-	// before us) that the view does not reflect — recording it would let
-	// the next fast read miss an operation that completed before it.
-	// Read's epoch is safe precisely because its walk reaches the latest
-	// available node from the tail, not a fixed one.
-	ret = h.computeUpdate(node)
-	err = h.cutCadence(node, 1)
-	in.gate.Step(h.pid, PointReturn)
-	return ret, id, err
-}
-
-// Read executes the read-only operation (code, args) (paper Listing 4).
-// It issues no persistent fence and writes nothing shared beyond the
-// handle's own reclamation floor.
-//
-// A handle with a local view takes one of two routes: an epoch hit
-// answers from the view, anything else walks. The epoch check happens
-// before the walk floor is published: the fast route dereferences no
-// trace node, so it needs no reclamation cover, and a fast read costs
-// one epoch load plus the view read. The floor store is deferred to the
-// walk. A handle without a view always walks and replays (Section 3).
-//
-//onll:hotpath
-func (h *Handle) Read(code uint64, args ...uint64) uint64 {
-	if qerr := h.in.quarErr(); qerr != nil {
-		// Read's signature predates quarantine and cannot return an
-		// error; callers that must survive a quarantined object use
-		// TryRead (health.go).
-		panic(qerr)
-	}
-	if !h.busy.CompareAndSwap(false, true) {
-		panic(errBusy)
-	}
-	defer h.busy.Store(false)
-	op := spec.Op{Code: code}
-	copy(op.Args[:], args)
-	in := h.in
-	var epoch uint64
-	if h.view != nil {
-		// Load the epoch BEFORE the tail read below: any operation
-		// whose publication the loaded value covers already has its
-		// available flag set, so the walk is guaranteed to reach a node
-		// at or above it — recording this value after the walk is what
-		// makes the next epoch match proof of an up-to-date view.
-		epoch = in.tr.Epoch(h.pid)
-		if epoch == h.seenEpoch {
-			ret := h.view.Read(op)
-			in.gate.Step(h.pid, PointReturn)
-			return ret
-		}
-	}
-	// Publish the walk floor BEFORE any trace read (sequentially
-	// consistent store): reclamation reads it to prove quiescence.
-	h.floor.Store(h.viewIdx)
-	defer h.floor.Store(^uint64(0))
-	node := trace.LatestAvailableFrom(in.gate, h.pid, in.tr.Tail(h.pid))
-	ret := h.computeRead(node, op)
-	h.seenEpoch = epoch
-	in.gate.Step(h.pid, PointReturn)
-	return ret
-}
-
-// computeUpdate returns node.Op's value on the prefix ending at node,
-// advancing the local view when enabled.
-//
-//onll:hotpath
-func (h *Handle) computeUpdate(node *trace.Node) uint64 {
-	if h.view != nil && h.viewIdx < node.Idx() {
-		return h.advanceView(node)
-	}
-	// No local view, or (defensively) a view that has somehow moved
-	// past node.
-	_, ret := h.replay(node)
-	return ret
-}
-
-// computeRead returns op's value on the prefix ending at node.
-//
-//onll:hotpath
-func (h *Handle) computeRead(node *trace.Node, op spec.Op) uint64 {
-	if h.view != nil {
-		if h.viewIdx < node.Idx() {
-			h.advanceView(node)
-		}
-		// If viewIdx > node.Idx(), the view already reflects
-		// operations this process has itself observed as linearized;
-		// serving the read from it is still linearizable (the read
-		// linearizes after them).
-		return h.view.Read(op)
-	}
-	st, _ := h.replay(node)
-	return st.Read(op)
-}
-
-// replay is the plain Section 3 computation: a fresh state holding the
-// prefix ending at node, rebuilt from the nearest base (or INITIALIZE),
-// and the value of the last operation applied (node's own, for an
-// update node).
-//
-//onll:hotpath
-func (h *Handle) replay(node *trace.Node) (spec.State, uint64) {
-	st := h.in.sp.New()
-	nodes, base := trace.CollectBackInto(h.nodeBuf, node, 0)
-	h.nodeBuf = nodes
-	if base != nil {
-		if err := st.Restore(base.Snap); err != nil {
-			panic(fmt.Sprintf("core: corrupt base snapshot: %v", err))
-		}
-	}
-	ret := spec.RetOK
-	for _, n := range nodes {
-		ret = st.Apply(n.Op)
-	}
-	return st, ret
-}
-
-// advanceView applies the operations between the view and node to the
-// local view and returns the value of the last one applied (node's own
-// operation): the Section 8 loop. If the walk meets a compaction base
-// newer than the view, the view is restored from the base first, so a
-// handle idle across any number of cuts replays at most the window
-// above the newest base, never its whole lag.
-//
-//onll:hotpath
-func (h *Handle) advanceView(node *trace.Node) uint64 {
-	nodes, base := trace.CollectBackInto(h.nodeBuf, node, h.viewIdx)
-	h.nodeBuf = nodes
-	if base != nil && base.Idx() > h.viewIdx {
-		if err := h.view.Restore(base.Snap); err != nil {
-			panic(fmt.Sprintf("core: corrupt base snapshot: %v", err))
-		}
-		h.viewIdx = base.Idx()
-		mergeSeqs(h.viewSeqs, base.Seqs)
-	}
-	ret := spec.RetOK
-	for _, n := range nodes {
-		ret = h.view.Apply(n.Op)
-		h.viewIdx = n.Idx()
-		if pid, seq := spec.SplitID(n.Op.ID); pid >= 0 && pid < len(h.viewSeqs) && seq > h.viewSeqs[pid] {
-			h.viewSeqs[pid] = seq
-		}
-	}
-	return ret
-}
-
-// newNode returns a trace node for op, reusing a pooled node when the
-// freelist has one: steady-state updates under compaction allocate
-// nothing (freeCap holds a whole trace window).
-//
-//onll:hotpath
-func (h *Handle) newNode(op spec.Op) *trace.Node {
-	if n := len(h.freeNodes); n > 0 {
-		nd := h.freeNodes[n-1]
-		h.freeNodes[n-1] = nil
-		h.freeNodes = h.freeNodes[:n-1]
-		nd.Reinit(op)
-		return nd
-	}
-	return trace.NewNode(op)
-}
-
-// reclaim feeds the node pool after a compaction cut: old is the head of
-// the trace segment the cut just made unreachable (the cut node's
-// predecessor chain). The walk claims each update node with a CAS and
-// stops at the first claim failure or non-update node, so two cuts
-// racing over a not-yet-severed boundary partition the dead nodes
-// cleanly — every earlier cut severed its own chain with a base node,
-// which also terminates the walk.
-//
-// Claimed nodes wait in retired until provably quiescent, on two
-// conditions checked at promotion time:
-//
-//  1. Floors. A node at index i is promoted only when i + NProcs < the
-//     minimum published walk floor across handles (see the floor
-//     field): mid-op handles block promotion of anything an ordinary
-//     trace walk of theirs could still dereference.
-//  2. Claim guards. Claim walks themselves can descend far below the
-//     walker's own floor (a cutter that read a neighbour's cut-node
-//     next pointer just before that neighbour's SetNextBase landed
-//     walks into the neighbour's segment). Such a walker holds chain
-//     pointers the floors do not cover, so each handle publishes a
-//     claiming flag for the duration of its walk and promotion is
-//     skipped entirely while any flag is up. A racing walker either
-//     finished before the promotion check (its claim CAS already
-//     failed against the claimed flag) or its guard is visible and
-//     blocks the promotion — with sequentially consistent atomics
-//     there is no third interleaving.
-//
-// Promotion being skipped is only a deferral: the nodes stay in
-// retired and are re-examined at the next compaction (bounded by
-// maxFreeNodes; beyond it they fall to the GC — pooling is an
-// optimization, never a leak).
-func (h *Handle) reclaim(old *trace.Node) {
-	h.claiming.Store(true)
-	for cur := old; cur != nil; {
-		if !cur.TryClaim() {
-			break // another cutter owns the rest of this segment
-		}
-		if cur.Kind != trace.KindUpdate {
-			break // base or sentinel: never pooled
-		}
-		h.retired = append(h.retired, cur)
-		cur = cur.Next()
-	}
-	h.claiming.Store(false)
-
-	limit, ok := h.walkLimit()
-	if !ok {
-		h.capRetired()
-		return
-	}
-	free := h.freeCap()
-	kept := h.retired[:0]
-	for _, n := range h.retired {
-		switch {
-		case n.Idx() >= limit:
-			kept = append(kept, n) // possibly still walkable: retry later
-		case len(h.freeNodes) < free:
-			h.freeNodes = append(h.freeNodes, n)
-		}
-		// else: freelist full, drop to GC.
-	}
-	for i := len(kept); i < len(h.retired); i++ {
-		h.retired[i] = nil
-	}
-	h.retired = kept
-	h.capRetired()
-}
-
-// walkLimit is reclaim's quiescence rule, shared with the base-body
-// reuse of deltacompact.go: no in-flight walk can reach a node or a base
-// whose index is below limit (the minimum published floor minus NProcs;
-// see the floor field). ok is false while another handle's claim walk is
-// in flight, since such a walk may hold pointers no floor covers.
-func (h *Handle) walkLimit() (limit uint64, ok bool) {
-	minFloor := ^uint64(0)
-	for _, other := range h.in.hands {
-		if other != h && other.claiming.Load() {
-			return 0, false
-		}
-		if f := other.floor.Load(); f < minFloor {
-			minFloor = f
-		}
-	}
-	if slack := uint64(h.in.cfg.NProcs); minFloor > slack {
-		return minFloor - slack, true
-	}
-	return 0, true
-}
-
-// freeCap is the freelist's bound: maxFreeNodes, or the trace window
-// delta chains keep between trace cuts (MaxDeltaChain cadences plus the
-// fuzzy window) when that is wider, so a base cut's whole severed
-// segment is pooled and the updates until the next one allocate no node.
-func (h *Handle) freeCap() int {
-	return max(maxFreeNodes, h.in.cfg.MaxDeltaChain*h.cutEvery()+h.in.cfg.NProcs)
-}
-
-// capRetired bounds the deferred-promotion backlog: claimed nodes past
-// the cap are dropped to the garbage collector (they were claimed, so
-// no other handle will ever pool them — they are simply garbage).
-func (h *Handle) capRetired() {
-	if len(h.retired) <= maxFreeNodes {
-		return
-	}
-	drop := len(h.retired) - maxFreeNodes
-	kept := h.retired[:0]
-	kept = append(kept, h.retired[drop:]...)
-	for i := len(kept); i < len(h.retired); i++ {
-		h.retired[i] = nil
-	}
-	h.retired = kept
-}
-
-// mergeSeqs raises dst entries to at least src's.
-func mergeSeqs(dst, src []uint64) {
-	for i := range dst {
-		if i < len(src) && src[i] > dst[i] {
-			dst[i] = src[i]
-		}
-	}
-}
-
-// Snapshot payload layout on the persistent log: the covered-sequence
-// vector (detectability across compaction) followed by the object state.
-// snapEncode appends the envelope — the vector's length, then the
-// vector — to dst; the caller appends the state (spec.State's
-// AppendSnapshot, or a delta body) after it.
-func snapEncode(dst, seqs []uint64) []uint64 {
-	dst = append(dst, uint64(len(seqs)))
-	return append(dst, seqs...)
-}
-
-func snapDecode(words []uint64) (seqs, state []uint64, err error) {
-	if len(words) < 1 {
-		return nil, nil, errors.New("core: empty snapshot payload")
-	}
-	n := int(words[0])
-	if n < 0 || n > MaxProcs || 1+n > len(words) {
-		return nil, nil, fmt.Errorf("core: corrupt snapshot header %d", words[0])
-	}
-	return words[1 : 1+n : 1+n], words[1+n:], nil
-}
-
-// compact implements the Section 8 reclamation scheme after the update
-// that created node: durably append a chain record covering the state
-// at s = node.Idx() (one persistent fence) and truncate every earlier
-// record of this process's log. A delta cut leaves the trace alone: its
-// window must stay walkable for the next delta. A base cut also links
-// node to a base node at index s, so the old prefix becomes unreachable
-// for new walkers and its nodes are reclaimed. Recovery ignores logged
-// operations with indices <= the newest chain head, so other
-// processes' still-live records of old operations are harmless.
-func (h *Handle) compact(node *trace.Node) error {
-	s := node.Idx()
-	if h.viewIdx != s {
-		return fmt.Errorf("core: compact view at %d, node at %d", h.viewIdx, s)
-	}
-	done, foreign, err := h.tryDeltaCut(node)
-	if done || err != nil {
-		return err
-	}
-	slot, body, err := h.chainBaseAndTruncate(s)
-	if err != nil {
-		return err
-	}
-	if foreign {
-		// This base was forced by a sentinel another handle spliced
-		// inside our window, so the trace was already cut (and bounded)
-		// at that sentinel moments ago. Splicing our own sentinel here
-		// would land inside THAT handle's next window and force it to
-		// collapse too — with two or more cutters the induced bases
-		// ping-pong forever and no delta ever lands. Leave the trace
-		// alone; the next clean-window base (oversize or scheduled
-		// collapse) splices as usual.
-		return nil
-	}
-	old := node.Next()
-	seqs, snap, _ := snapDecode(body)
-	node.SetNextBase(trace.NewBase(s, snap, seqs))
-	h.bases.idx[slot] = s
-	h.reclaim(old)
-	return nil
-}
-
-// ---------------------------------------------------------------------
-// Recovery (paper Listing 5 + Section 8 snapshots).
-// ---------------------------------------------------------------------
-
-// Report describes what recovery found: which operations were linearized
-// before the crash (detectable execution) and where the rebuilt trace
-// starts and ends.
-type Report struct {
-	// Linearized maps operation id -> execution index for every update
-	// linearized before the crash and visible after it.
-	Linearized map[uint64]uint64
-	// Ordered is the recovered update sequence (indices BaseIdx+1..
-	// LastIdx), oldest first.
-	Ordered []spec.Op
-	// BaseIdx is the snapshot index recovery restarted from (0 = none).
-	BaseIdx uint64
-	// BaseState is the decoded snapshot state at BaseIdx (nil if none).
-	BaseState []uint64
-	// CoveredSeq maps process id -> highest op sequence number folded
-	// into the recovered snapshot: every op of that process with a
-	// sequence number at or below it was linearized before the crash,
-	// even though its individual record was compacted away.
-	CoveredSeq map[int]uint64
-	// LastIdx is the execution index of the newest recovered operation.
-	LastIdx uint64
-	// PerProcessSeq records the highest per-process op sequence number
-	// seen, so replacement processes do not reuse ids.
-	PerProcessSeq map[int]uint64
-	// Salvage details what recovery found, in either mode: per-process
-	// salvage counters, the health classification, and the full loss
-	// evidence (health.go).
-	Salvage *SalvageReport
-}
-
-// WasLinearized implements detectable execution: after recovery it
-// reports whether the update with the given id took effect before the
-// crash, and at which execution index. Operations absorbed into a
-// compaction snapshot are reported as linearized with index 0 (their
-// individual position was compacted away but is at most BaseIdx).
-func (r *Report) WasLinearized(id uint64) (idx uint64, ok bool) {
-	if idx, ok = r.Linearized[id]; ok {
-		return idx, true
-	}
-	if pid, seq := spec.SplitID(id); pid >= 0 && seq > 0 && seq <= r.CoveredSeq[pid] {
-		return 0, true
-	}
-	return 0, false
-}
-
-// Recover rebuilds the object from the durable contents of pool after a
-// crash, per Listing 5: it restores the newest valid compaction record
-// (if any), then stitches together the operation sequence from all
-// per-process logs, inserting each found operation into a fresh
-// execution trace with its available flag set. The returned instance is
-// ready for new operations; its processes are the crash survivors'
-// replacements.
-//
-// Recovery is one algorithm, and it reads each log once
-// (plog.OpenWalk): the longest valid prefix, plus — when an invalid
-// record ends the prefix — every checksummed record stranded beyond it
-// (orphans; helping usually re-persisted the missing operations in
-// another log, bridging the gap). Whatever fails validation becomes
-// typed evidence, and the instance is classified Healthy, Degraded or
-// Quarantined (health.go); Report.Salvage details what was found.
-// Config.Salvage decides two things only. A salvaging recovery also reads
-// past a log's stale end (plog.Log.Resume), where a destroyed sequence
-// word would otherwise hide orphans. And where the evidence shows lost
-// operations, a salvaging recovery returns the instance quarantined,
-// still carrying the best-effort prefix for inspection and Recreate,
-// while a strict one fails with the primary evidence.
-func Recover(pool *pmem.Pool, sp spec.Spec, cfg Config) (*Instance, *Report, error) {
-	rb := cfg.RootBase
-	if rb < 0 || rb+rootLogBase >= pmem.RootSlots {
-		return nil, nil, fmt.Errorf("core: RootBase %d out of range", rb)
-	}
-	if pool.Root(rb+rootMagicSlot) != rootMagic {
-		return nil, nil, errors.New("core: pool has no ONLL root (not initialized?)")
-	}
-	nprocs := int(pool.Root(rb + rootNProcsSlot))
-	if nprocs < 1 || nprocs > MaxProcs || rb+rootLogBase+nprocs > pmem.RootSlots {
-		return nil, nil, fmt.Errorf("core: implausible recovered NProcs %d", nprocs)
-	}
-	if cfg.NProcs == 0 {
-		cfg.NProcs = nprocs
-	}
-	if cfg.NProcs != nprocs {
-		return nil, nil, fmt.Errorf("core: configured NProcs %d != recovered %d", cfg.NProcs, nprocs)
-	}
-	if err := cfg.fill(); err != nil {
-		return nil, nil, err
-	}
-
-	in := &Instance{cfg: cfg, sp: sp, pool: pool, gate: cfg.Gate}
-	if err := claimRoots(pool, &cfg); err != nil {
-		return nil, nil, err
-	}
-	rep := &Report{
-		Linearized: map[uint64]uint64{}, PerProcessSeq: map[int]uint64{},
-		CoveredSeq: map[int]uint64{}, Salvage: &SalvageReport{PerPid: make([]PidSalvage, nprocs)},
-	}
-	var (
-		records  []plog.Record
-		cands    []baseCand // compaction records recovery may restart from
-		evidence []error    // loss evidence: quarantines, or fails a strict recovery
-		damaged  bool       // non-benign damage seen (degraded unless loss)
-	)
-	for pid := 0; pid < nprocs; pid++ {
-		ps := &rep.Salvage.PerPid[pid]
-		l, w, err := plog.OpenWalk(pool, pid, pmem.Addr(pool.Root(rb+rootLogBase+pid)))
-		in.logs = append(in.logs, l)
-		if err != nil {
-			// The whole log is unreadable. Its process's un-helped
-			// operations are gone: loss evidence.
-			ps.OpenErr = err
-			evidence = append(evidence, fmt.Errorf("%w: log of p%d: %w", ErrBadSlotHeader, pid, err))
-			continue
-		}
-		if cfg.Salvage {
-			l.Resume(w)
-		}
-		ps.BadSlots, ps.Orphans, ps.TailTorn = len(w.BadSeqs), len(w.Orphans), w.TailTorn()
-		damaged = damaged || w.Damaged()
-		for _, recs := range [][]plog.Record{w.Live, w.Orphans} {
-			records = append(records, recs...)
-			for _, r := range recs {
-				if r.Kind != plog.KindOps {
-					cands = append(cands, baseCand{pid: pid, log: l, rec: r})
-				}
-			}
-		}
-		// Truncation-coverage invariant: headSeq > 0 means compaction
-		// truncated records, and compaction always leaves its covering
-		// record — a snapshot, or a delta-chain record whose chain must
-		// still resolve — as the oldest live record (the covering
-		// append is fenced before the truncate is, so every crash-legal
-		// image satisfies this). A violated invariant means the
-		// coverage, and everything it covered, is gone: silent loss.
-		if l.HeadSeq() > 0 {
-			covered := false
-			if len(w.Live) > 0 {
-				switch w.Live[0].Kind {
-				case plog.KindSnapshot:
-					covered = true
-				case plog.KindDelta:
-					_, rerr := l.ResolveChain(w.Live[0])
-					covered = rerr == nil
-				}
-			}
-			if !covered {
-				evidence = append(evidence, fmt.Errorf(
-					"%w: p%d truncated through seq %d but the covering snapshot is unreadable",
-					ErrSnapshotCorrupt, pid, l.HeadSeq()))
-			}
-		}
-	}
-
-	// Newest valid compaction record wins: a plain full snapshot, or
-	// the head of a delta chain folded back into a full state
-	// (foldBaseCandidate, deltacompact.go). Candidates are tried
-	// newest-first; one that does not fold — an unresolvable chain, an
-	// undecodable payload, a corrupt diff — is unreconstructible
-	// coverage: loss evidence, and the next candidate is tried.
-	sort.Slice(cands, func(i, j int) bool { return cands[i].rec.ExecIdx > cands[j].rec.ExecIdx })
-	var baseSeqs []uint64
-	for _, c := range cands {
-		seqs, state, err := foldBaseCandidate(sp, c.log, c.rec)
-		if err != nil {
-			evidence = append(evidence, fmt.Errorf("%w: p%d at index %d: %w", ErrSnapshotCorrupt, c.pid, c.rec.ExecIdx, err))
-			continue
-		}
-		rep.BaseIdx, rep.BaseState, baseSeqs = c.rec.ExecIdx, state, seqs
-		break
-	}
-	for pid, seq := range baseSeqs {
-		if seq > 0 {
-			rep.CoveredSeq[pid] = seq
-			if seq > rep.PerProcessSeq[pid] {
-				rep.PerProcessSeq[pid] = seq
-			}
-		}
-	}
-
-	// Union of all persisted operations, by execution index. Helping
-	// means the same (index, op) pair may appear in several logs; the
-	// pairs agree by construction (cross-checked here).
-	byIdx := map[uint64]spec.Op{}
-	for _, rec := range records {
-		if rec.Kind != plog.KindOps {
-			continue
-		}
-		for k, op := range rec.Ops {
-			idx := rec.ExecIdx - uint64(k)
-			if idx <= rep.BaseIdx {
-				continue
-			}
-			if prev, dup := byIdx[idx]; dup && prev != op {
-				// Two checksummed records disagree about an index:
-				// impossible in a crash-only execution, so one of them
-				// is silent media damage we cannot tell apart.
-				evidence = append(evidence, fmt.Errorf("%w: logs disagree at index %d: %v vs %v", ErrTornRecord, idx, prev, op))
-				continue
-			}
-			byIdx[idx] = op
-		}
-	}
-
-	// Listing 5: walk indices upward from the base; the first gap ends
-	// the recoverable prefix (Proposition 5.10 shows no gap can precede
-	// a persisted operation).
-	var ordered []spec.Op
-	i := rep.BaseIdx + 1
-	for {
-		op, ok := byIdx[i]
-		if !ok {
-			break
-		}
-		ordered = append(ordered, op)
-		i++
-	}
-	rep.LastIdx = rep.BaseIdx + uint64(len(ordered))
-	rep.Ordered = ordered
-
-	if len(byIdx) > len(ordered) {
-		// Persisted operations stranded beyond the first gap. Proposition
-		// 5.10 rules this out for crash-only executions (helping persists
-		// the whole fuzzy window below every operation), so the gap is a
-		// destroyed record, and the stranded operations were linearized
-		// but are unrecoverable in order: loss evidence.
-		evidence = append(evidence, fmt.Errorf(
-			"%w: %d persisted operations stranded beyond index %d",
-			ErrTornRecord, len(byIdx)-len(ordered), rep.LastIdx))
-	}
-	if len(evidence) > 0 && !cfg.Salvage {
-		return nil, nil, primaryEvidence(evidence)
-	}
-
-	// Rebuild the trace: base (or INITIALIZE sentinel), then one
-	// available node per recovered operation.
-	var sentinel *trace.Node
-	if rep.BaseIdx > 0 {
-		sentinel = trace.NewBase(rep.BaseIdx, rep.BaseState, baseSeqs)
-	}
-	in.tr = newTrace(&cfg, sentinel)
-	recPID := 0 // recovery runs single-threaded; pid 0 stands in
-	for k, op := range ordered {
-		n := trace.NewNode(op)
-		in.tr.Insert(recPID, n)
-		in.tr.SetAvailable(recPID, n)
-		idx := rep.BaseIdx + 1 + uint64(k)
-		if n.Idx() != idx {
-			return nil, nil, fmt.Errorf("core: recovery trace index skew: %d != %d", n.Idx(), idx)
-		}
-		rep.Linearized[op.ID] = idx
-		if pid, seq := spec.SplitID(op.ID); pid >= 0 && seq > rep.PerProcessSeq[pid] {
-			rep.PerProcessSeq[pid] = seq
-		}
-	}
-
-	in.makeHandles(rep.PerProcessSeq)
-	in.classifySalvage(rep, evidence, damaged)
-	return in, rep, nil
 }
