@@ -320,7 +320,7 @@ func New(pool *pmem.Pool, sp spec.Spec, cfg Config) (*Instance, error) {
 	}
 	pool.SetRoot(cfg.RootBase+rootNProcsSlot, uint64(cfg.NProcs))
 	pool.SetRoot(cfg.RootBase+rootMagicSlot, rootMagic)
-	in.makeHandles(nil)
+	in.makeHandles(nil, nil)
 	return in, nil
 }
 
@@ -339,7 +339,11 @@ func claimRoots(pool *pmem.Pool, cfg *Config) error {
 	return nil
 }
 
-func (in *Instance) makeHandles(seqs map[int]uint64) {
+// makeHandles builds the instance's handles. With local views, every
+// view starts at the trace's base: the first takes base, the state
+// recovery already restored the base into (nil when there is none),
+// and the others restore theirs from the base's words.
+func (in *Instance) makeHandles(seqs map[int]uint64, base spec.State) {
 	in.hands = make([]*Handle, in.cfg.NProcs)
 	for pid := 0; pid < in.cfg.NProcs; pid++ {
 		h := &Handle{in: in, pid: pid, seenEpoch: epochNever}
@@ -348,14 +352,19 @@ func (in *Instance) makeHandles(seqs map[int]uint64) {
 			h.seq = seqs[pid]
 		}
 		if in.cfg.LocalViews {
-			h.view = in.sp.New()
 			h.viewSeqs = make([]uint64, in.cfg.NProcs)
-			if base := in.tr.Sentinel(); base.Kind == trace.KindBase {
-				if err := h.view.Restore(base.Snap); err != nil {
-					panic(fmt.Sprintf("core: corrupt recovery base: %v", err))
+			if sen := in.tr.Sentinel(); sen.Kind == trace.KindBase {
+				h.view, base = base, nil
+				if h.view == nil {
+					h.view = in.sp.New()
+					if err := h.view.Restore(sen.Snap); err != nil {
+						panic(fmt.Sprintf("core: corrupt recovery base: %v", err))
+					}
 				}
-				h.viewIdx = base.Idx()
-				copy(h.viewSeqs, base.Seqs)
+				h.viewIdx = sen.Idx()
+				copy(h.viewSeqs, sen.Seqs)
+			} else {
+				h.view = in.sp.New()
 			}
 		}
 		in.hands[pid] = h

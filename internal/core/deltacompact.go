@@ -275,44 +275,53 @@ type baseCand struct {
 	rec plog.Record
 }
 
-// foldBaseCandidate turns a candidate into (seqs, state): a snapshot
-// decodes directly; a delta chain restores its base into a fresh state
-// and folds every delta in order, merging the per-link sequence
-// vectors. Every word is untrusted input — any malformed link fails the
-// fold rather than restoring a half-applied state.
-func foldBaseCandidate(sp spec.Spec, l *plog.Log, rec plog.Record) (seqs, state []uint64, err error) {
-	if rec.Kind == plog.KindSnapshot {
-		return snapDecode(rec.State)
+// foldBaseCandidate turns a candidate into (seqs, words, state). Every
+// candidate's base payload — an older image's full snapshot, or a
+// chain's base — is restored into a fresh state, so a payload the spec
+// rejects fails the fold whichever record carries it; a chain then
+// folds every delta into that state in order, merging the per-link
+// sequence vectors. words encodes the state: the restored payload
+// itself when no delta was applied, the folded state's Snapshot
+// otherwise. Every word is untrusted input — any malformed link fails
+// the fold rather than restoring a half-applied state.
+func foldBaseCandidate(sp spec.Spec, l *plog.Log, rec plog.Record) (seqs, words []uint64, st spec.State, err error) {
+	payload := rec.State
+	var deltas []plog.ChainElem
+	if rec.Kind != plog.KindSnapshot {
+		elems, err := l.ResolveChain(rec)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		if len(elems) == 0 || !elems[0].Base {
+			return nil, nil, nil, errors.New("core: resolved chain is not base-anchored")
+		}
+		payload, deltas = elems[0].Payload, elems[1:]
 	}
-	elems, err := l.ResolveChain(rec)
+	baseSeqs, words, err := snapDecode(payload)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	if len(elems) == 0 || !elems[0].Base {
-		return nil, nil, errors.New("core: resolved chain is not base-anchored")
+	st = sp.New()
+	if err := st.Restore(words); err != nil {
+		return nil, nil, nil, fmt.Errorf("core: restoring recovery base: %w", err)
 	}
-	baseSeqs, baseState, err := snapDecode(elems[0].Payload)
-	if err != nil {
-		return nil, nil, err
-	}
-	st := sp.New()
-	if err := st.Restore(baseState); err != nil {
-		return nil, nil, fmt.Errorf("core: restoring chain base: %w", err)
+	if len(deltas) == 0 {
+		return baseSeqs, words, st, nil
 	}
 	seqs = append([]uint64(nil), baseSeqs...)
-	for _, e := range elems[1:] {
+	for _, e := range deltas {
 		if len(e.Payload) < 2 {
-			return nil, nil, fmt.Errorf("core: delta payload of %d words", len(e.Payload))
+			return nil, nil, nil, fmt.Errorf("core: delta payload of %d words", len(e.Payload))
 		}
 		dseqs, body, derr := snapDecode(e.Payload[1:])
 		if derr != nil {
-			return nil, nil, derr
+			return nil, nil, nil, derr
 		}
 		mergeSeqs(seqs, dseqs)
 		switch e.Payload[0] {
 		case deltaFmtOps:
 			if len(body)%spec.OpWords != 0 {
-				return nil, nil, fmt.Errorf("core: op-replay delta of %d words", len(body))
+				return nil, nil, nil, fmt.Errorf("core: op-replay delta of %d words", len(body))
 			}
 			for i := 0; i < len(body); i += spec.OpWords {
 				st.Apply(spec.DecodeOp(body[i:]))
@@ -320,16 +329,16 @@ func foldBaseCandidate(sp spec.Spec, l *plog.Log, rec plog.Record) (seqs, state 
 		case deltaFmtDiff:
 			ap, ok := st.(spec.DeltaApplier)
 			if !ok {
-				return nil, nil, errors.New("core: diff delta for a spec without DeltaApplier")
+				return nil, nil, nil, errors.New("core: diff delta for a spec without DeltaApplier")
 			}
 			if aerr := ap.ApplyDelta(body); aerr != nil {
-				return nil, nil, aerr
+				return nil, nil, nil, aerr
 			}
 		default:
-			return nil, nil, fmt.Errorf("core: unknown delta format %d", e.Payload[0])
+			return nil, nil, nil, fmt.Errorf("core: unknown delta format %d", e.Payload[0])
 		}
 	}
-	return seqs, st.Snapshot(), nil
+	return seqs, st.Snapshot(), st, nil
 }
 
 // CompactionStats counts compaction cuts and their write volume.

@@ -313,7 +313,7 @@ func TestDeltaWalkCoveredByFloor(t *testing.T) {
 		t.Fatalf("p0 chain: %d links, head %d; want a delta at %d", l.ChainLen(), l.ChainHead(), 2*ce)
 	}
 	recs := l.Records()
-	seqs, state, err := foldBaseCandidate(objects.MapSpec{}, l, recs[len(recs)-1])
+	seqs, state, _, err := foldBaseCandidate(objects.MapSpec{}, l, recs[len(recs)-1])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -260,7 +260,7 @@ func (in *Instance) Recreate() error {
 	for pid, s := range sb.seqs {
 		seqs[pid] = s
 	}
-	in.makeHandles(seqs)
+	in.makeHandles(seqs, nil)
 	in.salvBase = nil
 	in.health.Store(&Health{Mode: ModeHealthy})
 	return nil

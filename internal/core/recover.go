@@ -172,14 +172,17 @@ func Recover(pool *pmem.Pool, sp spec.Spec, cfg Config) (*Instance, *Report, err
 	// undecodable payload, a corrupt diff — is unreconstructible
 	// coverage: loss evidence, and the next candidate is tried.
 	sort.Slice(cands, func(i, j int) bool { return cands[i].rec.ExecIdx > cands[j].rec.ExecIdx })
-	var baseSeqs []uint64
+	var (
+		baseSeqs []uint64
+		base     spec.State // the restored base, handed to the first view
+	)
 	for _, c := range cands {
-		seqs, state, err := foldBaseCandidate(sp, c.log, c.rec)
+		seqs, words, st, err := foldBaseCandidate(sp, c.log, c.rec)
 		if err != nil {
 			evidence = append(evidence, fmt.Errorf("%w: p%d at index %d: %w", ErrSnapshotCorrupt, c.pid, c.rec.ExecIdx, err))
 			continue
 		}
-		rep.BaseIdx, rep.BaseState, baseSeqs = c.rec.ExecIdx, state, seqs
+		rep.BaseIdx, rep.BaseState, baseSeqs, base = c.rec.ExecIdx, words, seqs, st
 		break
 	}
 	for pid, seq := range baseSeqs {
@@ -267,7 +270,7 @@ func Recover(pool *pmem.Pool, sp spec.Spec, cfg Config) (*Instance, *Report, err
 		}
 	}
 
-	in.makeHandles(rep.PerProcessSeq)
+	in.makeHandles(rep.PerProcessSeq, base)
 	in.classifySalvage(rep, evidence, damaged)
 	return in, rep, nil
 }

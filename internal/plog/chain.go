@@ -217,14 +217,12 @@ func (l *Log) AppendDelta(payload []uint64, execIdx uint64) (uint64, error) {
 
 // readChainBody reads and validates one body at an untrusted
 // (addr, words, sum) reference.
-func (l *Log) readChainBody(addr pmem.Addr, words int, sum uint64, rd wordReader) ([]uint64, error) {
+func (l *Log) readChainBody(addr pmem.Addr, words int, sum uint64, rd rangeReader) ([]uint64, error) {
 	if words < cbHdrWords+1 || words > (1<<28) || !l.pool.Contains(addr, words*pmem.WordSize) {
 		return nil, ErrChain
 	}
 	body := make([]uint64, words)
-	for i := range body {
-		body[i] = rd(addr + pmem.Addr(i*pmem.WordSize))
-	}
+	rd.read(addr, body)
 	if checksum(body) != sum || body[cbKind] > chainBodyDelta {
 		return nil, ErrChain
 	}
@@ -236,7 +234,7 @@ func (l *Log) readChainBody(addr pmem.Addr, words int, sum uint64, rd wordReader
 // body checksums (each delta's prevSum pins its predecessor's bytes)
 // and strictly decreasing execution indices. Returns links and bodies
 // base-first.
-func (l *Log) resolveLinks(rec Record, rd wordReader) ([]chainLink, [][]uint64, error) {
+func (l *Log) resolveLinks(rec Record, rd rangeReader) ([]chainLink, [][]uint64, error) {
 	if rec.Kind != KindDelta || len(rec.Body) == 0 {
 		return nil, nil, ErrChain
 	}

@@ -375,13 +375,10 @@ func OpenWalk(pool *pmem.Pool, pid int, base pmem.Addr) (*Log, *Walk, error) {
 	if !pool.Contains(base, hdrWords*pmem.WordSize) {
 		return nil, nil, ErrCorrupt
 	}
-	rd := func(i int) uint64 { return pool.Load(pid, base+pmem.Addr(i*pmem.WordSize)) }
-	if rd(hdrMagic) != logMagic {
-		return nil, nil, ErrCorrupt
-	}
 	var hdr [hdrWords]uint64
-	for i := range hdr {
-		hdr[i] = rd(i)
+	pool.LoadRange(pid, base, hdr[:])
+	if hdr[hdrMagic] != logMagic {
+		return nil, nil, ErrCorrupt
 	}
 	if hdr[hdrSum] != checksum(hdr[:hdrSum]) {
 		return nil, nil, ErrCorrupt
@@ -814,35 +811,50 @@ func (s SlotStatus) String() string {
 	return "unknown"
 }
 
-// wordReader reads one word at an absolute pool address. Recovery
-// probes through the cache (pool.Load — after a crash the cache is
-// empty, so that IS the durable image); the scrubber probes with
-// pool.DurableWord, bypassing the cache entirely, so it sees latent
-// faults that resident lines still mask and costs no gate steps, no
-// statistics and no fences — it cannot perturb the pfences/op counts
-// the paper bounds.
-type wordReader func(pmem.Addr) uint64
-
-func (l *Log) cachedReader() wordReader {
-	return func(a pmem.Addr) uint64 { return l.pool.Load(l.pid, a) }
+// rangeReader fills a slice from consecutive pool words. Recovery reads
+// through the cache (pool.LoadRange: one gate step, shard lock and copy
+// per cache line — after a crash the cache is empty, so that IS the
+// durable image); the scrubber reads with pool.DurableRange, bypassing
+// the cache entirely, so it sees latent faults that resident lines
+// still mask and costs no gate steps, no statistics and no fences — it
+// cannot perturb the pfences/op counts the paper bounds. Nothing is
+// read a word at a time: a slot takes at most two reads (its first
+// line, then the rest of a longer record), and an overflow tail, a
+// snapshot body or a chain body one.
+type rangeReader struct {
+	pool    *pmem.Pool
+	pid     int
+	durable bool
 }
 
-func (l *Log) durableReader() wordReader {
-	return func(a pmem.Addr) uint64 { return l.pool.DurableWord(a) }
+func (r rangeReader) read(a pmem.Addr, dst []uint64) {
+	if r.durable {
+		r.pool.DurableRange(a, dst)
+	} else {
+		r.pool.LoadRange(r.pid, a, dst)
+	}
 }
+
+func (l *Log) cachedReader() rangeReader { return rangeReader{pool: l.pool, pid: l.pid} }
+
+func (l *Log) durableReader() rangeReader { return rangeReader{pool: l.pool, durable: true} }
 
 // probeSlot validates and decodes the record in the slot that seq maps
 // to, requiring the stored seq to equal seq exactly, and classifies
 // the failure mode otherwise. Every word it consumes — the kind/field
 // word, overflow descriptors, snapshot pointers — comes from (possibly
 // torn or corrupted) NVM and is validated before use.
-func (l *Log) probeSlot(seq uint64, rd wordReader) (Record, SlotStatus) {
+func (l *Log) probeSlot(seq uint64, rd rangeReader) (Record, SlotStatus) {
 	addr := l.slotAddr(seq)
-	rdw := func(i int) uint64 { return rd(addr + pmem.Addr(i*pmem.WordSize)) }
-	if rdw(0) != seq {
+	// The slot's first line holds the seq and kind words and, for a
+	// snapshot or delta record, the whole record; a longer record's
+	// remaining lines are read once its geometry has been validated.
+	var head [pmem.LineWords]uint64
+	rd.read(addr, head[:])
+	if head[0] != seq {
 		return Record{}, SlotStale
 	}
-	kn := rdw(1)
+	kn := head[1]
 	kind, field := int(kn>>32), int(kn&0xffffffff)
 	var plen, nops int
 	switch kind {
@@ -872,11 +884,13 @@ func (l *Log) probeSlot(seq uint64, rd wordReader) (Record, SlotStatus) {
 	if 3+plen+1 > l.slotW {
 		return Record{}, SlotBad
 	}
-	words := make([]uint64, 3+plen)
-	for i := range words {
-		words[i] = rdw(i)
+	words := make([]uint64, 3+plen+1)
+	if n := copy(words, head[:]); n < len(words) {
+		rd.read(addr+pmem.Addr(n*pmem.WordSize), words[n:])
 	}
-	if rdw(3+plen) != checksum(words) {
+	recSum := words[3+plen]
+	words = words[:3+plen]
+	if recSum != checksum(words) {
 		return Record{}, SlotBad
 	}
 	rec := Record{Seq: seq, Kind: kind, ExecIdx: words[2]}
@@ -900,9 +914,7 @@ func (l *Log) probeSlot(seq uint64, rd wordReader) (Record, SlotStatus) {
 			return Record{}, SlotBadOvf
 		}
 		tail := make([]uint64, wantLen)
-		for i := range tail {
-			tail[i] = rd(l.ovfBase + pmem.Addr((off+i)*pmem.WordSize))
-		}
+		rd.read(l.ovfBase+pmem.Addr(off*pmem.WordSize), tail)
 		if checksum(tail) != sum {
 			return Record{}, SlotBadOvf // torn overflow tail: record never appended
 		}
@@ -923,9 +935,7 @@ func (l *Log) probeSlot(seq uint64, rd wordReader) (Record, SlotStatus) {
 			return Record{}, SlotBadSnap
 		}
 		state := make([]uint64, n)
-		for i := range state {
-			state[i] = rd(region + pmem.Addr(i*pmem.WordSize))
-		}
+		rd.read(region, state)
 		if checksum(state) != sum {
 			return Record{}, SlotBadSnap // torn snapshot body: record never happened
 		}
@@ -940,9 +950,7 @@ func (l *Log) probeSlot(seq uint64, rd wordReader) (Record, SlotStatus) {
 			return Record{}, SlotBadDelta
 		}
 		body := make([]uint64, n)
-		for i := range body {
-			body[i] = rd(region + pmem.Addr(i*pmem.WordSize))
-		}
+		rd.read(region, body)
 		if checksum(body) != sum {
 			return Record{}, SlotBadDelta // torn chain body: record never appended
 		}
@@ -983,7 +991,7 @@ type Walk struct {
 }
 
 // startWalk walks the log from headSeq+1 through rd (see walk).
-func (l *Log) startWalk(rd wordReader) *Walk {
+func (l *Log) startWalk(rd rangeReader) *Walk {
 	w := &Walk{LastValid: l.headSeq, next: l.headSeq + 1}
 	l.walk(w, rd)
 	return w
@@ -995,7 +1003,7 @@ func (l *Log) startWalk(rd wordReader) *Walk {
 // appends end — stops it there. A same-seq invalid first slot (a tear
 // or damage) does not: only the slots beyond it tell a benign tear from
 // orphans. Calling walk again after a stale end resumes past it.
-func (l *Log) walk(w *Walk, rd wordReader) {
+func (l *Log) walk(w *Walk, rd rangeReader) {
 	for ; int(w.next-1-l.headSeq) < l.capacity; w.next++ {
 		rec, st := l.probeSlot(w.next, rd)
 		switch {
@@ -1106,9 +1114,7 @@ func (l *Log) Scrub() ScrubResult {
 	// Header: recompute the checksum over the durable words and check
 	// the geometry against the opened log's.
 	var hdr [hdrWords]uint64
-	for i := range hdr {
-		hdr[i] = l.pool.DurableWord(l.base + pmem.Addr(i*pmem.WordSize))
-	}
+	l.pool.DurableRange(l.base, hdr[:])
 	res.HeaderOK = hdr[hdrMagic] == logMagic &&
 		hdr[hdrSum] == checksum(hdr[:hdrSum]) &&
 		int(hdr[hdrCapacity]) == l.capacity &&

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/pmem"
+	"repro/internal/sched"
 	"repro/internal/spec"
 )
 
@@ -271,5 +272,45 @@ func TestScrubHeaderFault(t *testing.T) {
 	res := l.Scrub()
 	if res.HeaderOK || !res.Faulty() {
 		t.Fatalf("scrub missed the header fault: %+v", res)
+	}
+}
+
+// TestScrubIsInvisibleToAccounting pins the scrubber's contract: a
+// scrub of a log holding every record kind — inline and overflowing ops
+// records, a full snapshot, a chain base and its deltas — takes no gate
+// step and leaves every statistic unchanged, because it reads the
+// durable image through pmem.DurableRange only.
+func TestScrubIsInvisibleToAccounting(t *testing.T) {
+	gate := sched.NewStepCounter(0, nil)
+	pool := pmem.New(1<<20, gate)
+	l, err := CreateInline(pool, 0, 32, 8, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx := uint64(0)
+	for _, n := range []int{1, 2, 5, 8} {
+		ops := make([]spec.Op, n)
+		for k := range ops {
+			ops[k] = op(uint64(k+1), idx+1)
+		}
+		idx++
+		if _, err := l.Append(ops, idx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	idx++
+	if _, err := l.AppendSnapshot([]uint64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}, idx); err != nil {
+		t.Fatal(err)
+	}
+	buildChain(t, l, idx+1, idx+2, idx+3)
+	steps, stats := gate.Steps(), pool.TotalStats()
+	if res := l.Scrub(); res.Faulty() || res.LiveOK != 8 {
+		t.Fatalf("scrub of a clean log: %+v", res)
+	}
+	if d := gate.Steps() - steps; d != 0 {
+		t.Fatalf("scrub took %d gate steps", d)
+	}
+	if s := pool.TotalStats(); s != stats {
+		t.Fatalf("scrub moved the statistics: %v -> %v", stats, s)
 	}
 }

@@ -36,6 +36,12 @@
 // per-pid atomic counters, so StatsOf/TotalStats never block memory
 // traffic. Lock order, where two kinds are held together, is always
 // pending-before-shard; shard locks are ranked by shard index.
+//
+// Line-granular primitives: StoreLine and StoreRange write, and
+// LoadRange reads, a cache line per gate step, shard lock and
+// statistics update, while the word primitives pay those per word.
+// Under them the gate sees writes and reads per line; Stats still count
+// words. DurableRange is DurableWord over a range, for the scrubber.
 package pmem
 
 import (
@@ -430,6 +436,42 @@ func (p *Pool) Load(pid int, addr Addr) uint64 {
 	return p.persistent[addr.word()]
 }
 
+// LoadRange reads len(dst) consecutive words starting at addr into dst,
+// as seen by the running system — the read-side twin of StoreRange.
+// Each touched cache line costs one gate step ("pmem.load", before the
+// line is read), one shard-lock acquisition and one copy, from the
+// resident cache line or else from the persistent image; Stats.Loads
+// still counts words. The gate therefore interleaves other processes
+// between lines, never between words of one line. Recovery's log walk
+// reads slots and snapshot bodies through it. Bounds and alignment are
+// checked for the whole range before any line is read, with Load's
+// panics.
+func (p *Pool) LoadRange(pid int, addr Addr, dst []uint64) {
+	if len(dst) == 0 {
+		return
+	}
+	checkPid(pid)
+	p.checkAddr(addr)
+	p.checkAddr(addr + Addr((len(dst)-1)*WordSize))
+	for len(dst) > 0 {
+		li := addr.Line()
+		w := addr.word() % LineWords
+		n := min(uint64(len(dst)), LineWords-w)
+		p.gate.Step(pid, "pmem.load")
+		p.stats[pid].loads.Add(n)
+		mu := p.shard(li)
+		mu.Lock()
+		if cl := &p.cache[li]; cl.resident {
+			copy(dst[:n], cl.words[w:w+n])
+		} else {
+			copy(dst[:n], p.persistent[addr.word():addr.word()+n])
+		}
+		mu.Unlock()
+		addr += Addr(n * WordSize)
+		dst = dst[n:]
+	}
+}
+
 // Store writes the word at addr into the cache (volatile until flushed
 // and fenced).
 //
@@ -463,6 +505,8 @@ func (p *Pool) Store(pid int, addr Addr, val uint64) {
 // and a spontaneous eviction persists the whole batch, never a prefix
 // of it (maybeEvictN keeps the per-word firing rate). Both match the
 // model's line-indivisible write-backs.
+// LoadRange is the read-side counterpart: recovery reads a line per
+// gate step the way the log layer writes one.
 //
 //onll:hotpath
 func (p *Pool) StoreLine(pid int, addr Addr, vals []uint64) {
@@ -769,6 +813,29 @@ func (p *Pool) DurableWord(addr Addr) uint64 {
 	mu.Lock()
 	defer mu.Unlock()
 	return p.persistent[addr.word()]
+}
+
+// DurableRange fills dst with the len(dst) consecutive words starting at
+// addr as they exist in NVM right now, bypassing the cache: DurableWord
+// over a range, one shard lock per touched line. Like DurableWord it
+// takes no gate steps and touches no statistics — the scrubber reads
+// through it.
+func (p *Pool) DurableRange(addr Addr, dst []uint64) {
+	if len(dst) == 0 {
+		return
+	}
+	p.checkAddr(addr)
+	p.checkAddr(addr + Addr((len(dst)-1)*WordSize))
+	for len(dst) > 0 {
+		li := addr.Line()
+		n := min(uint64(len(dst)), LineWords-addr.word()%LineWords)
+		mu := p.shard(li)
+		mu.Lock()
+		copy(dst[:n], p.persistent[addr.word():addr.word()+n])
+		mu.Unlock()
+		addr += Addr(n * WordSize)
+		dst = dst[n:]
+	}
 }
 
 // VolatileLines returns the number of cache lines currently dirty (a
