@@ -31,17 +31,18 @@
 // allocation) guarded by shardCount mutexes keyed on the line index, so
 // simulated processes touching disjoint lines — the common case: each
 // process appends to its own persistent log — never contend. Pending
-// write-back sets are fixed-size per-pid slices (a process's pending set
-// is touched only by that process and by Crash), and statistics are
-// per-pid atomic counters, so StatsOf/TotalStats never block memory
-// traffic. Lock order, where two kinds are held together, is always
-// pending-before-shard; shard locks are ranked by shard index.
+// write-back sets are per-pid slices (touched only by that process and
+// by Crash); a flushed line's cache slot marks its pending entry, so a
+// re-flush finds it in O(1). Statistics are per-pid atomic counters, so
+// StatsOf/TotalStats never block memory traffic. Lock order, where two
+// kinds are held together, is always pending-before-shard; shard locks
+// are ranked by shard index. No pmem lock is held across a gate step.
 //
-// Line-granular primitives: StoreLine and StoreRange write, and
-// LoadRange reads, a cache line per gate step, shard lock and
-// statistics update, while the word primitives pay those per word.
-// Under them the gate sees writes and reads per line; Stats still count
-// words. DurableRange is DurableWord over a range, for the scrubber.
+// Line-granular primitives: StoreLine and StoreRange write, FlushRange
+// writes back, and LoadRange reads a cache line per gate step, shard
+// lock and statistics update. Stats still count words. The range
+// primitives check the whole range before touching a line.
+// DurableRange is DurableWord over a range, for the scrubber.
 package pmem
 
 import (
@@ -167,11 +168,15 @@ func (s *pidStats) reset() {
 }
 
 // cacheLine is the volatile copy of one line, stored inline in the dense
-// cache slice (no per-line heap allocation).
+// cache slice (no per-line heap allocation). pendPid and pendSlot mark
+// the pid that last pended the line and 1 + its entry index (0: none;
+// pidPending.add); they fill the tail padding, so the line stays 72 B.
 type cacheLine struct {
 	words    [LineWords]uint64
 	resident bool // line has a volatile copy (faulted in by a store/CAS)
 	dirty    bool
+	pendPid  uint8
+	pendSlot uint32
 }
 
 // pendingEntry is one flushed-but-unfenced line snapshot.
@@ -181,72 +186,46 @@ type pendingEntry struct {
 }
 
 // pidPending is one process's pending write-back set. The entries slice
-// is reused across fences, so the steady-state flush/fence cycle is
-// allocation-free. The mutex exists only for Crash/WriteImage (which
-// quiesce all processes); a process's own Flush/Fence never contend.
-//
-// Re-flushing a line must replace its snapshot, so Flush dedupes
-// against the set. The ordinary update cycle pends a handful of lines
-// between fences and a linear scan is the fastest possible dedupe —
-// but a compaction snapshot flushes its whole state region (thousands
-// of lines for a grown object) under one fence, where scanning per
-// flush turns the region write-back quadratic. Past pendingScanMax
-// entries the set therefore switches to a line→slot index map, built
-// once at the crossing and maintained incrementally; the map is
-// retained (emptied, not dropped) across fences so a snapshot-heavy
-// process allocates it once.
+// is reused across fences (a fence or crash empties it to [:0]), so the
+// steady-state flush/fence cycle is allocation-free. The mutex exists
+// only for Crash/WriteImage (which quiesce all processes); a process's
+// own Flush/Fence never contend.
 //
 //onll:linepadded
 type pidPending struct {
 	mu      sync.Mutex
 	entries []pendingEntry
-	index   map[uint64]int // line -> entries slot; live iff len(entries) > pendingScanMax
-	_       [3]uint64      // pad to 64 bytes: no false sharing between pids
+	_       [4]uint64 // pad to 64 bytes: no false sharing between pids
 }
 
-// pendingScanMax is the largest pending set deduped by linear scan.
-// Update records span few lines (slot + tail + header); 32 covers
-// every non-snapshot append with headroom while keeping the common
-// path free of map traffic.
-const pendingScanMax = 32
-
-// add records a flushed line snapshot, replacing the line's previous
-// entry if present. Caller holds pp.mu.
-func (pp *pidPending) add(li uint64, words [LineWords]uint64) {
-	if len(pp.entries) <= pendingScanMax {
-		for i := range pp.entries {
-			if pp.entries[i].line == li {
-				pp.entries[i].words = words
-				return
+// add records cl's contents as line li's pending snapshot, replacing
+// the line's entry if it has one. The line's mark finds the entry in
+// O(1) however large the set (a chain base pends thousands of lines).
+// A mark is trusted only while its entry still holds li, since fences
+// and crashes empty the set without touching marks; when another pid
+// holds the mark the set is scanned. Caller holds pp.mu and li's shard.
+func (pp *pidPending) add(pid int, li uint64, cl *cacheLine) {
+	i := -1
+	switch {
+	case cl.pendSlot == 0: // not pended since the last crash
+	case int(cl.pendPid) == pid:
+		if j := int(cl.pendSlot) - 1; j < len(pp.entries) && pp.entries[j].line == li {
+			i = j
+		}
+	default:
+		for j := range pp.entries {
+			if pp.entries[j].line == li {
+				i = j
+				break
 			}
 		}
-		pp.entries = append(pp.entries, pendingEntry{line: li, words: words})
-		if len(pp.entries) > pendingScanMax {
-			// Crossing: index everything pended so far.
-			if pp.index == nil {
-				pp.index = make(map[uint64]int, 2*pendingScanMax)
-			}
-			for i := range pp.entries {
-				pp.index[pp.entries[i].line] = i
-			}
-		}
-		return
 	}
-	if i, ok := pp.index[li]; ok {
-		pp.entries[i].words = words
-		return
+	if i < 0 {
+		i = len(pp.entries)
+		pp.entries = append(pp.entries, pendingEntry{line: li})
 	}
-	pp.index[li] = len(pp.entries)
-	pp.entries = append(pp.entries, pendingEntry{line: li, words: words})
-}
-
-// drain empties the set (fence commit, crash discard), keeping the
-// entries array and the index map for reuse. Caller holds pp.mu.
-func (pp *pidPending) drain() {
-	pp.entries = pp.entries[:0]
-	if len(pp.index) > 0 {
-		clear(pp.index)
-	}
+	pp.entries[i].words = cl.words
+	cl.pendPid, cl.pendSlot = uint8(pid), uint32(i+1)
 }
 
 // Pool is one simulated NVM device plus the volatile cache in front of
@@ -516,33 +495,45 @@ func (p *Pool) StoreLine(pid int, addr Addr, vals []uint64) {
 	p.gate.Step(pid, "pmem.store")
 	checkPid(pid)
 	p.checkAddr(addr)
-	li := addr.Line()
-	w := addr.word() % LineWords
-	if w+uint64(len(vals)) > LineWords {
+	if addr.word()%LineWords+uint64(len(vals)) > LineWords {
 		panic(fmt.Sprintf("pmem: StoreLine of %d words at %#x crosses a line boundary",
 			len(vals), uint64(addr)))
 	}
-	p.checkAddr(addr + Addr((len(vals)-1)*WordSize))
-	p.stats[pid].stores.Add(uint64(len(vals)))
-	mu := p.shard(li)
-	mu.Lock() //onll:lockok(striped line-shard lock: bounded section, models line coherency)
-	defer mu.Unlock()
-	cl := p.line(li)
-	copy(cl.words[w:w+uint64(len(vals))], vals)
-	cl.dirty = true
-	p.maybeEvictN(li, len(vals))
+	p.storeLine(pid, addr, vals)
 }
 
-// StoreRange writes vals to consecutive words starting at addr, splitting
-// the write into per-line StoreLine batches: one gate step, one lock and
-// one stat bump per touched cache line instead of per word.
+// storeLine is the per-line body of StoreLine and StoreRange: the
+// caller has taken the gate step and checked pid, alignment, bounds and
+// that vals lies within addr's line.
+//
+//onll:hotpath
+func (p *Pool) storeLine(pid int, addr Addr, vals []uint64) {
+	p.stats[pid].stores.Add(uint64(len(vals)))
+	li := addr.Line()
+	mu := p.shard(li)
+	mu.Lock() //onll:lockok(striped line-shard lock: bounded section, models line coherency)
+	cl := p.line(li)
+	copy(cl.words[addr.word()%LineWords:], vals)
+	cl.dirty = true
+	p.maybeEvictN(li, len(vals))
+	mu.Unlock()
+}
+
+// StoreRange writes vals to consecutive words starting at addr, as one
+// StoreLine per touched cache line: one gate step, one lock and one
+// stat bump per line instead of per word. Like LoadRange it checks pid,
+// alignment and bounds for the whole range before storing any line.
 func (p *Pool) StoreRange(pid int, addr Addr, vals []uint64) {
+	if len(vals) == 0 {
+		return
+	}
+	checkPid(pid)
+	p.checkAddr(addr)
+	p.checkAddr(addr + Addr((len(vals)-1)*WordSize))
 	for len(vals) > 0 {
-		n := int(LineWords - addr.word()%LineWords)
-		if n > len(vals) {
-			n = len(vals)
-		}
-		p.StoreLine(pid, addr, vals[:n])
+		n := min(len(vals), int(LineWords-addr.word()%LineWords))
+		p.gate.Step(pid, "pmem.store")
+		p.storeLine(pid, addr, vals[:n])
 		addr += Addr(n * WordSize)
 		vals = vals[n:]
 	}
@@ -585,24 +576,27 @@ func (p *Pool) Flush(pid int, addr Addr) {
 	p.gate.Step(pid, "pmem.flush")
 	checkPid(pid)
 	p.checkAddr(addr)
-	p.stats[pid].flushes.Add(1)
-	li := addr.Line()
-	mu := p.shard(li)
-	mu.Lock() //onll:lockok(striped line-shard lock: bounded section, models line coherency)
-	cl := &p.cache[li]
-	if !cl.resident || !cl.dirty {
-		mu.Unlock()
-		return
-	}
-	words := cl.words
-	mu.Unlock()
+	p.flushLine(pid, addr.Line())
+}
 
+// flushLine is the per-line body of Flush and FlushRange: the caller
+// has taken the gate step and checked pid and bounds. It holds pid's
+// pending set and then li's shard, the documented lock order.
+//
+//onll:hotpath
+func (p *Pool) flushLine(pid int, li uint64) {
+	p.stats[pid].flushes.Add(1)
 	pp := &p.pending[pid]
 	pp.mu.Lock() //onll:lockok(per-pid pending write-back set: single-writer in practice, bounded section)
-	defer pp.mu.Unlock()
-	pp.add(li, words)
+	mu := p.shard(li)
+	mu.Lock() //onll:lockok(striped line-shard lock: bounded section, models line coherency)
 	// The line remains cached and dirty (later stores may re-dirty it
 	// relative to the snapshot); a fence commits the snapshot.
+	if cl := &p.cache[li]; cl.resident && cl.dirty {
+		pp.add(pid, li, cl)
+	}
+	mu.Unlock()
+	pp.mu.Unlock()
 }
 
 // Fence orders pid's outstanding write-backs: every line pid has flushed
@@ -644,24 +638,29 @@ func (p *Pool) Fence(pid int) {
 			cl.dirty = false
 		}
 		mu.Unlock()
-		s.linesPersisted.Add(1)
 	}
-	pp.drain()
+	s.linesPersisted.Add(uint64(len(pp.entries)))
+	pp.entries = pp.entries[:0]
 }
 
 // FlushRange issues asynchronous, unordered write-backs for every line
 // overlapping [addr, addr+size) WITHOUT fencing. Multi-line structures
 // split across tiers (log slots plus their overflow chunks, snapshot
 // regions) flush all of their lines this way and then pay for a single
-// fence covering the whole batch.
+// fence covering the whole batch. Each line is one Flush; pid and bounds
+// are checked for the whole range first.
 func (p *Pool) FlushRange(pid int, addr Addr, size int) {
 	if size <= 0 {
 		return
 	}
 	first := addr.Line()
 	last := Addr(uint64(addr) + uint64(size) - 1).Line()
+	checkPid(pid)
+	p.checkAddr(Addr(first * LineSize))
+	p.checkAddr(Addr(last * LineSize))
 	for li := first; li <= last; li++ {
-		p.Flush(pid, Addr(li*LineSize))
+		p.gate.Step(pid, "pmem.flush")
+		p.flushLine(pid, li)
 	}
 }
 
@@ -724,7 +723,7 @@ func (p *Pool) Crash(oracle Oracle) {
 				copy(p.persistent[base:base+LineWords], e.words[:])
 			}
 		}
-		pp.drain()
+		pp.entries = pp.entries[:0]
 	}
 	// Dirty lines never flushed: an uncontrolled eviction may have
 	// written them back at any point; the oracle models that too.
