@@ -29,7 +29,6 @@ var (
 	netFlag  = flag.String("net", "tcp", "listen network: tcp or unix")
 	nprocsF  = flag.Int("nprocs", 4, "simulated processes (1 batcher + n-1 read handles)")
 	batchF   = flag.Int("batch", 64, "most updates one fence covers (a batch closes earlier when the queue runs dry)")
-	ackF     = flag.String("ack", "persist", "default ack mode for plain updates: persist|linearize")
 	timingsF = flag.String("timings", "", "after shutdown, dump per-request timing CSV to this file")
 )
 
@@ -58,9 +57,6 @@ func coreConfig(nprocs, batch int) core.Config {
 // closed, then drains. up, when non-nil, receives the server once it
 // is listening.
 func serve(stop <-chan struct{}, up chan<- *server.Server) error {
-	if *ackF != "persist" && *ackF != "linearize" {
-		return fmt.Errorf("-ack must be persist or linearize, got %q", *ackF)
-	}
 	if *batchF < 1 {
 		return fmt.Errorf("-batch must be at least 1, got %d", *batchF)
 	}
@@ -77,9 +73,8 @@ func serve(stop <-chan struct{}, up chan<- *server.Server) error {
 		timingCap = 0
 	}
 	s, err := server.New(in, server.Config{
-		AckOnPersist: *ackF == "persist",
-		Batcher:      server.BatcherConfig{MaxBatch: *batchF},
-		TimingCap:    timingCap,
+		Batcher:   server.BatcherConfig{MaxBatch: *batchF},
+		TimingCap: timingCap,
 	})
 	if err != nil {
 		return err
@@ -87,8 +82,7 @@ func serve(stop <-chan struct{}, up chan<- *server.Server) error {
 	if err := s.Listen(*netFlag, *addrFlag); err != nil {
 		return err
 	}
-	fmt.Printf("onllserve: listening on %s %s (ack-on-%s, batch<=%d)\n",
-		*netFlag, s.Addr(), *ackF, *batchF)
+	fmt.Printf("onllserve: listening on %s %s (batch<=%d)\n", *netFlag, s.Addr(), *batchF)
 	if up != nil {
 		up <- s
 	}

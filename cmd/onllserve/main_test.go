@@ -12,7 +12,7 @@ import (
 	"repro/internal/workload"
 )
 
-// serveOne drives serve() itself: one ack-on-persist update and one
+// serveOne drives serve() itself: one update and one
 // read over an ephemeral loopback listener, then a stop, which must
 // drain with both requests counted. It returns the drained server.
 func serveOne(t *testing.T) *server.Server {

@@ -66,7 +66,8 @@ func TestBatchFullAndErr(t *testing.T) {
 func TestBatchCrashSplitsAtFlush(t *testing.T) {
 	// Flushed batch survives the crash; a staged-but-unflushed batch is
 	// lost, and the loss is detectable per op id (WasLinearized false).
-	pool, in := newCounter(t, Config{NProcs: 1, LogMaxOps: 32})
+	// Readers see the fence's side only.
+	pool, in := newCounter(t, Config{NProcs: 2, LogMaxOps: 32})
 	b := in.Handle(0).NewBatch()
 	var durable, lost []uint64
 	for i := 0; i < 4; i++ {
@@ -86,9 +87,10 @@ func TestBatchCrashSplitsAtFlush(t *testing.T) {
 		}
 		lost = append(lost, id)
 	}
-	// Before the crash all 7 are linearized and reader-visible.
-	if v := in.Handle(0).Read(objects.CounterGet); v != 7 {
-		t.Fatalf("pre-crash read %d, want 7", v)
+	// Before the crash only the 4 flushed ops are linearized: a read on
+	// another handle does not see the 3 staged ones.
+	if v := in.Handle(1).Read(objects.CounterGet); v != 4 {
+		t.Fatalf("pre-crash read %d, want 4", v)
 	}
 	pool.Crash(pmem.DropAll)
 	rin, rep, err := Recover(pool, objects.CounterSpec{}, Config{})
@@ -183,5 +185,127 @@ func TestBatchWithCompaction(t *testing.T) {
 	}
 	if v := rin.Handle(0).Read(objects.CounterGet); v != total {
 		t.Fatalf("post-recovery read %d, want %d", v, total)
+	}
+}
+
+func TestBatchHoldsHandleWhileStaged(t *testing.T) {
+	// The batch's handle is entered from the first Stage to the covering
+	// Flush: its view already holds the staged ops, which are not yet
+	// linearized, so Read and Update on it must refuse.
+	_, in := newCounter(t, Config{NProcs: 2, LogMaxOps: 8, LocalViews: true})
+	h := in.Handle(0)
+	b := h.NewBatch()
+	if _, _, err := b.Stage(objects.CounterInc); err != nil {
+		t.Fatal(err)
+	}
+	for name, op := range map[string]func(){
+		"Read":   func() { h.Read(objects.CounterGet) },
+		"Update": func() { h.Update(objects.CounterInc) },
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r != errBusy {
+					t.Fatalf("%s on a handle with staged ops: recovered %v, want errBusy", name, r)
+				}
+			}()
+			op()
+		}()
+	}
+	if err := b.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := h.Update(objects.CounterInc); err != nil {
+		t.Fatal(err)
+	}
+	if v := h.Read(objects.CounterGet); v != 2 {
+		t.Fatalf("read after Flush %d, want 2", v)
+	}
+}
+
+func TestBatchSpanBoundsRecord(t *testing.T) {
+	// A flush record carries every node between the batch's first and
+	// last staged node, foreign ones included, so Stage bounds that span:
+	// with a foreign Update after every stage, a batch fills at half the
+	// ops it holds alone, and no Flush or Update outgrows the record
+	// bound (plog.ErrTooMany).
+	_, in := newCounter(t, Config{NProcs: 2, LogMaxOps: 8, LocalViews: true})
+	b, h1 := in.Handle(0).NewBatch(), in.Handle(1)
+	const n = 40
+	for staged := 0; staged < n; {
+		_, _, err := b.Stage(objects.CounterInc)
+		if errors.Is(err, ErrBatchFull) {
+			if want := (b.Limit() + 1) / 2; b.Pending() != want {
+				t.Fatalf("ErrBatchFull at %d staged ops, want %d (span limit %d, a foreign op after each)", b.Pending(), want, b.Limit())
+			}
+			if err := b.Flush(); err != nil {
+				t.Fatalf("Flush: %v", err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("Stage: %v", err)
+		}
+		staged++
+		if _, _, err := h1.Update(objects.CounterInc); err != nil {
+			t.Fatalf("foreign Update beside %d staged: %v", b.Pending(), err)
+		}
+	}
+	if err := b.Flush(); err != nil {
+		t.Fatalf("Flush: %v", err)
+	}
+	if v := h1.Read(objects.CounterGet); v != 2*n {
+		t.Fatalf("read %d, want %d", v, 2*n)
+	}
+}
+
+func TestBatchSpanRaceFlushesFirst(t *testing.T) {
+	// Foreign inserts can land between Stage's span check and its own
+	// insert. The staged ops are then fenced first (one extra fence), so
+	// the new op starts the next record and neither outgrows the bound.
+	ctl := sched.NewController()
+	pool := pmem.New(testPoolSize, ctl)
+	in, err := New(pool, objects.CounterSpec{}, Config{NProcs: 2, LogMaxOps: 6, LocalViews: true, Gate: ctl})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := in.Handle(0).NewBatch()
+	done0 := ctl.Spawn(0, func() {
+		for i := 0; i < 2; i++ {
+			if _, _, err := b.Stage(objects.CounterInc); err != nil {
+				t.Errorf("Stage %d: %v", i, err)
+			}
+		}
+		if err := b.Flush(); err != nil {
+			t.Errorf("Flush: %v", err)
+		}
+	})
+	ctl.RunUntil(0, sched.AtPoint(PointReturn))
+	ctl.StepN(0, 2) // past PointReturn and the span check's tail read, parked at the insert
+	done1 := ctl.Spawn(1, func() {
+		for i := 0; i < 6; i++ {
+			if _, _, err := in.Handle(1).Update(objects.CounterInc); err != nil {
+				t.Errorf("Update: %v", err)
+			}
+		}
+	})
+	ctl.RunToCompletion(1)
+	<-done1
+	pool.ResetStats()
+	ctl.RunToCompletion(0)
+	<-done0
+	if pf := pool.TotalStats().PersistentFences; pf != 2 {
+		t.Fatalf("%d persistent fences for the raced stage and its flush, want 2", pf)
+	}
+	ctl.KillAll()
+	pool.Crash(pmem.DropAll)
+	rin, rep, err := Recover(pool, objects.CounterSpec{}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.LastIdx != 8 {
+		t.Fatalf("recovered %d ops, want 8", rep.LastIdx)
+	}
+	if v := rin.Handle(0).Read(objects.CounterGet); v != 8 {
+		t.Fatalf("post-recovery read %d, want 8", v)
 	}
 }

@@ -137,7 +137,12 @@ type Config struct {
 	// update can owe). Batched entry points (Handle.NewBatch) persist
 	// many staged operations plus the helping tail under one record and
 	// one fence, so a server sizing its batcher must leave room:
-	// MaxBatch <= LogMaxOps - NProcs. Zero or values below NProcs
+	// MaxBatch <= LogMaxOps - NProcs. The bound holds for every handle,
+	// not only the batch's: staged nodes are unavailable, so a concurrent
+	// updater's fuzzy window collects them, and that window is at most
+	// the batch's staged ops plus one pending op per other process —
+	// within the span Stage admits plus NProcs-1, hence <= LogMaxOps
+	// while one batch stages at a time. Zero or values below NProcs
 	// select NProcs. Raising it does not widen the inline slots — wide
 	// records spill their tail to the overflow ring — but it does grow
 	// the ring's sizing floor, so PoolBytes must be computed with the
@@ -386,7 +391,8 @@ func (in *Instance) Log(pid int) *plog.Log { return in.logs[pid] }
 
 // Handle returns the per-process handle for pid. A Handle must only be
 // used by one operation at a time (a process executes one operation at a
-// time; the fuzzy-window bound of Proposition 5.2 depends on it).
+// time; the fuzzy-window bound of Proposition 5.2 depends on it), and a
+// Batch with ops staged is one operation in flight.
 func (in *Instance) Handle(pid int) *Handle {
 	if pid < 0 || pid >= in.cfg.NProcs {
 		panic(fmt.Sprintf("core: pid %d out of range [0,%d)", pid, in.cfg.NProcs))
@@ -439,8 +445,11 @@ type Handle struct {
 	// cutter's reclaim must already see the floor. enter publishes the
 	// lower of viewIdx (replay walks stop there) and the chain head (a
 	// delta cut's walk stops there); fuzzy/latest-available walks start
-	// at or above the tail and by Proposition 5.2 descend at most NProcs
-	// nodes. Idle handles publish MaxUint64. A retired node is promoted to the free
+	// at or above the tail and stop at the first available node, which is
+	// at or above viewIdx: a view rests only on an available node or a
+	// base, except a batch's, and a batch keeps its handle entered under
+	// its first floor until Flush sets its last node available.
+	// Idle handles publish MaxUint64. A retired node is promoted to the free
 	// list only once idx + NProcs < min over all published floors, so no
 	// in-flight walk can still reach it; nodes retired later stay in
 	// retired until a future compaction re-checks. The same rule
@@ -476,7 +485,7 @@ func (h *Handle) PID() int { return h.pid }
 // that recovery may nevertheless report as linearized.
 func (h *Handle) NextOpID() uint64 { return spec.MakeID(h.pid, h.seq+1) }
 
-var errBusy = errors.New("core: handle used by two operations concurrently (one process = one operation at a time)")
+var errBusy = errors.New("core: handle used by two operations concurrently, or while its batch has ops staged (one process = one operation at a time)")
 
 func (h *Handle) enter() {
 	if !h.busy.CompareAndSwap(false, true) {

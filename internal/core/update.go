@@ -1,9 +1,9 @@
 package core
 
 // The update pipeline (Section 3.2, Listing 3): order, persist,
-// linearize, then the compaction cadence. Update runs the stages in
-// that order; Batch (batch.go) calls the same steps with linearize
-// before persist.
+// linearize, then the compaction cadence. Update runs the stages for
+// one operation; Batch (batch.go) runs order per operation and the rest
+// once per batch.
 
 import (
 	"fmt"
@@ -68,26 +68,33 @@ func (h *Handle) Update(code uint64, args ...uint64) (ret, id uint64, err error)
 }
 
 // order runs the order stage for (code, args): the quarantine check,
-// enter, the op's id, a pooled node, and its insert into the trace,
-// which fixes the operation's linearization order. The CAS inside the
-// insert is a concurrency fence but no NVM write-back is pending, so it
-// is not a persistent fence (paper footnote 2). On success the handle
-// is entered and the caller must exit it.
+// enter, and insert. On success the handle is entered and the caller
+// must exit it.
 //
 //onll:hotpath
 func (h *Handle) order(code uint64, args []uint64) (*trace.Node, error) {
-	in := h.in
-	if qerr := in.quarErr(); qerr != nil {
+	if qerr := h.in.quarErr(); qerr != nil {
 		return nil, qerr
 	}
 	h.enter()
+	return h.insert(code, args), nil
+}
+
+// insert gives (code, args) the handle's next op id and a pooled node,
+// and inserts it into the trace, which fixes the operation's
+// linearization order. The CAS inside the insert is a concurrency fence
+// but no NVM write-back is pending, so it is not a persistent fence
+// (paper footnote 2). The handle must be entered.
+//
+//onll:hotpath
+func (h *Handle) insert(code uint64, args []uint64) *trace.Node {
 	h.seq++
 	op := spec.Op{Code: code, ID: spec.MakeID(h.pid, h.seq)}
 	copy(op.Args[:], args)
 	node := h.newNode(op)
-	in.tr.Insert(h.pid, node)
-	in.gate.Step(h.pid, PointOrdered)
-	return node, nil
+	h.in.tr.Insert(h.pid, node)
+	h.in.gate.Step(h.pid, PointOrdered)
+	return node
 }
 
 // persist runs the persist stage: one log append of ops, the record

@@ -6,14 +6,12 @@
 // since the previous flush, so measured persists-per-request drops
 // below 1 as soon as batches exceed one op.
 //
-// The price is an explicit durability window, surfaced as two ack
-// modes. Ack-on-linearize responds the moment the op is ordered and
-// visible (readers already see it); a crash before the next flush
-// loses the acked suffix, and the paper's detectability machinery is
-// what makes that honest — every response carries the op id, and
-// Report.WasLinearized(id) after recovery says exactly which acked ops
-// survived. Ack-on-persist responds only after the flush fence, which
-// restores the paper's per-op guarantee at batch-flush latency.
+// Every update keeps the paper's per-op guarantee: its response leaves
+// only after the flush fence that covers it, and the flush is what
+// linearizes the batch, so no reader observes an update a crash can
+// still erase. Every response carries the op id, so after a crash
+// Report.WasLinearized(id) tells a client whose connection died before
+// the response whether its update survived.
 package server
 
 import (
@@ -49,12 +47,10 @@ func (c *BatcherConfig) fill() {
 	}
 }
 
-// Batcher owns the instance's single updating handle (the batch entry
-// point's single-updater regime) and runs the stage-on-arrival loop:
-// every request is ordered + linearized the moment it is dequeued —
-// ack-on-linearize responses leave immediately — and the flush fence
-// runs as soon as the queue is dry or the batch is full (group commit),
-// releasing the ack-on-persist responses.
+// Batcher owns one updating handle and runs the stage-on-arrival loop:
+// every request is ordered the moment it is dequeued, and the flush
+// fence runs as soon as the queue is dry or the batch is full (group
+// commit), releasing the responses.
 type Batcher struct {
 	batch *core.Batch
 	cfg   BatcherConfig
@@ -74,9 +70,9 @@ type Batcher struct {
 	stopped chan struct{}
 }
 
-// NewBatcher wraps the handle (which must be the instance's only
-// updater) in a batcher. Call Run in a goroutine, Submit from any,
-// Close to drain.
+// NewBatcher wraps the handle in a batcher; the batch holds the handle
+// while ops are staged, so nothing else may use it. Call Run in a
+// goroutine, Submit from any, Close to drain.
 func NewBatcher(h *core.Handle, ring *timingRing, cfg BatcherConfig) *Batcher {
 	cfg.fill()
 	b := h.NewBatch()
@@ -158,8 +154,8 @@ func (ba *Batcher) Run() {
 	}
 }
 
-// stage runs order+linearize for one request and, for ack-on-linearize,
-// releases its response immediately.
+// stage runs the order stage for one request; its response waits for
+// the covering flush.
 //
 //onll:hotpath
 func (ba *Batcher) stage(r *Request) {
@@ -173,20 +169,17 @@ func (ba *Batcher) stage(r *Request) {
 	r.Ret, r.ID, r.Err = ret, id, err
 	ba.updates.Add(1)
 	if err != nil {
-		// Never staged: respond now regardless of ack mode, and do not
-		// hold it for a fence that will not cover it.
+		// Never staged: respond now, and do not hold it for a fence that
+		// will not cover it.
 		r.done <- r //onll:chanok(ack delivery: buffered response channel, batcher structure)
 		return
 	}
 	ba.pending = append(ba.pending, r)
-	if !r.AckPersist {
-		r.done <- r //onll:chanok(ack-on-linearize delivery: buffered response channel)
-	}
 }
 
-// flush fences everything staged and releases the ack-on-persist
-// responses. The fence covers every pending request at once — this is
-// the whole amortization.
+// flush fences everything staged and releases the responses. The fence
+// covers every pending request at once — this is the whole
+// amortization.
 //
 //onll:hotpath
 func (ba *Batcher) flush() {
@@ -199,12 +192,10 @@ func (ba *Batcher) flush() {
 	ba.batched.Add(uint64(len(ba.pending)))
 	for _, r := range ba.pending {
 		r.PersistNs.Store(now)
-		if r.AckPersist {
-			if err != nil && r.Err == nil {
-				r.Err = err
-			}
-			r.done <- r //onll:chanok(ack-on-persist delivery: buffered response channel)
+		if err != nil && r.Err == nil {
+			r.Err = err
 		}
+		r.done <- r //onll:chanok(ack delivery: buffered response channel)
 		ba.ring.add(r)
 	}
 	ba.pending = ba.pending[:0]

@@ -1,6 +1,9 @@
 package server
 
 import (
+	"encoding/csv"
+	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -15,7 +18,7 @@ import (
 // killAtPoint is a crash gate that kills the machine at the nth
 // occurrence of one named pipeline point — here core's PointPersisted,
 // which Batch.Flush steps immediately AFTER the flush fence and BEFORE
-// the batcher delivers any ack-on-persist response. Killing there is
+// the batcher delivers any response. Killing there is
 // exactly the window the batcher crash leg exists for: ops durable,
 // clients never told.
 type killAtPoint struct {
@@ -61,11 +64,22 @@ func TestBatcherCrashBetweenFenceAndResponse(t *testing.T) {
 	respCh := make(chan *Request, n)
 	reqs := make([]*Request, n)
 	for i := range reqs {
-		reqs[i] = &Request{Code: objects.CounterInc, AckPersist: true, done: respCh}
+		reqs[i] = &Request{Code: objects.CounterInc, done: respCh}
 		if err := ba.Submit(reqs[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
+	// The response writer: stamp RespondNs the moment a response is
+	// handed over, as a connection's writer does.
+	delivered := make(chan []*Request)
+	go func() {
+		var got []*Request
+		for r := range respCh {
+			r.RespondNs.Store(time.Now().UnixNano())
+			got = append(got, r)
+		}
+		delivered <- got
+	}()
 	go ba.Run()
 	// The batcher dies inside batch 2's flush; wait for the corpse.
 	select {
@@ -76,18 +90,35 @@ func TestBatcherCrashBetweenFenceAndResponse(t *testing.T) {
 	if !ba.Killed() {
 		t.Fatal("batcher stopped but not via the kill gate")
 	}
+	close(respCh) // the batcher is dead: nothing sends any more
 	acked := map[uint64]bool{}
-	for {
-		select {
-		case r := <-respCh:
-			if r.Err != nil {
-				t.Fatalf("pre-crash response carried error: %v", r.Err)
-			}
-			acked[r.ID] = true
-			continue
-		default:
+	for _, r := range <-delivered {
+		if r.Err != nil {
+			t.Fatalf("pre-crash response carried error: %v", r.Err)
 		}
-		break
+		if p := r.PersistNs.Load(); p == 0 || r.RespondNs.Load() < p {
+			t.Fatalf("op %#x answered before its covering fence (persist %d, respond %d)", r.ID, p, r.RespondNs.Load())
+		}
+		acked[r.ID] = true
+	}
+	// The same, on the timing CSV: no row responds before its fence.
+	var sb strings.Builder
+	if err := ba.ring.dump(&sb); err != nil {
+		t.Fatal(err)
+	}
+	rows, err := csv.NewReader(strings.NewReader(sb.String())).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 1+len(acked) {
+		t.Fatalf("timing CSV has %d rows for %d acks, want one per ack plus the header", len(rows), len(acked))
+	}
+	for _, row := range rows[1:] {
+		persist, _ := strconv.ParseInt(row[8], 10, 64)
+		respond, _ := strconv.ParseInt(row[9], 10, 64)
+		if persist == 0 || respond < persist {
+			t.Fatalf("timing row %q responds before its fence", row)
+		}
 	}
 
 	pool.Crash(pmem.DropAll)
@@ -96,11 +127,11 @@ func TestBatcherCrashBetweenFenceAndResponse(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Invariant 1 (the ack-on-persist contract): every acked request
-	// was recovered.
+	// Invariant 1 (the ack contract): every acked request was
+	// recovered.
 	for id := range acked {
 		if _, ok := rep.WasLinearized(id); !ok {
-			t.Fatalf("ack-on-persist'd op %#x lost after crash", id)
+			t.Fatalf("acked op %#x lost after crash", id)
 		}
 	}
 	// Invariant 2 (this scenario's shape): acks are exactly batch 1.

@@ -3,16 +3,16 @@ package server
 // Wire protocol: little-endian framed binary, pipelined. Requests and
 // responses are correlated by a client-chosen 32-bit tag, so a client
 // may keep any number of requests in flight on one connection and
-// responses may arrive out of request order (ack-on-linearize
-// responses overtake ack-on-persist ones from the same batch).
+// responses may arrive out of request order (a read is answered at
+// once, overtaking updates that wait for their flush fence).
 //
 //	request:  tag u32 | kind u8 | code u64 | nargs u8 | nargs × u64
 //	response: tag u32 | status u8 | ret u64 | id u64
 //
-// kind selects the operation and, for updates, the ack mode; status is
-// 0 for success, 2 for a quarantined instance (the client reports
-// core.ErrObjectQuarantined) and 1 for any other server-side error
-// (shutdown race, unknown kind; the client reports ErrServerClosed).
+// kind selects the operation; status is 0 for success, 2 for a
+// quarantined instance (the client reports core.ErrObjectQuarantined)
+// and 1 for any other server-side error (shutdown race, unknown kind;
+// the client reports ErrServerClosed).
 // Reads carry id 0 — they have no durability to detect, which is the
 // paper's 0-fences-per-read guarantee surfacing in the protocol.
 
@@ -30,11 +30,11 @@ import (
 
 // Request kinds.
 const (
-	// KindUpdate is an update acked in the server's default mode.
+	// KindUpdate is an update, answered after its covering flush fence.
 	KindUpdate = byte('U')
-	// KindUpdatePersist forces ack-on-persist for this request.
-	KindUpdatePersist = byte('P')
-	// KindUpdateLinearize forces ack-on-linearize for this request.
+	// KindUpdatePersist and KindUpdateLinearize are accepted aliases of
+	// KindUpdate, so clients that send them keep working.
+	KindUpdatePersist   = byte('P')
 	KindUpdateLinearize = byte('L')
 	// KindRead is a read; executed fence-free outside the batcher.
 	KindRead = byte('R')

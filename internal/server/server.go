@@ -14,12 +14,6 @@ import (
 
 // Config parameterizes New.
 type Config struct {
-	// AckOnPersist sets the default ack mode for KindUpdate requests:
-	// true responds after the flush fence (the paper's per-op
-	// durability guarantee, at batch latency), false at linearization
-	// (fast; a crash may lose the acked suffix, detectably). Requests
-	// override per-op with KindUpdatePersist / KindUpdateLinearize.
-	AckOnPersist bool
 	// Batcher bounds the batch one fence covers.
 	Batcher BatcherConfig
 	// TimingCap bounds the retained per-request timing records
@@ -31,14 +25,15 @@ type Config struct {
 }
 
 // Server maps client connections onto one ONLL instance: all updates
-// funnel through the batcher owning Handle(0) — the single-updater
-// regime the batch entry point requires — and reads run fence-free on
-// the remaining handles, one per connection round-robin (connections
-// sharing a read handle serialize on its mutex, which models more
-// clients than simulated processes). The instance must have
-// NProcs >= 2 so at least one read handle exists.
+// funnel through the batcher owning Handle(0), each answered after the
+// flush fence that covers it, and reads run fence-free on the remaining
+// handles, one per connection round-robin (connections sharing a read
+// handle serialize on its mutex, which models more clients than
+// simulated processes). A read is answered as soon as it is served, so
+// on a pipelined connection it can overtake updates sent before it that
+// still wait for their fence. The instance must have NProcs >= 2 so at
+// least one read handle exists.
 type Server struct {
-	cfg  Config
 	in   *core.Instance
 	ba   *Batcher
 	ring *timingRing
@@ -67,7 +62,6 @@ func New(in *core.Instance, cfg Config) (*Server, error) {
 	}
 	ring := newTimingRing(cfg.TimingCap)
 	s := &Server{
-		cfg:   cfg,
 		in:    in,
 		ba:    NewBatcher(in.Handle(0), ring, cfg.Batcher),
 		ring:  ring,
@@ -197,8 +191,6 @@ func (s *Server) handleConn(conn net.Conn) {
 			inflight.Add(1)
 			respCh <- r
 		case KindUpdate, KindUpdatePersist, KindUpdateLinearize:
-			r.AckPersist = kind == KindUpdatePersist ||
-				(kind == KindUpdate && s.cfg.AckOnPersist)
 			inflight.Add(1)
 			if serr := s.ba.Submit(r); serr != nil {
 				r.Err = serr
@@ -219,8 +211,8 @@ func (s *Server) handleConn(conn net.Conn) {
 
 // serveRead answers one read request on the connection's read slot,
 // bypassing the batcher entirely: 0 persistent fences, served on the
-// slot's handle. Reads observe staged-but-unflushed updates —
-// linearization, not durability, orders reads. A quarantined instance
+// slot's handle. Reads never observe a staged update: the flush fences
+// a batch before it linearizes it. A quarantined instance
 // answers with its typed error (TryRead), never a panic that would take
 // the whole server down. The readpath annotation
 // makes the fencepath analyzer prove the 0-pfence claim transitively

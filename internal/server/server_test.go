@@ -1,9 +1,11 @@
 package server
 
 import (
+	"encoding/csv"
 	"io"
 	"net"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -35,7 +37,10 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *pmem.Pool) {
 	return s, pool
 }
 
-func TestServerEndToEndBothAckModes(t *testing.T) {
+// TestServerEndToEndAcksAfterFence pipelines updates in every update
+// kind the wire accepts ('P' and 'L' are aliases of 'U') and checks the
+// one ack point: no response precedes its covering fence.
+func TestServerEndToEndAcksAfterFence(t *testing.T) {
 	s, pool := newTestServer(t, Config{Batcher: BatcherConfig{MaxBatch: 64}})
 	defer s.Close()
 	c, err := Dial("tcp", s.Addr().String())
@@ -44,16 +49,13 @@ func TestServerEndToEndBothAckModes(t *testing.T) {
 	}
 	defer c.Close()
 
-	// Pipeline 100 increments, alternating ack modes; then wait for
+	// Pipeline 100 increments, cycling the update kinds; then wait for
 	// every response.
 	const n = 100
+	kinds := []byte{KindUpdate, KindUpdatePersist, KindUpdateLinearize}
 	chans := make([]<-chan Resp, 0, n)
 	for i := 0; i < n; i++ {
-		kind := KindUpdateLinearize
-		if i%2 == 1 {
-			kind = KindUpdatePersist
-		}
-		chans = append(chans, c.Async(kind, objects.CounterInc))
+		chans = append(chans, c.Async(kinds[i%len(kinds)], objects.CounterInc))
 	}
 	rets := map[uint64]bool{}
 	ids := map[uint64]bool{}
@@ -72,6 +74,8 @@ func TestServerEndToEndBothAckModes(t *testing.T) {
 			t.Fatalf("return value %d missing (returns must be the dense 1..%d)", v, n)
 		}
 	}
+	// The connection's writer answers in queue order, so once this read
+	// is answered every update row carries its RespondNs.
 	if r, err := c.Call(KindRead, objects.CounterGet); err != nil || r.Ret != n {
 		t.Fatalf("read = %d, %v; want %d", r.Ret, err, n)
 	}
@@ -91,14 +95,19 @@ func TestServerEndToEndBothAckModes(t *testing.T) {
 	if err := s.DumpTimings(&sb); err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
-	if lines[0] != CSVHeader || len(lines) != n+1 {
-		t.Fatalf("timing dump has %d lines (header %q), want %d + header", len(lines), lines[0], n)
+	rows, err := csv.NewReader(strings.NewReader(sb.String())).ReadAll()
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Every flushed request carries the full timeline; ack-linearize
-	// rows may legitimately show respond < persist.
-	if !strings.Contains(sb.String(), ",linearize,") || !strings.Contains(sb.String(), ",persist,") {
-		t.Fatal("timing dump missing one of the ack modes")
+	if strings.Join(rows[0], ",") != CSVHeader || len(rows) != n+1 {
+		t.Fatalf("timing dump has %d rows (header %q), want %d + header", len(rows), rows[0], n)
+	}
+	for _, row := range rows[1:] {
+		persist, _ := strconv.ParseInt(row[8], 10, 64)
+		respond, _ := strconv.ParseInt(row[9], 10, 64)
+		if row[2] != "persist" || persist == 0 || respond < persist {
+			t.Fatalf("row %q: want ack persist and respond_ns >= persist_ns > 0", row)
+		}
 	}
 }
 
@@ -108,7 +117,7 @@ func TestServerEndToEndBothAckModes(t *testing.T) {
 // been answered. (That the drain fences what is still queued is pinned
 // at the batcher, TestBatcherCloseDrainsQueuedRequests.)
 func TestServerDrainShutdown(t *testing.T) {
-	s, _ := newTestServer(t, Config{AckOnPersist: true})
+	s, _ := newTestServer(t, Config{})
 	c, err := Dial("tcp", s.Addr().String())
 	if err != nil {
 		t.Fatal(err)
@@ -217,13 +226,13 @@ func newTestBatcher(t *testing.T, maxBatch int) (*Batcher, *pmem.Pool) {
 	return NewBatcher(in.Handle(0), nil, BatcherConfig{MaxBatch: maxBatch, MaxWait: time.Hour}), pool
 }
 
-// submitN queues n ack-on-persist increments and returns the channel
-// their acks arrive on.
+// submitN queues n increments and returns the channel their acks
+// arrive on.
 func submitN(t *testing.T, ba *Batcher, n int) <-chan *Request {
 	t.Helper()
 	done := make(chan *Request, n)
 	for i := 0; i < n; i++ {
-		if err := ba.Submit(&Request{Code: objects.CounterInc, AckPersist: true, done: done}); err != nil {
+		if err := ba.Submit(&Request{Code: objects.CounterInc, done: done}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -267,7 +276,7 @@ func TestBatcherClampsMaxBatchToBatchLimit(t *testing.T) {
 }
 
 // TestLoneUpdateFencesWithoutTimer pins the dry-queue half of the rule:
-// one ack-on-persist request, a batch nowhere near MaxBatch (and a log
+// one request, a batch nowhere near MaxBatch (and a log
 // sized for it, so the clamp above is not what fires), nothing else
 // coming. The queue is dry, so it is fenced at once: exactly the paper's
 // one fence, and no clock involved.

@@ -14,23 +14,21 @@ import (
 //
 //	EnqueueNs — submitted to the batcher's queue (client side of the
 //	            server: the moment the frame was parsed)
-//	StageNs   — admitted to the open batch: ordered + linearized, the
-//	            speculative return value computed
+//	StageNs   — admitted to the open batch: ordered, its return value
+//	            computed
 //	PersistNs — the covering flush fence completed (0 until then)
 //	RespondNs — the response frame was written to the client
 //
-// For ack-on-linearize requests RespondNs routinely precedes
-// PersistNs — that inversion in the CSV is the durability window the
-// client accepted. PersistNs and RespondNs are atomics because they
-// are stamped by different goroutines (batcher and connection writer)
-// after the response may already be in flight; everything else is
-// written by one goroutine before the request changes hands.
+// A response leaves only after its covering fence, so every row reads
+// RespondNs >= PersistNs. PersistNs and RespondNs are atomics because
+// they are stamped by different goroutines (batcher and connection
+// writer) after the response may already be in flight; everything else
+// is written by one goroutine before the request changes hands.
 type Request struct {
-	Tag        uint32 // client correlation tag, echoed in the response
-	Code       uint64
-	Args       [3]uint64
-	NArgs      uint8
-	AckPersist bool // respond after the flush fence, not at linearization
+	Tag   uint32 // client correlation tag, echoed in the response
+	Code  uint64
+	Args  [3]uint64
+	NArgs uint8
 
 	Ret uint64
 	ID  uint64
@@ -41,28 +39,25 @@ type Request struct {
 	PersistNs atomic.Int64
 	RespondNs atomic.Int64
 
-	// done receives the request back when its ack condition is met
-	// (stage for ack-on-linearize, flush fence for ack-on-persist).
+	// done receives the request back after its covering flush fence
+	// (or at once, if it could not be staged).
 	done chan *Request
 }
 
 func (r *Request) args() []uint64 { return r.Args[:r.NArgs] }
 
-// CSVHeader is the column row matching Request.CSVRow.
+// CSVHeader is the column row matching Request.CSVRow. The ack column
+// always reads "persist", the one ack point.
 const CSVHeader = "tag,code,ack,ret,id,err,enqueue_ns,stage_ns,persist_ns,respond_ns"
 
 // CSVRow renders the request as one CSV line (no trailing newline).
 func (r *Request) CSVRow() string {
-	ack := "linearize"
-	if r.AckPersist {
-		ack = "persist"
-	}
 	errv := 0
 	if r.Err != nil {
 		errv = 1
 	}
-	return fmt.Sprintf("%d,%d,%s,%d,%d,%d,%d,%d,%d,%d",
-		r.Tag, r.Code, ack, r.Ret, r.ID, errv,
+	return fmt.Sprintf("%d,%d,persist,%d,%d,%d,%d,%d,%d,%d",
+		r.Tag, r.Code, r.Ret, r.ID, errv,
 		r.EnqueueNs, r.StageNs, r.PersistNs.Load(), r.RespondNs.Load())
 }
 

@@ -8,7 +8,9 @@
 // down to (but not including) the latest node whose available flag is
 // set. Proposition 5.2 guarantees the fuzzy window never exceeds
 // MAX_PROCESSES nodes, which makes GetFuzzyOps and LatestAvailableFrom
-// wait-free.
+// wait-free. (core's batches keep several nodes of one process pending
+// at once and bound the window by the log's per-record op bound
+// instead.)
 //
 // The trace is deliberately volatile: it lives in ordinary Go memory, is
 // lost on a crash, and is reconstructed from the persistent logs by
