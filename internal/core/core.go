@@ -286,6 +286,11 @@ type Instance struct {
 	cmpCollapses atomic.Uint64
 	cmpSnapWords atomic.Uint64
 	cmpFullWords atomic.Uint64
+
+	// cutIdx is the highest index at which compact spliced a base, the
+	// bound below which no new walker reaches (Handle.newNode). It is 0
+	// whenever a trace is built (see Recreate).
+	cutIdx atomic.Uint64
 }
 
 // newTrace returns the execution trace cfg selects, rooted at sentinel
@@ -441,25 +446,27 @@ type Handle struct {
 	// floor invariant: every walk of the handle's in-flight operation
 	// touches only nodes with index >= floor - NProcs, and the floor is
 	// published before the operation inserts its node — a base cut
-	// above that node severs the segment a delta walk descends, and the
-	// cutter's reclaim must already see the floor. enter publishes the
-	// lower of viewIdx (replay walks stop there) and the chain head (a
-	// delta cut's walk stops there); fuzzy/latest-available walks start
-	// at or above the tail and stop at the first available node, which is
-	// at or above viewIdx: a view rests only on an available node or a
-	// base, except a batch's, and a batch keeps its handle entered under
-	// its first floor until Flush sets its last node available.
-	// Idle handles publish MaxUint64. A retired node is promoted to the free
-	// list only once idx + NProcs < min over all published floors, so no
-	// in-flight walk can still reach it; nodes retired later stay in
-	// retired until a future compaction re-checks. The same rule
-	// (walkLimit) guards the base bodies a walk restores views from: a
-	// base cut reuses one only once its base is below the limit.
-	// freeNodes/retired are handle-private.
-	floor     atomic.Uint64
-	claiming  atomic.Bool // set while reclaim's claim walk holds chain pointers
-	freeNodes []*trace.Node
-	retired   []*trace.Node
+	// above that node severs the segment a delta walk descends, and a
+	// handle that observes the cut must already see the floor. enter
+	// publishes the lower of viewIdx (replay walks stop there) and the
+	// chain head (a delta cut's walk stops there); fuzzy/latest-available
+	// walks start at or above the tail and stop at the first available
+	// node, which is at or above viewIdx: a view rests only on an
+	// available node or a base, except a batch's, and a batch keeps its
+	// handle entered under its first floor until Flush sets its last
+	// node available. Idle handles publish MaxUint64.
+	//
+	// The reuse rule: a node whose index is below both the instance's
+	// cut index (the newest splice) and walkLimit (min over all
+	// published floors, minus NProcs) is dead. No walk that starts after
+	// the splice reaches below it, and every walk in flight is covered
+	// by its floor. newNode reuses the handle's own nodes by this rule.
+	// The same limit guards the base bodies a walk restores views from:
+	// a base cut reuses one only once its base is below walkLimit.
+	floor      atomic.Uint64
+	own        nodeRing // nodes this handle inserted, oldest first
+	reuseCut   uint64   // the cut index reuseBelow was computed for
+	reuseBelow uint64   // min(reuseCut, walkLimit); 0 once the oldest own node is not below it
 
 	// bases holds the two chain-base bodies the handle's base cuts
 	// alternate between (deltacompact.go), allocated at the first cut.

@@ -229,7 +229,7 @@ type baseBufs struct {
 // refers to, else the older of the two. The older body backs a base
 // below the newest one this handle spliced, so no walk that starts from
 // now on reaches it; it is reused only when no walk still in flight can
-// either — its index below walkLimit, reclaim's quiescence rule.
+// either — its index below walkLimit, node reuse's quiescence rule.
 // Otherwise a walker may yet restore from it: the slot lets it go to the
 // garbage collector and starts over with a fresh buffer.
 func (h *Handle) baseSlot() int {
@@ -242,7 +242,7 @@ func (h *Handle) baseSlot() int {
 		i = 1
 	}
 	if b.idx[i] != 0 {
-		if limit, ok := h.walkLimit(); !ok || b.idx[i] >= limit {
+		if b.idx[i] >= h.walkLimit() {
 			b.words[i] = nil
 		}
 		b.idx[i] = 0

@@ -240,15 +240,16 @@ func TestDeltaFallbackOpReplay(t *testing.T) {
 
 // TestDeltaWalkCoveredByFloor pins the reclamation floor's cover of
 // the delta cut's walk (see Handle.floor). p0 owns a chain with head H
-// and a view well above it, and parks the update that will cut a delta
-// over (H, N0] right after ordering node N0. p1 then runs until its
-// first cut lays a base above N0: the splice severs N0's segment, and
-// p1's reclaim claims every node in it. p1 keeps updating and parks
-// just after reinitialising its second pooled node, before inserting
-// it. Then p0 finishes. Its delta must fold to the state at N0, and
-// recovery must restore every update. With the floor published at the
-// view instead of at H, p1 pools the window's bottom nodes and reuses
-// them under p0's walk, which stops at the reinitialised node and
+// and a view well above it; p1 updates twice inside p0's delta window
+// (H, N0], so two of p1's own nodes lie in it. p0 parks the update that
+// will cut a delta over that window right after ordering node N0. p1
+// then runs until its first cut lays a base above N0: the splice severs
+// N0's segment, and p1 may reuse its own nodes below it once no walk
+// floor covers them. p1 parks in its next insert, after drawing its
+// node. Then p0 finishes. Its delta must fold to
+// the state at N0, and recovery must restore every update. With the
+// floor published at the view instead of at H, p1 reuses its oldest
+// window node under p0's walk, which stops at the reinitialised node and
 // writes a delta without the window's first operation (key 500).
 func TestDeltaWalkCoveredByFloor(t *testing.T) {
 	const ce = 8
@@ -294,11 +295,17 @@ func TestDeltaWalkCoveredByFloor(t *testing.T) {
 			}
 		}
 	}
-	step(0, 2*ce-1) // base at ce, view at 2ce-1
+	const inWindow = 2 // p1's updates inside (H, N0]
+	step(0, ce+1)      // base at H = ce, then key 500
+	step(1, 1)
+	step(0, 1)
+	step(1, 1)
+	step(0, ce-3) // view at N0-1
 	if _, ok := ctl.RunUntil(0, sched.AtPoint(PointOrdered)); !ok {
 		t.Fatal("p0 finished early")
 	}
-	step(1, ce+1) // the ce-th update splices a base above p0's node
+	n0 := uint64(2*ce + inWindow)
+	step(1, ce-inWindow) // p1's ce-th update splices a base above N0
 	if _, ok := ctl.RunUntil(1, sched.AtPoint("trace.read-tail")); !ok {
 		t.Fatal("p1 finished early")
 	}
@@ -309,8 +316,8 @@ func TestDeltaWalkCoveredByFloor(t *testing.T) {
 	}
 
 	l := in.Log(0)
-	if l.ChainLen() != 2 || l.ChainHead() != 2*ce {
-		t.Fatalf("p0 chain: %d links, head %d; want a delta at %d", l.ChainLen(), l.ChainHead(), 2*ce)
+	if l.ChainLen() != 2 || l.ChainHead() != n0 {
+		t.Fatalf("p0 chain: %d links, head %d; want a delta at %d", l.ChainLen(), l.ChainHead(), n0)
 	}
 	recs := l.Records()
 	seqs, state, _, err := foldBaseCandidate(objects.MapSpec{}, l, recs[len(recs)-1])
@@ -321,13 +328,14 @@ func TestDeltaWalkCoveredByFloor(t *testing.T) {
 	if err := st.Restore(state); err != nil {
 		t.Fatal(err)
 	}
-	for _, kv := range p0 {
+	for _, kv := range append(p0, p1[:inWindow]...) {
 		if got := st.Read(mkOp(objects.MapGet, kv[0])); got != model[kv[0]] {
 			t.Fatalf("p0's delta folds key %d to %d, want %d", kv[0], got, model[kv[0]])
 		}
 	}
-	if n := st.Read(mkOp(objects.MapLen)); n != ce+2 || seqs[0] != 2*ce || seqs[1] != 0 {
-		t.Fatalf("p0's delta folds to %d keys, seqs %v; want %d keys, seqs [%d 0]", n, seqs, ce+2, 2*ce)
+	if n := st.Read(mkOp(objects.MapLen)); n != ce+2+inWindow || seqs[0] != 2*ce || seqs[1] != inWindow {
+		t.Fatalf("p0's delta folds to %d keys, seqs %v; want %d keys, seqs [%d %d]",
+			n, seqs, ce+2+inWindow, 2*ce, inWindow)
 	}
 
 	ctl.RunToCompletion(1)

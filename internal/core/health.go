@@ -255,6 +255,8 @@ func (in *Instance) Recreate() error {
 		in.pool.SetRoot(cfg.RootBase+rootLogBase+pid, uint64(logs[pid].Base()))
 	}
 	in.logs = logs
+	// cutIdx needs no reset: it is still 0, since a quarantined
+	// instance never cuts.
 	in.tr = newTrace(cfg, sentinel)
 	seqs := map[int]uint64{}
 	for pid, s := range sb.seqs {

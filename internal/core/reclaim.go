@@ -1,8 +1,8 @@
 package core
 
 // Memory reclamation (Section 8): the compaction cut, the snapshot
-// payload envelope, and the trace-node pool the cut's severed segment
-// feeds, with its quiescence rule.
+// payload envelope, and the per-handle trace-node pool the cut makes
+// reusable, with its quiescence rule.
 
 import (
 	"errors"
@@ -18,7 +18,7 @@ import (
 // record of this process's log. A delta cut leaves the trace alone: its
 // window must stay walkable for the next delta. A base cut also links
 // node to a base node at index s, so the old prefix becomes unreachable
-// for new walkers and its nodes are reclaimed. Recovery ignores logged
+// for new walkers and its nodes become reusable. Recovery ignores logged
 // operations with indices <= the newest chain head, so other
 // processes' still-live records of old operations are harmless.
 func (h *Handle) compact(node *trace.Node) error {
@@ -45,11 +45,15 @@ func (h *Handle) compact(node *trace.Node) error {
 		// collapse) splices as usual.
 		return nil
 	}
-	old := node.Next()
 	seqs, snap, _ := snapDecode(body)
 	node.SetNextBase(trace.NewBase(s, snap, seqs))
 	h.bases.idx[slot] = s
-	h.reclaim(old)
+	// Publish the splice after it lands: newNode reuses below it.
+	for c := h.in.cutIdx.Load(); c < s; c = h.in.cutIdx.Load() {
+		if h.in.cutIdx.CompareAndSwap(c, s) {
+			break
+		}
+	}
 	return nil
 }
 
@@ -83,137 +87,97 @@ func mergeSeqs(dst, src []uint64) {
 	}
 }
 
-// maxFreeNodes caps a handle's deferred-promotion backlog, and its
-// freelist unless the trace window is wider (freeCap); beyond the caps,
-// retired nodes are dropped to the garbage collector (pooling is an
-// optimization, not a leak trade).
+// maxFreeNodes is the smallest cap of a handle's own ring (freeCap);
+// past its cap the ring forgets its oldest node to the garbage
+// collector (pooling is an optimization, not a leak trade).
 const maxFreeNodes = 1 << 12
 
-// newNode returns a trace node for op, reusing a pooled node when the
-// freelist has one: steady-state updates under compaction allocate
-// nothing (freeCap holds a whole trace window).
+// nodeRing holds the trace nodes a handle inserted, oldest first: n
+// nodes from buf[head], circularly. Insertion order is index order.
+type nodeRing struct {
+	buf     []*trace.Node
+	head, n int
+}
+
+func (r *nodeRing) pop() *trace.Node {
+	nd := r.buf[r.head]
+	r.buf[r.head] = nil
+	r.head = (r.head + 1) % len(r.buf)
+	r.n--
+	return nd
+}
+
+// push appends nd; the ring must have room.
+func (r *nodeRing) push(nd *trace.Node) {
+	r.buf[(r.head+r.n)%len(r.buf)] = nd
+	r.n++
+}
+
+// newNode returns a trace node for op. It reuses the handle's oldest
+// own node when the reuse rule (see the floor field) declares it dead,
+// and otherwise allocates; with freeCap holding a whole trace window,
+// the steady state allocates nothing. The bound is computed once per cut
+// index the handle observes; once the oldest node is not below it, the
+// ring is not read again until the next cut.
 //
 //onll:hotpath
 func (h *Handle) newNode(op spec.Op) *trace.Node {
-	if n := len(h.freeNodes); n > 0 {
-		nd := h.freeNodes[n-1]
-		h.freeNodes[n-1] = nil
-		h.freeNodes = h.freeNodes[:n-1]
-		nd.Reinit(op)
-		return nd
+	if c := h.in.cutIdx.Load(); c != h.reuseCut {
+		h.reuseCut, h.reuseBelow = c, min(c, h.walkLimit())
 	}
-	return trace.NewNode(op)
+	r := &h.own
+	if r.n > 0 && h.reuseBelow > 0 {
+		if nd := r.buf[r.head]; nd.Idx() < h.reuseBelow {
+			r.pop()
+			nd.Reinit(op)
+			r.push(nd)
+			return nd
+		}
+		h.reuseBelow = 0
+	}
+	nd := trace.NewNode(op)
+	h.keep(nd)
+	return nd
 }
 
-// reclaim feeds the node pool after a compaction cut: old is the head of
-// the trace segment the cut just made unreachable (the cut node's
-// predecessor chain). The walk claims each update node with a CAS and
-// stops at the first claim failure or non-update node, so two cuts
-// racing over a not-yet-severed boundary partition the dead nodes
-// cleanly — every earlier cut severed its own chain with a base node,
-// which also terminates the walk.
-//
-// Claimed nodes wait in retired until provably quiescent, on two
-// conditions checked at promotion time:
-//
-//  1. Floors. A node at index i is promoted only when i + NProcs < the
-//     minimum published walk floor across handles (see the floor
-//     field): mid-op handles block promotion of anything an ordinary
-//     trace walk of theirs could still dereference.
-//  2. Claim guards. Claim walks themselves can descend far below the
-//     walker's own floor (a cutter that read a neighbour's cut-node
-//     next pointer just before that neighbour's SetNextBase landed
-//     walks into the neighbour's segment). Such a walker holds chain
-//     pointers the floors do not cover, so each handle publishes a
-//     claiming flag for the duration of its walk and promotion is
-//     skipped entirely while any flag is up. A racing walker either
-//     finished before the promotion check (its claim CAS already
-//     failed against the claimed flag) or its guard is visible and
-//     blocks the promotion — with sequentially consistent atomics
-//     there is no third interleaving.
-//
-// Promotion being skipped is only a deferral: the nodes stay in
-// retired and are re-examined at the next compaction (bounded by
-// maxFreeNodes; beyond it they fall to the GC — pooling is an
-// optimization, never a leak).
-func (h *Handle) reclaim(old *trace.Node) {
-	h.claiming.Store(true)
-	for cur := old; cur != nil; {
-		if !cur.TryClaim() {
-			break // another cutter owns the rest of this segment
-		}
-		if cur.Kind != trace.KindUpdate {
-			break // base or sentinel: never pooled
-		}
-		h.retired = append(h.retired, cur)
-		cur = cur.Next()
+// keep appends a fresh node to the own ring, forgetting the oldest
+// nodes past freeCap and growing a full ring up to it.
+func (h *Handle) keep(nd *trace.Node) {
+	r := &h.own
+	c := h.freeCap()
+	for r.n >= c {
+		r.pop()
 	}
-	h.claiming.Store(false)
-
-	limit, ok := h.walkLimit()
-	if !ok {
-		h.capRetired()
-		return
+	if r.n == len(r.buf) {
+		buf := make([]*trace.Node, min(max(2*r.n, 64), c))
+		k := copy(buf, r.buf[r.head:])
+		copy(buf[k:], r.buf[:r.head])
+		r.buf, r.head = buf, 0
 	}
-	free := h.freeCap()
-	kept := h.retired[:0]
-	for _, n := range h.retired {
-		switch {
-		case n.Idx() >= limit:
-			kept = append(kept, n) // possibly still walkable: retry later
-		case len(h.freeNodes) < free:
-			h.freeNodes = append(h.freeNodes, n)
-		}
-		// else: freelist full, drop to GC.
-	}
-	for i := len(kept); i < len(h.retired); i++ {
-		h.retired[i] = nil
-	}
-	h.retired = kept
-	h.capRetired()
+	r.push(nd)
 }
 
-// walkLimit is reclaim's quiescence rule, shared with the base-body
-// reuse of deltacompact.go: no in-flight walk can reach a node or a base
-// whose index is below limit (the minimum published floor minus NProcs;
-// see the floor field). ok is false while another handle's claim walk is
-// in flight, since such a walk may hold pointers no floor covers.
-func (h *Handle) walkLimit() (limit uint64, ok bool) {
+// walkLimit is the quiescence rule node reuse and the base-body reuse
+// of deltacompact.go share: no in-flight walk can reach a node or a
+// base whose index is below limit (the minimum published floor minus
+// NProcs; see the floor field).
+func (h *Handle) walkLimit() uint64 {
 	minFloor := ^uint64(0)
 	for _, other := range h.in.hands {
-		if other != h && other.claiming.Load() {
-			return 0, false
-		}
-		if f := other.floor.Load(); f < minFloor {
-			minFloor = f
-		}
+		minFloor = min(minFloor, other.floor.Load())
 	}
 	if slack := uint64(h.in.cfg.NProcs); minFloor > slack {
-		return minFloor - slack, true
+		return minFloor - slack
 	}
-	return 0, true
+	return 0
 }
 
-// freeCap is the freelist's bound: maxFreeNodes, or the trace window
-// delta chains keep between trace cuts (MaxDeltaChain cadences plus the
-// fuzzy window) when that is wider, so a base cut's whole severed
-// segment is pooled and the updates until the next one allocate no node.
+// freeCap is the own ring's bound: maxFreeNodes, or the trace window
+// delta chains keep between trace cuts when that is wider — the
+// MaxDeltaChain cadences of updates until the next trace cut, plus the
+// NProcs+1 nodes at and below the cut that walkLimit's slack keeps — so
+// the nodes one base cut makes reusable feed the updates until the
+// next one and those allocate no node.
 func (h *Handle) freeCap() int {
-	return max(maxFreeNodes, h.in.cfg.MaxDeltaChain*h.cutEvery()+h.in.cfg.NProcs)
-}
-
-// capRetired bounds the deferred-promotion backlog: claimed nodes past
-// the cap are dropped to the garbage collector (they were claimed, so
-// no other handle will ever pool them — they are simply garbage).
-func (h *Handle) capRetired() {
-	if len(h.retired) <= maxFreeNodes {
-		return
-	}
-	drop := len(h.retired) - maxFreeNodes
-	kept := h.retired[:0]
-	kept = append(kept, h.retired[drop:]...)
-	for i := len(kept); i < len(h.retired); i++ {
-		h.retired[i] = nil
-	}
-	h.retired = kept
+	return max(maxFreeNodes, h.in.cfg.MaxDeltaChain*h.cutEvery()+h.in.cfg.NProcs+1)
 }

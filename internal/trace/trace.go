@@ -7,7 +7,7 @@
 // fuzzy window (Figure 2): the fuzzy window spans from the latest node
 // down to (but not including) the latest node whose available flag is
 // set. Proposition 5.2 guarantees the fuzzy window never exceeds
-// MAX_PROCESSES nodes, which makes GetFuzzyOps and LatestAvailableFrom
+// MAX_PROCESSES nodes, which makes GetFuzzyOpsInto and LatestAvailableFrom
 // wait-free. (core's batches keep several nodes of one process pending
 // at once and bound the window by the log's per-record op bound
 // instead.)
@@ -67,14 +67,6 @@ type Node struct {
 	// Wait-free insertion protocol fields (see WaitFree).
 	pred atomic.Pointer[Node]
 	succ atomic.Pointer[Node]
-
-	// claimed supports node pooling (core's per-handle freelists): after
-	// compaction cuts the trace, the cutter walks the now-unreachable
-	// segment and claims each node with a CAS on this flag, so every dead
-	// node is retired by exactly one handle even when two compactions
-	// race over an uncut boundary. The flag is cleared only in Reinit,
-	// when the claiming handle reuses the node exclusively.
-	claimed atomic.Bool
 }
 
 // NewNode returns a fresh update node for op, unavailable and unlinked.
@@ -100,19 +92,12 @@ func newSentinel() *Node {
 	return n
 }
 
-// TryClaim marks n as retired for pooling. It succeeds exactly once per
-// node lifetime (until Reinit); concurrent claimants race on a CAS, so a
-// dead segment reachable from two racing compaction walks is still
-// partitioned without double-retiring any node. Claiming a base or the
-// sentinel is harmless (callers check Kind after claiming and never pool
-// non-update nodes; the flag is not consulted anywhere else).
-func (n *Node) TryClaim() bool { return n.claimed.CompareAndSwap(false, true) }
-
-// Reinit re-initializes a claimed, quiesced update node so a pool can
-// hand it out in place of NewNode. The caller must own n exclusively:
-// n was claimed via TryClaim, is unreachable from the live trace, and no
-// in-flight walk can still dereference it (core enforces this with
-// published per-handle walk floors; see Handle.reclaim).
+// Reinit re-initializes a dead update node so a pool can hand it out in
+// place of NewNode. The caller must own n exclusively: n is the
+// caller's own node, a base spliced above it makes it unreachable from
+// the live trace, and no in-flight walk can still dereference it (core
+// enforces this with the cut index and published per-handle walk
+// floors; see Handle.newNode).
 func (n *Node) Reinit(op spec.Op) {
 	n.Op = op
 	n.Kind = KindUpdate
@@ -122,7 +107,6 @@ func (n *Node) Reinit(op spec.Op) {
 	n.next.Store(nil)
 	n.pred.Store(nil)
 	n.succ.Store(nil)
-	n.claimed.Store(false)
 }
 
 // Idx returns the node's execution index.
@@ -178,18 +162,13 @@ type Interface interface {
 	Sentinel() *Node
 }
 
-// GetFuzzyOps collects the operations of the fuzzy nodes from n backward:
-// n itself and every predecessor with an unset available flag, stopping
-// at the first available node (paper Listing 2 getFuzzyOps). ops[0] is
-// n's own operation; ops[k] has execution index n.Idx()-k. By
-// Proposition 5.2 the result has at most MAX_PROCESSES entries.
-func GetFuzzyOps(gate sched.Gate, pid int, n *Node) []spec.Op {
-	return GetFuzzyOpsInto(nil, gate, pid, n)
-}
-
-// GetFuzzyOpsInto is GetFuzzyOps appending into buf[:0], so a caller
-// replaying in a loop can reuse one scratch buffer and stay
-// allocation-free once the buffer has grown to the fuzzy-window bound.
+// GetFuzzyOpsInto collects the operations of the fuzzy nodes from n
+// backward into buf[:0]: n itself and every predecessor with an unset
+// available flag, stopping at the first available node (paper Listing 2
+// getFuzzyOps). ops[0] is n's own operation; ops[k] has execution index
+// n.Idx()-k. By Proposition 5.2 the result has at most MAX_PROCESSES
+// entries, so a caller replaying in a loop can reuse one scratch buffer
+// and stay allocation-free once it has grown to that bound.
 //
 //onll:hotpath
 func GetFuzzyOpsInto(buf []spec.Op, gate sched.Gate, pid int, n *Node) []spec.Op {
@@ -460,22 +439,18 @@ func (t *WaitFree) Sentinel() *Node { return t.sentinel }
 // Shared traversal helpers.
 // ---------------------------------------------------------------------
 
-// CollectBack walks from n toward the head, collecting nodes with index
-// strictly greater than downTo, in trace order (oldest first). It stops
-// early at a KindBase node (whose snapshot stands for the whole prefix
-// up to and including the base's index); the base, if hit, is returned
-// separately, and any collected node already covered by the base's
-// snapshot (index <= base.Idx(), possible because a compaction cut links
-// a node of index s to a base of the same index s) is dropped.
-func CollectBack(n *Node, downTo uint64) (nodes []*Node, base *Node) {
-	return CollectBackInto(nil, n, downTo)
-}
-
-// CollectBackInto is CollectBack appending into buf[:0]. The walk fills
-// the buffer newest-first, trims the tail entries already covered by a
-// base's snapshot (they have the smallest indices, so they sit at the
-// end), and reverses in place — one buffer, no second slice, and zero
-// allocations once the caller's scratch buffer has grown to the lag.
+// CollectBackInto walks from n toward the head, collecting nodes with
+// index strictly greater than downTo into buf[:0], in trace order
+// (oldest first). It stops early at a KindBase node (whose snapshot
+// stands for the whole prefix up to and including the base's index);
+// the base, if hit, is returned separately, and any collected node
+// already covered by the base's snapshot (index <= base.Idx(), possible
+// because a compaction cut links a node of index s to a base of the
+// same index s) is dropped. The walk fills the buffer newest-first,
+// trims the tail entries already covered by a base's snapshot (they
+// have the smallest indices, so they sit at the end), and reverses in
+// place — one buffer, no second slice, and zero allocations once the
+// caller's scratch buffer has grown to the lag.
 //
 //onll:hotpath
 func CollectBackInto(buf []*Node, n *Node, downTo uint64) (nodes []*Node, base *Node) {

@@ -63,7 +63,7 @@ func TestFuzzyOpsCollectsUnavailableSuffix(t *testing.T) {
 				nodes = append(nodes, n)
 			}
 			tr.SetAvailable(0, nodes[0])
-			fuzzy := GetFuzzyOps(sched.NopGate{}, 0, nodes[3])
+			fuzzy := GetFuzzyOpsInto(nil, sched.NopGate{}, 0, nodes[3])
 			if len(fuzzy) != 3 {
 				t.Fatalf("fuzzy window size %d, want 3", len(fuzzy))
 			}
@@ -271,7 +271,7 @@ func TestCollectBack(t *testing.T) {
 		tr.SetAvailable(0, n)
 		nodes = append(nodes, n)
 	}
-	got, base := CollectBack(nodes[9], 4)
+	got, base := CollectBackInto(nil, nodes[9], 4)
 	if base != nil {
 		t.Fatal("unexpected base")
 	}
@@ -284,7 +284,7 @@ func TestCollectBack(t *testing.T) {
 		}
 	}
 	// Whole history.
-	got, _ = CollectBack(nodes[9], 0)
+	got, _ = CollectBackInto(nil, nodes[9], 0)
 	if len(got) != 10 || got[0].Idx() != 1 {
 		t.Fatalf("full collect wrong: %d nodes", len(got))
 	}
@@ -302,7 +302,7 @@ func TestCollectBackStopsAtBaseAndFilters(t *testing.T) {
 	// Compaction cut at node 4: node4.next = base(idx 4).
 	base := NewBase(4, []uint64{0xB}, nil)
 	nodes[3].SetNextBase(base)
-	got, b := CollectBack(nodes[5], 0)
+	got, b := CollectBackInto(nil, nodes[5], 0)
 	if b != base {
 		t.Fatal("base not found")
 	}
@@ -316,7 +316,7 @@ func TestCollectBackStopsAtBaseAndFilters(t *testing.T) {
 		t.Fatalf("collected idxs %v, want [5 6]", idxs)
 	}
 	// downTo beyond the base: base reported, nothing below downTo.
-	got, b = CollectBack(nodes[5], 5)
+	got, b = CollectBackInto(nil, nodes[5], 5)
 	if b != nil && b.Idx() > 5 {
 		t.Fatalf("unexpected base %v", b)
 	}
