@@ -97,16 +97,12 @@ func newSentinel() *Node {
 // caller's own node, a base spliced above it makes it unreachable from
 // the live trace, and no in-flight walk can still dereference it (core
 // enforces this with the cut index and published per-handle walk
-// floors; see Handle.newNode).
+// floors; see Handle.newNode). The stores are plain, as NewNode's are:
+// the Insert that publishes n orders them before any reader finds it.
+// Atomic stores would each be a full fence on amd64, on every update
+// that reuses a node.
 func (n *Node) Reinit(op spec.Op) {
-	n.Op = op
-	n.Kind = KindUpdate
-	n.Snap, n.Seqs = nil, nil
-	n.idx.Store(0)
-	n.available.Store(false)
-	n.next.Store(nil)
-	n.pred.Store(nil)
-	n.succ.Store(nil)
+	*n = Node{Op: op, Kind: KindUpdate}
 }
 
 // Idx returns the node's execution index.
