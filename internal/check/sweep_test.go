@@ -27,7 +27,7 @@ import (
 // compaction: every record with a helped operation spills, truncation
 // frees and reuses overflow chunks under the random crash point, and
 // the pressure valve is armed should a burst exhaust the ring (a chain
-// base at the caught-up view). Odd iterations run the default inline budget
+// base at the view). Odd iterations run the default inline budget
 // with compaction, exercising chain records at scale. Every third
 // iteration additionally switches to the wait-free execution trace, so
 // the wait-free ordering + compaction combination (helping across a

@@ -10,35 +10,45 @@ package core
 // raises the per-record op bound so a whole batch plus the helping tail
 // fits in one record.
 //
-// Semantics: the batch runs Listing 3's pipeline with the persist and
-// linearize stages shared. Stage runs order (trace insert) and computes
-// the op's return value, which its position in the trace fixes; Flush
-// runs persist for everything staged and then linearizes it. Until its
-// covering Flush a staged node is an ordinary pending operation: it is
-// unavailable, so readers do not observe it and a crash may erase it
-// (detectably: Report.WasLinearized on its id returns false), and any
-// concurrent updater's fuzzy-window walk collects it and persists it
-// under its own fence before making its own node available — exactly
-// Proposition 5.2's helping. Other handles may therefore update
-// concurrently with a staged batch.
+// Semantics: a batch is Listing 3's pipeline with its tail shared.
+// Listing 3's insert is Stage's order stage, and its return value is
+// computed there on the ordered prefix, which the node's position in the
+// trace fixes; getFuzzyOps, the log append with its one fence and the
+// available-flag store are commit's (update.go), which Flush runs once
+// from the last staged node. Only that node's flag is set: it linearizes
+// the whole prefix below it (Section 5.2). Update is the batch of one:
+// order, compute, commit. Until its covering Flush a staged
+// node is an ordinary pending operation: it is unavailable, so readers
+// do not observe it and a crash may erase it (detectably:
+// Report.WasLinearized on its id returns false), and any concurrent
+// updater's fuzzy walk collects it and persists it under its own fence
+// before making its own node available — exactly Proposition 5.2's
+// helping. Other handles may therefore update concurrently with a
+// staged batch.
 //
 // The batch holds its handle entered from the first Stage to the end of
-// the Flush that covers it. The handle's published floor therefore
-// protects the staged nodes and the helping tail below them from a
-// foreign compaction cut, and Read or Update on the handle panic while
-// ops are staged: its view already reflects operations that are not yet
-// linearized.
+// the Flush that covers it, as Update holds it from order to commit.
+// The handle's published floor therefore protects the staged nodes and
+// the helping tail below them from a foreign compaction cut, and Read or
+// Update on the handle panic while ops are staged: its view already
+// reflects operations that are not yet linearized.
 //
-// A log record is contiguous (ops[k] has index execIdx-k), so the flush
-// record holds every node from the batch's first to its last, foreign
-// ones included, plus the helping tail below the first: at most NProcs-1
-// pending ops of the other processes. Stage bounds that span, not the
-// count of staged ops, by the log's per-record bound.
+// The flush record is the fuzzy window from the last staged node: every
+// unavailable node down to the first available one, foreign pending
+// nodes and the helping tail included. A staged node below an available
+// foreign node is not in it: that node's owner persisted it before
+// setting its flag. The window is at most every node from the batch's
+// first to its last plus NProcs-1 pending ops of the other processes, so
+// Stage bounds that span, not the count of staged ops, by the log's
+// per-record bound.
+//
+// A failed Flush drops the staged ops (they stay in the trace as pending
+// operations, as a failed Update leaves its node), resets the handle's
+// view and releases the handle.
 
 import (
 	"errors"
 
-	"repro/internal/spec"
 	"repro/internal/trace"
 )
 
@@ -55,11 +65,10 @@ var ErrBatchFull = errors.New("core: batch full (flush before staging more, or r
 // it owns the handle: Read and Update on it panic.
 type Batch struct {
 	h *Handle
-	// nodes holds the staged, not-yet-persisted trace nodes in staging
-	// (= linearization) order.
-	nodes []*trace.Node
-	// ops is the flush record scratch (newest-first, the log's order).
-	ops []spec.Op
+	// first and last are the staged, not-yet-persisted trace nodes at
+	// the ends of the batch; n counts the staged ops.
+	first, last *trace.Node
+	n           int
 	// limit is the most trace nodes a batch may span: log.MaxOps()
 	// minus headroom for the helping tail.
 	limit int
@@ -80,7 +89,7 @@ func (h *Handle) NewBatch() *Batch {
 func (b *Batch) Limit() int { return b.limit }
 
 // Pending returns the number of staged, not-yet-persisted operations.
-func (b *Batch) Pending() int { return len(b.nodes) }
+func (b *Batch) Pending() int { return b.n }
 
 // Stage runs the order stage for (code, args) and computes its return
 // value on the ordered prefix — no log write, no fence, no linearize.
@@ -88,93 +97,67 @@ func (b *Batch) Pending() int { return len(b.nodes) }
 // covers it (or a concurrent updater's helping); id is usable with
 // Report.WasLinearized to detect post-crash loss. Issues zero
 // persistent fences, except when other handles' inserts race the span
-// check: the ops staged so far are then flushed first.
+// check: the ops staged so far are then flushed first, and should that
+// flush fail, Stage returns its error with the batch emptied and the
+// handle released, as a failed Flush leaves them; the new op stays in
+// the trace as a pending operation.
 //
 //onll:hotpath
 func (b *Batch) Stage(code uint64, args ...uint64) (ret, id uint64, err error) {
 	h := b.h
 	var node *trace.Node
-	if len(b.nodes) == 0 {
+	if b.n == 0 {
 		if node, err = h.order(code, args); err != nil {
 			return 0, 0, err
 		}
+		b.first = node
 	} else {
 		if b.span(h.in.tr.Tail(h.pid)) >= b.limit {
 			return 0, 0, ErrBatchFull
 		}
 		node = h.insert(code, args)
 		if b.span(node) > b.limit {
-			// Foreign inserts landed between the check and ours: fence
+			// Foreign inserts landed between the check and ours: commit
 			// the ops staged so far, and node starts the next record.
-			if err = b.persist(); err != nil {
+			if err = b.commit(); err != nil {
+				h.exit()
 				return 0, node.Op.ID, err
 			}
+			b.first = node
 		}
 	}
 	ret = h.computeUpdate(node)
-	b.nodes = append(b.nodes, node)
+	b.last = node
+	b.n++
 	h.in.gate.Step(h.pid, PointReturn)
 	return ret, node.Op.ID, nil
 }
 
 // span is the number of trace nodes from the batch's first staged node
 // through n.
-func (b *Batch) span(n *trace.Node) int { return int(n.Idx()-b.nodes[0].Idx()) + 1 }
+func (b *Batch) span(n *trace.Node) int { return int(n.Idx()-b.first.Idx()) + 1 }
 
-// Flush persists every staged operation — plus any unavailable helping
+// Flush commits every staged operation — plus any unavailable helping
 // tail below the batch — with one log append and ONE persistent fence,
 // linearizes them, runs the update path's compaction cadence, and
-// releases the handle. A no-op when nothing is staged. If the append
-// fails, the ops stay staged and the handle stays held.
+// releases the handle. A no-op when nothing is staged. A failed append
+// drops the staged ops and resets the handle's view.
 func (b *Batch) Flush() error {
-	if len(b.nodes) == 0 {
+	if b.n == 0 {
 		return nil
 	}
-	err := b.persist()
-	if len(b.nodes) == 0 {
-		b.h.exit()
-	}
+	err := b.commit()
+	b.h.exit()
 	return err
 }
 
-// persist is Flush without the release. Only the last staged node is
-// set available: its flag linearizes the whole prefix below it
-// (Section 5.2), so one epoch bump covers the batch, and the earlier
-// staged nodes stay unflagged — later fuzzy walks stop at the flagged
-// node above them. Should the append need the pressure valve, its base
-// lies at the handle's view, which already holds the staged ops: the
-// base makes durable what the record would have.
-func (b *Batch) persist() error {
-	h := b.h
-	first, last := b.nodes[0], b.nodes[len(b.nodes)-1]
-	b.ops = collectBatchOps(b.ops[:0], h.in, h.pid, last, first.Idx())
-	if err := h.persist(b.ops, last); err != nil {
-		return err
-	}
-	h.in.tr.SetAvailable(h.pid, last)
-	n := len(b.nodes)
-	b.nodes = b.nodes[:0]
-	return h.cutCadence(last, n)
-}
-
-// collectBatchOps assembles the flush record: every update node from
-// last down through firstIdx (the whole batch with any foreign nodes
-// ordered between, newest first — the log's record order), continuing
-// below firstIdx through any unavailable nodes (the helping tail:
-// ordered-but-unpersisted ops of crashed or delayed processes, same role
-// as Update's fuzzy window). The walk stops at the first available node
-// below the batch, whose owner's fence covered the prefix below it, or at
-// a compaction base, whose snapshot stands for the prefix.
-func collectBatchOps(dst []spec.Op, in *Instance, pid int, last *trace.Node, firstIdx uint64) []spec.Op {
-	for cur := last; cur != nil; cur = cur.Next() {
-		in.gate.Step(pid, "trace.scan")
-		if cur.Kind != trace.KindUpdate {
-			break
-		}
-		if cur.Idx() < firstIdx && cur.Available() {
-			break
-		}
-		dst = append(dst, cur.Op)
-	}
-	return dst
+// commit is Flush without the release: the handle's commit from the
+// last staged node, after which nothing is staged, whatever its outcome.
+// Should the append need the pressure valve, its base lies at the
+// handle's view, which already holds the staged ops: the base makes
+// durable what the record would have.
+func (b *Batch) commit() error {
+	n := b.n
+	b.n = 0
+	return b.h.commit(b.last, n)
 }

@@ -21,8 +21,7 @@ import (
 // may not be stranded above p0's unpersisted nodes, and neither read
 // may have seen an op the crash erases. Two cadences: compaction off,
 // where only p1's helping persists p0's staged ops, and CompactEvery 1,
-// where p1 also cuts (and retires p0's staged nodes) while they are
-// staged.
+// where p1 also cuts while p0's ops are staged.
 func TestBatchBesideConcurrentUpdater(t *testing.T) {
 	for _, every := range []int{0, 1} {
 		for seed := int64(0); seed < 32; seed++ {

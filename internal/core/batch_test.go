@@ -2,9 +2,12 @@ package core
 
 import (
 	"errors"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/objects"
+	"repro/internal/plog"
 	"repro/internal/pmem"
 	"repro/internal/sched"
 	"repro/internal/spec"
@@ -223,11 +226,11 @@ func TestBatchHoldsHandleWhileStaged(t *testing.T) {
 }
 
 func TestBatchSpanBoundsRecord(t *testing.T) {
-	// A flush record carries every node between the batch's first and
-	// last staged node, foreign ones included, so Stage bounds that span:
-	// with a foreign Update after every stage, a batch fills at half the
-	// ops it holds alone, and no Flush or Update outgrows the record
-	// bound (plog.ErrTooMany).
+	// A flush record can carry every node between the batch's first and
+	// last staged node, foreign pending ones included, so Stage bounds
+	// that span: with a foreign Update after every stage, a batch fills
+	// at half the ops it holds alone, and no Flush or Update outgrows
+	// the record bound (plog.ErrTooMany).
 	_, in := newCounter(t, Config{NProcs: 2, LogMaxOps: 8, LocalViews: true})
 	b, h1 := in.Handle(0).NewBatch(), in.Handle(1)
 	const n = 40
@@ -260,7 +263,7 @@ func TestBatchSpanBoundsRecord(t *testing.T) {
 
 func TestBatchSpanRaceFlushesFirst(t *testing.T) {
 	// Foreign inserts can land between Stage's span check and its own
-	// insert. The staged ops are then fenced first (one extra fence), so
+	// insert. The staged ops are then committed first (one extra fence), so
 	// the new op starts the next record and neither outgrows the bound.
 	ctl := sched.NewController()
 	pool := pmem.New(testPoolSize, ctl)
@@ -307,5 +310,195 @@ func TestBatchSpanRaceFlushesFirst(t *testing.T) {
 	}
 	if v := rin.Handle(0).Read(objects.CounterGet); v != 8 {
 		t.Fatalf("post-recovery read %d, want 8", v)
+	}
+}
+
+func TestFailedPersistHidesOpsAndFreesHandle(t *testing.T) {
+	// A failed append leaves its ops pending in the trace, resets the
+	// handle's view, which already holds them, and releases the handle:
+	// the handle's next Read runs and sees only the persisted ops.
+	legs := []struct {
+		name   string
+		update func(h *Handle, b *Batch) error
+	}{
+		{"Update", func(h *Handle, _ *Batch) error {
+			_, _, err := h.Update(objects.CounterInc)
+			return err
+		}},
+		{"Stage+Flush", func(_ *Handle, b *Batch) error {
+			if _, _, err := b.Stage(objects.CounterInc); err != nil {
+				return err
+			}
+			return b.Flush()
+		}},
+	}
+	for _, leg := range legs {
+		t.Run(leg.name, func(t *testing.T) {
+			_, in := newCounter(t, Config{NProcs: 2, LogCapacity: 8, LocalViews: true})
+			h := in.Handle(0)
+			b := h.NewBatch()
+			var ok uint64
+			for {
+				err := leg.update(h, b)
+				if errors.Is(err, plog.ErrFull) {
+					break
+				}
+				if err != nil {
+					t.Fatalf("update %d: %v", ok+1, err)
+				}
+				if ok++; ok > 64 {
+					t.Fatal("the log never filled")
+				}
+			}
+			for round := 0; round < 2; round++ {
+				var got uint64
+				func() {
+					defer func() {
+						if r := recover(); r != nil {
+							t.Fatalf("Read after a failed persist panicked: %v", r)
+						}
+					}()
+					got = h.Read(objects.CounterGet)
+				}()
+				if got != ok {
+					t.Fatalf("read %d after %d persisted updates and a failed one, want %d", got, ok, ok)
+				}
+				if v := in.Handle(1).Read(objects.CounterGet); v != ok {
+					t.Fatalf("other handle reads %d, want %d", v, ok)
+				}
+				// The log stays full: the next update fails too.
+				if err := leg.update(h, b); err == nil {
+					t.Fatal("update on a full log succeeded")
+				}
+			}
+		})
+	}
+}
+
+func TestBatchOfOneIsAnUpdate(t *testing.T) {
+	// Update is the one-op case of the batch pipeline: twin instances
+	// driven through the same schedule, one with Update and one with a
+	// one-op Stage+Flush, return the same values and ids and leave the
+	// same records behind at the same fence and flush counts. Stalled
+	// processes give records helping windows of up to three ops, the
+	// one-op inline budget spills them, and compaction cuts every third
+	// update of a handle.
+	cfg := Config{NProcs: 3, LogCapacity: 64, LogInlineOps: 1, LocalViews: true, CompactEvery: 3}
+	type result struct{ ret, id uint64 }
+	run := func(batch bool) (*pmem.Pool, *Instance, []result) {
+		ctl := sched.NewController()
+		c := cfg
+		c.Gate = ctl
+		pool := pmem.New(testPoolSize, ctl)
+		in, err := New(pool, objects.CounterSpec{}, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pool.ResetStats()
+		batches := make([]*Batch, c.NProcs)
+		for pid := range batches {
+			batches[pid] = in.Handle(pid).NewBatch()
+		}
+		var results []result
+		op := func(pid int) <-chan any {
+			ctl.Release(pid)
+			return ctl.Spawn(pid, func() {
+				var r result
+				var err error
+				if batch {
+					if r.ret, r.id, err = batches[pid].Stage(objects.CounterInc); err == nil {
+						err = batches[pid].Flush()
+					}
+				} else {
+					r.ret, r.id, err = in.Handle(pid).Update(objects.CounterInc)
+				}
+				if err != nil {
+					panic(err)
+				}
+				results = append(results, r)
+			})
+		}
+		for round := 0; round < 24; round++ {
+			var stalled []<-chan any
+			var pids []int
+			for _, pid := range []int{1, 2} {
+				if round%(pid+1) == 0 {
+					d := op(pid)
+					if _, ok := ctl.RunUntil(pid, sched.AtPoint(PointOrdered)); !ok {
+						t.Fatalf("round %d: p%d never ordered", round, pid)
+					}
+					stalled, pids = append(stalled, d), append(pids, pid)
+				}
+			}
+			d := op(0)
+			ctl.RunToCompletion(0)
+			if r := <-d; r != nil {
+				t.Fatalf("round %d: p0: %v", round, r)
+			}
+			for i, d := range stalled {
+				ctl.RunToCompletion(pids[i])
+				if r := <-d; r != nil {
+					t.Fatalf("round %d: p%d: %v", round, pids[i], r)
+				}
+			}
+		}
+		return pool, in, results
+	}
+	upool, uin, ures := run(false)
+	bpool, bin, bres := run(true)
+	if !reflect.DeepEqual(ures, bres) {
+		t.Fatalf("(ret, id) differ:\nUpdate      %v\nStage+Flush %v", ures, bres)
+	}
+	for pid := 0; pid < cfg.NProcs; pid++ {
+		if u, b := uin.Log(pid).Records(), bin.Log(pid).Records(); !reflect.DeepEqual(u, b) {
+			t.Fatalf("p%d records differ:\nUpdate      %v\nStage+Flush %v", pid, u, b)
+		}
+	}
+	us, bs := upool.TotalStats(), bpool.TotalStats()
+	if us.PersistentFences != bs.PersistentFences || us.Flushes != bs.Flushes {
+		t.Fatalf("Update: %d fences, %d flushes; Stage+Flush: %d fences, %d flushes",
+			us.PersistentFences, us.Flushes, bs.PersistentFences, bs.Flushes)
+	}
+	if cuts := uin.CompactionStats(); cuts.Bases+cuts.Deltas == 0 {
+		t.Fatal("no compaction cut: the cadence leg is vacuous")
+	}
+}
+
+func TestBatchRecordStopsAtForeignUpdate(t *testing.T) {
+	// The flush record is the fuzzy window from the last staged node. A
+	// foreign Update that completes between two stages persisted the
+	// first staged op under its own fence, so the flush record holds
+	// only the op staged above it.
+	_, in := newCounter(t, Config{NProcs: 2, LogMaxOps: 8, LocalViews: true})
+	b := in.Handle(0).NewBatch()
+	if _, _, err := b.Stage(objects.CounterInc); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := in.Handle(1).Update(objects.CounterInc); err != nil {
+		t.Fatal(err)
+	}
+	_, id, err := b.Stage(objects.CounterInc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	shape := func(pid int) string {
+		recs := in.Log(pid).Records()
+		r := recs[len(recs)-1]
+		return fmt.Sprintf("exec %d, %d ops", r.ExecIdx, len(r.Ops))
+	}
+	if got, want := shape(1), "exec 2, 2 ops"; got != want {
+		t.Fatalf("p1's record: %s, want %s (its op and the first staged one)", got, want)
+	}
+	if got, want := shape(0), "exec 3, 1 ops"; got != want {
+		t.Fatalf("flush record: %s, want %s (only the op above p1's)", got, want)
+	}
+	if r := in.Log(0).Records(); r[len(r)-1].Ops[0].ID != id {
+		t.Fatalf("flush record holds %#x, want the second staged op %#x", r[len(r)-1].Ops[0].ID, id)
+	}
+	if v := in.Handle(1).Read(objects.CounterGet); v != 3 {
+		t.Fatalf("read %d, want 3", v)
 	}
 }

@@ -83,8 +83,8 @@ var (
 	// object refuses updates and typed reads until Recreate.
 	ErrObjectQuarantined = errors.New("core: object quarantined (salvage found evidence of loss)")
 	// ErrLogPressure: the persist stage could not place a record even
-	// after the pressure valve's one relief (a chain base at the
-	// caught-up view, or ring growth without a view).
+	// after the pressure valve's one relief (a chain base at the view,
+	// or ring growth without a view).
 	ErrLogPressure = errors.New("core: log pressure not relieved by compaction or ring growth")
 	// ErrRootOverlap: this instance's root-table range [RootBase,
 	// RootBase+rootLogBase+NProcs) overlaps a range another live
@@ -434,9 +434,11 @@ type Handle struct {
 
 	// Scratch buffers reused across operations (a Handle runs one
 	// operation at a time, enforced by busy), keeping steady-state
-	// replay allocation-free: fuzzyBuf caps out at the fuzzy-window
-	// bound (Proposition 5.2), nodeBuf at the read lag. deltaOps and
-	// deltaBuf are the delta-cut scratch (deltacompact.go).
+	// replay allocation-free: fuzzyBuf holds a commit's record and caps
+	// out at the log's per-record bound (LogMaxOps; NProcs, the
+	// fuzzy-window bound of Proposition 5.2, without batches), nodeBuf
+	// at the read lag. deltaOps and deltaBuf are the delta-cut scratch
+	// (deltacompact.go).
 	fuzzyBuf []spec.Op
 	nodeBuf  []*trace.Node
 	deltaOps []spec.Op
@@ -451,10 +453,12 @@ type Handle struct {
 	// publishes the lower of viewIdx (replay walks stop there) and the
 	// chain head (a delta cut's walk stops there); fuzzy/latest-available
 	// walks start at or above the tail and stop at the first available
-	// node, which is at or above viewIdx: a view rests only on an
-	// available node or a base, except a batch's, and a batch keeps its
-	// handle entered under its first floor until Flush sets its last
-	// node available. Idle handles publish MaxUint64.
+	// node, which is at or above viewIdx: between operations a view
+	// rests only on an available node or a base (or is reset), and an
+	// operation that carries it onto its own unavailable nodes (Update,
+	// a batch's stages) keeps the handle entered under its first floor
+	// until commit sets its last node available. Idle handles publish
+	// MaxUint64.
 	//
 	// The reuse rule: a node whose index is below both the instance's
 	// cut index (the newest splice) and walkLimit (min over all

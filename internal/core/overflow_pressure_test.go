@@ -16,7 +16,7 @@ import (
 // past the inline budget of 1, into the overflow ring. The geometry
 // below gives the ring room for 16 spilled tails; the rounds exhaust
 // it, and every exhaustion must be absorbed by the valve's relief (a
-// chain base at the caught-up view, truncate, retry) instead of failing
+// chain base at the view, truncate, retry) instead of failing
 // the update, with the full history surviving a crash.
 func TestUpdateSurvivesOverflowRingExhaustion(t *testing.T) {
 	inputs := []struct {
@@ -169,9 +169,10 @@ func runRingExhaustion(t *testing.T, sp spec.Spec, seed, rounds int) {
 // ring full and its view at the recovered base (index 0 after 16 rounds,
 // the base the valve laid at round 17 after 32), below all 16 of its
 // live records; one more stalled round makes p0's first append refuse.
-// The relief catches the view up before it lays the base: a base at the
-// stale view would truncate records above it, and their operations
-// would be lost at the next crash.
+// The update computes its return value before it commits, so the view
+// the relief lays its base at already holds the in-flight ops: a base
+// at the stale view would truncate records above it, and their
+// operations would be lost at the next crash.
 func TestValveReliefAfterRecovery(t *testing.T) {
 	for _, rounds := range []int{16, 32} {
 		t.Run(fmt.Sprintf("rounds=%d", rounds), func(t *testing.T) { runValveAfterRecovery(t, rounds) })

@@ -1,9 +1,10 @@
 package core
 
-// The update pipeline (Section 3.2, Listing 3): order, persist,
-// linearize, then the compaction cadence. Update runs the stages for
-// one operation; Batch (batch.go) runs order per operation and the rest
-// once per batch.
+// The update pipeline (Section 3.2, Listing 3): order, compute the
+// return value on the ordered prefix, then commit — persist the fuzzy
+// window with one fence, linearize, and run the compaction cadence.
+// Update is the one-op case; Batch (batch.go) orders many operations
+// and commits them at once.
 
 import (
 	"fmt"
@@ -15,9 +16,9 @@ import (
 // Update executes the update operation (code, args) through the
 // order/persist/linearize pipeline (paper Listing 3). It returns the
 // operation's return value and its unique id (usable with
-// Report.WasLinearized after a crash). The call issues exactly one
-// persistent fence (plus, every CompactEvery updates, the compaction
-// snapshot's fence).
+// Report.WasLinearized after a crash). The persist stage issues exactly
+// one persistent fence; a compaction cut the cadence makes due adds its
+// own (cutCadence), and so does a pressure-valve relief (valve.go).
 //
 //onll:hotpath
 func (h *Handle) Update(code uint64, args ...uint64) (ret, id uint64, err error) {
@@ -26,33 +27,7 @@ func (h *Handle) Update(code uint64, args ...uint64) (ret, id uint64, err error)
 		return 0, 0, err
 	}
 	defer h.exit()
-	id = node.Op.ID
-	in := h.in
-
-	// Persist this operation plus the fuzzy window before it (helping
-	// delayed processes).
-	h.fuzzyBuf = trace.GetFuzzyOpsInto(h.fuzzyBuf, in.gate, h.pid, node)
-	fuzzy := h.fuzzyBuf
-	if in.cfg.UnsafeNoHelping {
-		// ABLATION (E13): persist only our own operation.
-		fuzzy = []spec.Op{node.Op} //onll:allocok(E13 ablation branch only; the production path reuses fuzzyBuf)
-	}
-	if in.cfg.UnsafeLinearizeFirst {
-		// ABLATION (E13): linearize before persisting — the ordering
-		// Section 3.1 proves unsound. Readers can now expose this op
-		// before it is durable.
-		in.tr.SetAvailable(h.pid, node)
-	}
-	if err = h.persist(fuzzy, node); err != nil {
-		return 0, id, err
-	}
-
-	// Linearize: make the operation visible to readers.
-	if !in.cfg.UnsafeLinearizeFirst {
-		in.tr.SetAvailable(h.pid, node)
-	}
-
-	// Compute the return value on the state up to and including node.
+	// The return value is fixed by node's position in the trace.
 	// seenEpoch is deliberately NOT refreshed here, so the handle's next
 	// read revalidates with a walk: computeUpdate advances the view only
 	// to OUR node, while an epoch loaded now also covers concurrently
@@ -62,9 +37,46 @@ func (h *Handle) Update(code uint64, args ...uint64) (ret, id uint64, err error)
 	// Read's epoch is safe precisely because its walk reaches the latest
 	// available node from the tail, not a fixed one.
 	ret = h.computeUpdate(node)
-	err = h.cutCadence(node, 1)
-	in.gate.Step(h.pid, PointReturn)
-	return ret, id, err
+	err = h.commit(node, 1)
+	h.in.gate.Step(h.pid, PointReturn)
+	return ret, node.Op.ID, err
+}
+
+// commit runs the rest of the pipeline for the n ordered operations
+// ending at last, whose return values the caller has computed: one log
+// append of the fuzzy window from last (helping delayed processes, and
+// a batch's own staged nodes) with ONE persistent fence, then
+// SetAvailable(last), whose flag linearizes the whole prefix below it
+// (Section 5.2), then the compaction cadence. The handle must be
+// entered, its view (if any) at last.
+//
+// A failed append leaves the ops in the trace as pending operations,
+// which a later updater may still help, and resets the view, which
+// already holds them (resetView).
+//
+//onll:hotpath
+func (h *Handle) commit(last *trace.Node, n int) error {
+	in := h.in
+	h.fuzzyBuf = trace.GetFuzzyOpsInto(h.fuzzyBuf, in.gate, h.pid, last)
+	ops := h.fuzzyBuf
+	if in.cfg.UnsafeNoHelping {
+		// ABLATION (E13): persist only the newest operation.
+		ops = ops[:1]
+	}
+	if in.cfg.UnsafeLinearizeFirst {
+		// ABLATION (E13): linearize before persisting — the ordering
+		// Section 3.1 proves unsound. Readers can now expose this op
+		// before it is durable.
+		in.tr.SetAvailable(h.pid, last)
+	}
+	if err := h.persist(ops, last); err != nil {
+		h.resetView()
+		return err
+	}
+	if !in.cfg.UnsafeLinearizeFirst {
+		in.tr.SetAvailable(h.pid, last)
+	}
+	return h.cutCadence(last, n)
 }
 
 // order runs the order stage for (code, args): the quarantine check,
@@ -118,7 +130,9 @@ func (h *Handle) persist(ops []spec.Op, node *trace.Node) error {
 }
 
 // computeUpdate returns node.Op's value on the prefix ending at node,
-// advancing the local view when enabled.
+// advancing the local view when enabled. The view then holds operations
+// that are not yet linearized; the handle stays entered until commit
+// makes them available or resets the view.
 //
 //onll:hotpath
 func (h *Handle) computeUpdate(node *trace.Node) uint64 {
@@ -129,6 +143,17 @@ func (h *Handle) computeUpdate(node *trace.Node) uint64 {
 	// past node.
 	_, ret := h.replay(node)
 	return ret
+}
+
+// resetView drops a view that holds operations a failed append left
+// unlinearized. The next operation on the handle rebuilds it from the
+// newest base its walk meets.
+func (h *Handle) resetView() {
+	if h.view == nil {
+		return
+	}
+	h.view, h.viewIdx, h.seenEpoch = h.in.sp.New(), 0, epochNever
+	clear(h.viewSeqs)
 }
 
 // cutCadence counts n persisted updates toward the handle's compaction

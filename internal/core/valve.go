@@ -4,16 +4,14 @@ package core
 // at a fraction of the worst case, so a run of deep fuzzy windows can
 // exhaust it. An append the ring refuses gets one relief and one retry:
 //
-//   - A handle with a local view catches the view up to the newest
-//     available node below its in-flight one, lays a chain base there
-//     and truncates its log behind it. Every operation folded in is
-//     available, hence persisted and fenced, and the catch-up leaves
-//     every record of the log at or below the view, so the base covers
-//     all it truncates. Chain bodies live outside the ring, so the
-//     truncate frees every ring chunk and the retry cannot be refused.
-//     The catch-up comes first because a recovered handle's view can
-//     lag its own log: a base at the stale view would truncate records
-//     above it (TestValveReliefAfterRecovery).
+//   - A handle with a local view lays a chain base at the view and
+//     truncates its log behind it. The commit's caller has already
+//     computed the in-flight ops' return values, so the view holds
+//     them: it is at the record's newest node, above every record of
+//     the log, and the base covers all it truncates and makes durable
+//     what the record would have. Chain bodies live outside the ring,
+//     so the truncate frees every ring chunk and the retry cannot be
+//     refused.
 //   - A handle without a view has no state to cut: it replaces its log
 //     with one whose ring is twice the size.
 //
@@ -39,7 +37,7 @@ func (h *Handle) persistWithValve(ops []spec.Op, node *trace.Node, aerr error) e
 	}
 	in := h.in
 	in.valveFires.Add(1)
-	if err := h.relieve(node); err != nil {
+	if err := h.relieve(); err != nil {
 		return fmt.Errorf("%w: %v (relief: %w)", ErrLogPressure, aerr, err)
 	}
 	// The log pointer may have changed (growRing swaps it).
@@ -50,15 +48,10 @@ func (h *Handle) persistWithValve(ops []spec.Op, node *trace.Node, aerr error) e
 	return err
 }
 
-// relieve frees the ring for the retry of node's refused append.
-func (h *Handle) relieve(node *trace.Node) error {
+// relieve frees the ring for the retry of a refused append.
+func (h *Handle) relieve() error {
 	if h.view == nil {
 		return h.growRing()
-	}
-	// Start below node: the walk must not fold the in-flight operation
-	// into the view, whose return value computeUpdate still owes.
-	if n := trace.LatestAvailableFrom(h.in.gate, h.pid, node.Next()); n.Idx() > h.viewIdx {
-		h.advanceView(n)
 	}
 	_, _, err := h.chainBaseAndTruncate(h.viewIdx)
 	return err

@@ -169,6 +169,9 @@ func (ba *Batcher) stage(r *Request) {
 	r.Ret, r.ID, r.Err = ret, id, err
 	ba.updates.Add(1)
 	if err != nil {
+		// A Stage that fails with ops staged failed to flush them first
+		// and dropped them (core.Batch.Stage): their requests fail too.
+		ba.respond(err)
 		// Never staged: respond now, and do not hold it for a fence that
 		// will not cover it.
 		r.done <- r //onll:chanok(ack delivery: buffered response channel, batcher structure)
@@ -187,9 +190,17 @@ func (ba *Batcher) flush() {
 		return
 	}
 	err := ba.batch.Flush()
-	now := ba.ring.nowNs()
 	ba.flushes.Add(1)
 	ba.batched.Add(uint64(len(ba.pending)))
+	ba.respond(err)
+}
+
+// respond releases every pending request, failing those that have no
+// error of their own with err.
+//
+//onll:hotpath
+func (ba *Batcher) respond(err error) {
+	now := ba.ring.nowNs()
 	for _, r := range ba.pending {
 		r.PersistNs.Store(now)
 		if err != nil && r.Err == nil {

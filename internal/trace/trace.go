@@ -162,9 +162,13 @@ type Interface interface {
 // backward into buf[:0]: n itself and every predecessor with an unset
 // available flag, stopping at the first available node (paper Listing 2
 // getFuzzyOps). ops[0] is n's own operation; ops[k] has execution index
-// n.Idx()-k. By Proposition 5.2 the result has at most MAX_PROCESSES
-// entries, so a caller replaying in a loop can reuse one scratch buffer
-// and stay allocation-free once it has grown to that bound.
+// n.Idx()-k. It is the one walk that assembles a log record: core's
+// commit runs it from an update's node and from a batch's last staged
+// node alike. By Proposition 5.2 the result has at most MAX_PROCESSES
+// entries (a batch's own staged nodes add to that, within the log's
+// per-record bound), so a caller replaying in a loop can reuse one
+// scratch buffer and stay allocation-free once it has grown to that
+// bound.
 //
 //onll:hotpath
 func GetFuzzyOpsInto(buf []spec.Op, gate sched.Gate, pid int, n *Node) []spec.Op {
