@@ -98,13 +98,31 @@ func parseMarker(c *ast.Comment) (Annotation, bool) {
 	text = strings.TrimSpace(text)
 	kind, rest := text, ""
 	if i := strings.IndexByte(text, '('); i >= 0 {
-		kind = text[:i]
-		rest = strings.TrimSuffix(text[i+1:], ")")
+		kind, rest = text[:i], argOf(text[i+1:])
 	}
 	if kind == "" {
 		return Annotation{}, false
 	}
 	return Annotation{Kind: kind, Arg: strings.TrimSpace(rest), Pos: c.Slash}, true
+}
+
+// argOf returns the marker's argument: s up to the parenthesis that
+// closes the marker's, so a reason may hold balanced parentheses and a
+// fixture's want comment may follow on the line. An unclosed argument
+// runs to the end of the comment.
+func argOf(s string) string {
+	depth := 1
+	for i, c := range s {
+		switch c {
+		case '(':
+			depth++
+		case ')':
+			if depth--; depth == 0 {
+				return s[:i]
+			}
+		}
+	}
+	return s
 }
 
 // Func returns the first kind-annotation in fd's doc comment.

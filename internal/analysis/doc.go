@@ -16,7 +16,10 @@ package analysis
 //	    The function is on the update/read/Stage fast path: the hotpath
 //	    analyzer forbids allocations (make, new, slice/map literals,
 //	    closures), channel operations, goroutine launches, clock reads
-//	    (time.Now/Since) and mutex acquisition inside it. Escapes below.
+//	    (time.Now/Since) and mutex acquisition inside it, and keeps the
+//	    barrier ledger: every sync/atomic write in it (Store, Swap,
+//	    CompareAndSwap, Add, And, Or; method or function form) names
+//	    its partner. Escapes below.
 //
 //	//onll:readpath
 //	    The function is a read-side entry point for the fencepath
@@ -52,6 +55,12 @@ package analysis
 //	//onll:chanok(reason)    hotpath: this channel operation or
 //	                         goroutine launch is structural (the
 //	                         batcher's ack delivery channels)
+//	//onll:barrier(partner)  hotpath: this atomic write is kept, and
+//	                         partner names the load or check it orders
+//	                         against (the busy CAS against a second
+//	                         taker's CAS, a floor store against
+//	                         walkLimit's scan); an empty partner is
+//	                         reported like a missing one
 //	//onll:plainok(reason)   atomicmix: this plain access of an
 //	                         atomically-written location is safe
 //	                         (single-goroutine phase, under a lock that

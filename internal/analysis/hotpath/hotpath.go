@@ -15,7 +15,14 @@
 //     line escape naming why (//onll:lockok(reason));
 //   - goroutine launches and channel operations (escape:
 //     //onll:chanok(reason) — the batcher's ack delivery is the one
-//     structural case).
+//     structural case);
+//   - unledgered atomic writes: every sync/atomic Store, Swap,
+//     CompareAndSwap, Add, And or Or, typed method or function form,
+//     must carry //onll:barrier(partner) naming the load or check it
+//     orders against. On amd64 each is a locked instruction or an XCHG,
+//     a full barrier on the path the benchmarks time, so each kept one
+//     states what it is for, and one that names nothing is a candidate
+//     for a plain store.
 //
 // append and struct-valued composite literals are deliberately NOT
 // flagged: append-into-retained-storage is the repo's steady-state-
@@ -27,13 +34,14 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 
 	"repro/internal/analysis"
 )
 
 var Analyzer = &analysis.Analyzer{
 	Name: "hotpath",
-	Doc:  "//onll:hotpath functions must not allocate, read the clock un-gated, or take non-allowlisted locks",
+	Doc:  "//onll:hotpath functions must not allocate, read the clock un-gated, take non-allowlisted locks, or write atomics without naming a partner",
 	Run:  run,
 }
 
@@ -101,7 +109,25 @@ func check(pass *analysis.Pass, fd *ast.FuncDecl) {
 			case "(*sync.Mutex).Lock", "(*sync.RWMutex).Lock", "(*sync.RWMutex).RLock":
 				report(e.Pos(), "lockok", "lock acquisition (%s)", full)
 			}
+			if fn.Pkg().Path() == "sync/atomic" && isAtomicWrite(fn.Name()) {
+				if ann, ok := pass.Ann.Line(e.Pos(), "barrier"); !ok || ann.Arg == "" {
+					pass.Reportf(e.Pos(), "atomic write (%s) in hotpath function %s names no partner (annotate //onll:barrier(partner) with the load or check it orders against)", fn.FullName(), fd.Name.Name)
+				}
+			}
 		}
 		return true
 	})
+}
+
+// isAtomicWrite reports whether a sync/atomic function or method name
+// writes: Store, Swap, CompareAndSwap, Add, And and Or, with or without
+// a type suffix (StoreUint32, AddInt64, ...). Nothing else in the
+// package starts with those prefixes.
+func isAtomicWrite(name string) bool {
+	for _, p := range []string{"Store", "Swap", "CompareAndSwap", "Add", "And", "Or"} {
+		if strings.HasPrefix(name, p) {
+			return true
+		}
+	}
+	return false
 }

@@ -5,6 +5,7 @@ package hotpatha
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -43,4 +44,23 @@ func (r *ring) signal(ch chan int) {
 //onll:hotpath
 func (r *ring) slices() {
 	r.buf = []int64{1, 2, 3} // want `slice/map literal allocates`
+}
+
+type handle struct {
+	busy  uint32
+	floor atomic.Uint64
+	hits  uint64
+}
+
+// take and release mirror the core handle's misuse check, with every
+// atomic write left unledgered or ledgered without a partner.
+//
+//onll:hotpath
+func (h *handle) take() bool {
+	h.floor.Store(1)                                  // want `atomic write \(\(\*sync/atomic\.Uint64\)\.Store\) in hotpath function take names no partner`
+	h.floor.Add(1)                                    // want `atomic write \(\(\*sync/atomic\.Uint64\)\.Add\)`
+	atomic.AddUint64(&h.hits, 1)                      // want `atomic write \(sync/atomic\.AddUint64\)`
+	atomic.OrUint32(&h.busy, 0)                       // want `atomic write \(sync/atomic\.OrUint32\)`
+	_ = h.floor.Swap(2)                               //onll:barrier() // want `atomic write \(\(\*sync/atomic\.Uint64\)\.Swap\)`
+	return atomic.CompareAndSwapUint32(&h.busy, 0, 1) // want `atomic write \(sync/atomic\.CompareAndSwapUint32\)`
 }

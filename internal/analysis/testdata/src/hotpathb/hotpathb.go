@@ -6,6 +6,7 @@ package hotpathb
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -57,3 +58,22 @@ func deliver(ch chan op, o op) {
 }
 
 func cold() []op { return make([]op, 4) }
+
+type handle struct {
+	busy  uint32
+	floor atomic.Uint64
+}
+
+// take ledgers its atomic writes; loads need no ledger, and an
+// unannotated function may write atomics freely.
+//
+//onll:hotpath
+func (h *handle) take() uint64 {
+	if !atomic.CompareAndSwapUint32(&h.busy, 0, 1) { //onll:barrier(a second taker's CAS)
+		panic("busy")
+	}
+	h.floor.Store(1) //onll:barrier(the reclaimer's scan of the floors)
+	return h.floor.Load() + uint64(atomic.LoadUint32(&h.busy))
+}
+
+func (h *handle) reset() { h.floor.Store(0) }

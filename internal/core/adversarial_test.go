@@ -2,7 +2,9 @@ package core
 
 import (
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/objects"
 	"repro/internal/pmem"
@@ -84,19 +86,81 @@ func TestLogFullSurfacesError(t *testing.T) {
 }
 
 func TestBusyHandlePanics(t *testing.T) {
-	pool := pmem.New(testPoolSize, nil)
-	in, err := New(pool, objects.CounterSpec{}, Config{NProcs: 1})
-	if err != nil {
-		t.Fatal(err)
+	for name, op := range map[string]func(h *Handle){
+		"Update": func(h *Handle) { h.Update(objects.CounterInc) },
+		"Read":   func(h *Handle) { h.Read(objects.CounterGet) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			pool := pmem.New(testPoolSize, nil)
+			in, err := New(pool, objects.CounterSpec{}, Config{NProcs: 1, LocalViews: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := in.Handle(0)
+			atomic.StoreUint32(&h.busy, 1) // simulate a concurrent op on the same handle
+			defer func() {
+				if r := recover(); r != errBusy {
+					t.Fatalf("concurrent use of one handle: recovered %v, want errBusy", r)
+				}
+			}()
+			op(h)
+		})
 	}
-	h := in.Handle(0)
-	h.busy.Store(true) // simulate a concurrent op on the same handle
-	defer func() {
-		if recover() == nil {
-			t.Fatal("concurrent use of one handle not detected")
-		}
-	}()
-	h.Update(objects.CounterInc)
+}
+
+// TestBusyGuardCatchesOverlappingRead parks a Read inside the handle,
+// at PointReturn, before its plain-store release: a second Read on the
+// same handle must panic with errBusy, and once the first returns the
+// handle serves again. The "epoch hit" leg parks on the fast route,
+// the "walk" leg with the walk floor published.
+func TestBusyGuardCatchesOverlappingRead(t *testing.T) {
+	for _, warm := range []bool{true, false} {
+		name := map[bool]string{true: "epoch hit", false: "walk"}[warm]
+		t.Run(name, func(t *testing.T) {
+			ctl := sched.NewController()
+			_, in := newCounter(t, Config{NProcs: 1, LocalViews: true, Gate: ctl})
+			h := in.Handle(0)
+			// pid 0 is not spawned yet, so these run on the test
+			// goroutine ungated.
+			mustUpdate(t, h, objects.CounterInc)
+			if warm {
+				if v := h.Read(objects.CounterGet); v != 1 {
+					t.Fatalf("warm-up read %d, want 1", v)
+				}
+			}
+			var got uint64
+			done := ctl.Spawn(0, func() { got = h.Read(objects.CounterGet) })
+			if _, ok := ctl.RunUntil(0, sched.AtPoint(PointReturn)); !ok {
+				t.Fatal("p0's read never reached PointReturn")
+			}
+			// The second Read runs on its own goroutine: without the
+			// guard it would enter the handle and block at p0's gate.
+			second := make(chan any, 1)
+			go func() {
+				defer func() { second <- recover() }()
+				h.Read(objects.CounterGet)
+			}()
+			select {
+			case r := <-second:
+				if r != errBusy {
+					t.Fatalf("second Read while p0 holds the handle: recovered %v, want errBusy", r)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("second Read while p0 holds the handle entered it")
+			}
+			ctl.RunToCompletion(0)
+			if r := <-done; r != nil {
+				t.Fatalf("p0's read: %v", r)
+			}
+			if got != 1 {
+				t.Fatalf("p0 read %d, want 1", got)
+			}
+			mustUpdate(t, h, objects.CounterInc)
+			if v := h.Read(objects.CounterGet); v != 2 {
+				t.Fatalf("read after p0 returned %d, want 2", v)
+			}
+		})
+	}
 }
 
 func TestConfigValidation(t *testing.T) {

@@ -397,7 +397,11 @@ func (in *Instance) Log(pid int) *plog.Log { return in.logs[pid] }
 // Handle returns the per-process handle for pid. A Handle must only be
 // used by one operation at a time (a process executes one operation at a
 // time; the fuzzy-window bound of Proposition 5.2 depends on it), and a
-// Batch with ops staged is one operation in flight.
+// Batch with ops staged is one operation in flight. Overlapping
+// operations panic with errBusy (the busy field). Moving a handle to
+// another goroutine between operations needs the caller's own
+// synchronisation, a lock or a channel, as sharing any Go value does:
+// the handle's release orders nothing.
 func (in *Instance) Handle(pid int) *Handle {
 	if pid < 0 || pid >= in.cfg.NProcs {
 		panic(fmt.Sprintf("core: pid %d out of range [0,%d)", pid, in.cfg.NProcs))
@@ -477,7 +481,16 @@ type Handle struct {
 	bases *baseBufs
 
 	sinceCompact int
-	busy         atomic.Bool // guards against misuse (two ops at once)
+
+	// busy is the misuse check: 1 while an operation (or a batch with
+	// ops staged) holds the handle. A taker sets it by CAS, so of two
+	// overlapping operations exactly one wins and the other panics with
+	// errBusy. release clears it with a plain store: the flag only
+	// detects misuse, it orders nothing. An operation that follows on
+	// another goroutine is already ordered after this one by whatever
+	// handed the handle over (the server's readSlot.mu, the batcher's
+	// sole ownership of its handle).
+	busy uint32
 
 	// Every operation writes its own handle (busy, floor, seq, viewIdx),
 	// so two handles must never share a cache line. The pad rounds the
@@ -498,10 +511,25 @@ func (h *Handle) NextOpID() uint64 { return spec.MakeID(h.pid, h.seq+1) }
 
 var errBusy = errors.New("core: handle used by two operations concurrently, or while its batch has ops staged (one process = one operation at a time)")
 
-func (h *Handle) enter() {
-	if !h.busy.CompareAndSwap(false, true) {
+// take claims the handle for one operation, or panics with errBusy if
+// another operation holds it.
+//
+//onll:hotpath
+func (h *Handle) take() {
+	if !atomic.CompareAndSwapUint32(&h.busy, 0, 1) { //onll:barrier(a second taker's CAS: one of two overlapping operations panics)
 		panic(errBusy)
 	}
+}
+
+// release frees the handle taken by take. A plain store: see busy.
+//
+//onll:hotpath
+func (h *Handle) release() {
+	h.busy = 0 //onll:plainok(the taker's CAS is the check; the release orders nothing, a handoff is ordered by the caller's own synchronisation)
+}
+
+func (h *Handle) enter() {
+	h.take()
 	// Publish the walk floor BEFORE the insert and any trace read
 	// (sequentially consistent store; see the floor field).
 	f := h.viewIdx
@@ -513,5 +541,5 @@ func (h *Handle) enter() {
 
 func (h *Handle) exit() {
 	h.floor.Store(^uint64(0))
-	h.busy.Store(false)
+	h.release()
 }

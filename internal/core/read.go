@@ -19,8 +19,9 @@ import (
 // answers from the view, anything else walks. The epoch check happens
 // before the walk floor is published: the fast route dereferences no
 // trace node, so it needs no reclamation cover, and a fast read costs
-// one epoch load plus the view read. The floor store is deferred to the
-// walk. A handle without a view always walks and replays (Section 3).
+// the busy CAS, one epoch load and the view read; the release is a plain
+// store. The floor store is deferred to the walk. A handle without a
+// view always walks and replays (Section 3).
 //
 //onll:hotpath
 func (h *Handle) Read(code uint64, args ...uint64) uint64 {
@@ -30,10 +31,8 @@ func (h *Handle) Read(code uint64, args ...uint64) uint64 {
 		// TryRead (health.go).
 		panic(qerr)
 	}
-	if !h.busy.CompareAndSwap(false, true) {
-		panic(errBusy)
-	}
-	defer h.busy.Store(false)
+	h.take()
+	defer h.release()
 	op := spec.Op{Code: code}
 	copy(op.Args[:], args)
 	in := h.in
@@ -53,8 +52,8 @@ func (h *Handle) Read(code uint64, args ...uint64) uint64 {
 	}
 	// Publish the walk floor BEFORE any trace read (sequentially
 	// consistent store): reclamation reads it to prove quiescence.
-	h.floor.Store(h.viewIdx)
-	defer h.floor.Store(^uint64(0))
+	h.floor.Store(h.viewIdx)        //onll:barrier(walkLimit's scan of the floors: no node this walk reaches is reused)
+	defer h.floor.Store(^uint64(0)) //onll:barrier(walkLimit's scan of the floors: an idle handle holds no node back)
 	node := trace.LatestAvailableFrom(in.gate, h.pid, in.tr.Tail(h.pid))
 	ret := h.computeRead(node, op)
 	h.seenEpoch = epoch

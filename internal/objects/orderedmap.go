@@ -2,6 +2,7 @@ package objects
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"repro/internal/spec"
@@ -117,6 +118,14 @@ func closeGap(a []uint64, pos int) []uint64 {
 // slices.BinarySearch, which does the same steps but is not inlined
 // into search: that call cost lib-read a tenth of its throughput
 // (EXPERIMENTS.md, PR 20).
+//
+// search (put, del, Floor, Ceil, Rank) keeps this predicted loop: the
+// branch predictor runs ahead of the compares and issues the next
+// loads speculatively, which a slide (put above the maximum, delete
+// at the minimum) keeps right. With search made branch-free as well,
+// BenchmarkOrderedMapSlide went from 179-183 to 204-219 ns at 1k keys
+// and from 234-261 to 308-324 ns at 1M (2 vCPUs), so only the point
+// lookup takes lowerBoundBranchFree.
 func lowerBound(a []uint64, k uint64) int {
 	lo, hi := 0, len(a)
 	for lo < hi {
@@ -128,6 +137,46 @@ func lowerBound(a []uint64, k uint64) int {
 		}
 	}
 	return lo
+}
+
+// lowerBoundBranchFree is lowerBound without a data-dependent branch,
+// for OMapGet. Over a cached array a binary search loses to its
+// mispredicted compare, not to its loads (Khuong and Morin, "Array
+// Layouts for Comparison-Based Searching", JEA 2017): a random key
+// gets each step's direction wrong half the time. Here the compare is
+// the borrow of a subtraction (bits.Sub64), turned into a mask that
+// adds the step or not, so the loop's only branch is its count.
+//
+// Without prediction nothing loads ahead, so each round takes two
+// halving steps on one load latency: it loads the probe and both
+// probes the next step might take, and the first mask picks which of
+// the two the second step compares. The answer lies in [base, base+n]
+// throughout, and every probe is below base+n <= len(a).
+//
+// The trade: the speculative loads the predicted loop issued were
+// what hid a cold block, so at a million keys (16 MiB of pairs, past
+// the cache) BenchmarkOrderedMapGet rose from 494-565 to 796-880 ns,
+// while at 1k keys it fell from 109-114 to 53-59 ns and at 64k from
+// 193-204 to 103-126 ns (2 vCPUs). No workload holds more than 64k
+// keys.
+func lowerBoundBranchFree(a []uint64, k uint64) int {
+	base, n := 0, len(a)
+	if n == 0 {
+		return 0
+	}
+	for n > 1 {
+		h1 := n >> 1
+		h2 := (n - h1) >> 1
+		p, lo, hi := a[base+h1], a[base+h2], a[base+h1+h2]
+		_, b := bits.Sub64(p, k, 0) // 1 iff p < k
+		m := -b
+		base += int(uint64(h1) & m)
+		_, b = bits.Sub64(lo&^m|hi&m, k, 0)
+		base += int(uint64(h2) & -b)
+		n -= h1 + h2
+	}
+	_, b := bits.Sub64(a[base], k, 0)
+	return base + int(b)
 }
 
 // search returns the block that holds k or would receive it, k's
@@ -285,10 +334,11 @@ func (s *omapState) Read(op spec.Op) uint64 {
 	switch op.Code {
 	case OMapGet:
 		// search written out: as a call with three results it cost
-		// lib-read 4 % of its throughput (EXPERIMENTS.md, PR 20).
-		if bi := lowerBound(s.maxs, k); bi < len(s.blocks) {
+		// lib-read 4 % of its throughput (EXPERIMENTS.md, PR 20). Both
+		// levels search branch-free (lowerBoundBranchFree).
+		if bi := lowerBoundBranchFree(s.maxs, k); bi < len(s.blocks) {
 			b := &s.blocks[bi]
-			if pos := lowerBound(b.keys, k); b.keys[pos] == k {
+			if pos := lowerBoundBranchFree(b.keys, k); b.keys[pos] == k {
 				return b.vals[pos]
 			}
 		}

@@ -540,3 +540,77 @@ func TestOrderedMapSteadyStateAllocs(t *testing.T) {
 		t.Fatal("copy differs")
 	}
 }
+
+// TestLowerBoundBranchFree compares the point lookup's search with
+// sort.Search at every length up to two blocks, probing below, at,
+// between and above the elements. Half the arrays start at 0 and end
+// at 2^64-1, the edges of the borrow the compare turns into a mask.
+func TestLowerBoundBranchFree(t *testing.T) {
+	a := make([]uint64, 0, 2*omapBlockCap)
+	for n := 0; n <= 2*omapBlockCap; n++ {
+		for _, edges := range []bool{false, true} {
+			a = a[:n]
+			for i := range a {
+				a[i] = 4*uint64(i) + 2
+			}
+			if edges && n > 0 {
+				a[0] = 0
+				a[n-1] = ^uint64(0)
+			}
+			probes := []uint64{0, 1, ^uint64(0), ^uint64(0) - 1}
+			for _, x := range a {
+				probes = append(probes, x-1, x, x+1)
+			}
+			for _, k := range probes {
+				want := sort.Search(n, func(i int) bool { return a[i] >= k })
+				if got := lowerBoundBranchFree(a, k); got != want {
+					t.Fatalf("len %d (edges %v), key %d: got %d, want %d", n, edges, k, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestOMapGetAgreesWithSearch checks the point lookup against search,
+// which put and del use, on random maps whose blocks are full
+// (ascending puts), split (scattered puts) and restored, with keys 0
+// and 2^64-1 in the map.
+func TestOMapGetAgreesWithSearch(t *testing.T) {
+	rng := rand.New(rand.NewSource(40))
+	for _, n := range []int{1, 7, omapBlockCap, 3*omapBlockCap + 5, 20 * omapBlockCap} {
+		keys := make([]uint64, 0, n+2)
+		for len(keys) < n {
+			keys = append(keys, rng.Uint64())
+		}
+		keys = append(keys, 0, ^uint64(0))
+		full := OrderedMapSpec{}.New().(*omapState)
+		sorted := slices.Clone(keys)
+		slices.Sort(sorted)
+		for _, k := range sorted {
+			full.put(k, k^1)
+		}
+		split := OrderedMapSpec{}.New().(*omapState)
+		for _, k := range keys {
+			split.put(k, k^1)
+		}
+		restored := OrderedMapSpec{}.New().(*omapState)
+		if err := restored.Restore(split.Snapshot()); err != nil {
+			t.Fatal(err)
+		}
+		for name, s := range map[string]*omapState{"full": full, "split": split, "restored": restored} {
+			probes := []uint64{1, ^uint64(0) - 1}
+			for _, k := range keys {
+				probes = append(probes, k-1, k, k+1, rng.Uint64())
+			}
+			for _, k := range probes {
+				want := spec.RetMissing
+				if bi, pos, ok := s.search(k); ok {
+					want = s.blocks[bi].vals[pos]
+				}
+				if got := s.Read(spec.Op{Code: OMapGet, Args: [3]uint64{k}}); got != want {
+					t.Fatalf("%s map of %d keys, get %d: %d, search finds %d", name, n, k, got, want)
+				}
+			}
+		}
+	}
+}

@@ -404,7 +404,7 @@ func (p *Pool) Load(pid int, addr Addr) uint64 {
 	p.gate.Step(pid, "pmem.load")
 	checkPid(pid)
 	p.checkAddr(addr)
-	p.stats[pid].loads.Add(1)
+	p.stats[pid].loads.Add(1) //onll:barrier(Stats/StatsOf load of the counter from another goroutine)
 	li := addr.Line()
 	mu := p.shard(li)
 	mu.Lock() //onll:lockok(striped line-shard lock: bounded section, models line coherency)
@@ -459,7 +459,7 @@ func (p *Pool) Store(pid int, addr Addr, val uint64) {
 	p.gate.Step(pid, "pmem.store")
 	checkPid(pid)
 	p.checkAddr(addr)
-	p.stats[pid].stores.Add(1)
+	p.stats[pid].stores.Add(1) //onll:barrier(Stats/StatsOf load of the counter from another goroutine)
 	li := addr.Line()
 	mu := p.shard(li)
 	mu.Lock() //onll:lockok(striped line-shard lock: bounded section, models line coherency)
@@ -508,7 +508,7 @@ func (p *Pool) StoreLine(pid int, addr Addr, vals []uint64) {
 //
 //onll:hotpath
 func (p *Pool) storeLine(pid int, addr Addr, vals []uint64) {
-	p.stats[pid].stores.Add(uint64(len(vals)))
+	p.stats[pid].stores.Add(uint64(len(vals))) //onll:barrier(Stats/StatsOf load of the counter from another goroutine)
 	li := addr.Line()
 	mu := p.shard(li)
 	mu.Lock() //onll:lockok(striped line-shard lock: bounded section, models line coherency)
@@ -550,7 +550,7 @@ func (p *Pool) CAS(pid int, addr Addr, old, new uint64) bool {
 	p.gate.Step(pid, "pmem.cas")
 	checkPid(pid)
 	p.checkAddr(addr)
-	p.stats[pid].cases.Add(1)
+	p.stats[pid].cases.Add(1) //onll:barrier(Stats/StatsOf load of the counter from another goroutine)
 	li := addr.Line()
 	mu := p.shard(li)
 	mu.Lock() //onll:lockok(striped line-shard lock: bounded section, models line coherency)
@@ -585,7 +585,7 @@ func (p *Pool) Flush(pid int, addr Addr) {
 //
 //onll:hotpath
 func (p *Pool) flushLine(pid int, li uint64) {
-	p.stats[pid].flushes.Add(1)
+	p.stats[pid].flushes.Add(1) //onll:barrier(Stats/StatsOf load of the counter from another goroutine)
 	pp := &p.pending[pid]
 	pp.mu.Lock() //onll:lockok(per-pid pending write-back set: single-writer in practice, bounded section)
 	mu := p.shard(li)
@@ -622,10 +622,10 @@ func (p *Pool) Fence(pid int) {
 	pp.mu.Lock() //onll:lockok(per-pid pending write-back set: single-writer in practice, bounded section)
 	defer pp.mu.Unlock()
 	if len(pp.entries) == 0 {
-		s.fences.Add(1)
+		s.fences.Add(1) //onll:barrier(Stats/StatsOf load of the counter from another goroutine)
 		return
 	}
-	s.pfences.Add(1)
+	s.pfences.Add(1) //onll:barrier(Stats/StatsOf load of the counter from another goroutine)
 	for i := range pp.entries {
 		e := &pp.entries[i]
 		base := e.line * LineWords
@@ -639,7 +639,7 @@ func (p *Pool) Fence(pid int) {
 		}
 		mu.Unlock()
 	}
-	s.linesPersisted.Add(uint64(len(pp.entries)))
+	s.linesPersisted.Add(uint64(len(pp.entries))) //onll:barrier(Stats/StatsOf load of the counter from another goroutine)
 	pp.entries = pp.entries[:0]
 }
 

@@ -167,7 +167,7 @@ func (ba *Batcher) stage(r *Request) {
 		ret, id, err = ba.batch.Stage(r.Code, r.args()...)
 	}
 	r.Ret, r.ID, r.Err = ret, id, err
-	ba.updates.Add(1)
+	ba.updates.Add(1) //onll:barrier(Stats load of the counter from another goroutine)
 	if err != nil {
 		// A Stage that fails with ops staged failed to flush them first
 		// and dropped them (core.Batch.Stage): their requests fail too.
@@ -190,8 +190,8 @@ func (ba *Batcher) flush() {
 		return
 	}
 	err := ba.batch.Flush()
-	ba.flushes.Add(1)
-	ba.batched.Add(uint64(len(ba.pending)))
+	ba.flushes.Add(1)                       //onll:barrier(Stats load of the counter from another goroutine)
+	ba.batched.Add(uint64(len(ba.pending))) //onll:barrier(Stats load of the counter from another goroutine)
 	ba.respond(err)
 }
 
@@ -202,7 +202,7 @@ func (ba *Batcher) flush() {
 func (ba *Batcher) respond(err error) {
 	now := ba.ring.nowNs()
 	for _, r := range ba.pending {
-		r.PersistNs.Store(now)
+		r.PersistNs.Store(now) //onll:barrier(the timing row the connection writer reads after the response may be in flight)
 		if err != nil && r.Err == nil {
 			r.Err = err
 		}

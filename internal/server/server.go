@@ -225,7 +225,7 @@ func (s *Server) serveRead(slot *readSlot, r *Request) {
 	slot.mu.Lock() //onll:lockok(per-connection read-handle guard: models more clients than pids, never held across I/O)
 	r.Ret, r.Err = slot.h.TryRead(r.Code, r.args()...)
 	slot.mu.Unlock()
-	s.rops.Add(1)
+	s.rops.Add(1) //onll:barrier(Stats load of the counter from another goroutine)
 }
 
 // Stats aggregates server-side counters.

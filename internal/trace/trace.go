@@ -136,7 +136,9 @@ func (n *Node) String() string {
 type Interface interface {
 	// Insert links node at the tail, assigning its execution index
 	// (paper Listing 2 insert). The node becomes visible to traversals
-	// immediately, with its available flag unset.
+	// immediately, with its available flag unset: node must come from
+	// NewNode or Reinit, which build it unavailable, and Insert does
+	// not clear the flag again.
 	Insert(pid int, node *Node)
 	// Tail returns the current tail (the latest inserted node, which
 	// may be in the fuzzy window).
@@ -238,18 +240,19 @@ func NewLockFreeAt(gate sched.Gate, base *Node) *LockFree {
 
 // Insert implements Interface (Listing 2 insert). The CAS on the tail is
 // a concurrency fence but involves no NVM write-back, so it does not
-// count as a persistent fence (paper footnote 2).
+// count as a persistent fence (paper footnote 2). The node arrives
+// unavailable (NewNode, Reinit), so no store clears its flag: on amd64
+// that store was an XCHG that ordered nothing.
 //
 //onll:hotpath
 func (t *LockFree) Insert(pid int, node *Node) {
-	node.available.Store(false)
 	for {
 		t.gate.Step(pid, "trace.read-tail")
 		lt := t.tail.Load()
-		node.idx.Store(lt.Idx() + 1)
-		node.next.Store(lt)
+		node.idx.Store(lt.Idx() + 1) //onll:barrier(a walker's Idx load after it finds node through the tail or a next link)
+		node.next.Store(lt)          //onll:barrier(a walker's Next load after it finds node through the tail)
 		t.gate.Step(pid, "trace.cas-tail")
-		if t.tail.CompareAndSwap(lt, node) {
+		if t.tail.CompareAndSwap(lt, node) { //onll:barrier(another inserter's tail CAS and every walker's Tail load)
 			return
 		}
 	}
@@ -270,8 +273,8 @@ func (t *LockFree) Tail(pid int) *Node {
 //onll:hotpath
 func (t *LockFree) SetAvailable(pid int, node *Node) {
 	t.gate.Step(pid, "trace.set-available")
-	node.available.Store(true)
-	t.epoch.Add(1)
+	node.available.Store(true) //onll:barrier(a walker's Available load: the flag linearizes node and its prefix)
+	t.epoch.Add(1)             //onll:barrier(Read's epoch load: a covered epoch proves the flag above is visible)
 }
 
 // Epoch implements Interface.
@@ -344,12 +347,12 @@ func NewWaitFreeAt(gate sched.Gate, nprocs int, base *Node) *WaitFree {
 	return t
 }
 
-// Insert implements Interface, wait-free.
+// Insert implements Interface, wait-free. As in LockFree.Insert, the
+// node arrives unavailable and its flag is not cleared again.
 func (t *WaitFree) Insert(pid int, node *Node) {
 	if pid < 0 || pid >= t.nprocs {
 		panic(fmt.Sprintf("trace: pid %d out of range for %d-process wait-free trace", pid, t.nprocs))
 	}
-	node.available.Store(false)
 	d := &wfDesc{phase: t.maxPhase.Add(1), node: node}
 	d.pending.Store(true)
 	t.state[pid].Store(d)

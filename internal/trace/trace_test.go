@@ -20,6 +20,36 @@ func traces(nprocs int) map[string]Interface {
 	}
 }
 
+// TestFreshNodesAreUnavailable pins what both Inserts rely on: they do
+// not clear the available flag, so NewNode and Reinit must build the
+// node unavailable, Reinit also when it reuses a node that was set
+// available, linked and indexed.
+func TestFreshNodesAreUnavailable(t *testing.T) {
+	for name, tr := range traces(1) {
+		t.Run(name, func(t *testing.T) {
+			n := NewNode(op(1))
+			if n.Available() || n.Idx() != 0 || n.Next() != nil {
+				t.Fatalf("NewNode built %v, want unavailable, unindexed, unlinked", n)
+			}
+			tr.Insert(0, n)
+			if n.Available() {
+				t.Fatal("a NewNode node is available after Insert")
+			}
+			tr.SetAvailable(0, n)
+			n.Reinit(op(2))
+			if n.Available() || n.Idx() != 0 || n.Next() != nil || n.Op != op(2) || n.Kind != KindUpdate {
+				t.Fatalf("Reinit of a used node built %v, want a fresh unavailable update node", n)
+			}
+			// A reused node is dead in the trace it came from; insert it
+			// into a fresh one.
+			traces(1)[name].Insert(0, n)
+			if n.Available() || n.Idx() != 1 {
+				t.Fatalf("a Reinit node after Insert is %v, want unavailable at index 1", n)
+			}
+		})
+	}
+}
+
 func TestSequentialInsertAssignsContiguousIndices(t *testing.T) {
 	for name, tr := range traces(1) {
 		t.Run(name, func(t *testing.T) {
