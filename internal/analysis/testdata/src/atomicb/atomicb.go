@@ -10,9 +10,9 @@ type gauge struct {
 	typed atomic.Uint64
 }
 
-func (g *gauge) set(v uint64)  { atomic.StoreUint64(&g.val, v) }
-func (g *gauge) read() uint64  { return atomic.LoadUint64(&g.val) }
-func (g *gauge) bump()         { g.typed.Add(1) }
+func (g *gauge) set(v uint64)   { atomic.StoreUint64(&g.val, v) }
+func (g *gauge) read() uint64   { return atomic.LoadUint64(&g.val) }
+func (g *gauge) bump()          { g.typed.Add(1) }
 func (g *gauge) typedV() uint64 { return g.typed.Load() }
 
 func newGauge(v uint64) *gauge {

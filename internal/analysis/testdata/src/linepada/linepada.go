@@ -5,11 +5,11 @@ package linepada
 
 //onll:linepadded
 type bad struct {
-	ver uint64
-	_   [7]uint64
-	a   uint64 // want `bad\.a: padded group ends at offset 120`
-	b   uint64
-	_   [5]uint64
+	ver  uint64
+	_    [7]uint64
+	a    uint64 // want `bad\.a: padded group ends at offset 120`
+	b    uint64
+	_    [5]uint64
 	tail uint64 // want `bad\.tail: padded group starts at offset 120`
 }
 

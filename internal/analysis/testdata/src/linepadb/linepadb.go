@@ -8,21 +8,21 @@ type state interface{ Read(uint64) uint64 }
 
 //onll:linepadded
 type stripe struct {
-	ver uint64
-	_   [7]uint64
-	frontier uint64
-	_        [7]uint64
-	hint uint64
-	_    [7]uint64
+	ver       uint64
+	_         [7]uint64
+	frontier  uint64
+	_         [7]uint64
+	hint      uint64
+	_         [7]uint64
 	publishes uint64
 	stamps    uint64
 	serves    uint64
 	_         [5]uint64
-	st    state
-	idx   uint64
-	seqs  []uint64
-	epoch uint64
-	_     [1]uint64
+	st        state
+	idx       uint64
+	seqs      []uint64
+	epoch     uint64
+	_         [1]uint64
 }
 
 // unpadded is not annotated: no layout opinion applies.

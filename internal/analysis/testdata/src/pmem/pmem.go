@@ -8,11 +8,11 @@ type Addr uintptr
 
 type Pool struct{ mem []uint64 }
 
-func (p *Pool) Load(pid int, a Addr) uint64       { return p.mem[a] }
-func (p *Pool) Store(pid int, a Addr, v uint64)   { p.mem[a] = v }
+func (p *Pool) Load(pid int, a Addr) uint64     { return p.mem[a] }
+func (p *Pool) Store(pid int, a Addr, v uint64) { p.mem[a] = v }
 func (p *Pool) StoreLine(pid int, a Addr, v []uint64) {
 	copy(p.mem[a:], v)
 }
-func (p *Pool) Fence(pid int)                    {}
-func (p *Pool) Persist(pid int, a Addr, n int)   { p.Fence(pid) }
-func (p *Pool) DurableWord(a Addr) uint64        { return p.mem[a] }
+func (p *Pool) Fence(pid int)                  {}
+func (p *Pool) Persist(pid int, a Addr, n int) { p.Fence(pid) }
+func (p *Pool) DurableWord(a Addr) uint64      { return p.mem[a] }

@@ -42,9 +42,11 @@ package core
 // Stage bounds that span, not the count of staged ops, by the log's
 // per-record bound.
 //
-// A failed Flush drops the staged ops (they stay in the trace as pending
-// operations, as a failed Update leaves its node), resets the handle's
-// view and releases the handle.
+// Stage orders an op only when its record fits the handle's log: the
+// first Stage of a batch runs Update's room check and valve (order), and
+// a later one checks, once per record, room for the record a span race
+// would split off. Stage fails only before it inserts, and Flush only
+// in the cut after its fence.
 
 import (
 	"errors"
@@ -55,9 +57,10 @@ import (
 // ErrBatchFull is returned by Batch.Stage when staging one more op
 // could make the flush record — every node from the batch's first to
 // the new one, plus a worst-case helping tail of NProcs-1 — exceed the
-// log's per-record bound. The op is not staged; the caller must Flush
-// and retry. Sizing Config.LogMaxOps at NProcs + the intended maximum
-// batch makes it unreachable while no other handle updates.
+// log's per-record bound, or the log lacks room for a record a span
+// race would split off. The op is not staged; the caller must Flush and
+// retry. Sizing Config.LogMaxOps at NProcs + the intended maximum batch
+// makes the first cause unreachable while no other handle updates.
 var ErrBatchFull = errors.New("core: batch full (flush before staging more, or raise Config.LogMaxOps)")
 
 // Batch is a multi-update staging area bound to one Handle. It is not
@@ -66,9 +69,11 @@ var ErrBatchFull = errors.New("core: batch full (flush before staging more, or r
 type Batch struct {
 	h *Handle
 	// first and last are the staged, not-yet-persisted trace nodes at
-	// the ends of the batch; n counts the staged ops.
+	// the ends of the batch's record; n counts the ops staged since the
+	// last Flush; spare: the log has room for a split-off record too.
 	first, last *trace.Node
 	n           int
+	spare       bool
 	// limit is the most trace nodes a batch may span: log.MaxOps()
 	// minus headroom for the helping tail.
 	limit int
@@ -88,7 +93,7 @@ func (h *Handle) NewBatch() *Batch {
 // (fewer when other handles' updates interleave with the batch).
 func (b *Batch) Limit() int { return b.limit }
 
-// Pending returns the number of staged, not-yet-persisted operations.
+// Pending returns the number of operations staged since the last Flush.
 func (b *Batch) Pending() int { return b.n }
 
 // Stage runs the order stage for (code, args) and computes its return
@@ -97,10 +102,10 @@ func (b *Batch) Pending() int { return b.n }
 // covers it (or a concurrent updater's helping); id is usable with
 // Report.WasLinearized to detect post-crash loss. Issues zero
 // persistent fences, except when other handles' inserts race the span
-// check: the ops staged so far are then flushed first, and should that
-// flush fail, Stage returns its error with the batch emptied and the
-// handle released, as a failed Flush leaves them; the new op stays in
-// the trace as a pending operation.
+// check: the ops staged so far are then persisted and linearized first,
+// and the new op starts the next record. An error means nothing was
+// ordered: the first Stage of a batch fails as Update's order stage
+// does, a later one only with ErrBatchFull (the staged ops stay staged).
 //
 //onll:hotpath
 func (b *Batch) Stage(code uint64, args ...uint64) (ret, id uint64, err error) {
@@ -112,18 +117,17 @@ func (b *Batch) Stage(code uint64, args ...uint64) (ret, id uint64, err error) {
 		}
 		b.first = node
 	} else {
-		if b.span(h.in.tr.Tail(h.pid)) >= b.limit {
+		if b.span(h.in.tr.Tail(h.pid)) >= b.limit || !b.spare && h.in.logs[h.pid].Room(2) != nil {
 			return 0, 0, ErrBatchFull
 		}
+		b.spare = true
 		node = h.insert(code, args)
 		if b.span(node) > b.limit {
 			// Foreign inserts landed between the check and ours: commit
-			// the ops staged so far, and node starts the next record.
-			if err = b.commit(); err != nil {
-				h.exit()
-				return 0, node.Op.ID, err
-			}
-			b.first = node
+			// the ops staged so far into the spare room, and node starts
+			// the next record. The cadence counts them at the Flush.
+			h.commit(b.last)
+			b.first, b.spare = node, false
 		}
 	}
 	ret = h.computeUpdate(node)
@@ -140,24 +144,16 @@ func (b *Batch) span(n *trace.Node) int { return int(n.Idx()-b.first.Idx()) + 1 
 // Flush commits every staged operation — plus any unavailable helping
 // tail below the batch — with one log append and ONE persistent fence,
 // linearizes them, runs the update path's compaction cadence, and
-// releases the handle. A no-op when nothing is staged. A failed append
-// drops the staged ops and resets the handle's view.
+// releases the handle. A no-op when nothing is staged. Its error can
+// only be the cut's, after the staged ops are durable and linearized.
 func (b *Batch) Flush() error {
 	if b.n == 0 {
 		return nil
 	}
-	err := b.commit()
-	b.h.exit()
+	h := b.h
+	h.commit(b.last)
+	err := h.cutCadence(b.last, b.n)
+	b.n, b.spare = 0, false
+	h.exit()
 	return err
-}
-
-// commit is Flush without the release: the handle's commit from the
-// last staged node, after which nothing is staged, whatever its outcome.
-// Should the append need the pressure valve, its base lies at the
-// handle's view, which already holds the staged ops: the base makes
-// durable what the record would have.
-func (b *Batch) commit() error {
-	n := b.n
-	b.n = 0
-	return b.h.commit(b.last, n)
 }

@@ -11,6 +11,7 @@ import (
 	"repro/internal/pmem"
 	"repro/internal/sched"
 	"repro/internal/spec"
+	"repro/internal/trace"
 )
 
 func TestBatchAmortizesFences(t *testing.T) {
@@ -299,6 +300,7 @@ func TestBatchSpanRaceFlushesFirst(t *testing.T) {
 	if pf := pool.TotalStats().PersistentFences; pf != 2 {
 		t.Fatalf("%d persistent fences for the raced stage and its flush, want 2", pf)
 	}
+	assertOnePendingPerPid(t, in)
 	ctl.KillAll()
 	pool.Crash(pmem.DropAll)
 	rin, rep, err := Recover(pool, objects.CounterSpec{}, Config{})
@@ -313,10 +315,48 @@ func TestBatchSpanRaceFlushesFirst(t *testing.T) {
 	}
 }
 
+func TestBatchStageNeedsRoomForASplitRecord(t *testing.T) {
+	// A span race commits the staged ops as a record of their own, so a
+	// Stage after the first needs log room for two records. With one
+	// slot free it refuses with ErrBatchFull before inserting; the Flush
+	// then fills the slot, and the next batch fails to order at all.
+	_, in := newCounter(t, Config{NProcs: 2, LogCapacity: 2, LogMaxOps: 6, LocalViews: true})
+	h := in.Handle(0)
+	if _, _, err := h.Update(objects.CounterInc); err != nil {
+		t.Fatal(err)
+	}
+	b := h.NewBatch()
+	if _, _, err := b.Stage(objects.CounterInc); err != nil {
+		t.Fatalf("first Stage with one slot free: %v", err)
+	}
+	tail := in.Trace().Tail(0)
+	if _, _, err := b.Stage(objects.CounterInc); !errors.Is(err, ErrBatchFull) {
+		t.Fatalf("second Stage with one slot free: %v, want ErrBatchFull", err)
+	}
+	if in.Trace().Tail(0) != tail {
+		t.Fatal("the refused Stage inserted a node")
+	}
+	assertOnePendingPerPid(t, in)
+	if err := b.Flush(); err != nil {
+		t.Fatalf("Flush: %v", err)
+	}
+	if _, _, err := b.Stage(objects.CounterInc); !errors.Is(err, plog.ErrFull) {
+		t.Fatalf("Stage on the full log: %v, want plog.ErrFull", err)
+	}
+	if v := in.Handle(1).Read(objects.CounterGet); v != 2 {
+		t.Fatalf("read %d, want 2", v)
+	}
+	assertOnePendingPerPid(t, in)
+}
+
 func TestFailedPersistHidesOpsAndFreesHandle(t *testing.T) {
-	// A failed append leaves its ops pending in the trace, resets the
-	// handle's view, which already holds them, and releases the handle:
-	// the handle's next Read runs and sees only the persisted ops.
+	// An op is ordered only when the record it will be persisted in
+	// fits, so a full log refuses the op before its insert: the handle
+	// keeps failing with plog.ErrFull (never plog.ErrTooMany, as when
+	// the refused ops stayed pending and piled into every later window),
+	// the other handle keeps updating, and room made on the full log
+	// lets its handle update again. No process ever holds two ordered,
+	// unpersisted ops (Proposition 5.2's premise).
 	legs := []struct {
 		name   string
 		update func(h *Handle, b *Batch) error
@@ -335,11 +375,11 @@ func TestFailedPersistHidesOpsAndFreesHandle(t *testing.T) {
 	for _, leg := range legs {
 		t.Run(leg.name, func(t *testing.T) {
 			_, in := newCounter(t, Config{NProcs: 2, LogCapacity: 8, LocalViews: true})
-			h := in.Handle(0)
-			b := h.NewBatch()
+			h0, h1 := in.Handle(0), in.Handle(1)
+			b := h0.NewBatch()
 			var ok uint64
 			for {
-				err := leg.update(h, b)
+				err := leg.update(h0, b)
 				if errors.Is(err, plog.ErrFull) {
 					break
 				}
@@ -350,28 +390,64 @@ func TestFailedPersistHidesOpsAndFreesHandle(t *testing.T) {
 					t.Fatal("the log never filled")
 				}
 			}
-			for round := 0; round < 2; round++ {
-				var got uint64
-				func() {
-					defer func() {
-						if r := recover(); r != nil {
-							t.Fatalf("Read after a failed persist panicked: %v", r)
-						}
+			reads := func(when string) {
+				t.Helper()
+				for pid := 0; pid < 2; pid++ {
+					var got uint64
+					func() {
+						defer func() {
+							if r := recover(); r != nil {
+								t.Fatalf("%s: p%d Read panicked: %v", when, pid, r)
+							}
+						}()
+						got = in.Handle(pid).Read(objects.CounterGet)
 					}()
-					got = h.Read(objects.CounterGet)
-				}()
-				if got != ok {
-					t.Fatalf("read %d after %d persisted updates and a failed one, want %d", got, ok, ok)
+					if got != ok {
+						t.Fatalf("%s: p%d reads %d, want %d", when, pid, got, ok)
+					}
 				}
-				if v := in.Handle(1).Read(objects.CounterGet); v != ok {
-					t.Fatalf("other handle reads %d, want %d", v, ok)
-				}
-				// The log stays full: the next update fails too.
-				if err := leg.update(h, b); err == nil {
-					t.Fatal("update on a full log succeeded")
-				}
+				assertOnePendingPerPid(t, in)
 			}
+			for round := 0; round < 4; round++ {
+				if err := leg.update(h0, b); !errors.Is(err, plog.ErrFull) {
+					t.Fatalf("round %d: update on the full log: %v, want plog.ErrFull", round, err)
+				}
+				if _, _, err := h1.Update(objects.CounterInc); err != nil {
+					t.Fatalf("round %d: p1, whose log has room: %v", round, err)
+				}
+				ok++
+				reads(fmt.Sprintf("round %d", round))
+			}
+			// Truncating p0's oldest record frees one slot (its op is
+			// then lost to recovery; this test does not crash).
+			l := in.Log(0)
+			if err := l.Truncate(l.HeadSeq() + 1); err != nil {
+				t.Fatal(err)
+			}
+			if err := leg.update(h0, b); err != nil {
+				t.Fatalf("update after the truncation: %v", err)
+			}
+			ok++
+			if err := leg.update(h0, b); !errors.Is(err, plog.ErrFull) {
+				t.Fatalf("update on the refilled log: %v, want plog.ErrFull", err)
+			}
+			reads("after the truncation")
 		})
+	}
+}
+
+// assertOnePendingPerPid fails t if a process holds two or more
+// unavailable (ordered, unpersisted) nodes in in's trace, walked from
+// the tail back to its sentinel or newest base.
+func assertOnePendingPerPid(t *testing.T, in *Instance) {
+	t.Helper()
+	pending := make(map[int]int)
+	for _, n := range trace.Snapshot(in.Trace().Tail(0)) {
+		if pid, _ := spec.SplitID(n.Op.ID); !n.Available {
+			if pending[pid]++; pending[pid] > 1 {
+				t.Fatalf("p%d holds %d unavailable nodes (newest at index %d)", pid, pending[pid], n.Idx)
+			}
+		}
 	}
 }
 

@@ -82,9 +82,10 @@ var (
 	// ErrObjectQuarantined: salvage found evidence of data loss; the
 	// object refuses updates and typed reads until Recreate.
 	ErrObjectQuarantined = errors.New("core: object quarantined (salvage found evidence of loss)")
-	// ErrLogPressure: the persist stage could not place a record even
-	// after the pressure valve's one relief (a chain base at the view,
-	// or ring growth without a view).
+	// ErrLogPressure: the order stage found the log's overflow ring
+	// short of a worst-case record's tail even after the pressure
+	// valve's one relief (a chain base at the caught-up view, or ring
+	// growth without a view). Nothing was ordered.
 	ErrLogPressure = errors.New("core: log pressure not relieved by compaction or ring growth")
 	// ErrRootOverlap: this instance's root-table range [RootBase,
 	// RootBase+rootLogBase+NProcs) overlaps a range another live
@@ -128,9 +129,10 @@ type Config struct {
 	//
 	// The ring is sized at 1/8 of the worst case, so a sustained run of
 	// deep fuzzy windows can exhaust it before the slot ring fills. The
-	// persist stage absorbs that (the pressure valve, valve.go): a
-	// handle with a local view lays a chain base at its view, which
-	// frees the ring, and a handle without one grows its ring.
+	// order stage absorbs that before it inserts (the pressure valve,
+	// valve.go): when the ring lacks room for a worst-case tail, a
+	// handle with a local view lays a chain base at its caught-up view,
+	// which frees the ring, and a handle without one grows its ring.
 	LogInlineOps int
 	// LogMaxOps raises the per-record op bound of each per-process log
 	// above the default (NProcs, the deepest fuzzy window a single
@@ -142,11 +144,12 @@ type Config struct {
 	// updater's fuzzy window collects them, and that window is at most
 	// the batch's staged ops plus one pending op per other process —
 	// within the span Stage admits plus NProcs-1, hence <= LogMaxOps
-	// while one batch stages at a time. Zero or values below NProcs
-	// select NProcs. Raising it does not widen the inline slots — wide
-	// records spill their tail to the overflow ring — but it does grow
-	// the ring's sizing floor, so PoolBytes must be computed with the
-	// same value.
+	// while one batch stages at a time (with two, an outgrown append
+	// panics). Zero or values below NProcs select NProcs. Raising it
+	// does not widen the inline slots — wide records spill their tail to
+	// the overflow ring — but it grows the ring's sizing floor and the
+	// tail the order stage wants room for, so PoolBytes must be computed
+	// with the same value.
 	LogMaxOps int
 	// Gate interposes deterministic scheduling / crash injection; nil
 	// means free-running.

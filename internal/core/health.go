@@ -327,13 +327,13 @@ func (in *Instance) ScrubStats() ScrubTotals {
 
 // PressureStats is the log-pressure counter snapshot (Instance.Pressure).
 type PressureStats struct {
-	// ValveFires counts appends refused with ErrOvfFull that entered
-	// the escalation ladder (valve.go).
+	// ValveFires counts the ring shortages the order stage's room check
+	// found and ran the relief for (valve.go).
 	ValveFires uint64
 	// RingGrows counts overflow-ring growths.
 	RingGrows uint64
-	// Spills sums the per-log refused-append counters (also counted
-	// across ring growths).
+	// Spills sums the per-log ring-shortage counters (plog.Log.Spills;
+	// a grown log carries its predecessor's): one per valve fire.
 	Spills int
 }
 

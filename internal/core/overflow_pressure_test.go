@@ -14,9 +14,10 @@ import (
 // pressure valve. Each round stalls p1 between order and persist and
 // lets p0 run one update, so every p0 record carries p1's pending op —
 // past the inline budget of 1, into the overflow ring. The geometry
-// below gives the ring room for 16 spilled tails; the rounds exhaust
-// it, and every exhaustion must be absorbed by the valve's relief (a
-// chain base at the view, truncate, retry) instead of failing
+// below gives the ring room for 16 spilled tails, and the order stage
+// wants room for a worst-case two-op tail; the rounds exhaust it, and
+// every shortage must be absorbed by the valve's relief (a chain base
+// at the caught-up view, truncate) before p0 orders, instead of failing
 // the update, with the full history surviving a crash.
 func TestUpdateSurvivesOverflowRingExhaustion(t *testing.T) {
 	inputs := []struct {
@@ -165,16 +166,17 @@ func runRingExhaustion(t *testing.T, sp spec.Spec, seed, rounds int) {
 
 // TestValveReliefAfterRecovery pins the relief on a recovered handle
 // whose view lags its own log. The geometry is the one above: 16 ring
-// tails, one spilled per stalled round. The machine crashes with p0's
-// ring full and its view at the recovered base (index 0 after 16 rounds,
-// the base the valve laid at round 17 after 32), below all 16 of its
-// live records; one more stalled round makes p0's first append refuse.
-// The update computes its return value before it commits, so the view
-// the relief lays its base at already holds the in-flight ops: a base
+// tails of one op, one spilled per stalled round, and the room check
+// wants a two-op tail's room, so the valve fires with 15 live. The
+// machine crashes with 15 tails live and p0's view at the recovered
+// base (index 0 after 15 rounds, the base the valve laid before round
+// 16 after 30), below all 15 of its live records; one more stalled
+// round makes p0's room check fire the valve. The relief catches the
+// view up to the latest available node before it lays its base: a base
 // at the stale view would truncate records above it, and their
 // operations would be lost at the next crash.
 func TestValveReliefAfterRecovery(t *testing.T) {
-	for _, rounds := range []int{16, 32} {
+	for _, rounds := range []int{15, 30} {
 		t.Run(fmt.Sprintf("rounds=%d", rounds), func(t *testing.T) { runValveAfterRecovery(t, rounds) })
 	}
 }
@@ -189,7 +191,7 @@ func runValveAfterRecovery(t *testing.T, rounds int) {
 		t.Fatal(err)
 	}
 	stalledRounds(t, ctl, in, rounds)
-	if fires, want := in.Pressure().ValveFires, uint64(rounds/16-1); fires != want {
+	if fires, want := in.Pressure().ValveFires, uint64(rounds/15-1); fires != want {
 		t.Fatalf("valve fired %d times before the crash, want %d", fires, want)
 	}
 
@@ -264,4 +266,74 @@ func stalledRounds(t *testing.T, ctl *sched.Controller, in *Instance, rounds int
 		}
 	}
 	ctl.KillAll()
+}
+
+// TestValveCountsEachShortageOnce pins the pressure counters: each ring
+// shortage the order stage's room check finds fires the valve once and
+// counts one spill, in the round the ring first lacks a two-op tail's
+// room (the geometry of the tests above: 16 one-op tails). With a view
+// the relief is a chain base, which empties the ring; without one it
+// grows the ring, and the grown log carries the old one's spill count.
+func TestValveCountsEachShortageOnce(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		views  bool
+		fireAt []int // 1-based rounds whose room check fires the valve
+	}{
+		{"view", true, []int{16, 31}},
+		{"no-view", false, []int{16, 32}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const rounds = 40
+			ctl := sched.NewController()
+			pool := pmem.New(1<<22, ctl)
+			in, err := New(pool, objects.CounterSpec{}, Config{
+				NProcs: 3, LogCapacity: 64, LogInlineOps: 1, LocalViews: tc.views, Gate: ctl,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for pid := 0; pid < 2; pid++ {
+				ctl.Spawn(pid, func() {
+					for i := 0; i < rounds; i++ {
+						if _, _, err := in.Handle(pid).Update(objects.CounterInc); err != nil {
+							panic(err)
+						}
+					}
+				})
+			}
+			var want uint64
+			for round := 1; round <= rounds; round++ {
+				// p0 runs its room check (and any relief) and parks at
+				// its first trace read after it: the counters cover this
+				// round's check.
+				if _, ok := ctl.RunUntil(0, sched.AtPoint("trace.read-tail")); !ok {
+					t.Fatalf("round %d: p0 failed or finished early", round)
+				}
+				for _, r := range tc.fireAt {
+					if r == round {
+						want++
+					}
+				}
+				grows := want
+				if tc.views {
+					grows = 0
+				}
+				if ps := in.Pressure(); ps.ValveFires != want || ps.Spills != int(want) || ps.RingGrows != grows {
+					t.Fatalf("round %d: pressure %+v, want %d valve fires and spills, %d ring growths",
+						round, ps, want, grows)
+				}
+				if _, ok := ctl.RunUntil(1, sched.AtPoint(PointOrdered)); !ok {
+					t.Fatalf("round %d: p1 finished early", round)
+				}
+				if _, ok := ctl.RunPast(0, sched.AtPoint(PointReturn)); !ok {
+					t.Fatalf("round %d: p0 failed", round)
+				}
+				if _, ok := ctl.RunPast(1, sched.AtPoint(PointReturn)); !ok {
+					t.Fatalf("round %d: p1 failed", round)
+				}
+			}
+			ctl.KillAll()
+		})
+	}
 }

@@ -20,6 +20,11 @@ import (
 // one persistent fence; a compaction cut the cadence makes due adds its
 // own (cutCadence), and so does a pressure-valve relief (valve.go).
 //
+// An error with id 0 comes from the order stage and means nothing was
+// ordered (quarantine, or a log without room for the op's record:
+// plog.ErrFull, ErrLogPressure). An error with an id is the compaction
+// cut's, after the op was persisted and linearized.
+//
 //onll:hotpath
 func (h *Handle) Update(code uint64, args ...uint64) (ret, id uint64, err error) {
 	node, err := h.order(code, args)
@@ -37,25 +42,25 @@ func (h *Handle) Update(code uint64, args ...uint64) (ret, id uint64, err error)
 	// Read's epoch is safe precisely because its walk reaches the latest
 	// available node from the tail, not a fixed one.
 	ret = h.computeUpdate(node)
-	err = h.commit(node, 1)
+	h.commit(node)
+	err = h.cutCadence(node, 1)
 	h.in.gate.Step(h.pid, PointReturn)
 	return ret, node.Op.ID, err
 }
 
-// commit runs the rest of the pipeline for the n ordered operations
-// ending at last, whose return values the caller has computed: one log
-// append of the fuzzy window from last (helping delayed processes, and
-// a batch's own staged nodes) with ONE persistent fence, then
-// SetAvailable(last), whose flag linearizes the whole prefix below it
-// (Section 5.2), then the compaction cadence. The handle must be
-// entered, its view (if any) at last.
-//
-// A failed append leaves the ops in the trace as pending operations,
-// which a later updater may still help, and resets the view, which
-// already holds them (resetView).
+// commit persists and linearizes the ordered operations ending at
+// last, whose return values the caller has computed. The persist stage
+// is one log append of the fuzzy window from last (helping delayed
+// processes, and a batch's own staged nodes) with ONE persistent fence;
+// Append copies the ops into NVM, so the window may be scratch, and a
+// window deeper than Config.LogInlineOps spills to the overflow ring
+// inside the same append. It cannot fail: order checked the room, and
+// the window is within Config.LogMaxOps. SetAvailable(last) then
+// linearizes the whole prefix below last (Section 5.2). The handle must
+// be entered, its view (if any) at last.
 //
 //onll:hotpath
-func (h *Handle) commit(last *trace.Node, n int) error {
+func (h *Handle) commit(last *trace.Node) {
 	in := h.in
 	h.fuzzyBuf = trace.GetFuzzyOpsInto(h.fuzzyBuf, in.gate, h.pid, last)
 	ops := h.fuzzyBuf
@@ -69,19 +74,20 @@ func (h *Handle) commit(last *trace.Node, n int) error {
 		// before it is durable.
 		in.tr.SetAvailable(h.pid, last)
 	}
-	if err := h.persist(ops, last); err != nil {
-		h.resetView()
-		return err
+	if _, err := in.logs[h.pid].Append(ops, last.Idx()); err != nil {
+		panic(fmt.Sprintf("core: persist stage after the room check: %v", err))
 	}
+	in.gate.Step(h.pid, PointPersisted)
 	if !in.cfg.UnsafeLinearizeFirst {
 		in.tr.SetAvailable(h.pid, last)
 	}
-	return h.cutCadence(last, n)
 }
 
 // order runs the order stage for (code, args): the quarantine check,
-// enter, and insert. On success the handle is entered and the caller
-// must exit it.
+// enter, the room check (plog.Log.Room) with its valve relief, and
+// insert. An op is ordered only when its record fits, so a handle never
+// holds an ordered op it cannot persist (Proposition 5.2's premise). On
+// success the caller must exit the handle; on failure it is released.
 //
 //onll:hotpath
 func (h *Handle) order(code uint64, args []uint64) (*trace.Node, error) {
@@ -89,6 +95,12 @@ func (h *Handle) order(code uint64, args []uint64) (*trace.Node, error) {
 		return nil, qerr
 	}
 	h.enter()
+	if err := h.in.logs[h.pid].Room(1); err != nil {
+		if err = h.relieve(err); err != nil {
+			h.exit()
+			return nil, fmt.Errorf("core: persist stage: %w", err)
+		}
+	}
 	return h.insert(code, args), nil
 }
 
@@ -109,30 +121,10 @@ func (h *Handle) insert(code uint64, args []uint64) *trace.Node {
 	return node
 }
 
-// persist runs the persist stage: one log append of ops, the record
-// whose newest operation is node's, with ONE persistent fence. Append
-// copies the ops into NVM and retains nothing, so ops may be scratch.
-// The record is assembled against the log's inline budget transparently
-// (a window deeper than Config.LogInlineOps spills to the overflow ring
-// inside the same single-fence append), and an append the ring refuses
-// takes the pressure valve (valve.go).
-//
-//onll:hotpath
-func (h *Handle) persist(ops []spec.Op, node *trace.Node) error {
-	in := h.in
-	if _, err := in.logs[h.pid].Append(ops, node.Idx()); err != nil {
-		if err = h.persistWithValve(ops, node, err); err != nil {
-			return fmt.Errorf("core: persist stage: %w", err)
-		}
-	}
-	in.gate.Step(h.pid, PointPersisted)
-	return nil
-}
-
 // computeUpdate returns node.Op's value on the prefix ending at node,
 // advancing the local view when enabled. The view then holds operations
 // that are not yet linearized; the handle stays entered until commit
-// makes them available or resets the view.
+// makes them available.
 //
 //onll:hotpath
 func (h *Handle) computeUpdate(node *trace.Node) uint64 {
@@ -143,17 +135,6 @@ func (h *Handle) computeUpdate(node *trace.Node) uint64 {
 	// past node.
 	_, ret := h.replay(node)
 	return ret
-}
-
-// resetView drops a view that holds operations a failed append left
-// unlinearized. The next operation on the handle rebuilds it from the
-// newest base its walk meets.
-func (h *Handle) resetView() {
-	if h.view == nil {
-		return
-	}
-	h.view, h.viewIdx, h.seenEpoch = h.in.sp.New(), 0, epochNever
-	clear(h.viewSeqs)
 }
 
 // cutCadence counts n persisted updates toward the handle's compaction

@@ -2,59 +2,53 @@ package core
 
 // The log-pressure valve (DESIGN.md §3.7). The overflow ring is sized
 // at a fraction of the worst case, so a run of deep fuzzy windows can
-// exhaust it. An append the ring refuses gets one relief and one retry:
+// exhaust it. The order stage finds that out before it inserts, and a
+// short ring gets one relief there, before anything is ordered:
 //
-//   - A handle with a local view lays a chain base at the view and
-//     truncates its log behind it. The commit's caller has already
-//     computed the in-flight ops' return values, so the view holds
-//     them: it is at the record's newest node, above every record of
-//     the log, and the base covers all it truncates and makes durable
-//     what the record would have. Chain bodies live outside the ring,
-//     so the truncate frees every ring chunk and the retry cannot be
-//     refused.
+//   - A handle with a local view catches the view up to the latest
+//     available node, lays a chain base there and truncates its log
+//     behind it. Every record of the log is the handle's own and at or
+//     below that node, so the base covers all it truncates. Chain
+//     bodies live outside the ring, so the truncate frees every chunk.
 //   - A handle without a view has no state to cut: it replaces its log
 //     with one whose ring is twice the size.
-//
-// When the relief fails, or the retry is refused anyway, the update
-// fails with ErrLogPressure.
 
 import (
 	"errors"
 	"fmt"
 
 	"repro/internal/plog"
-	"repro/internal/spec"
 	"repro/internal/trace"
 )
 
-// persistWithValve re-drives a refused persist-stage append through the
-// relief. aerr is the append's error; any error other than ErrOvfFull
-// passes through untouched. On success the record is durably appended,
-// having cost the relief's own fences on top of the append's one.
-func (h *Handle) persistWithValve(ops []spec.Op, node *trace.Node, aerr error) error {
-	if !errors.Is(aerr, plog.ErrOvfFull) {
-		return aerr
+// relieve answers the order stage's room check error err. A short ring
+// gets the relief; when it fails, or the ring is still short after it,
+// the op fails with ErrLogPressure. Only the owner appends to its log,
+// so the room lasts until the handle's own commit uses it. The handle
+// must be entered.
+func (h *Handle) relieve(err error) error {
+	if !errors.Is(err, plog.ErrOvfFull) {
+		return err
 	}
 	in := h.in
 	in.valveFires.Add(1)
-	if err := h.relieve(); err != nil {
-		return fmt.Errorf("%w: %v (relief: %w)", ErrLogPressure, aerr, err)
+	in.logs[h.pid].AddSpills(1)
+	var rerr error
+	if h.view == nil {
+		rerr = h.growRing()
+	} else {
+		if node := trace.LatestAvailableFrom(in.gate, h.pid, in.tr.Tail(h.pid)); h.viewIdx < node.Idx() {
+			h.advanceView(node)
+		}
+		_, _, rerr = h.chainBaseAndTruncate(h.viewIdx)
 	}
-	// The log pointer may have changed (growRing swaps it).
-	_, err := in.logs[h.pid].Append(ops, node.Idx())
-	if errors.Is(err, plog.ErrOvfFull) {
+	if rerr != nil {
+		return fmt.Errorf("%w: %v (relief: %w)", ErrLogPressure, err, rerr)
+	}
+	if err := in.logs[h.pid].Room(1); err != nil {
 		return fmt.Errorf("%w: %v after relief", ErrLogPressure, err)
 	}
-	return err
-}
-
-// relieve frees the ring for the retry of a refused append.
-func (h *Handle) relieve() error {
-	if h.view == nil {
-		return h.growRing()
-	}
-	_, _, err := h.chainBaseAndTruncate(h.viewIdx)
-	return err
+	return nil
 }
 
 // growRing replaces this process's log with one whose overflow ring is
@@ -92,6 +86,7 @@ func (h *Handle) growRing() error {
 			return fmt.Errorf("core: migrating record to grown log: %w", err)
 		}
 	}
+	nl.AddSpills(old.Spills())
 	in.pool.SetRoot(in.cfg.RootBase+rootLogBase+h.pid, uint64(nl.Base()))
 	in.logs[h.pid] = nl
 	in.ringGrows.Add(1)

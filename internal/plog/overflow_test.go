@@ -1,6 +1,7 @@
 package plog
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -273,6 +274,46 @@ func TestOverflowReuseNeverClobbersLiveRecords(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestRoomPromisesAppends pins Room's promise on a ring fragmented by
+// random truncations: when Room(k) holds, the next k appends fit, each
+// with any op count up to MaxOps, whatever ring position claimOvf picks
+// for them.
+func TestRoomPromisesAppends(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		_, l := newTieredLog(t, 32, 12, 4) // ring: 4 worst-case chunks
+		rng := rand.New(rand.NewSource(seed))
+		var idx uint64
+		var kept, short int
+		for step := 0; step < 400; step++ {
+			k := 1 + rng.Intn(2)
+			switch err := l.Room(k); {
+			case err == nil:
+				kept++
+				for j := 0; j < k; j++ {
+					idx++
+					if _, err := l.Append(opsOf(1+rng.Intn(12), int(idx)), idx); err != nil {
+						t.Fatalf("seed %d step %d: append %d of %d after Room(%d): %v", seed, step, j+1, k, k, err)
+					}
+				}
+			case errors.Is(err, ErrFull) || errors.Is(err, ErrOvfFull):
+				short++
+				if l.Len() == 0 {
+					t.Fatalf("seed %d step %d: Room(%d) = %v on an empty log", seed, step, k, err)
+				}
+				// Truncate a random prefix of the live records.
+				if err := l.Truncate(l.HeadSeq() + 1 + uint64(rng.Intn(l.Len()))); err != nil {
+					t.Fatal(err)
+				}
+			default:
+				t.Fatalf("Room: %v", err)
+			}
+		}
+		if kept == 0 || short == 0 {
+			t.Fatalf("seed %d: Room held %d times and failed %d; the test is vacuous", seed, kept, short)
 		}
 	}
 }

@@ -136,6 +136,9 @@ type ovfRef struct {
 	words int // exact tail words
 }
 
+// end is the first ring word past the chunk.
+func (r ovfRef) end() int { return r.off + alignLineWords(r.words) }
+
 // Log is one process's persistent log inside a pmem.Pool. A Log is owned
 // by a single process: Append/Truncate must not be called concurrently
 // (per the paper, logs are per-process; recovery reads all of them).
@@ -155,16 +158,14 @@ type Log struct {
 	ovfWords int
 
 	// Volatile overflow-ring state, rebuilt by Open from the live
-	// records: the bump pointer and the chunks still referenced.
-	ovfNext int
+	// records: the chunks still referenced, oldest first.
 	ovfLive []ovfRef
 
 	nextSeq uint64 // volatile mirrors; durable info is in records + header
 	headSeq uint64
 
-	// spills counts Appends refused with ErrOvfFull (volatile; feeds
-	// the adaptive ring-growth trigger). Atomic: the owning process
-	// bumps it on its append path while stats pollers (Instance.Pressure
+	// spills counts ring shortages (Spills; volatile). Atomic: the
+	// owning process bumps it while stats pollers (Instance.Pressure
 	// serving a server's metrics endpoint) read it from other goroutines.
 	spills atomic.Int64
 
@@ -427,12 +428,10 @@ func OpenWalk(pool *pmem.Pool, pid int, base pmem.Addr) (*Log, *Walk, error) {
 		l.nextSeq = w.Live[n-1].Seq + 1
 	}
 	// Rebuild the volatile overflow-ring state from the live records:
-	// their chunks are in use, and the bump pointer resumes after the
-	// newest one.
+	// their chunks are in use.
 	for _, rec := range w.Live {
 		if rec.Overflow {
 			l.ovfLive = append(l.ovfLive, ovfRef{seq: rec.Seq, off: rec.ovfOff, words: rec.ovfLen})
-			l.ovfNext = rec.ovfOff + alignLineWords(rec.ovfLen)
 		}
 	}
 	// Rebuild the volatile delta-chain state from the newest live
@@ -465,9 +464,9 @@ func (l *Log) OverflowRegion() (pmem.Addr, int) { return l.ovfBase, l.ovfWords }
 // sizing reads it to double on growth).
 func (l *Log) RingWords() int { return l.ovfWords }
 
-// Spills returns how many Appends have failed with ErrOvfFull over the
-// log's lifetime — the observed spill rate adaptive ring sizing grows
-// on.
+// Spills returns how many ring shortages the log has met over its
+// lifetime: Appends refused with ErrOvfFull plus those added with
+// AddSpills.
 func (l *Log) Spills() int { return int(l.spills.Load()) }
 
 // Len returns the number of live (non-truncated) records.
@@ -519,38 +518,73 @@ func sumFinal(h uint64) uint64 {
 }
 
 // claimOvf reserves words from the overflow ring for the record about
-// to be appended, returning the line-aligned offset. It tries the bump
-// pointer first (the steady-state hit), then the ring base and the
-// position after each live chunk — every maximal free gap starts at
-// one of those — so it fails only when no gap fits the tail: the ring
-// equivalent of ErrFull.
+// to be appended, returning the line-aligned offset. It tries the end
+// of the newest live chunk first (the bump pointer: the steady-state
+// hit), then the ring base and the position after each live chunk —
+// every maximal free gap starts at one of those — so it fails only when
+// no gap fits the tail: the ring equivalent of ErrFull.
 func (l *Log) claimOvf(words int) (int, bool) {
 	n := alignLineWords(words)
-	fits := func(start int) bool {
-		if start < 0 || start+n > l.ovfWords {
-			return false
-		}
-		for _, r := range l.ovfLive {
-			rEnd := r.off + alignLineWords(r.words)
-			if start < rEnd && r.off < start+n {
-				return false
-			}
-		}
-		return true
+	if k := len(l.ovfLive); k > 0 && l.freeRun(l.ovfLive[k-1].end()) >= n {
+		return l.ovfLive[k-1].end(), true
 	}
-	if fits(l.ovfNext) {
-		return l.ovfNext, true
-	}
-	if fits(0) {
+	if l.freeRun(0) >= n {
 		return 0, true
 	}
 	for _, r := range l.ovfLive {
-		if s := r.off + alignLineWords(r.words); fits(s) {
-			return s, true
+		if l.freeRun(r.end()) >= n {
+			return r.end(), true
 		}
 	}
 	return 0, false
 }
+
+// freeRun returns the free ring words from s up to the next live chunk
+// or the ring's end, 0 when a live chunk covers s.
+func (l *Log) freeRun(s int) int {
+	end := l.ovfWords
+	for _, r := range l.ovfLive {
+		if r.off <= s && s < r.end() {
+			return 0
+		}
+		if s < r.off && r.off < end {
+			end = r.off
+		}
+	}
+	return end - s
+}
+
+// Room returns nil when the log can take its next records appends of up
+// to MaxOps operations each, whatever their op counts; else ErrFull
+// (too few free slots) or ErrOvfFull (too little ring). Only the owner
+// appends, so the room lasts until its own appends use it. It reads
+// volatile mirrors only: O(1) on a single-tier log. claimOvf places a
+// tail at the start of a free run that begins at the ring base or a
+// live chunk's end, and a tail of at most a worst-case chunk costs the
+// runs at most one whole chunk: the runs' whole chunks surely fit.
+func (l *Log) Room(records int) error {
+	if l.capacity-l.Len() < records {
+		return ErrFull
+	}
+	if l.ovfWords > 0 && !l.ringRoom(records) {
+		return ErrOvfFull
+	}
+	return nil
+}
+
+// ringRoom counts the ring's room for Room, newest chunk first: its end
+// is the bump pointer, the usual hit.
+func (l *Log) ringRoom(records int) bool {
+	chunk, fit := ovfChunkWords(l.maxOps, l.inlineOps), 0
+	for i := len(l.ovfLive) - 1; i >= 0 && fit < records; i-- {
+		fit += l.freeRun(l.ovfLive[i].end()) / chunk
+	}
+	return fit >= records || fit+l.freeRun(0)/chunk >= records
+}
+
+// AddSpills adds n ring shortages to Spills: one the owner relieved
+// before appending (Room's ErrOvfFull), or a replaced log's count.
+func (l *Log) AddSpills(n int) { l.spills.Add(int64(n)) }
 
 // Append durably records ops (ops[0] being the appender's own operation
 // with the given execution index; ops[k] the helped operation with index
@@ -596,7 +630,6 @@ func (l *Log) Append(ops []spec.Op, execIdx uint64) (uint64, error) {
 	seq, err := l.appendRecord(kindOpsOvf, uint64(len(ops)), execIdx, payload)
 	if err == nil {
 		l.ovfLive = append(l.ovfLive, ovfRef{seq: seq, off: off, words: len(tail)})
-		l.ovfNext = off + alignLineWords(len(tail))
 	}
 	return seq, err
 }

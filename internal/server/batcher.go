@@ -155,25 +155,24 @@ func (ba *Batcher) Run() {
 }
 
 // stage runs the order stage for one request; its response waits for
-// the covering flush.
+// the covering flush. ErrBatchFull (MaxBatch should flush first, or the
+// log lacks room for a split-off record) flushes and retries once; the
+// retry is a batch's first Stage, so a request that still fails was
+// never ordered, and nothing else is staged.
 //
 //onll:hotpath
 func (ba *Batcher) stage(r *Request) {
 	r.StageNs = ba.ring.nowNs()
 	ret, id, err := ba.batch.Stage(r.Code, r.args()...)
 	if errors.Is(err, core.ErrBatchFull) {
-		// MaxBatch should flush first; defensively make room.
 		ba.flush()
 		ret, id, err = ba.batch.Stage(r.Code, r.args()...)
 	}
 	r.Ret, r.ID, r.Err = ret, id, err
 	ba.updates.Add(1) //onll:barrier(Stats load of the counter from another goroutine)
 	if err != nil {
-		// A Stage that fails with ops staged failed to flush them first
-		// and dropped them (core.Batch.Stage): their requests fail too.
-		ba.respond(err)
-		// Never staged: respond now, and do not hold it for a fence that
-		// will not cover it.
+		// Never ordered: respond now, and do not hold it for a fence
+		// that will not cover it.
 		r.done <- r //onll:chanok(ack delivery: buffered response channel, batcher structure)
 		return
 	}
@@ -182,7 +181,9 @@ func (ba *Batcher) stage(r *Request) {
 
 // flush fences everything staged and releases the responses. The fence
 // covers every pending request at once — this is the whole
-// amortization.
+// amortization. A Flush error is the compaction cut's, after the fence:
+// every pending request carries it, as Update returns a cut's error
+// with its committed op.
 //
 //onll:hotpath
 func (ba *Batcher) flush() {
@@ -192,20 +193,10 @@ func (ba *Batcher) flush() {
 	err := ba.batch.Flush()
 	ba.flushes.Add(1)                       //onll:barrier(Stats load of the counter from another goroutine)
 	ba.batched.Add(uint64(len(ba.pending))) //onll:barrier(Stats load of the counter from another goroutine)
-	ba.respond(err)
-}
-
-// respond releases every pending request, failing those that have no
-// error of their own with err.
-//
-//onll:hotpath
-func (ba *Batcher) respond(err error) {
 	now := ba.ring.nowNs()
 	for _, r := range ba.pending {
 		r.PersistNs.Store(now) //onll:barrier(the timing row the connection writer reads after the response may be in flight)
-		if err != nil && r.Err == nil {
-			r.Err = err
-		}
+		r.Err = err
 		r.done <- r //onll:chanok(ack delivery: buffered response channel)
 		ba.ring.add(r)
 	}
@@ -215,7 +206,7 @@ func (ba *Batcher) respond(err error) {
 // BatcherStats is a consistent-enough snapshot of the batcher's
 // volatile counters (each field individually atomic).
 type BatcherStats struct {
-	Updates uint64 // requests staged (including failed stages)
+	Updates uint64 // update requests the batcher took, ordered or refused unordered
 	Flushes uint64 // fences issued by the batcher
 	Batched uint64 // sum of flushed batch sizes
 }

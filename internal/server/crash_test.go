@@ -159,3 +159,77 @@ func TestBatcherCrashBetweenFenceAndResponse(t *testing.T) {
 		t.Fatalf("recovered state %d, want %d (one per recovered op)", v, recovered)
 	}
 }
+
+// TestFullLogRefusesUnorderedRequests drives the server over a
+// non-compacting instance until the batcher's log fills (8 slots, one
+// per flush). A request is ordered only when the record it will be
+// persisted in fits, so the answers on one pipelined connection are a
+// run of acks and then a run of refusals. After a crash, every acked
+// request is recovered; every refused one carries no op id and was
+// never linearized, and the acked ids are the dense sequence 1..k: a
+// refusal consumed no sequence number.
+func TestFullLogRefusesUnorderedRequests(t *testing.T) {
+	pool := pmem.New(1<<24, nil)
+	in, err := core.New(pool, objects.CounterSpec{}, core.Config{NProcs: 2, LogCapacity: 8, LogMaxOps: 2 + 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(in, Config{Batcher: BatcherConfig{MaxBatch: 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Listen("tcp", "127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	c, err := Dial("tcp", s.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 64 // at most 8 flushes of 4 fit
+	chans := make([]<-chan Resp, 0, n)
+	for i := 0; i < n; i++ {
+		chans = append(chans, c.Async(KindUpdate, objects.CounterInc))
+	}
+	var acked, refused []Resp
+	for i, ch := range chans {
+		r := <-ch
+		if r.Err == nil {
+			if len(refused) > 0 {
+				t.Fatalf("request %d acked after %d refusals", i, len(refused))
+			}
+			acked = append(acked, r)
+		} else {
+			refused = append(refused, r)
+		}
+	}
+	if len(acked) == 0 || len(refused) == 0 {
+		t.Fatalf("%d acked, %d refused; the log must fill mid-run", len(acked), len(refused))
+	}
+	c.Close()
+	s.Close()
+
+	pool.Crash(pmem.DropAll)
+	rin, rep, err := core.Recover(pool, objects.CounterSpec{}, core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range acked {
+		if want := spec.MakeID(0, uint64(i+1)); r.ID != want {
+			t.Fatalf("ack %d carries id %#x, want %#x", i, r.ID, want)
+		}
+		if _, ok := rep.WasLinearized(r.ID); !ok {
+			t.Fatalf("acked op %#x lost after crash", r.ID)
+		}
+	}
+	for _, r := range refused {
+		if _, ok := rep.WasLinearized(r.ID); r.ID != 0 || ok {
+			t.Fatalf("refused request (%v) has id %#x, linearized %v; want no id, never linearized", r.Err, r.ID, ok)
+		}
+	}
+	if rep.LastIdx != uint64(len(acked)) {
+		t.Fatalf("recovered %d ops for %d acks", rep.LastIdx, len(acked))
+	}
+	if v := rin.Handle(1).Read(objects.CounterGet); v != uint64(len(acked)) {
+		t.Fatalf("recovered counter %d, want %d", v, len(acked))
+	}
+}

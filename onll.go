@@ -89,8 +89,9 @@ var (
 	// ErrObjectQuarantined: the object shows evidence of lost
 	// operations; Update/TryRead refuse until Instance.Recreate.
 	ErrObjectQuarantined = core.ErrObjectQuarantined
-	// ErrLogPressure: an append failed even after the pressure valve's
-	// one relief (a chain base at the view, or ring growth).
+	// ErrLogPressure: an update found its log's overflow ring short
+	// even after the pressure valve's one relief (a chain base at the
+	// caught-up view, or ring growth); the op was not ordered.
 	ErrLogPressure = core.ErrLogPressure
 	// ErrRootOverlap: Open/Recover was asked to place an instance on a
 	// root-table range another live instance on the same pool already
