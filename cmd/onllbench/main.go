@@ -44,9 +44,10 @@ var (
 
 const poolSize = 1 << 27
 
-// poolFor sizes a pool for nprocs per-process logs of logCap slots:
-// slot width scales with the fuzzy-window bound (= nprocs), so wide
-// `-procs` sweeps outgrow the fixed default.
+// poolFor sizes a pool for nprocs per-process logs of logCap records:
+// the worst-case record the region is sized for grows with the
+// fuzzy-window bound (= nprocs), so wide `-procs` sweeps outgrow the
+// fixed default.
 func poolFor(nprocs, logCap int) int {
 	need := nprocs*plog.RegionBytes(logCap, nprocs)*2 + (1 << 22)
 	if need < poolSize {

@@ -68,7 +68,7 @@ func run() error {
 			return fmt.Errorf("log p%d at %#x: %w", pid, uint64(base), err)
 		}
 		recs := l.Records()
-		fmt.Printf("\nlog p%-2d @ %#x: capacity=%d slots, maxOps=%d, headSeq=%d, nextSeq=%d, live=%d\n",
+		fmt.Printf("\nlog p%-2d @ %#x: capacity=%d records, maxOps=%d, headSeq=%d, nextSeq=%d, live=%d\n",
 			pid, uint64(base), l.Capacity(), l.MaxOps(), l.HeadSeq(), l.NextSeq(), len(recs))
 		if n := l.ChainLen(); n > 0 {
 			fmt.Printf("  delta chain: %d record(s), covers execIdx=%d, delta words=%d\n",

@@ -68,11 +68,10 @@ func NewFlatCombining(pool *pmem.Pool, sp spec.Spec, nprocs, logCapacity int) (*
 	}
 	// The shared log is owned by whichever process holds the lock; it
 	// is created under the system pid and batch sizes are bounded by
-	// nprocs (one pending op per process). Unlike the per-process ONLL
-	// logs, combined records are ROUTINELY full-width (the combiner
-	// drains every announced op), so the two-tier inline budget would
-	// spill almost every record — keep this log single-tier.
-	l, err := plog.CreateInline(pool, pmem.RootSystemPID, logCapacity, nprocs, nprocs)
+	// nprocs (one pending op per process). A record takes the lines its
+	// batch needs, so the log holds at least logCapacity operations
+	// however they are combined.
+	l, err := plog.Create(pool, pmem.RootSystemPID, logCapacity, nprocs)
 	if err != nil {
 		return nil, err
 	}

@@ -188,10 +188,10 @@ func TestRecoveryClobberedRootSlots(t *testing.T) {
 }
 
 // TestRecoveryTornOverflowRefusesLoss builds a deterministic image in
-// which one record spilled to its log's overflow ring (a process is
-// stalled between order and persist, so the next updater's record
-// carries two ops — past the inline budget of 1), then corrupts the
-// spilled record's overflow chunk. That record was fenced and p0's four
+// which one record carries two ops (a process is stalled between order
+// and persist, so the next updater's record helps it), then corrupts a
+// payload word on that record's second line, leaving the line's tag
+// intact: only the record checksum sees it. That record was fenced and p0's four
 // updates completed; the three records after it still verify, but their
 // operations sit beyond the gap the damage opened at index 1, which no
 // other log holds. Completed updates are lost, so strict recovery must
@@ -202,7 +202,7 @@ func TestRecoveryTornOverflowRefusesLoss(t *testing.T) {
 	ctl := sched.NewController()
 	pool := pmem.New(1<<22, ctl)
 	in, err := core.New(pool, objects.MapSpec{}, core.Config{
-		NProcs: 3, LogCapacity: 64, LogInlineOps: 1, Gate: ctl,
+		NProcs: 3, LogCapacity: 64, Gate: ctl,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -212,9 +212,8 @@ func TestRecoveryTornOverflowRefusesLoss(t *testing.T) {
 	if _, ok := ctl.RunUntil(1, sched.AtPoint(core.PointOrdered)); !ok {
 		t.Fatal("p1 finished early")
 	}
-	// p0's first update helps p1's stalled op: a 2-op record, which the
-	// inline budget of 1 forces through the overflow ring. The following
-	// updates see p0's own op available, so they stay inline.
+	// p0's first update helps p1's stalled op: a 2-op record. The
+	// following updates see p0's own op available, so they carry one.
 	done := ctl.Spawn(0, func() {
 		h := in.Handle(0)
 		for i := 0; i < 4; i++ {
@@ -228,34 +227,32 @@ func TestRecoveryTornOverflowRefusesLoss(t *testing.T) {
 	ctl.KillAll()
 
 	recs := in.Log(0).Records()
-	if len(recs) != 4 || !recs[0].Overflow || recs[0].Kind != plog.KindOps {
-		t.Fatalf("setup: p0 log %+v, want 4 records with the first spilled", recs)
+	if len(recs) != 4 || len(recs[0].Ops) != 2 || recs[0].Kind != plog.KindOps {
+		t.Fatalf("setup: p0 log %+v, want 4 records with a 2-op first", recs)
 	}
-	if recs[1].Overflow || recs[2].Overflow || recs[3].Overflow {
-		t.Fatalf("setup: later records unexpectedly spilled: %+v", recs)
+	if len(recs[1].Ops) != 1 || len(recs[2].Ops) != 1 || len(recs[3].Ops) != 1 {
+		t.Fatalf("setup: later records unexpectedly helped: %+v", recs)
 	}
-	off, _, _ := recs[0].OverflowSpan()
-	ovfBase, _ := in.Log(0).OverflowRegion()
 	pool.SetGate(nil)
 	pool.Crash(pmem.KeepAll) // everything in flight lands; image is intact
-	durablyCorrupt(pool, ovfBase+pmem.Addr(off*pmem.WordSize), 0xBADC0DE)
+	durablyCorrupt(pool, in.Log(0).LineAddr(recs[0].Seq+1)+2*pmem.WordSize, 0xBADC0DE)
 
 	if _, _, err := core.Recover(pool, objects.MapSpec{}, core.Config{}); !errors.Is(err, core.ErrTornRecord) {
-		t.Fatalf("strict recovery after a torn fenced overflow chunk: err=%v, want ErrTornRecord", err)
+		t.Fatalf("strict recovery after a damaged fenced continuation line: err=%v, want ErrTornRecord", err)
 	}
 	pool.Crash(pmem.DropAll)
 	in2, rep, err := core.Recover(pool, objects.MapSpec{}, core.Config{Salvage: true})
 	if err != nil {
-		t.Fatalf("salvaging recovery after torn overflow: %v", err)
+		t.Fatalf("salvaging recovery after a damaged continuation line: %v", err)
 	}
 	if h := in2.Health(); h.Mode != core.ModeQuarantined || !errors.Is(h.Reason, core.ErrTornRecord) {
 		t.Fatalf("health %v (%v), want quarantined with ErrTornRecord", h.Mode, h.Reason)
 	}
-	// The spilled record held indices 1 (p1's helped op) and 2 (p0's
+	// The damaged record held indices 1 (p1's helped op) and 2 (p0's
 	// first own op); index 1 exists in no other log, so the salvaged
 	// prefix is empty.
 	if rep.LastIdx != 0 || len(rep.Ordered) != 0 {
-		t.Fatalf("salvaged %d ops past a torn overflow chunk: %+v", rep.LastIdx, rep.Ordered)
+		t.Fatalf("salvaged %d ops past a damaged continuation line: %+v", rep.LastIdx, rep.Ordered)
 	}
 	if err := in2.Recreate(); err != nil {
 		t.Fatalf("Recreate: %v", err)
@@ -270,21 +267,21 @@ func TestRecoveryTornOverflowRefusesLoss(t *testing.T) {
 }
 
 // TestRecoveryTornOverflowKeepsPrefix is the counterpart with the tear
-// in a LATER spilled record: a second stall forces p0's fourth record
-// through the ring; corrupting that chunk must preserve the three
+// in a LATER record: a stall makes p0's fourth record carry two ops;
+// corrupting a payload word on its second line must preserve the three
 // records before it.
 func TestRecoveryTornOverflowKeepsPrefix(t *testing.T) {
 	ctl := sched.NewController()
 	pool := pmem.New(1<<22, ctl)
 	in, err := core.New(pool, objects.MapSpec{}, core.Config{
-		NProcs: 3, LogCapacity: 64, LogInlineOps: 1, Gate: ctl,
+		NProcs: 3, LogCapacity: 64, Gate: ctl,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// p0 performs three clean updates (indices 1..3, all inline) and a
+	// p0 performs three clean updates (indices 1..3, one op each) and a
 	// fourth one; the controller holds it after the third so p2 can
-	// stall mid-order first, making the fourth record spill.
+	// stall mid-order first, making the fourth record help it.
 	done := ctl.Spawn(0, func() {
 		h := in.Handle(0)
 		for i := 0; i < 4; i++ {
@@ -303,7 +300,7 @@ func TestRecoveryTornOverflowKeepsPrefix(t *testing.T) {
 		}
 	}
 	// p2 orders index 4 and stalls; p0's fourth update (index 5) helps
-	// it and spills past the inline budget of 1.
+	// it.
 	ctl.Spawn(2, func() { in.Handle(2).Update(objects.MapPut, 200, 2) })
 	if _, ok := ctl.RunUntil(2, sched.AtPoint(core.PointOrdered)); !ok {
 		t.Fatal("p2 finished early")
@@ -313,18 +310,16 @@ func TestRecoveryTornOverflowKeepsPrefix(t *testing.T) {
 	ctl.KillAll()
 
 	recs := in.Log(0).Records()
-	if len(recs) != 4 || !recs[3].Overflow {
-		t.Fatalf("setup: p0 log %+v, want 4 records with the last spilled", recs)
+	if len(recs) != 4 || len(recs[3].Ops) != 2 {
+		t.Fatalf("setup: p0 log %+v, want 4 records with a 2-op last", recs)
 	}
-	off, _, _ := recs[3].OverflowSpan()
-	ovfBase, _ := in.Log(0).OverflowRegion()
 	pool.SetGate(nil)
 	pool.Crash(pmem.KeepAll)
-	durablyCorrupt(pool, ovfBase+pmem.Addr(off*pmem.WordSize), 0xBADC0DE)
+	durablyCorrupt(pool, in.Log(0).LineAddr(recs[3].Seq+1)+2*pmem.WordSize, 0xBADC0DE)
 
 	in2, rep, err := core.Recover(pool, objects.MapSpec{}, core.Config{})
 	if err != nil {
-		t.Fatalf("recovery after torn overflow: %v", err)
+		t.Fatalf("recovery after a damaged continuation line: %v", err)
 	}
 	if rep.LastIdx != 3 {
 		t.Fatalf("recovered LastIdx %d, want the 3-op prefix before the tear", rep.LastIdx)

@@ -77,10 +77,9 @@ func runFaultIteration(t *testing.T, sp spec.Spec, nprocs, it int, rng *rand.Ran
 		Seed: int64(it)*101 + int64(nprocs),
 	}
 	if it%2 == 0 {
-		// Spill-heavy shape: every helped record overflows, compaction
-		// churns the ring, and faults land on chunk and snapshot lines
-		// too, not just inline slots.
-		base.Core.LogInlineOps = 1
+		// Compacting shape: cuts truncate the logs and reuse their
+		// lines, and faults land on snapshot and chain-body lines too,
+		// not just record lines.
 		base.Core.LocalViews = true
 		base.Core.CompactEvery = 8
 	}

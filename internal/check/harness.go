@@ -26,8 +26,7 @@ type HarnessConfig struct {
 	Oracle     pmem.Oracle // survival of in-flight lines
 	// Core is the construction's shape, used for both the pre-crash and
 	// the recovered instance as given; RunCrash sets only NProcs, Gate
-	// and LogCapacity (and Salvage on fault runs). Sweeps shrink
-	// Core.LogInlineOps to force records through the overflow ring.
+	// and LogCapacity (and Salvage on fault runs).
 	Core core.Config
 	// EvictionRate, if nonzero, enables spontaneous cache eviction at
 	// roughly one write-back per EvictionRate stores (seeded by Seed):
@@ -61,19 +60,16 @@ type HarnessResult struct {
 	RecoverErr error
 }
 
-// poolSizeFor sizes a pool generously for the run, honouring the
-// configured inline budget (a single-tier budget needs far larger logs
-// than the two-tier default).
+// poolSizeFor sizes a pool generously for the run.
 func poolSizeFor(cfg HarnessConfig) (int, int) {
 	logCap := cfg.OpsPerProc*2 + 64
 	mult := 2
 	if cfg.FaultCount > 0 {
 		// A quarantined fault run may Recreate — a full second set of
-		// logs from a bump allocator that never reclaims — on top of
-		// possible ring growth under pressure.
+		// logs from a bump allocator that never reclaims.
 		mult = 4
 	}
-	size := cfg.NProcs*plog.RegionBytesInline(logCap, cfg.NProcs, cfg.Core.LogInlineOps)*mult + (1 << 21)
+	size := cfg.NProcs*plog.RegionBytes(logCap, cfg.NProcs)*mult + (1 << 21)
 	return size, logCap
 }
 

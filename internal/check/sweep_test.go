@@ -78,9 +78,6 @@ func TestCrashInjectionSweep(t *testing.T) {
 					cfg.CrashStep = 1 + uint64(rng.Int63n(int64(probe.Steps)))
 					cfg.Oracle = pmem.SeededOracle(uint64(cfg.Seed)+uint64(i), uint64(rng.Intn(4)), 3)
 					cfg.Core.LocalViews, cfg.Core.CompactEvery = true, 8
-					if i%2 == 0 {
-						cfg.Core.LogInlineOps = 1 // force helped records through the overflow ring
-					}
 					cfg.Core.WaitFree = i%3 == 0 // wait-free ordering + compaction combo
 					// The pipeline legs put delta append, truncation
 					// behind a live chain and base+delta refolding under
@@ -91,8 +88,8 @@ func TestCrashInjectionSweep(t *testing.T) {
 					}
 					res, err := RunCrash(cfg)
 					if err != nil {
-						t.Fatalf("%s procs=%d iter=%d crash@%d inline=%d pipeline=%v: %v",
-							sp.Name(), nprocs, i, cfg.CrashStep, cfg.Core.LogInlineOps, pipeline, err)
+						t.Fatalf("%s procs=%d iter=%d crash@%d pipeline=%v: %v",
+							sp.Name(), nprocs, i, cfg.CrashStep, pipeline, err)
 					}
 					// The recovered instance must be servable by every
 					// replacement process, not just consistent on paper.
@@ -158,44 +155,42 @@ func readProbe(sp spec.Spec) uint64 {
 	}
 }
 
-// TestCrashInjectionSweepPfences pins the cost side of the two-tier
-// scheme at scale: a 16-process update-only run (no crash) must issue
-// exactly one persistent fence per update and zero per read, identical
-// to the single-tier layout, whether or not records spill.
+// TestCrashInjectionSweepPfences pins the cost side of multi-line
+// records at scale: a 16-process update-only run (no crash) must issue
+// exactly one persistent fence per update and zero per read, however
+// many lines each record takes.
 func TestCrashInjectionSweepPfences(t *testing.T) {
-	for _, inline := range []int{0, 1} {
-		cfg := HarnessConfig{
-			Spec: objects.MapSpec{}, NProcs: 16, OpsPerProc: 25, UpdatePct: 100,
-			Seed: 9, Core: core.Config{LogInlineOps: inline},
+	cfg := HarnessConfig{
+		Spec: objects.MapSpec{}, NProcs: 16, OpsPerProc: 25, UpdatePct: 100,
+		Seed: 9,
+	}
+	res, err := RunLive(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	updates := 0
+	for _, o := range res.History {
+		if o.IsUpdate {
+			updates++
 		}
-		res, err := RunLive(cfg)
-		if err != nil {
-			t.Fatal(err)
+	}
+	st := res.Pool.TotalStats()
+	// Setup (log headers, roots) fences too; exclude it by bounding:
+	// every update fences exactly once, setup adds a known constant
+	// (one per log create + two roots, all by the system pid).
+	if st.PersistentFences < uint64(updates) {
+		t.Fatalf("%d pfences < %d updates", st.PersistentFences, updates)
+	}
+	perPid := res.Pool.StatsOf(3) // an ordinary worker pid
+	var pidUpdates uint64
+	for _, o := range res.History {
+		if o.IsUpdate && o.PID == 3 {
+			pidUpdates++
 		}
-		updates := 0
-		for _, o := range res.History {
-			if o.IsUpdate {
-				updates++
-			}
-		}
-		st := res.Pool.TotalStats()
-		// Setup (log headers, roots) fences too; exclude it by bounding:
-		// every update fences exactly once, setup adds a known constant
-		// (one per log create + two roots, all by the system pid).
-		if st.PersistentFences < uint64(updates) {
-			t.Fatalf("inline=%d: %d pfences < %d updates", inline, st.PersistentFences, updates)
-		}
-		perPid := res.Pool.StatsOf(3) // an ordinary worker pid
-		var pidUpdates uint64
-		for _, o := range res.History {
-			if o.IsUpdate && o.PID == 3 {
-				pidUpdates++
-			}
-		}
-		// +1: the pid's log header is persisted once at setup.
-		if perPid.PersistentFences != pidUpdates+1 {
-			t.Fatalf("inline=%d: pid 3 issued %d pfences for %d updates (want exactly 1/update +1 setup)",
-				inline, perPid.PersistentFences, pidUpdates)
-		}
+	}
+	// +1: the pid's log header is persisted once at setup.
+	if perPid.PersistentFences != pidUpdates+1 {
+		t.Fatalf("pid 3 issued %d pfences for %d updates (want exactly 1/update +1 setup)",
+			perPid.PersistentFences, pidUpdates)
 	}
 }

@@ -4,11 +4,10 @@ package core
 // durability per operation — Update issues exactly one persistent fence
 // — but a service front end beats per-op pricing by amortizing: order N
 // client requests as they arrive, then persist all of them with ONE log
-// append and ONE fence, then linearize them. The two-tier log already
-// supports this shape (a record wider than the inline budget spills its
-// tail to the overflow ring under the same fence); Config.LogMaxOps
-// raises the per-record op bound so a whole batch plus the helping tail
-// fits in one record.
+// append and ONE fence, then linearize them. The log already supports
+// this shape (a record takes as many lines as its ops need, under the
+// same fence); Config.LogMaxOps raises the per-record op bound so a
+// whole batch plus the helping tail fits in one record.
 //
 // Semantics: a batch is Listing 3's pipeline with its tail shared.
 // Listing 3's insert is Stage's order stage, and its return value is

@@ -317,21 +317,23 @@ func TestBatchSpanRaceFlushesFirst(t *testing.T) {
 
 func TestBatchStageNeedsRoomForASplitRecord(t *testing.T) {
 	// A span race commits the staged ops as a record of their own, so a
-	// Stage after the first needs log room for two records. With one
-	// slot free it refuses with ErrBatchFull before inserting; the Flush
-	// then fills the slot, and the next batch fails to order at all.
-	_, in := newCounter(t, Config{NProcs: 2, LogCapacity: 2, LogMaxOps: 6, LocalViews: true})
+	// Stage after the first needs log room for two records. With room
+	// for one worst-case record (five of the region's seven lines) it
+	// refuses with ErrBatchFull before inserting; the Flush then takes
+	// two lines, and the next batch fails to order at all (no local
+	// view, so the pressure valve has no relief).
+	_, in := newCounter(t, Config{NProcs: 2, LogCapacity: 2, LogMaxOps: 6})
 	h := in.Handle(0)
 	if _, _, err := h.Update(objects.CounterInc); err != nil {
 		t.Fatal(err)
 	}
 	b := h.NewBatch()
 	if _, _, err := b.Stage(objects.CounterInc); err != nil {
-		t.Fatalf("first Stage with one slot free: %v", err)
+		t.Fatalf("first Stage with room for one record: %v", err)
 	}
 	tail := in.Trace().Tail(0)
 	if _, _, err := b.Stage(objects.CounterInc); !errors.Is(err, ErrBatchFull) {
-		t.Fatalf("second Stage with one slot free: %v, want ErrBatchFull", err)
+		t.Fatalf("second Stage with room for one record: %v, want ErrBatchFull", err)
 	}
 	if in.Trace().Tail(0) != tail {
 		t.Fatal("the refused Stage inserted a node")
@@ -456,10 +458,10 @@ func TestBatchOfOneIsAnUpdate(t *testing.T) {
 	// driven through the same schedule, one with Update and one with a
 	// one-op Stage+Flush, return the same values and ids and leave the
 	// same records behind at the same fence and flush counts. Stalled
-	// processes give records helping windows of up to three ops, the
-	// one-op inline budget spills them, and compaction cuts every third
-	// update of a handle.
-	cfg := Config{NProcs: 3, LogCapacity: 64, LogInlineOps: 1, LocalViews: true, CompactEvery: 3}
+	// processes give records helping windows of up to three ops, two or
+	// three lines each, and compaction cuts every third update of a
+	// handle.
+	cfg := Config{NProcs: 3, LogCapacity: 64, LocalViews: true, CompactEvery: 3}
 	type result struct{ ret, id uint64 }
 	run := func(batch bool) (*pmem.Pool, *Instance, []result) {
 		ctl := sched.NewController()

@@ -82,11 +82,13 @@ var (
 	// ErrObjectQuarantined: salvage found evidence of data loss; the
 	// object refuses updates and typed reads until Recreate.
 	ErrObjectQuarantined = errors.New("core: object quarantined (salvage found evidence of loss)")
-	// ErrLogPressure: the order stage found the log's overflow ring
-	// short of a worst-case record's tail even after the pressure
-	// valve's one relief (a chain base at the caught-up view, or ring
-	// growth without a view). Nothing was ordered.
-	ErrLogPressure = errors.New("core: log pressure not relieved by compaction or ring growth")
+	// ErrLogPressure: the order stage found the log short of a
+	// worst-case record's lines even after the pressure valve's one
+	// relief (a chain base at the caught-up view and a truncate), or
+	// the relief itself failed. Nothing was ordered. A log the valve
+	// cannot relieve at all — no local view, or not one free line for
+	// the base record — refuses the op with plog.ErrFull instead.
+	ErrLogPressure = errors.New("core: log pressure not relieved by compaction")
 	// ErrRootOverlap: this instance's root-table range [RootBase,
 	// RootBase+rootLogBase+NProcs) overlaps a range another live
 	// instance already claimed on the same pool. Before the check, the
@@ -117,23 +119,18 @@ func RootSpan(nprocs int) int { return rootLogBase + nprocs }
 type Config struct {
 	// NProcs is the number of processes (and per-process logs).
 	NProcs int
-	// LogCapacity is the number of record slots per per-process log.
-	// Zero selects a default suitable for the test workloads.
-	LogCapacity int
-	// LogInlineOps is the per-slot inline op budget of the two-tier log
-	// layout: records assembling at most this many fuzzy-window ops live
-	// entirely in their slot, larger records spill their tail to the
-	// log's shared overflow ring. Zero selects plog.DefaultInlineOps;
-	// values >= NProcs make the logs single-tier (every slot sized for
-	// the worst-case window, the pre-two-tier layout).
+	// LogCapacity is the number of records each per-process log's
+	// region is sized for: one-op records, an eighth of them with room
+	// to be worst-case (plog.RegionBytes). Zero selects a default
+	// suitable for the test workloads.
 	//
-	// The ring is sized at 1/8 of the worst case, so a sustained run of
-	// deep fuzzy windows can exhaust it before the slot ring fills. The
-	// order stage absorbs that before it inserts (the pressure valve,
-	// valve.go): when the ring lacks room for a worst-case tail, a
-	// handle with a local view lays a chain base at its caught-up view,
-	// which frees the ring, and a handle without one grows its ring.
-	LogInlineOps int
+	// A run of deep fuzzy windows can fill the region before the
+	// compaction cadence truncates it. The order stage absorbs that
+	// before it inserts (the pressure valve, valve.go): when the log
+	// lacks a worst-case record's lines, a handle with a local view lays
+	// a chain base at its caught-up view and truncates behind it; a
+	// handle without one gets plog.ErrFull.
+	LogCapacity int
 	// LogMaxOps raises the per-record op bound of each per-process log
 	// above the default (NProcs, the deepest fuzzy window a single
 	// update can owe). Batched entry points (Handle.NewBatch) persist
@@ -145,11 +142,11 @@ type Config struct {
 	// the batch's staged ops plus one pending op per other process —
 	// within the span Stage admits plus NProcs-1, hence <= LogMaxOps
 	// while one batch stages at a time (with two, an outgrown append
-	// panics). Zero or values below NProcs select NProcs. Raising it
-	// does not widen the inline slots — wide records spill their tail to
-	// the overflow ring — but it grows the ring's sizing floor and the
-	// tail the order stage wants room for, so PoolBytes must be computed
-	// with the same value.
+	// panics). Zero or values below NProcs select NProcs. A record
+	// takes only the lines its ops need, but raising the bound grows
+	// the worst-case record the region is sized for and the order stage
+	// wants room for, so PoolBytes must be computed with the same
+	// value.
 	LogMaxOps int
 	// Gate interposes deterministic scheduling / crash injection; nil
 	// means free-running.
@@ -193,7 +190,7 @@ type Config struct {
 	// checksummed records stranded beyond damage (helping often bridges
 	// the gap), and the result is classified Healthy / Degraded /
 	// Quarantined (health.go). Salvage changes two things. It reads
-	// every slot past a log's stale end, where strict mode stops (the
+	// every line past a log's stale end, where strict mode stops (the
 	// end of an undamaged log; DESIGN.md §3.7). And on evidence of lost
 	// operations it returns the instance quarantined, where strict mode
 	// (false, the default) fails with that evidence.
@@ -224,9 +221,6 @@ type Config struct {
 func (c *Config) fill() error {
 	if c.NProcs < 1 || c.NProcs > MaxProcs {
 		return fmt.Errorf("core: NProcs %d out of range [1,%d]", c.NProcs, MaxProcs)
-	}
-	if c.LogInlineOps < 0 {
-		return fmt.Errorf("core: LogInlineOps %d negative", c.LogInlineOps)
 	}
 	if c.LogMaxOps < 0 {
 		return fmt.Errorf("core: LogMaxOps %d negative", c.LogMaxOps)
@@ -279,7 +273,6 @@ type Instance struct {
 	// Pressure and scrub counters (stats surface; see Pressure and
 	// ScrubTotals in health.go).
 	valveFires atomic.Uint64
-	ringGrows  atomic.Uint64
 	scrubRuns  atomic.Uint64
 	scrubBad   atomic.Uint64
 
@@ -324,7 +317,7 @@ func New(pool *pmem.Pool, sp spec.Spec, cfg Config) (*Instance, error) {
 	}
 	in.tr = newTrace(&cfg, nil)
 	for pid := 0; pid < cfg.NProcs; pid++ {
-		l, err := plog.CreateInline(pool, pid, cfg.LogCapacity, cfg.LogMaxOps, cfg.LogInlineOps)
+		l, err := plog.Create(pool, pid, cfg.LogCapacity, cfg.LogMaxOps)
 		if err != nil {
 			return nil, fmt.Errorf("core: creating log for p%d: %w", pid, err)
 		}

@@ -60,7 +60,7 @@ var errDeltaOversize = errors.New("core: delta payload not smaller than a full s
 // rival the state itself (SizeHint words at OpWords per logged update),
 // clamped to [64, min(1024, LogCapacity/4)] so tiny states still cut
 // often enough to bound the log and huge states do not defer cuts past
-// the slot ring. 0 disables cadence compaction.
+// the log's region. 0 disables cadence compaction.
 func (h *Handle) cutEvery() int {
 	if ce := h.in.cfg.CompactEvery; ce > 0 {
 		return ce
@@ -196,12 +196,13 @@ func (h *Handle) deltaCutAt(log *plog.Log, idx uint64, ops []spec.Op) error {
 func (h *Handle) chainBaseAndTruncate(idx uint64) (slot int, body []uint64, err error) {
 	slot, body = h.encodeBase()
 	log := h.in.logs[h.pid]
-	if log.ChainLen() > 0 {
-		h.in.cmpCollapses.Add(1)
-	}
+	collapse := log.ChainLen() > 0
 	seq, err := log.AppendChainBase(body, idx)
 	if err != nil {
 		return 0, nil, err
+	}
+	if collapse {
+		h.in.cmpCollapses.Add(1)
 	}
 	if seq > 1 {
 		if err := log.Truncate(seq - 1); err != nil {

@@ -219,16 +219,16 @@ func (in *Instance) Recreate() error {
 	// cfg defaults: a recovered instance's Config carries no capacity
 	// (geometry lives in the log headers), and the defaults can be far
 	// larger than the pool that held the originals.
-	capacity, maxOps, inlineOps := cfg.LogCapacity, cfg.LogMaxOps, cfg.LogInlineOps
+	capacity, maxOps := cfg.LogCapacity, cfg.LogMaxOps
 	for _, l := range in.logs {
 		if l != nil {
-			capacity, maxOps, inlineOps = l.Capacity(), l.MaxOps(), l.InlineOps()
+			capacity, maxOps = l.Capacity(), l.MaxOps()
 			break
 		}
 	}
 	logs := make([]*plog.Log, cfg.NProcs)
 	for pid := 0; pid < cfg.NProcs; pid++ {
-		l, err := plog.CreateInline(in.pool, pid, capacity, maxOps, inlineOps)
+		l, err := plog.Create(in.pool, pid, capacity, maxOps)
 		if err != nil {
 			return fmt.Errorf("core: recreating log for p%d: %w", pid, err)
 		}
@@ -291,13 +291,13 @@ type ScrubTotals struct {
 	FaultyRuns uint64
 }
 
-// Scrub walks every log's durable image — headers, slots, overflow
-// chunks, snapshot payloads — re-verifying checksums against NVM
+// Scrub walks every log's durable image — headers, record lines,
+// snapshot payloads — re-verifying checksums against NVM
 // (cache-bypassing reads), and reports latent damage before a crash
 // would make recovery trip over it. It takes no locks, writes nothing,
 // and issues no fences: concurrent operations may race individual
-// word reads, so a slot being appended right now can read torn — such
-// a slot is at a frontier and shows up as a benign tear, which Faulty
+// word reads, so a record being appended right now can read torn — such
+// a record is at a frontier and shows up as a benign tear, which Faulty
 // ignores. Run it from a maintenance goroutine, never on the hot path.
 func (in *Instance) Scrub() ScrubReport {
 	rep := ScrubReport{PerPid: make([]plog.ScrubResult, len(in.logs))}
@@ -327,19 +327,20 @@ func (in *Instance) ScrubStats() ScrubTotals {
 
 // PressureStats is the log-pressure counter snapshot (Instance.Pressure).
 type PressureStats struct {
-	// ValveFires counts the ring shortages the order stage's room check
-	// found and ran the relief for (valve.go).
+	// ValveFires counts the log shortages the order stage's room check
+	// found and the valve relieved (valve.go): one per relief.
 	ValveFires uint64
-	// RingGrows counts overflow-ring growths.
+	// RingGrows is always 0: logs have no overflow ring to grow. It
+	// stays only while the benchmark reports it (bench/metrics.go).
 	RingGrows uint64
-	// Spills sums the per-log ring-shortage counters (plog.Log.Spills;
-	// a grown log carries its predecessor's): one per valve fire.
+	// Spills sums the per-log relieved-shortage counters
+	// (plog.Log.Spills): one per relief, like ValveFires.
 	Spills int
 }
 
 // Pressure returns the cumulative log-pressure counters.
 func (in *Instance) Pressure() PressureStats {
-	ps := PressureStats{ValveFires: in.valveFires.Load(), RingGrows: in.ringGrows.Load()}
+	ps := PressureStats{ValveFires: in.valveFires.Load()}
 	for _, l := range in.logs {
 		if l != nil {
 			ps.Spills += l.Spills()

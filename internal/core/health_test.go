@@ -11,13 +11,13 @@ import (
 	"repro/internal/spec"
 )
 
-// smashRecord durably destroys record seq of pid's log by garbling a
-// checksummed mid-record word (the stored seq word stays intact, so the
-// slot probes as a bad same-seq record — media damage, not staleness),
-// then drops the cache so the damage is what recovery sees.
-func smashRecord(pool *pmem.Pool, in *Instance, pid int, seq uint64) {
-	addr, _ := in.Log(pid).SlotRegion(seq)
-	w := addr + pmem.Addr(2*pmem.WordSize)
+// smashRecord durably destroys the n-th live record (1-based) of pid's
+// log by garbling its checksummed kind word (the head tag stays intact,
+// so the record probes as a bad same-seq record — media damage, not
+// staleness), then drops the cache so the damage is what recovery sees.
+func smashRecord(pool *pmem.Pool, in *Instance, pid int, n int) {
+	l := in.Log(pid)
+	w := l.LineAddr(l.Records()[n-1].Seq) + 2*pmem.WordSize
 	pool.Store(pmem.RootSystemPID, w, 0xBAD0BAD0BAD0BAD0)
 	pool.Persist(pmem.RootSystemPID, w, pmem.WordSize)
 	pool.Crash(pmem.DropAll)
@@ -172,7 +172,7 @@ func TestQuarantineSnapshotCorrupt(t *testing.T) {
 		t.Fatal("compaction never truncated; test is vacuous")
 	}
 	pool.Crash(pmem.DropAll)
-	smashRecord(pool, in, 0, l.HeadSeq()+1) // the covering snapshot
+	smashRecord(pool, in, 0, 1) // the covering snapshot
 
 	in2, _, err := Recover(pool, objects.CounterSpec{}, Config{Salvage: true})
 	if err != nil {
@@ -324,145 +324,37 @@ func TestRecreateAfterQuarantine(t *testing.T) {
 	}
 }
 
-// TestRingGrowthUnderPressure pins the valve's growth rung: without
-// local views there is no snapshot to compact from, so sustained
-// overflow pressure must be absorbed by growing the ring (adaptive
-// sizing), with the full history surviving migration and a crash.
-func TestRingGrowthUnderPressure(t *testing.T) {
-	const rounds = 20
-	ctl := sched.NewController()
-	pool := pmem.New(1<<22, ctl)
-	in, err := New(pool, objects.CounterSpec{}, Config{
-		NProcs: 3, LogCapacity: 64, LogInlineOps: 1, Gate: ctl,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	oldRing := in.Log(0).RingWords()
-	done1 := ctl.Spawn(1, func() {
-		h := in.Handle(1)
-		for i := 0; i < rounds; i++ {
-			if _, _, err := h.Update(objects.CounterInc); err != nil {
-				panic(err)
-			}
-		}
-	})
-	done0 := ctl.Spawn(0, func() {
-		h := in.Handle(0)
-		for i := 0; i < rounds; i++ {
-			if _, _, err := h.Update(objects.CounterInc); err != nil {
-				panic(err)
-			}
-		}
-	})
-	for i := 0; i < rounds; i++ {
-		// p1 stalls between order and persist, so p0's record always
-		// carries p1's pending op — past the inline budget of 1, into
-		// the ring, every round.
-		if _, ok := ctl.RunUntil(1, sched.AtPoint(PointOrdered)); !ok {
-			t.Fatalf("round %d: p1 finished early", i)
-		}
-		if _, ok := ctl.RunPast(0, sched.AtPoint(PointReturn)); !ok {
-			t.Fatalf("round %d: p0 finished early", i)
-		}
-		if _, ok := ctl.RunPast(1, sched.AtPoint(PointReturn)); !ok {
-			t.Fatalf("round %d: p1 could not finish", i)
-		}
-	}
-	ctl.RunToCompletion(0)
-	ctl.RunToCompletion(1)
-	if v := <-done0; v != nil {
-		t.Fatalf("p0 failed: %v", v)
-	}
-	if v := <-done1; v != nil {
-		t.Fatalf("p1 failed: %v", v)
-	}
-	ctl.KillAll()
-
-	ps := in.Pressure()
-	if ps.RingGrows == 0 {
-		t.Fatalf("ring never grew (valve fires %d, spills %d); test is vacuous", ps.ValveFires, ps.Spills)
-	}
-	if in.Log(0).RingWords() <= oldRing {
-		t.Fatalf("ring %d words after growth, want > %d", in.Log(0).RingWords(), oldRing)
-	}
-	pool.SetGate(nil)
-	pool.Crash(pmem.DropAll)
-	in2, rep, err := Recover(pool, objects.CounterSpec{}, Config{Salvage: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if in2.Health().Mode != ModeHealthy {
-		t.Fatalf("health %v after growth+crash", in2.Health().Mode)
-	}
-	if got := in2.Handle(0).Read(objects.CounterGet); got != 2*rounds {
-		t.Fatalf("recovered counter %d, want %d", got, 2*rounds)
-	}
-	for pid := 0; pid < 2; pid++ {
-		for seq := uint64(1); seq <= rounds; seq++ {
-			if _, ok := rep.WasLinearized(spec.MakeID(pid, seq)); !ok {
-				t.Fatalf("p%d op %d vanished across ring growth", pid, seq)
-			}
-		}
-	}
-}
-
-// TestLogPressureTyped pins the ladder's typed failure: when every rung
-// fails (no local view to compact, pool too small to grow the ring),
-// Update reports ErrLogPressure instead of a bare ErrOvfFull.
+// TestLogPressureTyped pins the valve's typed failures on a full log:
+// with a local view the relief needs a chain body, and a pool that
+// holds only the root table and the logs has no room for one, so the
+// update reports ErrLogPressure; without a view there is no relief,
+// and the update gets plog.ErrFull. Neither orders the op.
 func TestLogPressureTyped(t *testing.T) {
-	ctl := sched.NewController()
-	// The pool fits the root table and the three initial logs exactly:
-	// the growth rung's allocation must fail.
-	region := plog.RegionBytesInline(64, 3, 1)
-	pool := pmem.New(pmem.RootSlots*pmem.WordSize+3*region, ctl)
-	in, err := New(pool, objects.CounterSpec{}, Config{
-		NProcs: 3, LogCapacity: 64, LogInlineOps: 1, Gate: ctl,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const rounds = 40
-	var pressureErr error
-	done1 := ctl.Spawn(1, func() {
-		h := in.Handle(1)
-		for i := 0; i < rounds; i++ {
-			if _, _, err := h.Update(objects.CounterInc); err != nil {
-				return
-			}
+	for _, tc := range []struct {
+		views bool
+		want  error
+	}{{true, ErrLogPressure}, {false, plog.ErrFull}} {
+		pool := pmem.New(pmem.RootSlots*pmem.WordSize+3*plog.RegionBytes(8, 3), nil)
+		in, err := New(pool, objects.CounterSpec{}, Config{NProcs: 3, LogCapacity: 8, LocalViews: tc.views})
+		if err != nil {
+			t.Fatal(err)
 		}
-	})
-	done0 := ctl.Spawn(0, func() {
 		h := in.Handle(0)
-		for i := 0; i < rounds; i++ {
-			if _, _, err := h.Update(objects.CounterInc); err != nil {
-				pressureErr = err
-				return
+		n := 0
+		for ; n < 100; n++ {
+			if _, _, err = h.Update(objects.CounterInc); err != nil {
+				break
 			}
 		}
-	})
-	// Each round p1 stalls a fresh op between order and persist, so
-	// every p0 record spills its helped tail — until the ring is
-	// exhausted with no relief available (the loop ends early once p0's
-	// update errors out and its goroutine exits).
-	for i := 0; i < rounds; i++ {
-		if _, ok := ctl.RunUntil(1, sched.AtPoint(PointOrdered)); !ok {
-			break
+		if !errors.Is(err, tc.want) {
+			t.Fatalf("views=%v: full log after %d updates returned %v, want %v", tc.views, n, err, tc.want)
 		}
-		if _, ok := ctl.RunPast(0, sched.AtPoint(PointReturn)); !ok {
-			break
+		if got := h.Read(objects.CounterGet); got != uint64(n) {
+			t.Fatalf("views=%v: counter %d after %d updates and a refusal", tc.views, got, n)
 		}
-		if _, ok := ctl.RunPast(1, sched.AtPoint(PointReturn)); !ok {
-			break
+		if ps := in.Pressure(); ps.ValveFires != 0 || ps.Spills != 0 {
+			t.Fatalf("views=%v: pressure %+v, want no relief counted", tc.views, ps)
 		}
-	}
-	ctl.RunToCompletion(0)
-	ctl.RunToCompletion(1)
-	ctl.KillAll()
-	<-done0
-	<-done1
-	if !errors.Is(pressureErr, ErrLogPressure) {
-		t.Fatalf("exhausted ladder returned %v, want ErrLogPressure", pressureErr)
 	}
 }
 
@@ -488,7 +380,7 @@ func TestScrubOffHotPath(t *testing.T) {
 	}
 	// Latent fault: corrupt the durable image only; the cache keeps
 	// masking it from the normal read path.
-	addr, _ := in.Log(1).SlotRegion(2)
+	addr := in.Log(1).LineAddr(in.Log(1).Records()[1].Seq)
 	pool.InjectFaults(pmem.FaultPlan{Faults: []pmem.Fault{
 		{Class: pmem.FaultTornLine, Line: addr.Line(), Seed: 21},
 	}})

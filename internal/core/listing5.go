@@ -29,8 +29,8 @@ type listing5 struct {
 //	}
 //
 // The TestRecoveryMatchesListing5* tests cross-check the two on
-// randomized crash states. The reference reads every record the slot
-// walk finds, to the last slot: on a crash-only image that is what
+// randomized crash states. The reference reads every record the log
+// walk finds, to the last line: on a crash-only image that is what
 // Recover reads in either mode, and on a faulted one what salvage
 // reads. Compaction (Section 8) starts i after the newest snapshot or
 // chain record, whose state is folded here with code of its own.

@@ -211,8 +211,6 @@ func TestRecoveryMatchesListing5Chains(t *testing.T) {
 	pipeline := Config{ReadFastPath: true, DeltaSnapshots: true, CompactEvery: 6}
 	collapse := pipeline
 	collapse.MaxDeltaChain = 1
-	spill := pipeline
-	spill.LogInlineOps = 1
 	shapes := []struct {
 		name     string
 		cfg      Config
@@ -222,7 +220,7 @@ func TestRecoveryMatchesListing5Chains(t *testing.T) {
 		{"pipeline", pipeline, 0, 0},
 		{"chain=1", collapse, 0, 0},
 		{"rootbase", pipeline, RootSpan(nprocs), 0},
-		{"salvage", spill, 0, 4},
+		{"salvage", pipeline, 0, 4},
 	}
 	seeds := 48
 	if testing.Short() {

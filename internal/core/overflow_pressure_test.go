@@ -1,24 +1,25 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
 	"repro/internal/objects"
+	"repro/internal/plog"
 	"repro/internal/pmem"
 	"repro/internal/sched"
 	"repro/internal/spec"
 )
 
-// TestUpdateSurvivesOverflowRingExhaustion pins the overflow-ring
-// pressure valve. Each round stalls p1 between order and persist and
-// lets p0 run one update, so every p0 record carries p1's pending op —
-// past the inline budget of 1, into the overflow ring. The geometry
-// below gives the ring room for 16 spilled tails, and the order stage
-// wants room for a worst-case two-op tail; the rounds exhaust it, and
-// every shortage must be absorbed by the valve's relief (a chain base
-// at the caught-up view, truncate) before p0 orders, instead of failing
-// the update, with the full history surviving a crash.
+// TestUpdateSurvivesOverflowRingExhaustion pins the log-pressure
+// valve on a full log. Each round stalls p1 between order and persist
+// and lets p0 run one update, so every p0 record carries p1's pending
+// op. The geometry below (valveGeometry) fills the log every 15
+// records, and every shortage must be absorbed by the valve's relief
+// (a chain base at the caught-up view, truncate) before the handle
+// orders, instead of failing the update, with the full history
+// surviving a crash.
 func TestUpdateSurvivesOverflowRingExhaustion(t *testing.T) {
 	inputs := []struct {
 		name         string
@@ -27,7 +28,7 @@ func TestUpdateSurvivesOverflowRingExhaustion(t *testing.T) {
 	}{
 		{"counter", objects.CounterSpec{}, 0, 20},
 		// Distinct keys, so every valve base rewrites a state that
-		// dwarfs the window it covers: ~3 exhaustions.
+		// dwarfs the window it covers: ~8 shortages per log.
 		{"map", objects.MapSpec{}, 40, 48},
 	}
 	for _, tc := range inputs {
@@ -61,9 +62,7 @@ func runRingExhaustion(t *testing.T, sp spec.Spec, seed, rounds int) {
 	in, err := New(pool, sp, Config{
 		// CompactEvery is set far past the run so only the pressure
 		// valve — never the regular compaction cadence — truncates.
-		// Ring: max(64 slots * 16-word chunk / 8, 4*16) = 128 words,
-		// 16 aligned 1-op tails.
-		NProcs: 3, LogCapacity: 64, LogInlineOps: 1,
+		NProcs: 3, LogCapacity: valveCapacity,
 		LocalViews: true, CompactEvery: 1 << 20, Gate: ctl,
 	})
 	if err != nil {
@@ -121,14 +120,9 @@ func runRingExhaustion(t *testing.T, sp spec.Spec, seed, rounds int) {
 	if live := in.Log(0).Len(); live >= rounds {
 		t.Fatalf("p0 log holds %d records; the valve never truncated", live)
 	}
-	if st := in.CompactionStats(); st.Bases == 0 || st.Deltas != 0 {
-		t.Fatalf("valve cuts %+v, want chain bases only (valve fired %d times)",
-			st, in.Pressure().ValveFires)
-	}
-	// A handle with a view never needs a bigger ring: its base truncates
-	// every record holding a ring chunk.
-	if g := in.Pressure().RingGrows; g != 0 {
-		t.Fatalf("ring grew %d times under a handle with a view", g)
+	if st, ps := in.CompactionStats(), in.Pressure(); st.Bases == 0 || st.Deltas != 0 ||
+		ps.ValveFires != st.Bases || ps.Spills != int(st.Bases) {
+		t.Fatalf("valve cuts %+v, pressure %+v: want chain bases only, one per valve fire and spill", st, ps)
 	}
 
 	pool.SetGate(nil)
@@ -164,17 +158,24 @@ func runRingExhaustion(t *testing.T, sp spec.Spec, seed, rounds int) {
 	}
 }
 
+// valveCapacity is the log geometry of the valve tests: with three
+// processes it gives a region of 2*15 + 2*1 = 32 lines. A stalled
+// round's records take two lines in each of p0's and p1's logs, and the
+// room check wants the three lines of a worst-case record, so a log
+// is short at the check of round 16, with 15 records (30 lines) live,
+// and again every 15 rounds after a relief: the base takes one line,
+// and 15 more records leave one free.
+const valveCapacity = 15
+
 // TestValveReliefAfterRecovery pins the relief on a recovered handle
-// whose view lags its own log. The geometry is the one above: 16 ring
-// tails of one op, one spilled per stalled round, and the room check
-// wants a two-op tail's room, so the valve fires with 15 live. The
-// machine crashes with 15 tails live and p0's view at the recovered
-// base (index 0 after 15 rounds, the base the valve laid before round
-// 16 after 30), below all 15 of its live records; one more stalled
-// round makes p0's room check fire the valve. The relief catches the
-// view up to the latest available node before it lays its base: a base
-// at the stale view would truncate records above it, and their
-// operations would be lost at the next crash.
+// whose view lags its own log. The machine crashes with 15 records
+// live in each log and p0's view at the recovered base (index 0 after
+// 15 rounds, the base the valve laid in round 16 after 30), below all
+// of its live records; one more stalled round makes p1's and then
+// p0's room check fire the valve. The relief catches the view up to
+// the latest available node before it lays its base: a base at the
+// stale view would truncate records above it, and their operations
+// would be lost at the next crash.
 func TestValveReliefAfterRecovery(t *testing.T) {
 	for _, rounds := range []int{15, 30} {
 		t.Run(fmt.Sprintf("rounds=%d", rounds), func(t *testing.T) { runValveAfterRecovery(t, rounds) })
@@ -182,7 +183,7 @@ func TestValveReliefAfterRecovery(t *testing.T) {
 }
 
 func runValveAfterRecovery(t *testing.T, rounds int) {
-	cfg := Config{NProcs: 3, LogCapacity: 64, LogInlineOps: 1, LocalViews: true, CompactEvery: 1 << 20}
+	cfg := Config{NProcs: 3, LogCapacity: valveCapacity, LocalViews: true, CompactEvery: 1 << 20}
 	ctl := sched.NewController()
 	pool := pmem.New(1<<22, ctl)
 	cfg.Gate = ctl
@@ -191,7 +192,7 @@ func runValveAfterRecovery(t *testing.T, rounds int) {
 		t.Fatal(err)
 	}
 	stalledRounds(t, ctl, in, rounds)
-	if fires, want := in.Pressure().ValveFires, uint64(rounds/15-1); fires != want {
+	if fires, want := in.Pressure().ValveFires, uint64(2*(rounds/15-1)); fires != want {
 		t.Fatalf("valve fired %d times before the crash, want %d", fires, want)
 	}
 
@@ -208,8 +209,8 @@ func runValveAfterRecovery(t *testing.T, rounds int) {
 		t.Fatalf("p0's view at %d does not lag its log; the test is vacuous", h.viewIdx)
 	}
 	stalledRounds(t, ctl, in, 1)
-	if ps := in.Pressure(); ps.ValveFires != 1 || ps.RingGrows != 0 {
-		t.Fatalf("pressure %+v after the refused append, want one valve fire and no ring growth", ps)
+	if ps := in.Pressure(); ps.ValveFires != 2 || ps.Spills != 2 {
+		t.Fatalf("pressure %+v after the round, want one valve fire and spill in each of p0's and p1's logs", ps)
 	}
 
 	pool.SetGate(nil)
@@ -268,70 +269,78 @@ func stalledRounds(t *testing.T, ctl *sched.Controller, in *Instance, rounds int
 	ctl.KillAll()
 }
 
-// TestValveCountsEachShortageOnce pins the pressure counters: each ring
-// shortage the order stage's room check finds fires the valve once and
-// counts one spill, in the round the ring first lacks a two-op tail's
-// room (the geometry of the tests above: 16 one-op tails). With a view
-// the relief is a chain base, which empties the ring; without one it
-// grows the ring, and the grown log carries the old one's spill count.
+// TestValveCountsEachShortageOnce pins the pressure counters: each log
+// shortage a room check finds is relieved once and counted once in
+// ValveFires and Spills. In the geometry above p0's and p1's logs are
+// both short at their room checks of rounds 16 and 31, so each of
+// those rounds counts two reliefs. Without a view there is no relief:
+// the round-16 update gets plog.ErrFull, and nothing is counted.
 func TestValveCountsEachShortageOnce(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		views  bool
-		fireAt []int // 1-based rounds whose room check fires the valve
+		fireAt []int // 1-based rounds whose room checks fire the valve
 	}{
 		{"view", true, []int{16, 31}},
-		{"no-view", false, []int{16, 32}},
+		{"no-view", false, nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			const rounds = 40
 			ctl := sched.NewController()
 			pool := pmem.New(1<<22, ctl)
 			in, err := New(pool, objects.CounterSpec{}, Config{
-				NProcs: 3, LogCapacity: 64, LogInlineOps: 1, LocalViews: tc.views, Gate: ctl,
+				NProcs: 3, LogCapacity: valveCapacity, LocalViews: tc.views, Gate: ctl,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
+			var refused [2]error
 			for pid := 0; pid < 2; pid++ {
 				ctl.Spawn(pid, func() {
 					for i := 0; i < rounds; i++ {
 						if _, _, err := in.Handle(pid).Update(objects.CounterInc); err != nil {
-							panic(err)
+							refused[pid] = err
+							return
 						}
 					}
 				})
 			}
-			var want uint64
-			for round := 1; round <= rounds; round++ {
-				// p0 runs its room check (and any relief) and parks at
-				// its first trace read after it: the counters cover this
-				// round's check.
-				if _, ok := ctl.RunUntil(0, sched.AtPoint("trace.read-tail")); !ok {
-					t.Fatalf("round %d: p0 failed or finished early", round)
-				}
+			fires := func(round int) (n uint64) {
 				for _, r := range tc.fireAt {
 					if r == round {
-						want++
+						n++
 					}
 				}
-				grows := want
-				if tc.views {
-					grows = 0
+				return n
+			}
+			check := func(round int, want uint64) {
+				t.Helper()
+				if ps := in.Pressure(); ps.ValveFires != want || ps.Spills != int(want) || ps.RingGrows != 0 {
+					t.Fatalf("round %d: pressure %+v, want %d valve fires and spills", round, ps, want)
 				}
-				if ps := in.Pressure(); ps.ValveFires != want || ps.Spills != int(want) || ps.RingGrows != grows {
-					t.Fatalf("round %d: pressure %+v, want %d valve fires and spills, %d ring growths",
-						round, ps, want, grows)
-				}
+			}
+			var want uint64
+			for round := 1; round <= rounds; round++ {
+				// p1 orders first and p0 runs its update past it, so
+				// p0's record carries p1's pending op.
 				if _, ok := ctl.RunUntil(1, sched.AtPoint(PointOrdered)); !ok {
-					t.Fatalf("round %d: p1 finished early", round)
+					if !tc.views && round == 16 && errors.Is(refused[1], plog.ErrFull) {
+						check(round, 0)
+						return
+					}
+					t.Fatalf("round %d: p1 failed or finished early: %v", round, refused[1])
 				}
 				if _, ok := ctl.RunPast(0, sched.AtPoint(PointReturn)); !ok {
-					t.Fatalf("round %d: p0 failed", round)
+					t.Fatalf("round %d: p0 failed: %v", round, refused[0])
 				}
 				if _, ok := ctl.RunPast(1, sched.AtPoint(PointReturn)); !ok {
 					t.Fatalf("round %d: p1 failed", round)
 				}
+				want += 2 * fires(round)
+				check(round, want)
+			}
+			if !tc.views {
+				t.Fatal("the log without a view never filled")
 			}
 			ctl.KillAll()
 		})

@@ -119,6 +119,11 @@ func Recover(pool *pmem.Pool, sp spec.Spec, cfg Config) (*Instance, *Report, err
 		ps := &rep.Salvage.PerPid[pid]
 		l, w, err := plog.OpenWalk(pool, pid, pmem.Addr(pool.Root(rb+rootLogBase+pid)))
 		in.logs = append(in.logs, l)
+		if errors.Is(err, plog.ErrLayout) {
+			// A log of an older layout is not damage: neither mode can
+			// read it, so neither quarantines it.
+			return nil, nil, fmt.Errorf("core: log of p%d: %w", pid, err)
+		}
 		if err != nil {
 			// The whole log is unreadable. Its process's un-helped
 			// operations are gone: loss evidence.

@@ -52,12 +52,11 @@ func (h *Handle) Update(code uint64, args ...uint64) (ret, id uint64, err error)
 // last, whose return values the caller has computed. The persist stage
 // is one log append of the fuzzy window from last (helping delayed
 // processes, and a batch's own staged nodes) with ONE persistent fence;
-// Append copies the ops into NVM, so the window may be scratch, and a
-// window deeper than Config.LogInlineOps spills to the overflow ring
-// inside the same append. It cannot fail: order checked the room, and
-// the window is within Config.LogMaxOps. SetAvailable(last) then
-// linearizes the whole prefix below last (Section 5.2). The handle must
-// be entered, its view (if any) at last.
+// Append copies the ops into NVM, so the window may be scratch, and
+// takes the lines the window needs. It cannot fail: order checked the
+// room, and the window is within Config.LogMaxOps. SetAvailable(last)
+// then linearizes the whole prefix below last (Section 5.2). The handle
+// must be entered, its view (if any) at last.
 //
 //onll:hotpath
 func (h *Handle) commit(last *trace.Node) {

@@ -168,7 +168,7 @@ func (l *Log) appendChainBody(bodyKind uint64, payload []uint64, execIdx uint64,
 	l.pool.FlushRange(l.pid, addr, words*pmem.WordSize)
 	sum := sumFinal(sumWords(sumWords(sumSeed, frame[:]), payload))
 	rec := [...]uint64{uint64(addr), uint64(words), sum}
-	seq, err := l.appendRecord(KindDelta, uint64(len(rec)), execIdx, rec[:])
+	seq, err := l.appendRecord(KindDelta, execIdx, rec[:])
 	if err != nil {
 		// The claimed region was never referenced by a fenced record:
 		// hand it straight back.

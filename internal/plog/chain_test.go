@@ -253,7 +253,7 @@ func TestCorruptPredecessorBreaksResolutionNotProbe(t *testing.T) {
 	pool.Crash(pmem.KeepAll)
 
 	head := newestDelta(t, l)
-	if _, st := l.probeSlot(head.Seq, l.durableReader()); st != SlotOK {
+	if _, st, _ := l.probe(head.Seq, l.durableReader()); st != SlotOK {
 		t.Fatalf("head record probes %v, want ok (damage is upstream)", st)
 	}
 	if _, err := l.ResolveChain(head); err == nil {
@@ -287,7 +287,7 @@ func TestTornDeltaBodyIsInvisible(t *testing.T) {
 	tail := l.chain[len(l.chain)-1]
 	corrupt(pool, tail.addr+pmem.Addr((tail.words-1)*pmem.WordSize), ^uint64(0))
 	pool.Crash(pmem.KeepAll)
-	if _, st := l.probeSlot(l.NextSeq()-1, l.durableReader()); st != SlotBadDelta {
+	if _, st, _ := l.probe(l.NextSeq()-1, l.durableReader()); st != SlotBadDelta {
 		t.Fatalf("torn delta body probes %v, want bad-delta", st)
 	}
 	pool.Crash(pmem.DropAll)
@@ -316,7 +316,7 @@ func TestFlippedBackRefRejected(t *testing.T) {
 	cur := pool.DurableWord(tail.addr + pmem.Addr(cbPrevAddr*pmem.WordSize))
 	corrupt(pool, tail.addr+pmem.Addr(cbPrevAddr*pmem.WordSize), cur^(1<<13))
 	pool.Crash(pmem.KeepAll)
-	if _, st := l.probeSlot(l.NextSeq()-1, l.durableReader()); st != SlotBadDelta {
+	if _, st, _ := l.probe(l.NextSeq()-1, l.durableReader()); st != SlotBadDelta {
 		t.Fatalf("flipped back-ref probes %v, want bad-delta", st)
 	}
 }

@@ -1,6 +1,7 @@
 package plog
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -85,42 +86,77 @@ func TestFuzzRandomCorruptionNeverPanics(t *testing.T) {
 	}
 }
 
-// buildTieredLogWithOverflow returns a pool and a two-tier log holding a
-// mix of inline records, spilled records and snapshot records, all
-// durable (inline budget 2, so batches of 3+ ops overflow).
-func buildTieredLogWithOverflow(t *testing.T) (*pmem.Pool, *Log) {
+// buildMultiLineLog returns a pool and a log holding a mix of one- to
+// seven-op records (two to six lines each) and snapshot records, all
+// durable, with the newest records wrapped past the region's end.
+func buildMultiLineLog(t *testing.T) (*pmem.Pool, *Log) {
 	t.Helper()
 	pool := pmem.New(1<<20, nil)
-	l, err := CreateInline(pool, 0, 32, 12, 2)
+	l, err := Create(pool, 0, 8, 12) // 8*2 + 1*8 = 24 lines
 	if err != nil {
 		t.Fatal(err)
 	}
 	state := []uint64{0xC0DE0007, 2, 10, 100, 20, 200}
 	for i := 1; i <= 12; i++ {
-		switch {
-		case i%5 == 0:
-			if _, err := l.AppendSnapshot(state, uint64(i)); err != nil {
-				t.Fatal(err)
-			}
-		default:
-			ops := opsOf(1+i%7, i) // sizes 1..7: inline and spilled mixed
-			if _, err := l.Append(ops, uint64(i)); err != nil {
-				t.Fatal(err)
-			}
+		var err error
+		if i%5 == 0 {
+			_, err = l.AppendSnapshot(state, uint64(i))
+		} else {
+			_, err = l.Append(opsOf(1+i%7, i), uint64(i))
 		}
+		if err == ErrFull {
+			if err := l.Truncate(l.HeadSeq() + 1); err != nil {
+				t.Fatal(err)
+			}
+			i--
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if l.NextSeq() <= uint64(l.lines) {
+		t.Fatal("the records never wrapped; the log shape is not the one documented")
 	}
 	return pool, l
 }
 
-// TestFuzzRandomCorruptionTwoTierNeverPanics is the two-tier variant of
-// the fuzz above: random durable bit flips over the whole log region —
-// header, inline slots, overflow ring and snapshot regions — must leave
-// Open + Records rejecting or returning only verifying, COMPLETE
-// records (an overflow record may never surface with a partial batch).
-func TestFuzzRandomCorruptionTwoTierNeverPanics(t *testing.T) {
+// checkComplete opens the corrupted log and requires it to be rejected
+// or to return only verifying, complete records.
+func checkComplete(t *testing.T, pool *pmem.Pool, base pmem.Addr, what string) {
+	t.Helper()
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("%s: panic: %v", what, r)
+		}
+	}()
+	l2, err := Open(pool, 0, base)
+	if err != nil {
+		return // rejected: fine
+	}
+	for _, rec := range l2.Records() {
+		if rec.Kind == KindSnapshot && rec.State == nil {
+			t.Fatalf("%s: snapshot record without state", what)
+		}
+		if rec.Kind == KindOps {
+			want := opsOf(1+int(rec.ExecIdx)%7, int(rec.ExecIdx))
+			if len(rec.Ops) != len(want) || rec.Ops[len(want)-1] != want[len(want)-1] {
+				t.Fatalf("%s: record %d surfaced with %d ops, want %d", what, rec.Seq, len(rec.Ops), len(want))
+			}
+		}
+	}
+}
+
+// TestFuzzRandomCorruptionMultiLineNeverPanics is the multi-line
+// variant of the fuzz above: random durable bit flips over the whole
+// log region — header, head and continuation lines, the wrap point and
+// snapshot regions — must leave Open + Records rejecting or returning
+// only verifying, COMPLETE records (a record may never surface with a
+// partial batch).
+func TestFuzzRandomCorruptionMultiLineNeverPanics(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for trial := 0; trial < 300; trial++ {
-		pool, l := buildTieredLogWithOverflow(t)
+		pool, l := buildMultiLineLog(t)
 		pool.Crash(pmem.DropAll)
 		for n := 1 + rng.Intn(4); n > 0; n-- {
 			w := rng.Intn(pool.Size() / (4 * pmem.WordSize))
@@ -137,26 +173,37 @@ func TestFuzzRandomCorruptionTwoTierNeverPanics(t *testing.T) {
 			corrupt(pool, addr, val)
 		}
 		pool.Crash(pmem.DropAll)
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					t.Fatalf("trial %d: panic: %v", trial, r)
-				}
-			}()
-			l2, err := Open(pool, 0, l.Base())
-			if err != nil {
-				return // rejected: fine
+		checkComplete(t, pool, l.Base(), fmt.Sprintf("trial %d", trial))
+	}
+}
+
+// TestFuzzLineTagsNeverPanic seeds the framing itself: every line's tag
+// is overwritten, in turn, with values a torn or misdirected write
+// could leave — its own seq with and without the continuation flag,
+// its neighbours' seqs, a seq one pass over the region earlier, zero
+// and all ones. Each image must open to a valid prefix of complete
+// records, and salvage's Resume must not panic either.
+func TestFuzzLineTagsNeverPanic(t *testing.T) {
+	pool, l := buildMultiLineLog(t)
+	pool.Crash(pmem.DropAll)
+	first, last := l.HeadSeq()+1, l.NextSeq()-1
+	for seq := first; seq <= last; seq++ {
+		for _, tag := range []uint64{
+			seq, seq | tagCont, seq + 1, (seq - 1) | tagCont, (seq + 1) | tagCont,
+			seq - uint64(l.lines), (seq - uint64(l.lines)) | tagCont, 0, ^uint64(0),
+		} {
+			addr := l.LineAddr(seq)
+			old := pool.DurableWord(addr)
+			corrupt(pool, addr, tag)
+			pool.Crash(pmem.DropAll)
+			what := fmt.Sprintf("line %d tag %#x", seq, tag)
+			checkComplete(t, pool, l.Base(), what)
+			if l2, w, err := OpenWalk(pool, 0, l.Base()); err == nil {
+				l2.Resume(w)
 			}
-			for _, rec := range l2.Records() {
-				if rec.Kind == KindSnapshot && rec.State == nil {
-					t.Fatalf("trial %d: snapshot record without state", trial)
-				}
-				if rec.Kind == KindOps && rec.Overflow &&
-					len(rec.Ops) <= l2.InlineOps() {
-					t.Fatalf("trial %d: spilled record with %d ops surfaced", trial, len(rec.Ops))
-				}
-			}
-		}()
+			corrupt(pool, addr, old)
+			pool.Crash(pmem.DropAll)
+		}
 	}
 }
 
@@ -267,8 +314,9 @@ func TestTruncatedSnapshotRegionRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Payload word [4] of the record is the region length.
-	addr := l.slotAddr(seq) + pmem.Addr(4*pmem.WordSize)
+	// Image word [4] of the record is the region length (line word 5,
+	// behind the tag).
+	addr := l.LineAddr(seq) + pmem.Addr(5*pmem.WordSize)
 	for _, bad := range []uint64{3, 0, ^uint64(0), 1 << 40} {
 		corrupt(pool, addr, bad)
 		pool.Crash(pmem.KeepAll)
@@ -300,11 +348,11 @@ func TestSnapshotWrongTagSurvivesRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Find the region via the record payload and corrupt the tag word.
-	rec, st := l.probeSlot(seq, l.cachedReader())
+	rec, st, _ := l.probe(seq, l.cachedReader())
 	if st != SlotOK || rec.Kind != KindSnapshot {
 		t.Fatal("snapshot record should verify before corruption")
 	}
-	regionAddr := pmem.Addr(pool.Load(0, l.slotAddr(seq)+pmem.Addr(3*pmem.WordSize)))
+	regionAddr := pmem.Addr(pool.Load(0, l.LineAddr(seq)+pmem.Addr(4*pmem.WordSize)))
 	corrupt(pool, regionAddr, 0xC0DE0003) // now claims to be a stack snapshot
 	pool.Crash(pmem.KeepAll)
 	l2, err := Open(pool, 0, l.Base())

@@ -8,11 +8,10 @@ import (
 	"repro/internal/spec"
 )
 
-// Geometry tests for the two-tier layout: Create/Open round-trips over
-// random (capacity, maxOps, inline budget), and adversarial headers and
-// overflow descriptors. The absolute rule: Open consumes untrusted NVM
-// and must reject bad geometry with an error — it may never panic or
-// read out of bounds.
+// Geometry tests: Create/Open round-trips over random (capacity,
+// maxOps), and adversarial headers and record length words. The
+// absolute rule: Open consumes untrusted NVM and must reject bad
+// geometry with an error — it may never panic or read out of bounds.
 
 // TestGeometryRoundTripFuzz creates logs with random geometry, drives
 // random append/snapshot/truncate traffic, crashes, reopens, and
@@ -23,11 +22,10 @@ func TestGeometryRoundTripFuzz(t *testing.T) {
 	for trial := 0; trial < 150; trial++ {
 		capacity := 1 + rng.Intn(40)
 		maxOps := 1 + rng.Intn(16)
-		inline := rng.Intn(maxOps + 3) // 0 = default; > maxOps clamps to single-tier
-		pool := pmem.New(RegionBytesInline(capacity, maxOps, inline)+1<<18, nil)
-		l, err := CreateInline(pool, 0, capacity, maxOps, inline)
+		pool := pmem.New(RegionBytes(capacity, maxOps)+1<<18, nil)
+		l, err := Create(pool, 0, capacity, maxOps)
 		if err != nil {
-			t.Fatalf("trial %d: CreateInline(%d,%d,%d): %v", trial, capacity, maxOps, inline, err)
+			t.Fatalf("trial %d: Create(%d,%d): %v", trial, capacity, maxOps, err)
 		}
 		type entry struct {
 			kind int
@@ -50,7 +48,7 @@ func TestGeometryRoundTripFuzz(t *testing.T) {
 						if terr := l.Truncate(upto); terr != nil {
 							t.Fatal(terr)
 						}
-						live, head = map[uint64]entry{}, upto
+						live, head = map[uint64]entry{}, l.HeadSeq()
 					}
 					seq, err = l.AppendSnapshot(snap, uint64(step+1))
 				}
@@ -71,7 +69,7 @@ func TestGeometryRoundTripFuzz(t *testing.T) {
 							delete(live, s)
 						}
 					}
-					head = seq - 1
+					head = l.HeadSeq()
 				}
 				continue
 			}
@@ -81,7 +79,7 @@ func TestGeometryRoundTripFuzz(t *testing.T) {
 			switch err {
 			case nil:
 				live[seq] = entry{kind: KindOps, ops: ops}
-			case ErrFull, ErrOvfFull:
+			case ErrFull:
 				upto := head + (l.NextSeq()-1-head)/2
 				if upto > head {
 					if terr := l.Truncate(upto); terr != nil {
@@ -92,7 +90,7 @@ func TestGeometryRoundTripFuzz(t *testing.T) {
 							delete(live, s)
 						}
 					}
-					head = upto
+					head = l.HeadSeq()
 				}
 			default:
 				t.Fatalf("trial %d: append: %v", trial, err)
@@ -104,14 +102,9 @@ func TestGeometryRoundTripFuzz(t *testing.T) {
 			t.Fatalf("trial %d: reopen: %v", trial, err)
 		}
 		if l2.Capacity() != l.Capacity() || l2.MaxOps() != l.MaxOps() ||
-			l2.InlineOps() != l.InlineOps() || l2.HeadSeq() != l.HeadSeq() ||
-			l2.NextSeq() != l.NextSeq() {
+			l2.lines != l.lines || l2.HeadSeq() != l.HeadSeq() ||
+			l2.NextSeq() != l.NextSeq() || l2.Len() != l.Len() {
 			t.Fatalf("trial %d: geometry drift: %+v vs %+v", trial, l2, l)
-		}
-		b2, w2 := l2.OverflowRegion()
-		b1, w1 := l.OverflowRegion()
-		if b2 != b1 || w2 != w1 {
-			t.Fatalf("trial %d: overflow region drift", trial)
 		}
 		recs := l2.Records()
 		if len(recs) != len(live) {
@@ -136,38 +129,62 @@ func TestGeometryRoundTripFuzz(t *testing.T) {
 	}
 }
 
-// TestCreateInlineValidation pins the constructor's geometry contract.
+// TestCreateInlineValidation pins the shim the benchmark builds logs
+// with: the inline budget is ignored, whatever its value.
 func TestCreateInlineValidation(t *testing.T) {
 	pool := pmem.New(1<<20, nil)
-	if _, err := CreateInline(pool, 0, 8, 4, -1); err == nil {
-		t.Fatal("negative inline budget accepted")
+	for _, inline := range []int{-1, 0, DefaultInlineOps, 9} {
+		l, err := CreateInline(pool, 0, 8, 12, inline)
+		if err != nil {
+			t.Fatalf("inline %d: %v", inline, err)
+		}
+		if l.lines != regionLines(8, 12) || l.Capacity() != 8 || l.MaxOps() != 12 {
+			t.Fatalf("inline %d: geometry %d lines, capacity %d, maxOps %d", inline, l.lines, l.Capacity(), l.MaxOps())
+		}
 	}
-	l, err := CreateInline(pool, 0, 8, 4, 9) // clamps to single-tier
-	if err != nil {
-		t.Fatal(err)
+	if _, err := CreateInline(pool, 0, 0, 12, 0); err == nil {
+		t.Fatal("zero capacity accepted")
 	}
-	if l.InlineOps() != 4 {
-		t.Fatalf("inline budget %d, want clamped 4", l.InlineOps())
-	}
-	if _, w := l.OverflowRegion(); w != 0 {
-		t.Fatalf("single-tier log grew an overflow ring of %d words", w)
-	}
-	l2, err := CreateInline(pool, 0, 8, 12, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l2.InlineOps() != DefaultInlineOps {
-		t.Fatalf("inline budget %d, want default %d", l2.InlineOps(), DefaultInlineOps)
+}
+
+// TestRegionSizing pins what a region holds: Capacity one-op records
+// plus, for an eighth of them, room to be worst-case, so no geometry
+// outgrows the two-tier layout's inline slots plus its 1/8 overflow
+// ring (that layout's sizes, in lines, are written out below).
+func TestRegionSizing(t *testing.T) {
+	for _, g := range []struct{ capacity, maxOps, twoTier int }{
+		{4096, 1, 4096 * 2},
+		{4096, 2, 4096 * 2},
+		{4096, 4, 4096 * 3},
+		{4096, 68, 4096*4 + 4096*320/8/8},
+		{512, 64, 512*4 + 512*300/8/8},
+		{64, 3, 64 * 3},
+	} {
+		if got := regionLines(g.capacity, g.maxOps); got > g.twoTier {
+			t.Errorf("capacity %d maxOps %d: %d lines, the two-tier layout took %d", g.capacity, g.maxOps, got, g.twoTier)
+		}
+		_, l := newLog(t, g.capacity, g.maxOps)
+		n := 0
+		for l.Room(1) == nil {
+			if _, err := l.Append(opsOf(1, 1), 1); err != nil {
+				t.Fatal(err)
+			}
+			n++
+		}
+		if n < g.capacity {
+			t.Errorf("capacity %d maxOps %d: Room held for %d one-op records", g.capacity, g.maxOps, n)
+		}
 	}
 }
 
 // TestOpenRejectsAdversarialGeometry corrupts each geometry word of a
-// valid two-tier header with values that disagree with the recomputed
-// layout: Open must reject every one of them (the slot width and ring
-// width are derived, so a forged header cannot move slots or the ring).
+// valid header with values that disagree with the recomputed layout:
+// Open must reject every one of them (the line count is derived, so a
+// forged header cannot move lines). A header of the two-tier layout is
+// refused with ErrLayout.
 func TestOpenRejectsAdversarialGeometry(t *testing.T) {
 	build := func() (*pmem.Pool, *Log) {
-		pool, l := newTieredLog(t, 16, 12, 4)
+		pool, l := newLog(t, 16, 12)
 		for i := 1; i <= 6; i++ {
 			if _, err := l.Append(opsOf(1+i%12, i), uint64(i)); err != nil {
 				t.Fatal(err)
@@ -182,10 +199,8 @@ func TestOpenRejectsAdversarialGeometry(t *testing.T) {
 	}{
 		{hdrMagic, []uint64{0, ^uint64(0), logMagic + 1}},
 		{hdrCapacity, []uint64{0, 17, ^uint64(0), 1 << 40}},
-		{hdrSlotW, []uint64{0, 8, 24, 40, ^uint64(0)}},
+		{hdrLines, []uint64{0, 8, 24, 40, ^uint64(0)}},
 		{hdrMaxOps, []uint64{0, 4, 13, ^uint64(0), 1 << 20}},
-		{hdrInlineOps, []uint64{0, 3, 5, 13, ^uint64(0)}},
-		{hdrOvfWords, []uint64{0, 8, 1 << 30, ^uint64(0)}},
 	}
 	for _, c := range cases {
 		for _, v := range c.vals {
@@ -204,66 +219,49 @@ func TestOpenRejectsAdversarialGeometry(t *testing.T) {
 			}()
 		}
 	}
+	pool, l := build()
+	hdr := l.headerImage(0)
+	hdr[hdrMagic] = legacyMagic
+	hdr[hdrSum] = checksum(hdr[:hdrSum])
+	pool.StoreRange(0, l.Base(), hdr[:])
+	pool.Persist(0, l.Base(), pmem.LineSize)
+	if _, err := Open(pool, 0, l.Base()); err != ErrLayout {
+		t.Fatalf("two-tier header: Open = %v, want ErrLayout", err)
+	}
 }
 
-// TestOverflowDescriptorOutOfRangeRejected forges a spilled record's
-// overflow descriptor — offset past the ring, unaligned offset, wrong
-// length — recomputing the record checksum so only the descriptor
-// validation stands between the forged pointer and an out-of-bounds
-// read. The record must be rejected; Open must not panic.
+// TestOverflowDescriptorOutOfRangeRejected forges a record's kind and
+// length word — the field that decides how many continuation lines the
+// probe reads — with lengths past MaxOps, off the op grid, huge or
+// zero, a non-3 snapshot payload, and the retired spilled-tail kind.
+// The probe must reject each before it reads a line the length names:
+// the record is rejected and Open does not panic.
 func TestOverflowDescriptorOutOfRangeRejected(t *testing.T) {
-	type forge struct {
-		name string
-		off  func(l *Log) uint64 // forged offset value
-		olen func(l *Log) uint64 // forged length value
-	}
-	_, probe := newTieredLog(t, 16, 12, 4)
-	goodLen := uint64(4 * spec.OpWords) // 8-op record, inline 4
-	forges := []forge{
-		{"off-past-ring", func(l *Log) uint64 { return uint64(l.ovfWords) }, func(*Log) uint64 { return goodLen }},
-		{"off-way-out", func(*Log) uint64 { return 1 << 40 }, func(*Log) uint64 { return goodLen }},
-		{"off-max", func(*Log) uint64 { return ^uint64(0) }, func(*Log) uint64 { return goodLen }},
-		{"off-unaligned", func(*Log) uint64 { return 1 }, func(*Log) uint64 { return goodLen }},
-		{"off-end-minus-line", func(l *Log) uint64 { return uint64(l.ovfWords - pmem.LineWords) },
-			func(*Log) uint64 { return goodLen }}, // 20 words from 8 before the end: tail out of range
-		{"len-zero", func(*Log) uint64 { return 0 }, func(*Log) uint64 { return 0 }},
-		{"len-huge", func(*Log) uint64 { return 0 }, func(*Log) uint64 { return 1 << 40 }},
-		{"len-off-by-one-op", func(*Log) uint64 { return 0 }, func(*Log) uint64 { return goodLen - spec.OpWords }},
-	}
-	_ = probe
-	for _, f := range forges {
-		pool, l := newTieredLog(t, 16, 12, 4)
+	for _, kw := range []uint64{
+		KindOps<<32 | 0, KindOps<<32 | 1, KindOps<<32 | (spec.OpWords - 1),
+		KindOps<<32 | 13*spec.OpWords, KindOps<<32 | (12*spec.OpWords + 1),
+		KindOps<<32 | 1<<31, KindOps<<32 | 0xffffffff,
+		KindSnapshot<<32 | 4, KindDelta<<32 | 0xffffffff,
+		3<<32 | 8, ^uint64(0),
+	} {
+		pool, l := newLog(t, 16, 12)
 		if _, err := l.Append(opsOf(8, 1), 1); err != nil {
 			t.Fatal(err)
 		}
-		// Rewrite the descriptor in the slot image and recompute the
-		// record checksum so it verifies.
-		addr := l.slotAddr(1)
-		descBase := 3 + l.inlineOps*spec.OpWords
-		plen := l.inlineOps*spec.OpWords + ovfDescWords
-		words := make([]uint64, 3+plen)
-		for i := range words {
-			words[i] = pool.Load(0, addr+pmem.Addr(i*pmem.WordSize))
-		}
-		words[descBase] = f.off(l)
-		words[descBase+1] = f.olen(l)
-		sum := checksum(words)
-		corrupt(pool, addr+pmem.Addr(descBase*pmem.WordSize), words[descBase])
-		corrupt(pool, addr+pmem.Addr((descBase+1)*pmem.WordSize), words[descBase+1])
-		corrupt(pool, addr+pmem.Addr((3+plen)*pmem.WordSize), sum)
+		corrupt(pool, l.LineAddr(1)+2*pmem.WordSize, kw)
 		pool.Crash(pmem.DropAll)
 		func() {
 			defer func() {
 				if r := recover(); r != nil {
-					t.Fatalf("%s: panicked: %v", f.name, r)
+					t.Fatalf("kind word %#x: panicked: %v", kw, r)
 				}
 			}()
 			l2, err := Open(pool, 0, l.Base())
 			if err != nil {
 				return // whole-log rejection: acceptable
 			}
-			if recs := l2.Records(); len(recs) != 0 {
-				t.Fatalf("%s: forged descriptor verified: %+v", f.name, recs)
+			if _, st, _ := l2.probe(1, l2.cachedReader()); st != SlotBad {
+				t.Fatalf("kind word %#x: record probes %v, want %v", kw, st, SlotBad)
 			}
 		}()
 	}

@@ -9,25 +9,13 @@ import (
 	"repro/internal/spec"
 )
 
-// Tests of the two-tier slot scheme: inline slots plus the shared
-// overflow ring. The contract under test is that the split is
-// invisible to readers (Records always returns complete op batches),
-// costs the same single persistent fence, and degrades under crashes
-// and corruption exactly like the single-tier layout: a record whose
-// overflow tail is torn is treated as never appended, and validity
+// Tests of records that overflow their head line into continuation
+// lines. The contract under test is that the split is invisible to
+// readers (Records always returns complete op batches), costs the same
+// single persistent fence wherever the record lands, and degrades under
+// crashes and corruption exactly like a one-line record: a record with
+// a torn continuation line is treated as never appended, and validity
 // stays prefix-closed.
-
-// newTieredLog returns a log where records with more than inlineOps
-// operations must spill to the overflow ring.
-func newTieredLog(t testing.TB, capacity, maxOps, inlineOps int) (*pmem.Pool, *Log) {
-	t.Helper()
-	pool := pmem.New(RegionBytesInline(capacity, maxOps, inlineOps)+1<<18, nil)
-	l, err := CreateInline(pool, 0, capacity, maxOps, inlineOps)
-	if err != nil {
-		t.Fatalf("CreateInline: %v", err)
-	}
-	return pool, l
-}
 
 func opsOf(n, salt int) []spec.Op {
 	ops := make([]spec.Op, n)
@@ -37,22 +25,33 @@ func opsOf(n, salt int) []spec.Op {
 	return ops
 }
 
+func payloadOf(ops []spec.Op) []uint64 {
+	var p []uint64
+	for _, o := range ops {
+		p = o.Encode(p)
+	}
+	return p
+}
+
 // TestOverflowAppendRoundTrip appends records at every op count from 1
-// to maxOps and requires each to cost exactly one persistent fence and
-// to decode back complete, with the Overflow flag set exactly when the
-// count exceeds the inline budget.
+// to maxOps and requires each to cost exactly one persistent fence, to
+// take ceil((3+5n+1)/7) lines, and to decode back complete.
 func TestOverflowAppendRoundTrip(t *testing.T) {
-	pool, l := newTieredLog(t, 64, 12, 4) // ring: 64*40/8 = 320 words, fits every tail below
+	pool, l := newLog(t, 64, 12)
 	var want [][]spec.Op
 	for n := 1; n <= 12; n++ {
 		ops := opsOf(n, n)
 		pool.ResetStats()
+		before := l.NextSeq()
 		if _, err := l.Append(ops, uint64(n)); err != nil {
 			t.Fatalf("append %d ops: %v", n, err)
 		}
 		st := pool.StatsOf(0)
 		if st.PersistentFences != 1 {
 			t.Fatalf("append of %d ops used %d persistent fences, want 1", n, st.PersistentFences)
+		}
+		if lines := int(l.NextSeq() - before); lines != (3+5*n+1+6)/7 {
+			t.Fatalf("append of %d ops took %d lines, want %d", n, lines, (3+5*n+1+6)/7)
 		}
 		want = append(want, ops)
 	}
@@ -74,83 +73,72 @@ func TestOverflowAppendRoundTrip(t *testing.T) {
 				t.Fatalf("record %d op %d: %v want %v", i, k, rec.Ops[k], want[i][k])
 			}
 		}
-		if wantOvf := len(want[i]) > l2.InlineOps(); rec.Overflow != wantOvf {
-			t.Fatalf("record %d (%d ops): Overflow=%v want %v", i, len(want[i]), rec.Overflow, wantOvf)
-		}
 	}
 }
 
-// TestTornOverflowFallsBackToLastValidRecord corrupts one durable word
-// of a middle record's overflow chunk: recovery must surface exactly
-// the records before it (prefix-closed fallback), never a partial
-// batch, and never the records after the tear.
+// TestTornOverflowFallsBackToLastValidRecord corrupts one durable
+// payload word of a middle record's continuation line, leaving its tag
+// intact, so only the record checksum can see the damage: recovery
+// must surface exactly the records before it (prefix-closed fallback),
+// never a partial batch, and never the records after the tear.
 func TestTornOverflowFallsBackToLastValidRecord(t *testing.T) {
-	pool, l := newTieredLog(t, 16, 12, 4)
-	if _, err := l.Append(opsOf(2, 1), 1); err != nil { // inline
+	pool, l := newLog(t, 16, 12)
+	if _, err := l.Append(opsOf(1, 1), 1); err != nil { // two lines
 		t.Fatal(err)
 	}
-	if _, err := l.Append(opsOf(8, 2), 2); err != nil { // overflows
+	seq, err := l.Append(opsOf(8, 2), 2) // seven lines
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Append(opsOf(3, 3), 3); err != nil { // inline
+	if _, err := l.Append(opsOf(3, 3), 3); err != nil {
 		t.Fatal(err)
 	}
-	recs := l.Records()
-	if len(recs) != 3 || !recs[1].Overflow {
+	if recs := l.Records(); len(recs) != 3 {
 		t.Fatalf("setup wrong: %+v", recs)
 	}
-	off, words, ok := recs[1].OverflowSpan()
-	if !ok || words != 4*spec.OpWords {
-		t.Fatalf("overflow span: off=%d words=%d ok=%v", off, words, ok)
-	}
-	ovfBase, _ := l.OverflowRegion()
-	corrupt(pool, ovfBase+pmem.Addr((off+1)*pmem.WordSize), 0xDEADBEEF)
+	corrupt(pool, l.LineAddr(seq+3)+2*pmem.WordSize, 0xDEADBEEF)
 	pool.Crash(pmem.DropAll)
-	l2, err := Open(pool, 0, l.Base())
+	l2, w, err := OpenWalk(pool, 0, l.Base())
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := l2.Records()
-	if len(got) != 1 || got[0].Seq != 1 || len(got[0].Ops) != 2 {
-		t.Fatalf("torn overflow: recovered %+v, want only record 1", got)
+	if len(got) != 1 || got[0].Seq != 1 || len(got[0].Ops) != 1 {
+		t.Fatalf("torn continuation: recovered %+v, want only record 1", got)
+	}
+	// The record after the damaged one is an orphan, and the damaged
+	// record's continuation lines are neither damage nor heads.
+	if len(w.BadSeqs) != 1 || w.BadSeqs[0] != seq || len(w.Orphans) != 1 || !w.Damaged() {
+		t.Fatalf("walk bad=%v orphans=%d, want [%d] and 1", w.BadSeqs, len(w.Orphans), seq)
 	}
 }
 
 // TestCrashMidOverflowWriteInvisible emulates a crash in the middle of
-// a spilling append: tail and slot are written and flushed but never
-// fenced, and a random oracle decides which lines reached NVM. The
-// record must recover either complete or not at all — the same
-// recoverable-equivalence the single-tier layout provides.
+// a multi-line append: the record's lines are written and flushed but
+// never fenced, and a random oracle decides which lines reached NVM.
+// The record must recover either complete or not at all. Odd seeds
+// stage the record over the region's wrap point.
 func TestCrashMidOverflowWriteInvisible(t *testing.T) {
 	for seed := uint64(1); seed <= 24; seed++ {
-		pool, l := newTieredLog(t, 16, 12, 4)
+		pool, l := newLog(t, 16, 12)
+		if seed%2 == 1 {
+			// Move the append frontier to four lines before the end,
+			// so the staged record starts two lines before it.
+			for l.lines-int(l.NextSeq()-1)%l.lines > 4 {
+				if _, err := l.Append(opsOf(1, 9), 9); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := l.Truncate(l.NextSeq() - 1); err != nil {
+				t.Fatal(err)
+			}
+		}
 		if _, err := l.Append(opsOf(2, 1), 1); err != nil {
 			t.Fatal(err)
 		}
-		// Stage a spilling append by hand: overflow tail first, then the
-		// inline slot image, all flushed, NO fence (the crash beats it).
 		ops := opsOf(9, 2)
-		tail := []uint64{}
-		for _, o := range ops[l.inlineOps:] {
-			tail = o.Encode(tail)
-		}
-		off, ok := l.claimOvf(len(tail))
-		if !ok {
-			t.Fatal("claimOvf failed on an empty ring")
-		}
-		tailAddr := l.ovfBase + pmem.Addr(off*pmem.WordSize)
-		pool.StoreRange(0, tailAddr, tail)
-		pool.FlushRange(0, tailAddr, len(tail)*pmem.WordSize)
 		seq := l.NextSeq()
-		words := []uint64{seq, uint64(kindOpsOvf)<<32 | uint64(len(ops)), 2}
-		for _, o := range ops[:l.inlineOps] {
-			words = o.Encode(words)
-		}
-		words = append(words, uint64(off), uint64(len(tail)), checksum(tail))
-		words = append(words, checksum(words))
-		addr := l.slotAddr(seq)
-		pool.StoreRange(0, addr, words)
-		pool.FlushRange(0, addr, len(words)*pmem.WordSize)
+		l.storeLines(seq, l.frame(seq, KindOps, 2, payloadOf(ops)))
 		// no fence
 		pool.Crash(pmem.SeededOracle(seed, 1, 2))
 		l2, err := Open(pool, 0, l.Base())
@@ -162,7 +150,7 @@ func TestCrashMidOverflowWriteInvisible(t *testing.T) {
 		case 1: // staged append invisible
 		case 2: // every line survived: must be the complete batch
 			if len(recs[1].Ops) != len(ops) {
-				t.Fatalf("seed %d: partial overflow batch surfaced: %d ops", seed, len(recs[1].Ops))
+				t.Fatalf("seed %d: partial batch surfaced: %d ops", seed, len(recs[1].Ops))
 			}
 			for k := range ops {
 				if recs[1].Ops[k] != ops[k] {
@@ -175,36 +163,76 @@ func TestCrashMidOverflowWriteInvisible(t *testing.T) {
 	}
 }
 
-// TestOverflowRingFullAndReuse drives the ring to exhaustion and back:
-// the geometry below holds exactly 4 worst-case chunks, so the 5th
-// spilling append fails with ErrOvfFull, and truncation must free the
-// chunks for reuse without disturbing surviving records.
-func TestOverflowRingFullAndReuse(t *testing.T) {
-	_, l := newTieredLog(t, 32, 12, 4)
-	if _, n := l.OverflowRegion(); n != 4*ovfChunkWords(12, 4) {
-		t.Fatalf("ring sized %d words, test assumes %d", n, 4*ovfChunkWords(12, 4))
+// TestWrapAroundRecord appends a record that starts on the region's
+// last line and continues at its first: one persistent fence, and it
+// reads back complete before and after a crash.
+func TestWrapAroundRecord(t *testing.T) {
+	pool, l := newLog(t, 8, 12) // 24 lines
+	// A three-line record makes the frontier's distance to the end odd;
+	// two-line records then bring it to the last line.
+	if _, err := l.Append(opsOf(3, 1), 1); err != nil {
+		t.Fatal(err)
 	}
-	for i := 1; i <= 4; i++ {
+	for l.lines-int(l.NextSeq()-1)%l.lines != 1 {
+		if _, err := l.Append(opsOf(1, 1), 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Truncate(l.NextSeq() - 1); err != nil {
+		t.Fatal(err)
+	}
+	ops := opsOf(12, 7)
+	pool.ResetStats()
+	seq, err := l.Append(ops, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := pool.StatsOf(0); st.PersistentFences != 1 {
+		t.Fatalf("wrapping append used %d persistent fences, want 1", st.PersistentFences)
+	}
+	if l.LineAddr(seq+1) != l.LineAddr(1) {
+		t.Fatalf("record at seq %d does not wrap", seq)
+	}
+	pool.Crash(pmem.DropAll)
+	l2, err := Open(pool, 0, l.Base())
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := l2.Records()
+	if len(recs) != 1 || recs[0].Seq != seq || len(recs[0].Ops) != len(ops) || recs[0].Ops[11] != ops[11] {
+		t.Fatalf("wrapped record recovered as %+v", recs)
+	}
+	if l2.NextSeq() != l.NextSeq() || l2.Len() != 1 {
+		t.Fatalf("reopened NextSeq=%d Len=%d, want %d and 1", l2.NextSeq(), l2.Len(), l.NextSeq())
+	}
+}
+
+// TestOverflowRingFullAndReuse drives the region to ErrFull with
+// worst-case records and back: truncation frees the lines for reuse
+// across the wrap point without disturbing surviving records.
+func TestOverflowRingFullAndReuse(t *testing.T) {
+	_, l := newLog(t, 8, 12) // 8*2 + 1*(10-2) = 24 lines: two 12-op records
+	for i := 1; i <= 2; i++ {
 		if _, err := l.Append(opsOf(12, i), uint64(i)); err != nil {
 			t.Fatalf("append %d: %v", i, err)
 		}
 	}
-	if _, err := l.Append(opsOf(12, 5), 5); err != ErrOvfFull {
-		t.Fatalf("5th full-width spill: %v, want ErrOvfFull", err)
+	if _, err := l.Append(opsOf(12, 3), 3); err != ErrFull {
+		t.Fatalf("third worst-case record: %v, want ErrFull", err)
 	}
-	// Inline appends still work while the ring is full.
-	if _, err := l.Append(opsOf(2, 6), 6); err != nil {
-		t.Fatalf("inline append with full ring: %v", err)
+	// A one-op record still fits the last four lines.
+	if _, err := l.Append(opsOf(1, 4), 4); err != nil {
+		t.Fatalf("one-op append on a nearly full log: %v", err)
 	}
-	if err := l.Truncate(2); err != nil {
+	if err := l.Truncate(1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Append(opsOf(12, 7), 7); err != nil {
-		t.Fatalf("spill after truncate: %v", err)
+	if _, err := l.Append(opsOf(12, 5), 5); err != nil {
+		t.Fatalf("append after truncate: %v", err)
 	}
 	recs := l.Records()
-	if len(recs) != 4 { // seqs 3,4,5(inline),6(new spill)
-		t.Fatalf("%d live records, want 4", len(recs))
+	if len(recs) != 3 {
+		t.Fatalf("%d live records, want 3", len(recs))
 	}
 	for _, rec := range recs {
 		for k, o := range rec.Ops {
@@ -217,14 +245,13 @@ func TestOverflowRingFullAndReuse(t *testing.T) {
 
 // TestOverflowReuseNeverClobbersLiveRecords is a randomized
 // append/truncate/crash fuzz: at every point, every live record must
-// decode back exactly as appended — chunk reuse may never overwrite a
-// chunk a live record still references.
+// decode back exactly as appended — line reuse may never overwrite a
+// line a live record still holds.
 func TestOverflowReuseNeverClobbersLiveRecords(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 30; trial++ {
-		pool, l := newTieredLog(t, 24, 10, 3)
+		pool, l := newLog(t, 24, 10)
 		live := map[uint64][]spec.Op{}
-		head := uint64(0)
 		for step := 0; step < 120; step++ {
 			n := 1 + rng.Intn(10)
 			ops := opsOf(n, step+1)
@@ -232,19 +259,16 @@ func TestOverflowReuseNeverClobbersLiveRecords(t *testing.T) {
 			switch err {
 			case nil:
 				live[seq] = ops
-			case ErrFull, ErrOvfFull:
-				// Truncate half the live range and retry later.
-				upto := head + (l.NextSeq()-1-head)/2
-				if upto > head {
-					if terr := l.Truncate(upto); terr != nil {
-						t.Fatal(terr)
+			case ErrFull:
+				// Truncate about half the live range and retry later.
+				upto := l.HeadSeq() + (l.NextSeq()-1-l.HeadSeq())/2
+				if terr := l.Truncate(upto); terr != nil {
+					t.Fatal(terr)
+				}
+				for s := range live {
+					if s <= upto {
+						delete(live, s)
 					}
-					for s := range live {
-						if s <= upto {
-							delete(live, s)
-						}
-					}
-					head = upto
 				}
 			default:
 				t.Fatalf("trial %d step %d: %v", trial, step, err)
@@ -258,8 +282,8 @@ func TestOverflowReuseNeverClobbersLiveRecords(t *testing.T) {
 				l = l2
 			}
 			recs := l.Records()
-			if len(recs) != len(live) {
-				t.Fatalf("trial %d step %d: %d live records, want %d", trial, step, len(recs), len(live))
+			if len(recs) != len(live) || l.Len() != len(live) {
+				t.Fatalf("trial %d step %d: %d live records (Len %d), want %d", trial, step, len(recs), l.Len(), len(live))
 			}
 			for _, rec := range recs {
 				want := live[rec.Seq]
@@ -278,13 +302,13 @@ func TestOverflowReuseNeverClobbersLiveRecords(t *testing.T) {
 	}
 }
 
-// TestRoomPromisesAppends pins Room's promise on a ring fragmented by
-// random truncations: when Room(k) holds, the next k appends fit, each
-// with any op count up to MaxOps, whatever ring position claimOvf picks
-// for them.
+// TestRoomPromisesAppends pins Room's promise on a log whose live lines
+// random truncations keep moving around the region: when Room(k)
+// holds, the next k appends fit, each with any op count up to MaxOps,
+// wrapping or not.
 func TestRoomPromisesAppends(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
-		_, l := newTieredLog(t, 32, 12, 4) // ring: 4 worst-case chunks
+		_, l := newLog(t, 32, 12) // 32*2 + 4*8 = 96 lines: nine worst-case records
 		rng := rand.New(rand.NewSource(seed))
 		var idx uint64
 		var kept, short int
@@ -299,13 +323,13 @@ func TestRoomPromisesAppends(t *testing.T) {
 						t.Fatalf("seed %d step %d: append %d of %d after Room(%d): %v", seed, step, j+1, k, k, err)
 					}
 				}
-			case errors.Is(err, ErrFull) || errors.Is(err, ErrOvfFull):
+			case errors.Is(err, ErrFull):
 				short++
 				if l.Len() == 0 {
 					t.Fatalf("seed %d step %d: Room(%d) = %v on an empty log", seed, step, k, err)
 				}
-				// Truncate a random prefix of the live records.
-				if err := l.Truncate(l.HeadSeq() + 1 + uint64(rng.Intn(l.Len()))); err != nil {
+				// Truncate a random prefix of the live lines.
+				if err := l.Truncate(l.HeadSeq() + 1 + uint64(rng.Intn(int(l.NextSeq()-1-l.HeadSeq())))); err != nil {
 					t.Fatal(err)
 				}
 			default:

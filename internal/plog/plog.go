@@ -14,35 +14,21 @@
 // property that matters to the paper — one persistent fence per append —
 // while being implementable on the simulated NVM.
 //
-// # Two-tier slots
+// # One region of tagged lines
 //
 // A record must be able to hold the appender's whole fuzzy window, which
 // is bounded only by MAX_PROCESSES (paper Proposition 5.2) — but is a
-// handful of operations in any non-adversarial execution. Sizing every
-// slot for the worst case makes 64-process logs cost 2.6KB per slot.
-// The layout is therefore two-tier: each slot holds up to InlineOps()
-// operations inline, and a record whose op count exceeds that budget
-// spills its tail into a shared per-log overflow ring at the end of the
-// region. The inline part then carries a descriptor {offset, words,
-// checksum} for the tail; the record checksum covers the descriptor, so
-// the tail is transitively covered — a torn overflow write fails the
-// tail checksum and the record is treated as never appended, exactly as
-// a torn inline record would be. Both tiers are flushed before the ONE
-// fence of the append, so durability and recovery semantics are
-// identical to the single-tier layout.
+// handful of operations in any non-adversarial execution. Like [12], the
+// log is therefore one region of variable-length records: a record
+// takes the cache lines it needs, consecutive and wrapping modulo the
+// region. Sequence numbers count lines: a record's seq is the seq of its
+// first (head) line, and the next record's head is the line after its
+// last. Every line starts with a tag word — a head line carries its own
+// seq, a continuation line its seq with the top bit (tagCont) set — and
+// the remaining seven words carry the record image:
 //
-// Overflow chunks are claimed from a bump ring; a chunk is reusable once
-// no live (non-truncated) record references it. The ring is sized at 1/8
-// of the worst case (every slot spilling a full tail), so the region at
-// 64 processes shrinks ~4.7x; a burst of deep fuzzy windows beyond that
-// budget surfaces as ErrOvfFull (truncate/compact, then retry), never as
-// corruption.
-//
-// Record layout (words), in a fixed-size inline slot:
-//
-//	[0] seq        monotonically increasing per log, 1-based
-//	[1] kind<<32 | field (field: payload words, or total ops for
-//	               overflow records)
+//	[0] seq        the head line's seq
+//	[1] kind<<32 | payload words
 //	[2] executionIndex
 //	[3...] payload:
 //	       ops record:      numOps operations, spec.OpWords words each;
@@ -50,12 +36,21 @@
 //	                        the given executionIndex, ops[k] is the
 //	                        helped operation with index executionIndex-k
 //	                        (paper Listing 1).
-//	       overflow ops:    InlineOps() operations followed by the tail
-//	                        descriptor {ovfOffsetWords, ovfWords,
-//	                        ovfChecksum}; the remaining ops live at
-//	                        overflow-ring offset ovfOffsetWords.
 //	       snapshot record: {regionAddr, regionWords, regionChecksum}
 //	[3+payload] checksum over words [0, 3+payload)
+//
+// so a record of n operations takes ceil((3 + 5n + 1) / 7) lines. The
+// one checksum covers the whole image, continuation lines included.
+// The tags keep recovery's probe-by-seq model: a walk probes a head at
+// a seq, steps past the record's lines to the next head, and, past the
+// end of the valid prefix, probes every line; a continuation line never
+// reads as a record head (its tag differs from any head seq) and never
+// as damage, and a line left from an earlier pass over the region
+// carries a smaller seq.
+//
+// A region is sized for Capacity records, an eighth of them worst-case
+// (MaxOps operations) and the rest of one op each; Room promises the
+// owner's next appends by counting free lines against the worst case.
 //
 // Snapshot records implement the memory-reclamation extension of paper
 // Section 8: a record points to a separately written state-snapshot
@@ -72,17 +67,14 @@ import (
 	"repro/internal/spec"
 )
 
-// Record kinds.
+// Record kinds. Kind 3 was the spilled-tail ops record of the retired
+// two-tier layout; it is not reused.
 const (
 	KindOps      = 1 // a batch of operations (paper Listing 1)
 	KindSnapshot = 2 // an object-state snapshot (paper Section 8)
-	// kindOpsOvf is the wire kind of an ops record whose tail spilled
-	// into the overflow ring. Decoded Records normalize it to KindOps
-	// (with Overflow set), so readers never care about the split.
-	kindOpsOvf = 3
 	// KindDelta is a delta-chain compaction record (chain base or
-	// delta; see chain.go): the same {addr, words, sum} inline payload
-	// as a snapshot, pointing at a body whose frame back-references the
+	// delta; see chain.go): the same {addr, words, sum} payload as a
+	// snapshot, pointing at a body whose frame back-references the
 	// chain predecessor.
 	KindDelta = 4
 )
@@ -93,51 +85,45 @@ const (
 // and the checksum are adjacent: Truncate rewrites exactly those two
 // words in one StoreLine, which the simulated cache evicts all-or-
 // nothing, so a crash can never expose a header whose checksum lags
-// its head pointer.
+// its head pointer. Words 4 and 5 are zero.
 const (
-	hdrMagic     = 0 // word offsets within the header
-	hdrCapacity  = 1
-	hdrSlotW     = 2
-	hdrMaxOps    = 3
-	hdrInlineOps = 4
-	hdrOvfWords  = 5
-	hdrHeadSeq   = 6
-	hdrSum       = 7
-	hdrWords     = pmem.LineWords
+	hdrMagic    = 0 // word offsets within the header
+	hdrCapacity = 1
+	hdrLines    = 2
+	hdrMaxOps   = 3
+	hdrHeadSeq  = 6
+	hdrSum      = 7
+	hdrWords    = pmem.LineWords
 )
 
-const logMagic = 0x504c4f4721 // "PLOG!"
+// logMagic marks the one-tier layout. legacyMagic marked the two-tier
+// layout (inline slots and an overflow ring), which Open refuses with
+// ErrLayout.
+const (
+	logMagic    = 0x504c4f4732 // "PLOG2"
+	legacyMagic = 0x504c4f4721 // "PLOG!"
+)
 
-// DefaultInlineOps is the default per-slot inline op budget of the
-// two-tier layout: the common-case fuzzy window (the appender's own op
-// plus a few delayed neighbours). Records with more ops spill their
-// tail to the overflow ring.
+// tagCont flags a continuation line's tag; lineData is the record-image
+// words a line carries after its tag.
+const (
+	tagCont  = 1 << 63
+	lineData = pmem.LineWords - 1
+)
+
+// DefaultInlineOps was the per-slot inline op budget of the retired
+// two-tier layout. It means nothing to the log; it stays only while
+// the benchmark sizes a probe with it (bench/probes.go).
 const DefaultInlineOps = 4
-
-// ovfDescWords is the inline overflow descriptor: {offsetWords, words,
-// checksum}.
-const ovfDescWords = 3
 
 // Errors.
 var (
 	ErrFull     = errors.New("plog: log full (truncate before appending more)")
-	ErrOvfFull  = errors.New("plog: overflow ring full (truncate before appending more)")
 	ErrTooMany  = errors.New("plog: too many operations for one record")
 	ErrCorrupt  = errors.New("plog: corrupt log header")
+	ErrLayout   = errors.New("plog: unsupported log layout")
 	ErrSnapSize = errors.New("plog: snapshot larger than its region")
 )
-
-// ovfRef is one live overflow chunk: the record that owns it and the
-// claimed span (offset and exact words; reuse rounds the end up to a
-// whole line, matching allocation).
-type ovfRef struct {
-	seq   uint64
-	off   int // words from the ring base, line-aligned
-	words int // exact tail words
-}
-
-// end is the first ring word past the chunk.
-func (r ovfRef) end() int { return r.off + alignLineWords(r.words) }
 
 // Log is one process's persistent log inside a pmem.Pool. A Log is owned
 // by a single process: Append/Truncate must not be called concurrently
@@ -147,24 +133,20 @@ type Log struct {
 	pid  int
 	base pmem.Addr
 
-	capacity  int // slots
-	slotW     int // words per inline slot (line-aligned)
-	maxOps    int
-	inlineOps int
-
-	// Overflow ring geometry (derived from the header; zero-width when
-	// the inline budget covers maxOps).
-	ovfBase  pmem.Addr
-	ovfWords int
-
-	// Volatile overflow-ring state, rebuilt by Open from the live
-	// records: the chunks still referenced, oldest first.
-	ovfLive []ovfRef
+	capacity int // records the region is sized for
+	maxOps   int
+	lines    int // region lines after the header
+	worst    int // lines of a MaxOps record
 
 	nextSeq uint64 // volatile mirrors; durable info is in records + header
 	headSeq uint64
 
-	// spills counts ring shortages (Spills; volatile). Atomic: the
+	// heads[h0:h0+hn] are the live records' head seqs, oldest first:
+	// Len, and Truncate's whole-record drop. Rebuilt by Open.
+	heads  []uint64
+	h0, hn int
+
+	// spills counts relieved shortages (Spills; volatile). Atomic: the
 	// owning process bumps it while stats pollers (Instance.Pressure
 	// serving a server's metrics endpoint) read it from other goroutines.
 	spills atomic.Int64
@@ -185,147 +167,59 @@ type Log struct {
 	// Encoding scratch, reused across appends (a Log is owned by one
 	// process, so appends never overlap): steady-state Append is
 	// allocation-free once the buffers reach the record size.
-	encBuf []uint64 // Append inline payload
-	ovfBuf []uint64 // Append overflow tail
-	recBuf []uint64 // appendRecord slot image
+	encBuf []uint64 // Append payload
+	lnBuf  []uint64 // frame's tagged lines
 }
 
-// normInline resolves an inline-budget request against maxOps: zero
-// selects the default, and a budget at or above maxOps degenerates to
-// the single-tier layout (everything inline, no overflow ring).
-func normInline(maxOps, inlineOps int) int {
-	if inlineOps == 0 {
-		inlineOps = DefaultInlineOps
-	}
-	if inlineOps > maxOps {
-		inlineOps = maxOps
-	}
-	return inlineOps
-}
+// recordLines returns the lines of a record with payload words.
+func recordLines(payload int) int { return (3 + payload + 1 + lineData - 1) / lineData }
 
-// alignLineWords rounds w up to whole cache lines.
-func alignLineWords(w int) int {
-	return (w + pmem.LineWords - 1) / pmem.LineWords * pmem.LineWords
-}
-
-// slotWordsInline returns the unaligned words per inline slot for the
-// given geometry.
-func slotWordsInline(maxOps, inlineOps int) int {
-	var payload int
-	if inlineOps >= maxOps {
-		payload = maxOps * spec.OpWords
-	} else {
-		payload = inlineOps*spec.OpWords + ovfDescWords
-	}
-	if payload < 3 { // snapshot payload
-		payload = 3
-	}
-	return 3 + payload + 1
-}
-
-// ovfChunkWords is the worst-case overflow tail of one record
-// (line-aligned, so chunks never share a line and a torn line damages
-// at most one record).
-func ovfChunkWords(maxOps, inlineOps int) int {
-	if inlineOps >= maxOps {
-		return 0
-	}
-	return alignLineWords((maxOps - inlineOps) * spec.OpWords)
-}
-
-// ovfRegionWords sizes the shared overflow ring: an eighth of the worst
-// case (every live slot spilling a full tail), floored at four full
-// chunks so tiny logs keep headroom for a burst of deep fuzzy windows.
-func ovfRegionWords(capacity, maxOps, inlineOps int) int {
-	chunk := ovfChunkWords(maxOps, inlineOps)
-	if chunk == 0 {
-		return 0
-	}
-	w := capacity * chunk / 8
-	if min := 4 * chunk; w < min {
-		w = min
-	}
-	return alignLineWords(w)
+// regionLines sizes a log: capacity records, an eighth of them (at
+// least one) of maxOps operations and the rest of one.
+func regionLines(capacity, maxOps int) int {
+	one, worst := recordLines(spec.OpWords), recordLines(maxOps*spec.OpWords)
+	return capacity*one + (capacity+7)/8*(worst-one)
 }
 
 // RegionBytes returns the pool bytes needed for a log with the given
-// geometry and the default inline budget (header line + capacity inline
-// slots + the overflow ring, line-aligned).
+// geometry: the header line and the record lines.
 func RegionBytes(capacity, maxOps int) int {
-	return RegionBytesInline(capacity, maxOps, 0)
-}
-
-// RegionBytesInline is RegionBytes for an explicit inline op budget
-// (0 = DefaultInlineOps; >= maxOps = single-tier).
-func RegionBytesInline(capacity, maxOps, inlineOps int) int {
-	inlineOps = normInline(maxOps, inlineOps)
-	return RegionBytesRing(capacity, maxOps, inlineOps,
-		ovfRegionWords(capacity, maxOps, inlineOps))
-}
-
-// RegionBytesRing is RegionBytesInline for an explicit overflow-ring
-// budget in words (adaptive ring growth sizes replacement logs with
-// it; ringWords below the formula floor is raised to it by
-// CreateInlineRing before this is called).
-func RegionBytesRing(capacity, maxOps, inlineOps, ringWords int) int {
-	inlineOps = normInline(maxOps, inlineOps)
-	slotBytes := alignLineWords(slotWordsInline(maxOps, inlineOps)) * pmem.WordSize
-	return pmem.LineSize + capacity*slotBytes + ringWords*pmem.WordSize
+	return (1 + regionLines(capacity, maxOps)) * pmem.LineSize
 }
 
 // Create formats a new log for process pid at a freshly allocated region
-// of pool and durably writes its header, using the default inline
-// budget. capacity is the number of record slots; maxOps bounds
+// of pool and durably writes its header. capacity is the number of
+// records the region is sized for (see RegionBytes); maxOps bounds
 // operations per record (paper: MAX_PROCESSES).
 func Create(pool *pmem.Pool, pid, capacity, maxOps int) (*Log, error) {
-	return CreateInline(pool, pid, capacity, maxOps, 0)
-}
-
-// CreateInline is Create with an explicit inline op budget: records
-// with at most inlineOps operations live entirely in their slot, larger
-// records spill their tail to the overflow ring. inlineOps 0 selects
-// DefaultInlineOps; inlineOps >= maxOps selects the single-tier layout.
-func CreateInline(pool *pmem.Pool, pid, capacity, maxOps, inlineOps int) (*Log, error) {
-	return CreateInlineRing(pool, pid, capacity, maxOps, inlineOps, 0)
-}
-
-// CreateInlineRing is CreateInline with an explicit overflow-ring
-// budget in words (0 = the 1/8-worst-case formula). The formula floor
-// is also the minimum: a smaller request is raised to it, so a ring
-// can be grown but never starved. ringWords is rounded up to whole
-// cache lines; it is ignored for single-tier layouts (which have no
-// ring). Adaptive ring growth (core) allocates replacement logs
-// through this.
-func CreateInlineRing(pool *pmem.Pool, pid, capacity, maxOps, inlineOps, ringWords int) (*Log, error) {
-	if capacity < 1 || maxOps < 1 || inlineOps < 0 || ringWords < 0 {
-		return nil, fmt.Errorf("plog: bad geometry capacity=%d maxOps=%d inlineOps=%d ringWords=%d",
-			capacity, maxOps, inlineOps, ringWords)
+	if capacity < 1 || maxOps < 1 || capacity > maxPlausibleCapacity || maxOps > maxPlausibleOps {
+		return nil, fmt.Errorf("plog: bad geometry capacity=%d maxOps=%d", capacity, maxOps)
 	}
-	inlineOps = normInline(maxOps, inlineOps)
-	if floor := ovfRegionWords(capacity, maxOps, inlineOps); ringWords < floor {
-		ringWords = floor
-	} else if floor == 0 {
-		ringWords = 0 // single-tier: no ring, whatever was asked
-	} else {
-		ringWords = alignLineWords(ringWords)
-	}
-	base, err := pool.Alloc(RegionBytesRing(capacity, maxOps, inlineOps, ringWords))
+	base, err := pool.Alloc(RegionBytes(capacity, maxOps))
 	if err != nil {
 		return nil, err
 	}
-	l := &Log{
-		pool: pool, pid: pid, base: base,
-		capacity: capacity, maxOps: maxOps, inlineOps: inlineOps,
-		slotW:   alignLineWords(slotWordsInline(maxOps, inlineOps)),
-		nextSeq: 1, headSeq: 0,
-	}
-	l.ovfWords = ringWords
-	l.ovfBase = l.base + pmem.Addr(hdrWords*pmem.WordSize) +
-		pmem.Addr(capacity*l.slotW*pmem.WordSize)
+	l := attach(pool, pid, base, capacity, maxOps)
+	l.nextSeq = 1
 	hdr := l.headerImage(0)
 	pool.StoreRange(pid, base, hdr[:])
 	pool.Persist(pid, base, hdrWords*pmem.WordSize)
 	return l, nil
+}
+
+// CreateInline is Create; inlineOps is ignored. It stays only while the
+// benchmark calls it (bench/probes.go).
+func CreateInline(pool *pmem.Pool, pid, capacity, maxOps, inlineOps int) (*Log, error) {
+	return Create(pool, pid, capacity, maxOps)
+}
+
+func attach(pool *pmem.Pool, pid int, base pmem.Addr, capacity, maxOps int) *Log {
+	return &Log{
+		pool: pool, pid: pid, base: base,
+		capacity: capacity, maxOps: maxOps,
+		lines: regionLines(capacity, maxOps),
+		worst: recordLines(maxOps * spec.OpWords),
+	}
 }
 
 // headerImage builds the durable header for the log's geometry with the
@@ -334,17 +228,15 @@ func (l *Log) headerImage(headSeq uint64) [hdrWords]uint64 {
 	var h [hdrWords]uint64
 	h[hdrMagic] = logMagic
 	h[hdrCapacity] = uint64(l.capacity)
-	h[hdrSlotW] = uint64(l.slotW)
+	h[hdrLines] = uint64(l.lines)
 	h[hdrMaxOps] = uint64(l.maxOps)
-	h[hdrInlineOps] = uint64(l.inlineOps)
-	h[hdrOvfWords] = uint64(l.ovfWords)
 	h[hdrHeadSeq] = headSeq
 	h[hdrSum] = checksum(h[:hdrSum])
 	return h
 }
 
 // Plausibility bounds on header geometry read from (possibly corrupt)
-// NVM, checked before any arithmetic that could overflow or any slot
+// NVM, checked before any arithmetic that could overflow or any line
 // address is dereferenced.
 const (
 	maxPlausibleCapacity = 1 << 31
@@ -352,18 +244,17 @@ const (
 )
 
 // Open attaches to an existing log region (after a crash). It walks the
-// slots (see Walk), validates records, and positions nextSeq after the
+// records (see Walk), validates them, and positions nextSeq after the
 // last record of the valid prefix. The owning pid of the reopened log
 // may differ from the pre-crash one (crashed processes are replaced by
 // new ones).
 //
 // Everything Open reads — the base pointer handed in (typically from a
 // root slot) and the header geometry — is untrusted: a corrupted image
-// must produce ErrCorrupt, never an out-of-bounds panic. The slot width
-// and overflow-ring width are recomputed from (capacity, maxOps,
-// inlineOps) and must match the stored words exactly, so a corrupted
-// geometry cannot frame slots or overflow chunks at attacker-chosen
-// addresses.
+// must produce ErrCorrupt, never an out-of-bounds panic. The region's
+// line count is recomputed from (capacity, maxOps) and must match the
+// stored word exactly. A header of the retired two-tier layout yields
+// ErrLayout.
 func Open(pool *pmem.Pool, pid int, base pmem.Addr) (*Log, error) {
 	l, _, err := OpenWalk(pool, pid, base)
 	return l, err
@@ -378,61 +269,28 @@ func OpenWalk(pool *pmem.Pool, pid int, base pmem.Addr) (*Log, *Walk, error) {
 	}
 	var hdr [hdrWords]uint64
 	pool.LoadRange(pid, base, hdr[:])
-	if hdr[hdrMagic] != logMagic {
-		return nil, nil, ErrCorrupt
-	}
 	if hdr[hdrSum] != checksum(hdr[:hdrSum]) {
 		return nil, nil, ErrCorrupt
 	}
-	if hdr[hdrCapacity] > maxPlausibleCapacity || hdr[hdrMaxOps] > maxPlausibleOps ||
-		hdr[hdrInlineOps] > maxPlausibleOps || hdr[hdrSlotW] > maxPlausibleCapacity ||
-		hdr[hdrOvfWords] > maxPlausibleCapacity {
+	if hdr[hdrMagic] == legacyMagic {
+		return nil, nil, ErrLayout
+	}
+	if hdr[hdrMagic] != logMagic {
 		return nil, nil, ErrCorrupt
 	}
-	l := &Log{
-		pool: pool, pid: pid, base: base,
-		capacity:  int(hdr[hdrCapacity]),
-		slotW:     int(hdr[hdrSlotW]),
-		maxOps:    int(hdr[hdrMaxOps]),
-		inlineOps: int(hdr[hdrInlineOps]),
-		ovfWords:  int(hdr[hdrOvfWords]),
-		headSeq:   hdr[hdrHeadSeq],
-	}
-	if l.capacity < 1 || l.maxOps < 1 || l.inlineOps < 1 || l.inlineOps > l.maxOps {
+	capacity, maxOps := hdr[hdrCapacity], hdr[hdrMaxOps]
+	if capacity < 1 || capacity > maxPlausibleCapacity || maxOps < 1 || maxOps > maxPlausibleOps {
 		return nil, nil, ErrCorrupt
 	}
-	if l.slotW != alignLineWords(slotWordsInline(l.maxOps, l.inlineOps)) {
+	l := attach(pool, pid, base, int(capacity), int(maxOps))
+	if hdr[hdrLines] != uint64(l.lines) || !pool.Contains(base, RegionBytes(l.capacity, l.maxOps)) {
 		return nil, nil, ErrCorrupt
 	}
-	// The ring width is a floor-checked budget, not an exact recompute:
-	// adaptive growth creates logs with rings above the formula's 1/8
-	// worst case (never below, and always whole lines). The header
-	// checksum is what protects the stored width against corruption;
-	// the bounds here keep even a checksum-colliding forgery inside the
-	// allocated region.
-	if floor := ovfRegionWords(l.capacity, l.maxOps, l.inlineOps); floor == 0 {
-		if l.ovfWords != 0 {
-			return nil, nil, ErrCorrupt
-		}
-	} else if l.ovfWords < floor || l.ovfWords%pmem.LineWords != 0 {
-		return nil, nil, ErrCorrupt
-	}
-	if !pool.Contains(base, RegionBytesRing(l.capacity, l.maxOps, l.inlineOps, l.ovfWords)) {
-		return nil, nil, ErrCorrupt
-	}
-	l.ovfBase = l.base + pmem.Addr(hdrWords*pmem.WordSize) +
-		pmem.Addr(l.capacity*l.slotW*pmem.WordSize)
+	l.headSeq = hdr[hdrHeadSeq]
 	w := l.startWalk(l.cachedReader())
-	l.nextSeq = l.headSeq + 1
-	if n := len(w.Live); n > 0 {
-		l.nextSeq = w.Live[n-1].Seq + 1
-	}
-	// Rebuild the volatile overflow-ring state from the live records:
-	// their chunks are in use.
+	l.nextSeq = w.liveEnd
 	for _, rec := range w.Live {
-		if rec.Overflow {
-			l.ovfLive = append(l.ovfLive, ovfRef{seq: rec.Seq, off: rec.ovfOff, words: rec.ovfLen})
-		}
+		l.pushHead(rec.Seq)
 	}
 	// Rebuild the volatile delta-chain state from the newest live
 	// KindDelta record, so a recovered log continues its chain instead
@@ -445,32 +303,21 @@ func OpenWalk(pool *pmem.Pool, pid int, base pmem.Addr) (*Log, *Walk, error) {
 // the construction so recovery can find it).
 func (l *Log) Base() pmem.Addr { return l.base }
 
-// Capacity returns the number of record slots.
+// Capacity returns the number of records the region is sized for.
 func (l *Log) Capacity() int { return l.capacity }
 
 // MaxOps returns the per-record operation bound.
 func (l *Log) MaxOps() int { return l.maxOps }
 
-// InlineOps returns the per-slot inline op budget; records with more
-// operations spill their tail to the overflow ring.
-func (l *Log) InlineOps() int { return l.inlineOps }
-
-// OverflowRegion returns the overflow ring's base address and size in
-// words (0 words for a single-tier log). Diagnostics and corruption
-// tests use it; production code has no reason to.
-func (l *Log) OverflowRegion() (pmem.Addr, int) { return l.ovfBase, l.ovfWords }
-
-// RingWords returns the overflow ring budget in words (the adaptive
-// sizing reads it to double on growth).
-func (l *Log) RingWords() int { return l.ovfWords }
-
-// Spills returns how many ring shortages the log has met over its
-// lifetime: Appends refused with ErrOvfFull plus those added with
-// AddSpills.
+// Spills returns how many log shortages the owner relieved over the
+// log's lifetime (AddSpills).
 func (l *Log) Spills() int { return int(l.spills.Load()) }
 
+// AddSpills adds n relieved shortages to Spills.
+func (l *Log) AddSpills(n int) { l.spills.Add(int64(n)) }
+
 // Len returns the number of live (non-truncated) records.
-func (l *Log) Len() int { return int(l.nextSeq - 1 - l.headSeq) }
+func (l *Log) Len() int { return l.hn }
 
 // NextSeq returns the sequence number the next append will use.
 func (l *Log) NextSeq() uint64 { return l.nextSeq }
@@ -479,16 +326,32 @@ func (l *Log) NextSeq() uint64 { return l.nextSeq }
 // dead).
 func (l *Log) HeadSeq() uint64 { return l.headSeq }
 
-// SlotRegion returns the byte address and length of the slot that
-// holds sequence number seq — diagnostics and fault-plan targeting
-// (tests aim media faults at specific records with it).
-func (l *Log) SlotRegion(seq uint64) (pmem.Addr, int) {
-	return l.slotAddr(seq), l.slotW * pmem.WordSize
+// LineAddr returns the address of the cache line that holds sequence
+// number seq — diagnostics and fault-plan targeting (tests aim media
+// faults at specific records and their continuation lines with it).
+func (l *Log) LineAddr(seq uint64) pmem.Addr {
+	return l.base + pmem.Addr((1+(seq-1)%uint64(l.lines))*pmem.LineSize)
 }
 
-func (l *Log) slotAddr(seq uint64) pmem.Addr {
-	slot := (seq - 1) % uint64(l.capacity)
-	return l.base + pmem.Addr(hdrWords*pmem.WordSize) + pmem.Addr(slot*uint64(l.slotW)*pmem.WordSize)
+// free returns the lines no live record holds.
+func (l *Log) free() int { return l.lines - int(l.nextSeq-1-l.headSeq) }
+
+// toEnd returns the lines from seq's line to the region's end.
+func (l *Log) toEnd(seq uint64) int { return l.lines - int((seq-1)%uint64(l.lines)) }
+
+// pushHead records a live record head, compacting or growing heads
+// when its tail reaches the end (amortized O(1), allocation-free once
+// heads fits the log's live records).
+func (l *Log) pushHead(seq uint64) {
+	if l.h0+l.hn == len(l.heads) {
+		if l.hn >= len(l.heads)/2 {
+			l.heads = append(l.heads, make([]uint64, len(l.heads)+16)...)
+		}
+		copy(l.heads, l.heads[l.h0:l.h0+l.hn])
+		l.h0 = 0
+	}
+	l.heads[l.h0+l.hn] = seq
+	l.hn++
 }
 
 // checksum is a 64-bit FNV-1a-style mix over record words. It only needs
@@ -511,127 +374,37 @@ func sumWords(h uint64, words []uint64) uint64 {
 }
 
 func sumFinal(h uint64) uint64 {
-	if h == 0 { // reserve 0 so an all-zero slot can never verify
+	if h == 0 { // reserve 0 so an all-zero image can never verify
 		return 1
 	}
 	return h
 }
 
-// claimOvf reserves words from the overflow ring for the record about
-// to be appended, returning the line-aligned offset. It tries the end
-// of the newest live chunk first (the bump pointer: the steady-state
-// hit), then the ring base and the position after each live chunk —
-// every maximal free gap starts at one of those — so it fails only when
-// no gap fits the tail: the ring equivalent of ErrFull.
-func (l *Log) claimOvf(words int) (int, bool) {
-	n := alignLineWords(words)
-	if k := len(l.ovfLive); k > 0 && l.freeRun(l.ovfLive[k-1].end()) >= n {
-		return l.ovfLive[k-1].end(), true
-	}
-	if l.freeRun(0) >= n {
-		return 0, true
-	}
-	for _, r := range l.ovfLive {
-		if l.freeRun(r.end()) >= n {
-			return r.end(), true
-		}
-	}
-	return 0, false
-}
-
-// freeRun returns the free ring words from s up to the next live chunk
-// or the ring's end, 0 when a live chunk covers s.
-func (l *Log) freeRun(s int) int {
-	end := l.ovfWords
-	for _, r := range l.ovfLive {
-		if r.off <= s && s < r.end() {
-			return 0
-		}
-		if s < r.off && r.off < end {
-			end = r.off
-		}
-	}
-	return end - s
-}
-
-// Room returns nil when the log can take its next records appends of up
-// to MaxOps operations each, whatever their op counts; else ErrFull
-// (too few free slots) or ErrOvfFull (too little ring). Only the owner
-// appends, so the room lasts until its own appends use it. It reads
-// volatile mirrors only: O(1) on a single-tier log. claimOvf places a
-// tail at the start of a free run that begins at the ring base or a
-// live chunk's end, and a tail of at most a worst-case chunk costs the
-// runs at most one whole chunk: the runs' whole chunks surely fit.
+// Room returns nil when the log's free lines can take its next records
+// appends of up to MaxOps operations each, whatever their op counts;
+// else ErrFull. Only the owner appends, so the room lasts until its own
+// appends use it. O(1): it reads volatile mirrors only.
 func (l *Log) Room(records int) error {
-	if l.capacity-l.Len() < records {
+	if l.free() < records*l.worst {
 		return ErrFull
-	}
-	if l.ovfWords > 0 && !l.ringRoom(records) {
-		return ErrOvfFull
 	}
 	return nil
 }
 
-// ringRoom counts the ring's room for Room, newest chunk first: its end
-// is the bump pointer, the usual hit.
-func (l *Log) ringRoom(records int) bool {
-	chunk, fit := ovfChunkWords(l.maxOps, l.inlineOps), 0
-	for i := len(l.ovfLive) - 1; i >= 0 && fit < records; i-- {
-		fit += l.freeRun(l.ovfLive[i].end()) / chunk
-	}
-	return fit >= records || fit+l.freeRun(0)/chunk >= records
-}
-
-// AddSpills adds n ring shortages to Spills: one the owner relieved
-// before appending (Room's ErrOvfFull), or a replaced log's count.
-func (l *Log) AddSpills(n int) { l.spills.Add(int64(n)) }
-
 // Append durably records ops (ops[0] being the appender's own operation
 // with the given execution index; ops[k] the helped operation with index
-// execIdx-k) using exactly one persistent fence — for inline records and
-// for records that spill to the overflow ring alike. It returns the
+// execIdx-k) using exactly one persistent fence, and returns the
 // record's sequence number.
 func (l *Log) Append(ops []spec.Op, execIdx uint64) (uint64, error) {
 	if len(ops) == 0 || len(ops) > l.maxOps {
 		return 0, ErrTooMany
 	}
 	payload := l.encBuf[:0]
-	if len(ops) <= l.inlineOps {
-		for _, op := range ops {
-			payload = op.Encode(payload)
-		}
-		l.encBuf = payload
-		return l.appendRecord(KindOps, uint64(len(payload)), execIdx, payload)
-	}
-	// Two-tier: the tail beyond the inline budget goes to the overflow
-	// ring. Claim a chunk, write and flush it (NOT fenced yet), then
-	// append the inline record whose single fence covers both tiers.
-	if int(l.nextSeq-1-l.headSeq) >= l.capacity {
-		return 0, ErrFull
-	}
-	tail := l.ovfBuf[:0]
-	for _, op := range ops[l.inlineOps:] {
-		tail = op.Encode(tail)
-	}
-	l.ovfBuf = tail
-	off, ok := l.claimOvf(len(tail))
-	if !ok {
-		l.spills.Add(1)
-		return 0, ErrOvfFull
-	}
-	addr := l.ovfBase + pmem.Addr(off*pmem.WordSize)
-	l.pool.StoreRange(l.pid, addr, tail)
-	l.pool.FlushRange(l.pid, addr, len(tail)*pmem.WordSize)
-	for _, op := range ops[:l.inlineOps] {
+	for _, op := range ops {
 		payload = op.Encode(payload)
 	}
-	payload = append(payload, uint64(off), uint64(len(tail)), checksum(tail))
 	l.encBuf = payload
-	seq, err := l.appendRecord(kindOpsOvf, uint64(len(ops)), execIdx, payload)
-	if err == nil {
-		l.ovfLive = append(l.ovfLive, ovfRef{seq: seq, off: off, words: len(tail)})
-	}
-	return seq, err
+	return l.appendRecord(KindOps, execIdx, payload)
 }
 
 // AppendSnapshot durably records a state snapshot taken at execution
@@ -662,7 +435,7 @@ func (l *Log) AppendSnapshot(state []uint64, execIdx uint64) (uint64, error) {
 	// Flush the region lines now; the record's fence will cover them.
 	l.pool.FlushRange(l.pid, region, len(state)*pmem.WordSize)
 	payload := []uint64{uint64(region), uint64(len(state)), checksum(state)}
-	seq, err := l.appendRecord(KindSnapshot, uint64(len(payload)), execIdx, payload)
+	seq, err := l.appendRecord(KindSnapshot, execIdx, payload)
 	if err == nil {
 		l.snapNext = 1 - k
 		// A fenced full snapshot supersedes any live delta chain: its
@@ -674,39 +447,76 @@ func (l *Log) AppendSnapshot(state []uint64, execIdx uint64) (uint64, error) {
 	return seq, err
 }
 
-// appendRecord writes the inline slot image [seq, kind<<32|field,
-// execIdx, payload..., checksum] and makes it durable with THE one
-// persistent fence of the append (which also covers any overflow or
-// snapshot lines flushed by the caller beforehand).
-func (l *Log) appendRecord(kind int, field, execIdx uint64, payload []uint64) (uint64, error) {
-	if int(l.nextSeq-1-l.headSeq) >= l.capacity {
+// appendRecord writes a record of kind into the lines from nextSeq on
+// and makes them durable with THE one persistent fence of the append
+// (which also covers any snapshot or chain-body lines flushed by the
+// caller beforehand).
+func (l *Log) appendRecord(kind int, execIdx uint64, payload []uint64) (uint64, error) {
+	if l.free() < recordLines(len(payload)) {
 		return 0, ErrFull
 	}
 	seq := l.nextSeq
-	words := l.recBuf[:0]
-	words = append(words, seq, uint64(kind)<<32|field, execIdx)
-	words = append(words, payload...)
-	words = append(words, checksum(words))
-	l.recBuf = words
-	addr := l.slotAddr(seq)
-	// Record writes are line-batched: slots are line-aligned, so each
-	// StoreLine inside costs one gate check, one shard lock and one stat
-	// bump per cache line instead of one per word. Durability is
-	// untouched — the lines stay volatile until the flushes below and
-	// the single fence that follows.
-	l.pool.StoreRange(l.pid, addr, words)
-	l.pool.FlushRange(l.pid, addr, len(words)*pmem.WordSize)
+	lines := l.frame(seq, kind, execIdx, payload)
+	l.storeLines(seq, lines)
 	// THE one persistent fence of this append (and, in the universal
 	// construction, the one persistent fence of the whole update).
 	l.pool.Fence(l.pid)
-	l.nextSeq = seq + 1
+	l.nextSeq = seq + uint64(len(lines)/pmem.LineWords)
+	l.pushHead(seq)
 	return seq, nil
 }
 
-// Truncate durably drops all records with seq <= upto (they must exist).
-// It costs one persistent fence (the price of reclamation, measured by
-// experiment E9). Overflow chunks owned by dropped records become
-// reusable.
+// frame returns the tagged lines of the record [seq, kind<<32|
+// len(payload), execIdx, payload..., checksum] with head seq, seven
+// image words to a line, in scratch the next frame reuses.
+func (l *Log) frame(seq uint64, kind int, execIdx uint64, payload []uint64) []uint64 {
+	n := recordLines(len(payload))
+	if cap(l.lnBuf) < n*pmem.LineWords {
+		l.lnBuf = make([]uint64, n*pmem.LineWords)
+	}
+	lines := l.lnBuf[:n*pmem.LineWords]
+	lines[0], lines[1], lines[2], lines[3] = seq, seq, uint64(kind)<<32|uint64(len(payload)), execIdx
+	h := sumWords(sumSeed, lines[1:4])
+	w := 4 // the next word to fill
+	for _, v := range payload {
+		if w%pmem.LineWords == 0 {
+			lines[w] = (seq + uint64(w/pmem.LineWords)) | tagCont
+			w++
+		}
+		lines[w] = v
+		w++
+	}
+	if w%pmem.LineWords == 0 {
+		lines[w] = (seq + uint64(w/pmem.LineWords)) | tagCont
+		w++
+	}
+	lines[w] = sumFinal(sumWords(h, payload))
+	clear(lines[w+1:])
+	return lines
+}
+
+// storeLines stores and flushes lines from seq's line on — one gate
+// check, shard lock and stat bump per cache line — in at most two runs,
+// split where they wrap past the region's last line. They stay volatile
+// until a fence.
+func (l *Log) storeLines(seq uint64, lines []uint64) {
+	a := l.LineAddr(seq)
+	end := l.base + pmem.Addr((1+l.lines)*pmem.LineSize) // past the last line
+	split := min(len(lines), int(end-a)/pmem.WordSize)
+	l.pool.StoreRange(l.pid, a, lines[:split])
+	l.pool.FlushRange(l.pid, a, split*pmem.WordSize)
+	if split < len(lines) {
+		a = l.LineAddr(1)
+		l.pool.StoreRange(l.pid, a, lines[split:])
+		l.pool.FlushRange(l.pid, a, (len(lines)-split)*pmem.WordSize)
+	}
+}
+
+// Truncate durably drops every record whose seq is <= upto, whole (upto
+// must be a live seq or HeadSeq). It costs one persistent fence (the
+// price of reclamation, measured by experiment E9). The durable head
+// moves to the line before the oldest record kept, so every line of a
+// dropped record becomes free.
 func (l *Log) Truncate(upto uint64) error {
 	if upto < l.headSeq || upto >= l.nextSeq {
 		return fmt.Errorf("plog: truncate %d outside live range (%d, %d)", upto, l.headSeq, l.nextSeq-1)
@@ -716,21 +526,22 @@ func (l *Log) Truncate(upto uint64) error {
 		// (its base is only reachable through that record's body).
 		return fmt.Errorf("plog: truncate %d would orphan the delta chain at seq %d", upto, l.chainSeq)
 	}
-	if upto == l.headSeq {
+	for l.hn > 0 && l.heads[l.h0] <= upto {
+		l.h0++
+		l.hn--
+	}
+	head := l.nextSeq - 1
+	if l.hn > 0 {
+		head = l.heads[l.h0] - 1
+	}
+	if head == l.headSeq {
 		return nil
 	}
-	l.headSeq = upto
-	keep := l.ovfLive[:0]
-	for _, r := range l.ovfLive {
-		if r.seq > upto {
-			keep = append(keep, r)
-		}
-	}
-	l.ovfLive = keep
+	l.headSeq = head
 	// Rewrite headSeq and the header checksum together: they are
 	// adjacent words of one line, so the single StoreRange below is one
 	// StoreLine — evicted and persisted all-or-nothing.
-	img := l.headerImage(upto)
+	img := l.headerImage(head)
 	a := l.base + pmem.Addr(hdrHeadSeq*pmem.WordSize)
 	l.pool.StoreRange(l.pid, a, img[hdrHeadSeq:])
 	l.pool.Persist(l.pid, a, 2*pmem.WordSize)
@@ -751,12 +562,8 @@ type Record struct {
 	// (frame + payload; see chain.go). ChainBase and DeltaPayload
 	// decode it.
 	Body []uint64
-	// Overflow reports that the record's tail lived in the overflow
-	// ring (the decoded Ops are complete either way).
-	Overflow bool
 
-	ovfOff, ovfLen int       // claimed span, when Overflow
-	bodyAddr       pmem.Addr // chain body address, when KindDelta
+	bodyAddr pmem.Addr // chain body address, when KindDelta
 	// chain and chainErr are the record's chain resolution when Open
 	// already made it (the newest live chain record), so ResolveChain
 	// does not read the chain's bodies a second time.
@@ -789,40 +596,32 @@ func (r *Record) ChainBody() (pmem.Addr, int, bool) {
 	return r.bodyAddr, len(r.Body), true
 }
 
-// OverflowSpan returns the record's overflow chunk as (offset, words)
-// within the log's overflow ring, and whether the record spilled at
-// all. Corruption tests use it to aim at a specific chunk.
-func (r *Record) OverflowSpan() (off, words int, ok bool) {
-	return r.ovfOff, r.ovfLen, r.Overflow
-}
-
-// SlotStatus classifies what a slot probe found. The distinction that
-// matters to salvage and the scrubber: SlotStale slots hold no record
-// for the probed sequence number (never written this wrap, or the seq
-// word itself was destroyed), while the SlotBad* statuses mean a record
-// WITH the probed sequence number is present but fails validation —
-// i.e. an append of that very seq was torn by a crash or the fenced
-// record was damaged by a media fault afterwards.
+// SlotStatus classifies what a probe at a seq found. The distinction
+// that matters to salvage and the scrubber: SlotStale means the line
+// holds no record head for the probed sequence number (never written
+// this pass over the region, a continuation line, or the head tag
+// itself was destroyed), while the SlotBad* statuses mean a record
+// head WITH the probed sequence number is present but the record fails
+// validation — i.e. an append of that very seq was torn by a crash or
+// the fenced record was damaged by a media fault afterwards.
 type SlotStatus int
 
 const (
 	// SlotOK: the record decoded and every checksum verified.
 	SlotOK SlotStatus = iota
-	// SlotStale: the stored seq differs from the probed one.
+	// SlotStale: the line's tag is not the probed seq.
 	SlotStale
-	// SlotBad: right seq, but the inline image is invalid (bad kind or
-	// payload geometry, or the record checksum fails).
+	// SlotBad: right head tag, but the record is invalid (bad kind or
+	// payload geometry, a continuation line with a wrong tag, or the
+	// record checksum fails).
 	SlotBad
-	// SlotBadOvf: the inline image verified but the overflow tail it
-	// points at fails its descriptor bounds or tail checksum.
-	SlotBadOvf
-	// SlotBadSnap: a snapshot record verified inline but its state
-	// region pointer is out of bounds or the body checksum fails.
+	// SlotBadSnap: a snapshot record verified but its state region
+	// pointer is out of bounds or the body checksum fails.
 	SlotBadSnap
-	// SlotBadDelta: a delta-chain record verified inline but its body
-	// pointer is out of bounds, the body checksum fails, or the body
-	// frame is malformed. (Chain PREDECESSOR damage is not a slot
-	// status: it surfaces when the chain is resolved.)
+	// SlotBadDelta: a delta-chain record verified but its body pointer
+	// is out of bounds, the body checksum fails, or the body frame is
+	// malformed. (Chain PREDECESSOR damage is not a slot status: it
+	// surfaces when the chain is resolved.)
 	SlotBadDelta
 )
 
@@ -834,8 +633,6 @@ func (s SlotStatus) String() string {
 		return "stale"
 	case SlotBad:
 		return "bad"
-	case SlotBadOvf:
-		return "bad-overflow"
 	case SlotBadSnap:
 		return "bad-snapshot"
 	case SlotBadDelta:
@@ -851,8 +648,8 @@ func (s SlotStatus) String() string {
 // the cache entirely, so it sees latent faults that resident lines
 // still mask and costs no gate steps, no statistics and no fences — it
 // cannot perturb the pfences/op counts the paper bounds. Nothing is
-// read a word at a time: a slot takes at most two reads (its first
-// line, then the rest of a longer record), and an overflow tail, a
+// read a word at a time: a record takes at most three reads (its head
+// line, then the rest of a longer record in up to two runs), and a
 // snapshot body or a chain body one.
 type rangeReader struct {
 	pool    *pmem.Pool
@@ -872,105 +669,73 @@ func (l *Log) cachedReader() rangeReader { return rangeReader{pool: l.pool, pid:
 
 func (l *Log) durableReader() rangeReader { return rangeReader{pool: l.pool, durable: true} }
 
-// probeSlot validates and decodes the record in the slot that seq maps
-// to, requiring the stored seq to equal seq exactly, and classifies
-// the failure mode otherwise. Every word it consumes — the kind/field
-// word, overflow descriptors, snapshot pointers — comes from (possibly
-// torn or corrupted) NVM and is validated before use.
-func (l *Log) probeSlot(seq uint64, rd rangeReader) (Record, SlotStatus) {
-	addr := l.slotAddr(seq)
-	// The slot's first line holds the seq and kind words and, for a
-	// snapshot or delta record, the whole record; a longer record's
-	// remaining lines are read once its geometry has been validated.
+// probe validates and decodes the record whose head line holds seq,
+// requiring the head tag to equal seq exactly, and classifies the
+// failure mode otherwise. On SlotOK it also returns the record's line
+// count. Every word it consumes — the kind/field word, continuation
+// tags, snapshot pointers — comes from (possibly torn or corrupted) NVM
+// and is validated before use.
+func (l *Log) probe(seq uint64, rd rangeReader) (Record, SlotStatus, int) {
+	// The head line holds the tag and kind words and, for a snapshot or
+	// delta record, the whole record; a longer record's remaining lines
+	// are read once its geometry has been validated.
 	var head [pmem.LineWords]uint64
-	rd.read(addr, head[:])
+	rd.read(l.LineAddr(seq), head[:])
 	if head[0] != seq {
-		return Record{}, SlotStale
+		return Record{}, SlotStale, 0
 	}
-	kn := head[1]
-	kind, field := int(kn>>32), int(kn&0xffffffff)
-	var plen, nops int
+	kind, plen := int(head[2]>>32), int(head[2]&0xffffffff)
 	switch kind {
 	case KindOps:
-		plen = field
-		if plen <= 0 || plen%spec.OpWords != 0 {
-			return Record{}, SlotBad
+		if plen <= 0 || plen%spec.OpWords != 0 || plen/spec.OpWords > l.maxOps {
+			return Record{}, SlotBad, 0
 		}
-		nops = plen / spec.OpWords
-		if nops > l.inlineOps || nops > l.maxOps {
-			return Record{}, SlotBad
-		}
-	case kindOpsOvf:
-		nops = field
-		if nops <= l.inlineOps || nops > l.maxOps {
-			return Record{}, SlotBad
-		}
-		plen = l.inlineOps*spec.OpWords + ovfDescWords
 	case KindSnapshot, KindDelta:
-		plen = field
 		if plen != 3 {
-			return Record{}, SlotBad
+			return Record{}, SlotBad, 0
 		}
 	default:
-		return Record{}, SlotBad
+		return Record{}, SlotBad, 0
 	}
-	if 3+plen+1 > l.slotW {
-		return Record{}, SlotBad
+	n := recordLines(plen)
+	img := make([]uint64, n*pmem.LineWords)
+	copy(img, head[:])
+	if n > 1 {
+		first := min(n, l.toEnd(seq))
+		rd.read(l.LineAddr(seq+1), img[pmem.LineWords:first*pmem.LineWords])
+		if first < n {
+			rd.read(l.LineAddr(seq+uint64(first)), img[first*pmem.LineWords:])
+		}
 	}
-	words := make([]uint64, 3+plen+1)
-	if n := copy(words, head[:]); n < len(words) {
-		rd.read(addr+pmem.Addr(n*pmem.WordSize), words[n:])
+	// Check the continuation tags, then close the tag gaps: line i's
+	// data moves to words [7i, 7i+7), never past a line still unread.
+	for i := 0; i < n; i++ {
+		if i > 0 && img[i*pmem.LineWords] != (seq+uint64(i))|tagCont {
+			return Record{}, SlotBad, 0
+		}
+		copy(img[i*lineData:], img[i*pmem.LineWords+1:(i+1)*pmem.LineWords])
 	}
-	recSum := words[3+plen]
-	words = words[:3+plen]
-	if recSum != checksum(words) {
-		return Record{}, SlotBad
+	words := img[:3+plen]
+	if words[0] != seq || img[3+plen] != checksum(words) {
+		return Record{}, SlotBad, 0
 	}
 	rec := Record{Seq: seq, Kind: kind, ExecIdx: words[2]}
 	switch kind {
 	case KindOps:
-		for k := 0; k < nops; k++ {
+		for k := 0; k < plen/spec.OpWords; k++ {
 			rec.Ops = append(rec.Ops, spec.DecodeOp(words[3+k*spec.OpWords:]))
 		}
-	case kindOpsOvf:
-		// The descriptor is covered by the record checksum, but its
-		// values are still untrusted geometry: the offset must frame a
-		// chunk inside the ring and the length is fixed by the op count.
-		d := words[3+l.inlineOps*spec.OpWords:]
-		off64, olen64, sum := d[0], d[1], d[2]
-		wantLen := (nops - l.inlineOps) * spec.OpWords
-		if olen64 != uint64(wantLen) || off64 > uint64(l.ovfWords) {
-			return Record{}, SlotBadOvf
-		}
-		off := int(off64)
-		if off%pmem.LineWords != 0 || off+wantLen > l.ovfWords {
-			return Record{}, SlotBadOvf
-		}
-		tail := make([]uint64, wantLen)
-		rd.read(l.ovfBase+pmem.Addr(off*pmem.WordSize), tail)
-		if checksum(tail) != sum {
-			return Record{}, SlotBadOvf // torn overflow tail: record never appended
-		}
-		for k := 0; k < l.inlineOps; k++ {
-			rec.Ops = append(rec.Ops, spec.DecodeOp(words[3+k*spec.OpWords:]))
-		}
-		for k := 0; k < nops-l.inlineOps; k++ {
-			rec.Ops = append(rec.Ops, spec.DecodeOp(tail[k*spec.OpWords:]))
-		}
-		rec.Kind = KindOps
-		rec.Overflow = true
-		rec.ovfOff, rec.ovfLen = off, wantLen
 	case KindSnapshot:
 		region, n, sum := pmem.Addr(words[3]), int(words[4]), words[5]
 		// The pointer and length come from (possibly torn) NVM:
 		// validate them before dereferencing.
 		if n < 0 || n > (1<<28) || !l.pool.Contains(region, n*pmem.WordSize) {
-			return Record{}, SlotBadSnap
+			return Record{}, SlotBadSnap, 0
 		}
 		state := make([]uint64, n)
 		rd.read(region, state)
 		if checksum(state) != sum {
-			return Record{}, SlotBadSnap // torn snapshot body: record never happened
+			return Record{}, SlotBadSnap, 0 // torn snapshot body: record never happened
 		}
 		rec.State = state
 	case KindDelta:
@@ -980,26 +745,26 @@ func (l *Log) probeSlot(seq uint64, rd rangeReader) (Record, SlotStatus) {
 		// record's. Predecessor damage is NOT probed here — it surfaces
 		// when the chain is resolved.
 		if n < cbHdrWords+1 || n > (1<<28) || !l.pool.Contains(region, n*pmem.WordSize) {
-			return Record{}, SlotBadDelta
+			return Record{}, SlotBadDelta, 0
 		}
 		body := make([]uint64, n)
 		rd.read(region, body)
 		if checksum(body) != sum {
-			return Record{}, SlotBadDelta // torn chain body: record never appended
+			return Record{}, SlotBadDelta, 0 // torn chain body: record never appended
 		}
 		if body[cbKind] > chainBodyDelta || body[cbExec] != words[2] {
-			return Record{}, SlotBadDelta
+			return Record{}, SlotBadDelta, 0
 		}
 		rec.Body = body
 		rec.bodyAddr = region
 	}
-	return rec, SlotOK
+	return rec, SlotOK, n
 }
 
-// Walk is what one walk over a log's slots found, from headSeq+1 on.
-// A record can only be torn if it was the last append in flight at a
-// crash (appends are sequential and each is fenced before the next), so
-// validity is prefix-closed, and the first slot that does not probe OK
+// Walk is what one walk over a log found, from headSeq+1 on. A record
+// can only be torn if it was the last append in flight at a crash
+// (appends are sequential and each is fenced before the next), so
+// validity is prefix-closed, and the first head that does not probe OK
 // ends the log. Valid records before that end are the live prefix;
 // valid records beyond it are orphans. Orphans verified their
 // checksums, so their contents are exactly what was appended —
@@ -1010,62 +775,66 @@ type Walk struct {
 	Live []Record
 	// Orphans are valid records found beyond the end.
 	Orphans []Record
-	// BadSeqs lists the sequence numbers whose slot held a same-seq
-	// record that failed validation (status SlotBad/SlotBadOvf/
-	// SlotBadSnap/SlotBadDelta), in probe order. Stale slots are not
-	// damage.
+	// BadSeqs lists the sequence numbers whose line held a record head
+	// with that seq that failed validation (status SlotBad/SlotBadSnap/
+	// SlotBadDelta), in probe order. Stale lines are not damage.
 	BadSeqs []uint64
-	// LastValid is the highest sequence number that probed SlotOK
-	// (headSeq when none did).
+	// LastValid is the highest head seq that probed SlotOK (headSeq
+	// when none did).
 	LastValid uint64
 
-	next  uint64 // the next sequence number to probe
-	ended bool   // a slot before next did not probe OK
+	liveEnd uint64 // the seq after the live prefix: the next append's
+	next    uint64 // the next sequence number to probe
+	ended   bool   // a head before next did not probe OK
 }
 
 // startWalk walks the log from headSeq+1 through rd (see walk).
 func (l *Log) startWalk(rd rangeReader) *Walk {
-	w := &Walk{LastValid: l.headSeq, next: l.headSeq + 1}
+	w := &Walk{LastValid: l.headSeq, liveEnd: l.headSeq + 1, next: l.headSeq + 1}
 	l.walk(w, rd)
 	return w
 }
 
-// walk is the one slot-walk loop: it probes the slots from w.next on,
-// up to the last one. A stale end — a first non-OK slot that holds no
-// record for its sequence number, which is where an undamaged log's
-// appends end — stops it there. A same-seq invalid first slot (a tear
-// or damage) does not: only the slots beyond it tell a benign tear from
-// orphans. Calling walk again after a stale end resumes past it.
+// walk is the one record-walk loop: it probes from w.next on, up to the
+// region's last line, stepping from a valid record to the line after
+// it and from anything else to the next line. A stale end — a first
+// non-OK probe that finds no record head for its sequence number, which
+// is where an undamaged log's appends end — stops it there. A same-seq
+// invalid head (a tear or damage) does not: only the lines beyond it
+// tell a benign tear from orphans. Calling walk again after a stale end
+// resumes past it.
 func (l *Log) walk(w *Walk, rd rangeReader) {
-	for ; int(w.next-1-l.headSeq) < l.capacity; w.next++ {
-		rec, st := l.probeSlot(w.next, rd)
+	for int(w.next-1-l.headSeq) < l.lines {
+		rec, st, n := l.probe(w.next, rd)
 		switch {
 		case st == SlotOK:
 			if w.ended {
 				w.Orphans = append(w.Orphans, rec)
 			} else {
 				w.Live = append(w.Live, rec)
+				w.liveEnd = w.next + uint64(n)
 			}
 			w.LastValid = w.next
+			w.next += uint64(n)
+			continue
 		case st == SlotStale && !w.ended:
 			w.ended = true
 			w.next++
 			return
-		default:
-			if st != SlotStale {
-				w.BadSeqs = append(w.BadSeqs, w.next)
-			}
-			w.ended = true
+		case st != SlotStale:
+			w.BadSeqs = append(w.BadSeqs, w.next)
 		}
+		w.ended = true
+		w.next++
 	}
 }
 
 // Resume continues a walk Open stopped at a stale end through every
-// slot beyond it, adding what it finds there to w; a walk that already
-// reached the last slot reads nothing more. A destroyed sequence word
-// reads exactly like the end of the log, and only the slots beyond it
-// tell the two apart — at the price of probing the never-written tail
-// one slot at a time, which salvaging recovery pays and strict recovery
+// line beyond it, adding what it finds there to w; a walk that already
+// reached the last line reads nothing more. A destroyed head tag reads
+// exactly like the end of the log, and only the lines beyond it tell
+// the two apart — at the price of probing the never-written tail one
+// line at a time, which salvaging recovery pays and strict recovery
 // does not.
 func (l *Log) Resume(w *Walk) { l.walk(w, l.cachedReader()) }
 
@@ -1076,12 +845,11 @@ func (l *Log) Records() []Record { return l.startWalk(l.cachedReader()).Live }
 
 // BenignTear reports whether the damage picture is indistinguishable
 // from an ordinary crash mid-append: exactly one invalid same-seq
-// record, sitting at the very next sequence number after the last
-// valid one, with nothing beyond it. Recovery treats that record as
-// never appended (the paper's torn-record rule); anything else is
-// media damage.
+// record, sitting at the head right after the live prefix, with
+// nothing beyond it. Recovery treats that record as never appended
+// (the paper's torn-record rule); anything else is media damage.
 func (w *Walk) BenignTear() bool {
-	return len(w.Orphans) == 0 && len(w.BadSeqs) == 1 && w.BadSeqs[0] == w.LastValid+1
+	return len(w.Orphans) == 0 && len(w.BadSeqs) == 1 && w.BadSeqs[0] == w.liveEnd
 }
 
 // TailTorn reports whether every invalid record sits beyond the last
@@ -1101,7 +869,7 @@ func (w *Walk) TailTorn() bool {
 	return true
 }
 
-// Damaged reports any non-benign invalid slot or orphaned record —
+// Damaged reports any non-benign invalid record or orphaned record —
 // evidence a fenced record was corrupted after the fact.
 func (w *Walk) Damaged() bool {
 	return len(w.Orphans) > 0 || (len(w.BadSeqs) > 0 && !w.BenignTear())
@@ -1111,7 +879,7 @@ func (w *Walk) Damaged() bool {
 // image.
 type ScrubResult struct {
 	HeaderOK    bool // durable header magic, checksum and geometry verify
-	SlotsProbed int
+	LinesProbed int
 	LiveOK      int      // valid records (prefix + orphans)
 	BadSlots    []uint64 // seqs of invalid same-seq records (latent faults)
 	Orphans     int      // valid records stranded beyond damage
@@ -1135,15 +903,15 @@ func (r *ScrubResult) Faulty() bool {
 		(len(r.BadSlots) > 0 && !r.BenignTear)
 }
 
-// Scrub walks the log's slots, overflow chunks and snapshot regions in
-// the DURABLE image (cache bypassed), verifying every checksum — the
+// Scrub walks the log's records and snapshot regions in the DURABLE
+// image (cache bypassed), verifying every checksum — the
 // latent-corruption detector. It performs no stores, no flushes and no
 // fences, and bumps no gate or statistics counters, so it is invisible
 // to the paper's cost accounting; run it from a quiescent moment (or
 // accept that a concurrent in-flight append probes as a benign tear).
 func (l *Log) Scrub() ScrubResult {
 	var res ScrubResult
-	res.SlotsProbed = l.capacity
+	res.LinesProbed = l.lines
 	// Header: recompute the checksum over the durable words and check
 	// the geometry against the opened log's.
 	var hdr [hdrWords]uint64
@@ -1151,13 +919,11 @@ func (l *Log) Scrub() ScrubResult {
 	res.HeaderOK = hdr[hdrMagic] == logMagic &&
 		hdr[hdrSum] == checksum(hdr[:hdrSum]) &&
 		int(hdr[hdrCapacity]) == l.capacity &&
-		int(hdr[hdrSlotW]) == l.slotW &&
-		int(hdr[hdrMaxOps]) == l.maxOps &&
-		int(hdr[hdrInlineOps]) == l.inlineOps &&
-		int(hdr[hdrOvfWords]) == l.ovfWords
+		int(hdr[hdrLines]) == l.lines &&
+		int(hdr[hdrMaxOps]) == l.maxOps
 	// The durable headSeq may trail the volatile one only if a Truncate
 	// is in flight; on a quiescent log they agree and the walk below
-	// covers exactly the live slots, past a stale end too.
+	// covers exactly the live lines, past a stale end too.
 	rd := l.durableReader()
 	s := l.startWalk(rd)
 	l.walk(s, rd)

@@ -93,8 +93,8 @@ func TestRecordsSurviveCrash(t *testing.T) {
 	if len(recs) != 10 {
 		t.Fatalf("recovered %d records, want 10", len(recs))
 	}
-	if l2.NextSeq() != 11 {
-		t.Fatalf("NextSeq=%d want 11", l2.NextSeq())
+	if want := uint64(1 + 10*recordLines(spec.OpWords)); l2.NextSeq() != want {
+		t.Fatalf("NextSeq=%d want %d", l2.NextSeq(), want)
 	}
 	// Appends continue seamlessly after recovery.
 	if _, err := l2.Append([]spec.Op{op(99, 99)}, 11); err != nil {
@@ -113,16 +113,9 @@ func TestTornAppendIsInvisible(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Manually stage a second record without fencing, mimicking a
-	// crash mid-append: write the slot words but crash before Fence.
+	// crash mid-append: write the record's lines but crash before Fence.
 	seq := l.NextSeq()
-	addr := l.slotAddr(seq)
-	words := []uint64{seq, uint64(KindOps)<<32 | uint64(spec.OpWords), 2}
-	words = append(words, op(2, 2).Encode(nil)...)
-	words = append(words, checksum(words))
-	for i, w := range words {
-		pool.Store(0, addr+pmem.Addr(i*pmem.WordSize), w)
-	}
-	pool.FlushRange(0, addr, len(words)*pmem.WordSize)
+	l.storeLines(seq, l.frame(seq, KindOps, 2, op(2, 2).Encode(nil)))
 	// no fence
 	pool.Crash(pmem.DropAll)
 	l2, err := Open(pool, 0, l.Base())
@@ -136,27 +129,19 @@ func TestTornAppendIsInvisible(t *testing.T) {
 
 func TestTornAppendPartialLinesRejected(t *testing.T) {
 	// If only SOME lines of a multi-line record reach NVM (random
-	// oracle), the checksum must reject the record. Stage a record at
-	// the full inline budget so the slot image spans several lines.
+	// oracle), the checksum must reject the record. Stage a four-op
+	// record: a 24-word image on four tagged lines.
 	for seed := uint64(1); seed <= 16; seed++ {
 		pool, l := newLog(t, 16, 8)
-		nops := l.InlineOps() // 4: a 24-word, 3-line slot image
+		const nops = 4
 		var ops []spec.Op
+		var payload []uint64
 		for i := 0; i < nops; i++ {
 			ops = append(ops, op(uint64(i+1), uint64(i+1)))
+			payload = ops[i].Encode(payload)
 		}
 		seq := l.NextSeq()
-		addr := l.slotAddr(seq)
-		var words []uint64
-		words = append(words, seq, uint64(KindOps)<<32|uint64(len(ops)*spec.OpWords), 5)
-		for _, o := range ops {
-			words = o.Encode(words)
-		}
-		words = append(words, checksum(words))
-		for i, w := range words {
-			pool.Store(0, addr+pmem.Addr(i*pmem.WordSize), w)
-		}
-		pool.FlushRange(0, addr, len(words)*pmem.WordSize)
+		l.storeLines(seq, l.frame(seq, KindOps, 5, payload))
 		pool.Crash(pmem.SeededOracle(seed, 1, 2)) // half the lines survive
 		l2, err := Open(pool, 0, l.Base())
 		if err != nil {
@@ -179,21 +164,27 @@ func TestTornAppendPartialLinesRejected(t *testing.T) {
 	}
 }
 
+// TestLogFullAndTruncate fills a region of eight lines with four
+// two-line records, truncates at the second record's head, and appends
+// two more into the freed lines at the region's start.
 func TestLogFullAndTruncate(t *testing.T) {
 	_, l := newLog(t, 4, 1)
+	var seqs []uint64
 	for i := 1; i <= 4; i++ {
-		if _, err := l.Append([]spec.Op{op(uint64(i), uint64(i))}, uint64(i)); err != nil {
+		seq, err := l.Append([]spec.Op{op(uint64(i), uint64(i))}, uint64(i))
+		if err != nil {
 			t.Fatal(err)
 		}
+		seqs = append(seqs, seq)
 	}
 	if _, err := l.Append([]spec.Op{op(5, 5)}, 5); err != ErrFull {
 		t.Fatalf("append to full log: %v, want ErrFull", err)
 	}
-	if err := l.Truncate(2); err != nil {
+	if err := l.Truncate(seqs[1]); err != nil {
 		t.Fatal(err)
 	}
-	if l.Len() != 2 {
-		t.Fatalf("after truncate: Len=%d want 2", l.Len())
+	if l.Len() != 2 || l.HeadSeq() != seqs[2]-1 {
+		t.Fatalf("after truncate: Len=%d HeadSeq=%d, want 2 and %d", l.Len(), l.HeadSeq(), seqs[2]-1)
 	}
 	for i := 5; i <= 6; i++ {
 		if _, err := l.Append([]spec.Op{op(uint64(i), uint64(i))}, uint64(i)); err != nil {
@@ -201,17 +192,20 @@ func TestLogFullAndTruncate(t *testing.T) {
 		}
 	}
 	recs := l.Records()
-	if len(recs) != 4 || recs[0].Seq != 3 || recs[3].Seq != 6 {
-		t.Fatalf("ring reuse wrong: %+v", recs)
+	if len(recs) != 4 || recs[0].Seq != seqs[2] || recs[3].Seq != 11 || recs[3].ExecIdx != 6 {
+		t.Fatalf("line reuse wrong: %+v", recs)
 	}
 }
 
 func TestTruncateIsDurable(t *testing.T) {
 	pool, l := newLog(t, 8, 1)
+	var seqs []uint64
 	for i := 1; i <= 6; i++ {
-		l.Append([]spec.Op{op(uint64(i), uint64(i))}, uint64(i))
+		seq, _ := l.Append([]spec.Op{op(uint64(i), uint64(i))}, uint64(i))
+		seqs = append(seqs, seq)
 	}
-	if err := l.Truncate(4); err != nil {
+	// Truncating inside the fourth record drops it whole.
+	if err := l.Truncate(seqs[3] + 1); err != nil {
 		t.Fatal(err)
 	}
 	pool.Crash(pmem.DropAll)
@@ -219,11 +213,11 @@ func TestTruncateIsDurable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l2.HeadSeq() != 4 {
-		t.Fatalf("truncation lost: HeadSeq=%d want 4", l2.HeadSeq())
+	if l2.HeadSeq() != seqs[4]-1 || l2.Len() != 2 {
+		t.Fatalf("truncation lost: HeadSeq=%d Len=%d, want %d and 2", l2.HeadSeq(), l2.Len(), seqs[4]-1)
 	}
 	recs := l2.Records()
-	if len(recs) != 2 || recs[0].Seq != 5 {
+	if len(recs) != 2 || recs[0].Seq != seqs[4] {
 		t.Fatalf("post-truncate recovery: %+v", recs)
 	}
 }
@@ -296,7 +290,7 @@ func TestSnapshotTornBodyInvalidatesRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec2, st := l.probeSlot(seq, l.cachedReader())
+	rec2, st, _ := l.probe(seq, l.cachedReader())
 	if st != SlotOK || rec2.Kind != KindSnapshot {
 		t.Fatal("snapshot record unreadable")
 	}
@@ -402,11 +396,12 @@ func TestQuickAppendRecover(t *testing.T) {
 		if len(recs) != len(sizes) {
 			return false
 		}
-		got := 0
+		got, next := 0, uint64(1)
 		for i, r := range recs {
-			if r.Seq != uint64(i+1) || r.ExecIdx != uint64(i+1) {
+			if r.Seq != next || r.ExecIdx != uint64(i+1) {
 				return false
 			}
+			next += uint64(recordLines(len(r.Ops) * spec.OpWords))
 			got += len(r.Ops)
 		}
 		return got == wantOps

@@ -43,13 +43,16 @@ func TestOpenOnRandomGarbage(t *testing.T) {
 func TestRecordCorruptionInvalidatesSuffix(t *testing.T) {
 	for corruptAt := 1; corruptAt <= 8; corruptAt++ {
 		pool, l := newLog(t, 16, 2)
+		var seqs []uint64
 		for i := 1; i <= 8; i++ {
-			if _, err := l.Append([]spec.Op{op(uint64(i), uint64(i))}, uint64(i)); err != nil {
+			seq, err := l.Append([]spec.Op{op(uint64(i), uint64(i))}, uint64(i))
+			if err != nil {
 				t.Fatal(err)
 			}
+			seqs = append(seqs, seq)
 		}
-		// Corrupt one durable word of record #corruptAt.
-		addr := l.slotAddr(uint64(corruptAt)) + 2*pmem.WordSize
+		// Corrupt one durable word of record #corruptAt: its execIdx.
+		addr := l.LineAddr(seqs[corruptAt-1]) + 3*pmem.WordSize
 		pool.Store(0, addr, 0xBADBADBAD)
 		pool.Persist(0, addr, pmem.WordSize)
 		pool.Crash(pmem.DropAll)
@@ -62,7 +65,7 @@ func TestRecordCorruptionInvalidatesSuffix(t *testing.T) {
 			t.Fatalf("corrupt@%d: %d records survive, want %d", corruptAt, len(recs), corruptAt-1)
 		}
 		for i, r := range recs {
-			if r.Seq != uint64(i+1) || r.Ops[0].Code != uint64(i+1) {
+			if r.Seq != seqs[i] || r.Ops[0].Code != uint64(i+1) {
 				t.Fatalf("corrupt@%d: surviving record %d wrong: %+v", corruptAt, i, r)
 			}
 		}
@@ -79,8 +82,7 @@ func TestSnapshotWithWildPointerRejected(t *testing.T) {
 	// Forge the region pointer to point past the pool, fix nothing
 	// else: the slot checksum still matches the forged words only if
 	// we recompute it — do so, to test the region validation itself.
-	seq := uint64(1)
-	addr := l.slotAddr(seq)
+	addr := l.LineAddr(1) + pmem.WordSize // the image behind the head tag
 	words := make([]uint64, 6)
 	for i := range words {
 		words[i] = pool.Load(0, addr+pmem.Addr(i*pmem.WordSize))
@@ -89,7 +91,7 @@ func TestSnapshotWithWildPointerRejected(t *testing.T) {
 	sum := checksum(words)
 	pool.Store(0, addr+3*pmem.WordSize, words[3])
 	pool.Store(0, addr+6*pmem.WordSize, sum)
-	pool.Persist(0, addr, 7*pmem.WordSize)
+	pool.Persist(0, addr, 6*pmem.WordSize)
 	pool.Crash(pmem.DropAll)
 	func() {
 		defer func() {

@@ -8,30 +8,32 @@ import (
 	"repro/internal/spec"
 )
 
-// buildLog returns a single-tier log with n one-op records, all durable
-// and the cache dropped (as after a crash).
-func buildLog(t *testing.T, capacity, n int) (*pmem.Pool, *Log) {
+// buildLog returns a log with n one-op (two-line) records, all durable
+// and the cache dropped (as after a crash), and the records' seqs.
+func buildLog(t *testing.T, capacity, n int) (*pmem.Pool, *Log, []uint64) {
 	t.Helper()
 	pool := pmem.New(1<<20, nil)
 	l, err := Create(pool, 0, capacity, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var seqs []uint64
 	for i := 1; i <= n; i++ {
-		if _, err := l.Append([]spec.Op{op(uint64(i), uint64(i))}, uint64(i)); err != nil {
+		seq, err := l.Append([]spec.Op{op(uint64(i), uint64(i))}, uint64(i))
+		if err != nil {
 			t.Fatal(err)
 		}
+		seqs = append(seqs, seq)
 	}
 	pool.Crash(pmem.DropAll)
-	return pool, l
+	return pool, l, seqs
 }
 
-// smash destroys the record at seq by overwriting its checksum word's
-// neighbourhood durably (the seq word is left intact, so the slot
-// probes as a same-seq bad record, not stale).
+// smash destroys the record at seq by overwriting its kind word
+// durably (the head tag is left intact, so the record probes as a
+// same-seq bad record, not stale).
 func smash(pool *pmem.Pool, l *Log, seq uint64) {
-	addr := l.slotAddr(seq)
-	corrupt(pool, addr+pmem.Addr(2*pmem.WordSize), 0xBAD0BAD0BAD0BAD0)
+	corrupt(pool, l.LineAddr(seq)+2*pmem.WordSize, 0xBAD0BAD0BAD0BAD0)
 	pool.Crash(pmem.DropAll)
 }
 
@@ -39,8 +41,8 @@ func smash(pool *pmem.Pool, l *Log, seq uint64) {
 // record ends the live prefix, and Open's walk follows it to the last
 // slot, collecting the records after it as checksummed orphans.
 func TestSalvageScanOrphans(t *testing.T) {
-	pool, l := buildLog(t, 16, 8)
-	smash(pool, l, 3)
+	pool, l, seqs := buildLog(t, 16, 8)
+	smash(pool, l, seqs[2])
 	l2, w, err := OpenWalk(pool, 0, l.Base())
 	if err != nil {
 		t.Fatalf("Open after mid-log damage: %v", err)
@@ -51,20 +53,20 @@ func TestSalvageScanOrphans(t *testing.T) {
 	if len(w.Live) != 2 || len(w.Orphans) != 5 {
 		t.Fatalf("walk live=%d orphans=%d, want 2/5", len(w.Live), len(w.Orphans))
 	}
-	if len(w.BadSeqs) != 1 || w.BadSeqs[0] != 3 {
-		t.Fatalf("bad seqs %v, want [3]", w.BadSeqs)
+	if len(w.BadSeqs) != 1 || w.BadSeqs[0] != seqs[2] {
+		t.Fatalf("bad seqs %v, want [%d]", w.BadSeqs, seqs[2])
 	}
-	if _, st := l2.probeSlot(3, l2.cachedReader()); st != SlotBad {
-		t.Fatalf("slot 3 probes %v, want %v", st, SlotBad)
+	if _, st, _ := l2.probe(seqs[2], l2.cachedReader()); st != SlotBad {
+		t.Fatalf("record 3 probes %v, want %v", st, SlotBad)
 	}
-	if w.LastValid != 8 {
-		t.Fatalf("last valid %d, want 8", w.LastValid)
+	if w.LastValid != seqs[7] {
+		t.Fatalf("last valid %d, want %d", w.LastValid, seqs[7])
 	}
 	if !w.Damaged() || w.BenignTear() || w.TailTorn() {
 		t.Fatalf("classification wrong: damaged=%v benign=%v tail=%v", w.Damaged(), w.BenignTear(), w.TailTorn())
 	}
 	for i, rec := range w.Orphans {
-		if rec.Seq != uint64(4+i) {
+		if rec.Seq != seqs[3+i] {
 			t.Fatalf("orphan %d has seq %d", i, rec.Seq)
 		}
 	}
@@ -73,8 +75,8 @@ func TestSalvageScanOrphans(t *testing.T) {
 // TestSalvageBenignTear pins that a single invalid record at the append
 // frontier classifies as an ordinary torn append, not damage.
 func TestSalvageBenignTear(t *testing.T) {
-	pool, l := buildLog(t, 16, 8)
-	smash(pool, l, 8)
+	pool, l, seqs := buildLog(t, 16, 8)
+	smash(pool, l, seqs[7])
 	_, w, err := OpenWalk(pool, 0, l.Base())
 	if err != nil {
 		t.Fatal(err)
@@ -88,14 +90,15 @@ func TestSalvageBenignTear(t *testing.T) {
 }
 
 // TestWalkStopsAtStaleEnd pins the one place the two recovery modes
-// read differently. A destroyed sequence word makes a mid-log slot read
+// read differently. A destroyed head tag makes a mid-log record read
 // like the end of the log: Open's walk stops there without probing the
-// slots beyond it, and Resume reads on to the last slot, where the
-// records after it turn up as orphans. Resuming a walk that already
-// reached the last slot reads nothing.
+// lines beyond it, and Resume reads on to the last line, where the
+// records after it turn up as orphans and the destroyed record's
+// continuation line is neither damage nor a head. Resuming a walk that
+// already reached the last line reads nothing.
 func TestWalkStopsAtStaleEnd(t *testing.T) {
-	pool, l := buildLog(t, 16, 8)
-	corrupt(pool, l.slotAddr(3), 0xDEAD)
+	pool, l, seqs := buildLog(t, 16, 8)
+	corrupt(pool, l.LineAddr(seqs[2]), 0xDEAD)
 	pool.Crash(pmem.DropAll)
 	l2, w, err := OpenWalk(pool, 0, l.Base())
 	if err != nil {
@@ -117,104 +120,98 @@ func TestWalkStopsAtStaleEnd(t *testing.T) {
 	}
 }
 
-// TestSalvageTornOverflowClassified pins the SlotBadOvf status: a
-// record whose inline half verifies but whose ring chunk was damaged.
+// TestSalvageTornOverflowClassified pins a torn continuation line: a
+// record whose head line verifies but whose later line still holds a
+// line from an earlier pass over the region probes as a same-seq bad
+// record, and the record after it is an orphan.
 func TestSalvageTornOverflowClassified(t *testing.T) {
-	pool, l := newTieredLog(t, 16, 12, 4)
+	pool, l := newLog(t, 16, 12)
 	if _, err := l.Append(opsOf(2, 1), 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Append(opsOf(8, 2), 2); err != nil { // spills
+	seq, err := l.Append(opsOf(8, 2), 2) // seven lines
+	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := l.Append(opsOf(2, 3), 3); err != nil {
 		t.Fatal(err)
 	}
-	pool.Crash(pmem.DropAll)
-	recs := l.Records()
-	off, _, ok := recs[1].OverflowSpan()
-	if !ok {
-		t.Fatal("record 2 did not spill")
-	}
-	ovfBase, _ := l.OverflowRegion()
-	corrupt(pool, ovfBase+pmem.Addr(off*pmem.WordSize), 0xFEEDFACE)
+	corrupt(pool, l.LineAddr(seq+5), (seq+5-uint64(l.lines))|tagCont)
 	pool.Crash(pmem.DropAll)
 	l2, w, err := OpenWalk(pool, 0, l.Base())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, st := l2.probeSlot(2, l2.cachedReader()); st != SlotBadOvf {
-		t.Fatalf("slot 2 probes %v, want %v", st, SlotBadOvf)
+	if _, st, _ := l2.probe(seq, l2.cachedReader()); st != SlotBad {
+		t.Fatalf("record 2 probes %v, want %v", st, SlotBad)
 	}
-	if len(w.Live) != 1 || len(w.Orphans) != 1 || len(w.BadSeqs) != 1 {
+	if len(w.Live) != 1 || len(w.Orphans) != 1 || len(w.BadSeqs) != 1 || w.BadSeqs[0] != seq {
 		t.Fatalf("live=%d orphans=%d bad=%v", len(w.Live), len(w.Orphans), w.BadSeqs)
 	}
 }
 
-// TestCreateRingExplicitBudget pins the adaptive-sizing contract:
-// explicit ring budgets stick (line-aligned), survive reopen, and are
-// floored at the formula's worst-case fraction.
-func TestCreateRingExplicitBudget(t *testing.T) {
-	pool := pmem.New(1<<22, nil)
-	floor := ovfRegionWords(32, 12, 4)
-	l, err := CreateInlineRing(pool, 0, 32, 12, 4, 4*floor)
+// TestSalvageContinuationLooksLikeHead pins the tags against a payload
+// that imitates a head: each record's continuation line carries, as its
+// first payload word, the line's own seq (the op id below), which is
+// where an untagged layout would keep a head's seq. With one record's
+// head tag destroyed, Resume must find every record beyond it as an
+// orphan and read no continuation line as a head or as damage.
+func TestSalvageContinuationLooksLikeHead(t *testing.T) {
+	pool := pmem.New(1<<20, nil)
+	l, err := Create(pool, 0, 16, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l.RingWords() != 4*floor {
-		t.Fatalf("ring %d words, want %d", l.RingWords(), 4*floor)
-	}
-	// Traffic + reopen: the enlarged ring must round-trip through the
-	// durable header.
-	for i := 1; i <= 6; i++ {
-		if _, err := l.Append(opsOf(8, i), uint64(i)); err != nil {
+	var seqs []uint64
+	for i := 1; i <= 8; i++ {
+		seq := l.NextSeq()
+		o := op(uint64(i), seq+1) // the id is image word 7: line seq+1's first
+		if _, err := l.Append([]spec.Op{o}, uint64(i)); err != nil {
 			t.Fatal(err)
 		}
+		if w := pool.Load(0, l.LineAddr(seq+1)+pmem.WordSize); w != seq+1 {
+			t.Fatalf("record %d: continuation payload word %d, want %d", i, w, seq+1)
+		}
+		seqs = append(seqs, seq)
 	}
+	corrupt(pool, l.LineAddr(seqs[2]), 0)
 	pool.Crash(pmem.DropAll)
-	l2, err := Open(pool, 0, l.Base())
-	if err != nil {
-		t.Fatalf("reopen of grown-ring log: %v", err)
-	}
-	if l2.RingWords() != 4*floor {
-		t.Fatalf("reopened ring %d words, want %d", l2.RingWords(), 4*floor)
-	}
-	if got := len(l2.Records()); got != 6 {
-		t.Fatalf("recovered %d records, want 6", got)
-	}
-	// Below-floor request is raised to the floor.
-	l3, err := CreateInlineRing(pool, 0, 32, 12, 4, 8)
+	l2, w, err := OpenWalk(pool, 0, l.Base())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l3.RingWords() != floor {
-		t.Fatalf("tiny ring request gave %d words, want floor %d", l3.RingWords(), floor)
+	l2.Resume(w)
+	if len(w.Live) != 2 || len(w.Orphans) != 5 || len(w.BadSeqs) != 0 {
+		t.Fatalf("resumed walk: live=%d orphans=%d bad=%v, want 2, 5 and none",
+			len(w.Live), len(w.Orphans), w.BadSeqs)
 	}
-	// Single-tier layouts have no ring regardless of the request.
-	l4, err := CreateInlineRing(pool, 0, 8, 4, 4, 1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l4.RingWords() != 0 {
-		t.Fatalf("single-tier log grew a ring of %d words", l4.RingWords())
+	for _, seq := range seqs {
+		if _, st, _ := l2.probe(seq+1, l2.cachedReader()); st != SlotStale {
+			t.Fatalf("continuation line %d probes %v, want %v", seq+1, st, SlotStale)
+		}
 	}
 }
 
-// TestSpillCounter pins that refused appends are counted (the adaptive
-// growth trigger).
+// TestSpillCounter pins Spills: it counts the shortages the owner
+// relieved (AddSpills), and a refused append counts none.
 func TestSpillCounter(t *testing.T) {
-	_, l := newTieredLog(t, 128, 12, 4) // ring: 128*40/8 = 640 words
-	var errs int
-	for i := 1; i <= 64; i++ {
-		if _, err := l.Append(opsOf(12, i), uint64(i)); err == ErrOvfFull {
-			errs++
+	_, l := newLog(t, 8, 12)
+	var full int
+	for i := 1; i <= 8; i++ {
+		if _, err := l.Append(opsOf(12, i), uint64(i)); err == ErrFull {
+			full++
 		}
 	}
-	if errs == 0 {
-		t.Fatal("workload never exhausted the ring; test is vacuous")
+	if full == 0 {
+		t.Fatal("workload never filled the log; test is vacuous")
 	}
-	if l.Spills() != errs {
-		t.Fatalf("Spills()=%d, want %d", l.Spills(), errs)
+	if l.Spills() != 0 {
+		t.Fatalf("Spills()=%d after refused appends, want 0", l.Spills())
+	}
+	l.AddSpills(2)
+	l.AddSpills(1)
+	if l.Spills() != 3 {
+		t.Fatalf("Spills()=%d, want 3", l.Spills())
 	}
 }
 
@@ -228,20 +225,23 @@ func TestScrubDetectsLatentFault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var seqs []uint64
 	for i := 1; i <= 6; i++ {
-		if _, err := l.Append([]spec.Op{op(uint64(i), uint64(i))}, uint64(i)); err != nil {
+		seq, err := l.Append([]spec.Op{op(uint64(i), uint64(i))}, uint64(i))
+		if err != nil {
 			t.Fatal(err)
 		}
+		seqs = append(seqs, seq)
 	}
 	if res := l.Scrub(); res.Faulty() {
 		t.Fatalf("clean log scrubs faulty: %+v", res)
 	}
-	// Stuck-at fault on record 3's second line (payload + checksum; the
-	// seq word on the first line survives, so the slot probes as a bad
+	// Stuck-at fault on record 3's continuation line (payload and
+	// checksum; the head tag survives, so the record probes as a bad
 	// same-seq record, not stale). The cache copy is resident, so the
 	// cached scan still sees a healthy log.
 	pool.InjectFaults(pmem.FaultPlan{Faults: []pmem.Fault{
-		{Class: pmem.FaultStuckLine, Line: (l.slotAddr(3) + pmem.LineSize).Line(), Seed: 9},
+		{Class: pmem.FaultStuckLine, Line: l.LineAddr(seqs[2] + 1).Line(), Seed: 9},
 	}})
 	if got := len(l.Records()); got != 6 {
 		t.Fatalf("cached scan saw the latent fault early (%d records)", got)
@@ -250,8 +250,8 @@ func TestScrubDetectsLatentFault(t *testing.T) {
 	if !res.Faulty() {
 		t.Fatalf("scrub missed the latent fault: %+v", res)
 	}
-	if len(res.BadSlots) != 1 || res.BadSlots[0] != 3 {
-		t.Fatalf("scrub flagged %v, want [3]", res.BadSlots)
+	if len(res.BadSlots) != 1 || res.BadSlots[0] != seqs[2] {
+		t.Fatalf("scrub flagged %v, want [%d]", res.BadSlots, seqs[2])
 	}
 	if res.Orphans != 3 {
 		t.Fatalf("scrub found %d orphans, want 3", res.Orphans)
@@ -276,14 +276,14 @@ func TestScrubHeaderFault(t *testing.T) {
 }
 
 // TestScrubIsInvisibleToAccounting pins the scrubber's contract: a
-// scrub of a log holding every record kind — inline and overflowing ops
-// records, a full snapshot, a chain base and its deltas — takes no gate
+// scrub of a log holding every record kind — one-line and multi-line
+// ops records, a full snapshot, a chain base and its deltas — takes no gate
 // step and leaves every statistic unchanged, because it reads the
 // durable image through pmem.DurableRange only.
 func TestScrubIsInvisibleToAccounting(t *testing.T) {
 	gate := sched.NewStepCounter(0, nil)
 	pool := pmem.New(1<<20, gate)
-	l, err := CreateInline(pool, 0, 32, 8, 2)
+	l, err := Create(pool, 0, 32, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

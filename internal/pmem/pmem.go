@@ -645,9 +645,9 @@ func (p *Pool) Fence(pid int) {
 
 // FlushRange issues asynchronous, unordered write-backs for every line
 // overlapping [addr, addr+size) WITHOUT fencing. Multi-line structures
-// split across tiers (log slots plus their overflow chunks, snapshot
-// regions) flush all of their lines this way and then pay for a single
-// fence covering the whole batch. Each line is one Flush; pid and bounds
+// (log records, in up to two runs where they wrap, and snapshot or
+// chain-body regions) flush all of their lines this way and then pay
+// for a single fence covering the whole batch. Each line is one Flush; pid and bounds
 // are checked for the whole range first.
 func (p *Pool) FlushRange(pid int, addr Addr, size int) {
 	if size <= 0 {

@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/csv"
+	"errors"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -161,10 +162,11 @@ func TestBatcherCrashBetweenFenceAndResponse(t *testing.T) {
 }
 
 // TestFullLogRefusesUnorderedRequests drives the server over a
-// non-compacting instance until the batcher's log fills (8 slots, one
-// per flush). A request is ordered only when the record it will be
-// persisted in fits, so the answers on one pipelined connection are a
-// run of acks and then a run of refusals. After a crash, every acked
+// non-compacting instance until the batcher's log fills (room for
+// about eight flushes). A request is ordered only when the record it
+// will be persisted in fits, so the answers on one pipelined connection
+// are a run of acks and then a run of refusals, each reported as
+// ErrLogFull while the server keeps serving. After a crash, every acked
 // request is recovered; every refused one carries no op id and was
 // never linearized, and the acked ids are the dense sequence 1..k: a
 // refusal consumed no sequence number.
@@ -199,11 +201,17 @@ func TestFullLogRefusesUnorderedRequests(t *testing.T) {
 			}
 			acked = append(acked, r)
 		} else {
+			if !errors.Is(r.Err, ErrLogFull) {
+				t.Fatalf("request %d refused with %v, want ErrLogFull", i, r.Err)
+			}
 			refused = append(refused, r)
 		}
 	}
 	if len(acked) == 0 || len(refused) == 0 {
 		t.Fatalf("%d acked, %d refused; the log must fill mid-run", len(acked), len(refused))
+	}
+	if r := <-c.Async(KindRead, objects.CounterGet); r.Err != nil || r.Ret != uint64(len(acked)) {
+		t.Fatalf("read after the refusals: %d, %v; want %d from a server still serving", r.Ret, r.Err, len(acked))
 	}
 	c.Close()
 	s.Close()

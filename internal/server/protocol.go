@@ -10,9 +10,10 @@ package server
 //	response: tag u32 | status u8 | ret u64 | id u64
 //
 // kind selects the operation; status is 0 for success, 2 for a
-// quarantined instance (the client reports core.ErrObjectQuarantined)
-// and 1 for any other server-side error (shutdown race, unknown kind;
-// the client reports ErrServerClosed).
+// quarantined instance (the client reports core.ErrObjectQuarantined),
+// 3 for an update its log refused (plog.ErrFull or core.ErrLogPressure;
+// the client reports ErrLogFull) and 1 for any other server-side error
+// (shutdown race, unknown kind; the client reports ErrServerClosed).
 // Reads carry id 0 — they have no durability to detect, which is the
 // paper's 0-fences-per-read guarantee surfacing in the protocol.
 
@@ -26,6 +27,7 @@ import (
 	"sync"
 
 	"repro/internal/core"
+	"repro/internal/plog"
 )
 
 // Request kinds.
@@ -47,7 +49,13 @@ const (
 	statusOK          = 0
 	statusFailed      = 1
 	statusQuarantined = 2
+	statusLogFull     = 3
 )
+
+// ErrLogFull is the client's error for an update the server refused
+// because its log had no room for the update's record: nothing was
+// ordered, and the server is still serving.
+var ErrLogFull = errors.New("server: log full, update refused")
 
 // statusOf maps a request's outcome to its response status byte.
 func statusOf(err error) byte {
@@ -56,6 +64,8 @@ func statusOf(err error) byte {
 		return statusOK
 	case errors.Is(err, core.ErrObjectQuarantined):
 		return statusQuarantined
+	case errors.Is(err, plog.ErrFull) || errors.Is(err, core.ErrLogPressure):
+		return statusLogFull
 	}
 	return statusFailed
 }
@@ -67,6 +77,8 @@ func errOf(status byte) error {
 		return nil
 	case statusQuarantined:
 		return core.ErrObjectQuarantined
+	case statusLogFull:
+		return ErrLogFull
 	}
 	return ErrServerClosed
 }

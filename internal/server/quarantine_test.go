@@ -28,8 +28,8 @@ func TestQuarantinedInstanceAnswersTyped(t *testing.T) {
 		}
 	}
 	pool.Crash(pmem.DropAll)
-	addr, _ := in.Log(0).SlotRegion(3)
-	w := addr + pmem.Addr(2*pmem.WordSize) // a checksummed word; the seq word stays intact
+	l := in.Log(0)
+	w := l.LineAddr(l.Records()[2].Seq) + 2*pmem.WordSize // a checksummed word; the head tag stays intact
 	pool.Store(pmem.RootSystemPID, w, 0xBAD0BAD0BAD0BAD0)
 	pool.Persist(pmem.RootSystemPID, w, pmem.WordSize)
 	pool.Crash(pmem.DropAll)

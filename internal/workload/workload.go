@@ -273,8 +273,9 @@ func scramble(x uint64) uint64 {
 // ThroughputLogCapacity and ThroughputPoolBytes are the instance
 // geometry the BenchmarkThroughput* suites and onllserve use for nprocs
 // simulated processes. Past 8 processes the per-process logs shrink —
-// slot width scales with the fuzzy-window bound, i.e. with nprocs —
-// keeping 64 logs inside a CI-class memory budget.
+// the worst-case record a region is sized for grows with the
+// fuzzy-window bound, i.e. with nprocs — keeping 64 logs inside a
+// CI-class memory budget.
 func ThroughputLogCapacity(nprocs int) int {
 	if nprocs > 8 {
 		return 1 << 9
