@@ -515,9 +515,10 @@ func TestRecoveryChainBaseBeforeFirstDelta(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := in.Handle(0)
-	// Exactly one cadence: the 8th update triggers the first cut, a
-	// fresh base; the crash lands before any delta is appended.
-	for i := 0; i < 8; i++ {
+	// Exactly one cadence: the ninth update's order stage makes the
+	// first cut, a fresh base at 8; the crash lands before any delta
+	// is appended.
+	for i := 0; i < 9; i++ {
 		if _, _, err := h.Update(objects.MapPut, uint64(i+1), uint64(3*(i+1))); err != nil {
 			t.Fatal(err)
 		}
@@ -534,12 +535,12 @@ func TestRecoveryChainBaseBeforeFirstDelta(t *testing.T) {
 		t.Fatalf("recovered BaseIdx %d, want 8 (the base cut)", rep.BaseIdx)
 	}
 	h2 := in2.Handle(0)
-	for i := 1; i <= 8; i++ {
+	for i := 1; i <= 9; i++ {
 		if got := h2.Read(objects.MapGet, uint64(i)); got != uint64(3*i) {
 			t.Fatalf("recovered map[%d] = %d, want %d", i, got, 3*i)
 		}
 	}
-	for seq := uint64(1); seq <= 8; seq++ {
+	for seq := uint64(1); seq <= 9; seq++ {
 		if _, ok := rep.WasLinearized(spec.MakeID(0, seq)); !ok {
 			t.Fatalf("op %d vanished across the base-only chain", seq)
 		}

@@ -324,9 +324,10 @@ func TestTraceCutInvisibleToConcurrentReader(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// p0 performs 3 updates (one shy of compaction).
+	// p0 performs 4 updates: the cadence is due, and the cut comes in
+	// the order stage of the next one.
 	d := ctl.Spawn(0, func() {
-		for i := 0; i < 3; i++ {
+		for i := 0; i < 4; i++ {
 			in.Handle(0).Update(objects.CounterInc)
 		}
 	})
@@ -339,7 +340,8 @@ func TestTraceCutInvisibleToConcurrentReader(t *testing.T) {
 	if _, ok := ctl.RunUntil(1, sched.AtPoint("trace.scan")); !ok {
 		t.Fatal("reader finished early")
 	}
-	// p0 does one more update, triggering compaction and a trace cut.
+	// p0 does one more update, cutting the log and the trace before it
+	// orders.
 	d = ctl.Spawn(0, func() { in.Handle(0).Update(objects.CounterInc) })
 	ctl.RunToCompletion(0)
 	<-d
@@ -349,7 +351,7 @@ func TestTraceCutInvisibleToConcurrentReader(t *testing.T) {
 	// The paused reader resumes on its immutable chain.
 	ctl.RunToCompletion(1)
 	<-dR
-	if rd != 3 && rd != 4 {
+	if rd != 4 && rd != 5 {
 		t.Fatalf("reader across a cut returned %d", rd)
 	}
 	ctl.KillAll()

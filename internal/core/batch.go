@@ -42,10 +42,10 @@ package core
 // per-record bound.
 //
 // Stage orders an op only when its record fits the handle's log: the
-// first Stage of a batch runs Update's room check and valve (order), and
-// a later one checks, once per record, room for the record a span race
-// would split off. Stage fails only before it inserts, and Flush only
-// in the cut after its fence.
+// first Stage of a batch runs Update's order stage, with its cut and
+// room check (order), and a later one checks, once per record, room for
+// the record a span race would split off. Stage fails only before it
+// inserts, and Flush never fails.
 
 import (
 	"errors"
@@ -100,9 +100,10 @@ func (b *Batch) Pending() int { return b.n }
 // The op is neither visible to readers nor durable until the Flush that
 // covers it (or a concurrent updater's helping); id is usable with
 // Report.WasLinearized to detect post-crash loss. Issues zero
-// persistent fences, except when other handles' inserts race the span
-// check: the ops staged so far are then persisted and linearized first,
-// and the new op starts the next record. An error means nothing was
+// persistent fences, except a first Stage's compaction cut (two, as in
+// Update) and when other handles' inserts race the span check: the ops
+// staged so far are then persisted and linearized first, and the new
+// op starts the next record. An error carries id 0 and means nothing was
 // ordered: the first Stage of a batch fails as Update's order stage
 // does, a later one only with ErrBatchFull (the staged ops stay staged).
 //
@@ -124,7 +125,7 @@ func (b *Batch) Stage(code uint64, args ...uint64) (ret, id uint64, err error) {
 		if b.span(node) > b.limit {
 			// Foreign inserts landed between the check and ours: commit
 			// the ops staged so far into the spare room, and node starts
-			// the next record. The cadence counts them at the Flush.
+			// the next record.
 			h.commit(b.last)
 			b.first, b.spare = node, false
 		}
@@ -142,17 +143,18 @@ func (b *Batch) span(n *trace.Node) int { return int(n.Idx()-b.first.Idx()) + 1 
 
 // Flush commits every staged operation — plus any unavailable helping
 // tail below the batch — with one log append and ONE persistent fence,
-// linearizes them, runs the update path's compaction cadence, and
-// releases the handle. A no-op when nothing is staged. Its error can
-// only be the cut's, after the staged ops are durable and linearized.
+// linearizes them, and releases the handle. A no-op when nothing is
+// staged. It cannot fail: Stage ordered only what fits, and the cut
+// runs in the order stage of the next batch. The error result is
+// always nil; it stays only while the benchmark calls must(b.Flush())
+// (bench/probes.go).
 func (b *Batch) Flush() error {
 	if b.n == 0 {
 		return nil
 	}
 	h := b.h
 	h.commit(b.last)
-	err := h.cutCadence(b.last, b.n)
 	b.n, b.spare = 0, false
 	h.exit()
-	return err
+	return nil
 }

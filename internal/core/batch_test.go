@@ -318,15 +318,13 @@ func TestBatchSpanRaceFlushesFirst(t *testing.T) {
 func TestBatchStageNeedsRoomForASplitRecord(t *testing.T) {
 	// A span race commits the staged ops as a record of their own, so a
 	// Stage after the first needs log room for two records. With room
-	// for one worst-case record (five of the region's seven lines) it
-	// refuses with ErrBatchFull before inserting; the Flush then takes
-	// two lines, and the next batch fails to order at all (no local
-	// view, so the pressure valve has no relief).
+	// for one worst-case record (five of the region's seven lines, and
+	// the line the room check keeps for a cut) it refuses with
+	// ErrBatchFull before inserting; the Flush then takes two lines, and
+	// the next batch fails to order at all (no local view, so the
+	// pressure valve has no cut).
 	_, in := newCounter(t, Config{NProcs: 2, LogCapacity: 2, LogMaxOps: 6})
 	h := in.Handle(0)
-	if _, _, err := h.Update(objects.CounterInc); err != nil {
-		t.Fatal(err)
-	}
 	b := h.NewBatch()
 	if _, _, err := b.Stage(objects.CounterInc); err != nil {
 		t.Fatalf("first Stage with room for one record: %v", err)
@@ -345,8 +343,8 @@ func TestBatchStageNeedsRoomForASplitRecord(t *testing.T) {
 	if _, _, err := b.Stage(objects.CounterInc); !errors.Is(err, plog.ErrFull) {
 		t.Fatalf("Stage on the full log: %v, want plog.ErrFull", err)
 	}
-	if v := in.Handle(1).Read(objects.CounterGet); v != 2 {
-		t.Fatalf("read %d, want 2", v)
+	if v := in.Handle(1).Read(objects.CounterGet); v != 1 {
+		t.Fatalf("read %d, want 1", v)
 	}
 	assertOnePendingPerPid(t, in)
 }
@@ -358,7 +356,9 @@ func TestFailedPersistHidesOpsAndFreesHandle(t *testing.T) {
 	// the refused ops stayed pending and piled into every later window),
 	// the other handle keeps updating, and room made on the full log
 	// lets its handle update again. No process ever holds two ordered,
-	// unpersisted ops (Proposition 5.2's premise).
+	// unpersisted ops (Proposition 5.2's premise). The handles have no
+	// local view: a view's log is cut before it fills
+	// (TestFullLogLeavesRoomForACut).
 	legs := []struct {
 		name   string
 		update func(h *Handle, b *Batch) error
@@ -376,7 +376,7 @@ func TestFailedPersistHidesOpsAndFreesHandle(t *testing.T) {
 	}
 	for _, leg := range legs {
 		t.Run(leg.name, func(t *testing.T) {
-			_, in := newCounter(t, Config{NProcs: 2, LogCapacity: 8, LocalViews: true})
+			_, in := newCounter(t, Config{NProcs: 2, LogCapacity: 8})
 			h0, h1 := in.Handle(0), in.Handle(1)
 			b := h0.NewBatch()
 			var ok uint64

@@ -83,11 +83,10 @@ var (
 	// object refuses updates and typed reads until Recreate.
 	ErrObjectQuarantined = errors.New("core: object quarantined (salvage found evidence of loss)")
 	// ErrLogPressure: the order stage found the log short of a
-	// worst-case record's lines even after the pressure valve's one
-	// relief (a chain base at the caught-up view and a truncate), or
-	// the relief itself failed. Nothing was ordered. A log the valve
-	// cannot relieve at all — no local view, or not one free line for
-	// the base record — refuses the op with plog.ErrFull instead.
+	// worst-case record's lines, and the pressure valve's cut (at the
+	// caught-up view, then a truncate) failed, or left the log short.
+	// Nothing was ordered. A handle without a local view has nothing to
+	// cut: a short log refuses its op with plog.ErrFull instead.
 	ErrLogPressure = errors.New("core: log pressure not relieved by compaction")
 	// ErrRootOverlap: this instance's root-table range [RootBase,
 	// RootBase+rootLogBase+NProcs) overlaps a range another live
@@ -122,14 +121,16 @@ type Config struct {
 	// LogCapacity is the number of records each per-process log's
 	// region is sized for: one-op records, an eighth of them with room
 	// to be worst-case (plog.RegionBytes). Zero selects a default
-	// suitable for the test workloads.
+	// suitable for the test workloads. The order stage admits an op
+	// only while a worst-case record and one more line fit, the line a
+	// cut's record takes, so a log of capacity 1 admits none.
 	//
 	// A run of deep fuzzy windows can fill the region before the
 	// compaction cadence truncates it. The order stage absorbs that
-	// before it inserts (the pressure valve, valve.go): when the log
-	// lacks a worst-case record's lines, a handle with a local view lays
-	// a chain base at its caught-up view and truncates behind it; a
-	// handle without one gets plog.ErrFull.
+	// before it inserts (the pressure valve, Handle.cutIfDue): when the
+	// log lacks that room, a handle with a local view cuts at its
+	// caught-up view and truncates behind it; a handle without one gets
+	// plog.ErrFull.
 	LogCapacity int
 	// LogMaxOps raises the per-record op bound of each per-process log
 	// above the default (NProcs, the deepest fuzzy window a single
@@ -167,8 +168,9 @@ type Config struct {
 	// bench/config.go.
 	ReadFastPath bool
 	// CompactEvery, if positive, makes each handle cut every
-	// CompactEvery updates (Section 8 memory reclamation; DESIGN.md
-	// §3.8, deltacompact.go): a cut appends a chain base (full snapshot)
+	// CompactEvery ops it orders (Section 8 memory reclamation;
+	// DESIGN.md §3.8, deltacompact.go), in the order stage of the next
+	// op (Handle.cutIfDue). A cut appends a chain base (full snapshot)
 	// once and then per-cut delta records — object-specific diffs via
 	// spec.DeltaEmitter where available, verbatim op replay otherwise —
 	// and truncates the log behind them, collapsing back to a fresh base
@@ -526,8 +528,14 @@ func (h *Handle) release() {
 
 func (h *Handle) enter() {
 	h.take()
-	// Publish the walk floor BEFORE the insert and any trace read
-	// (sequentially consistent store; see the floor field).
+	h.publishFloor()
+}
+
+// publishFloor stores the walk floor (see the floor field) BEFORE the
+// insert and any trace read: enter's, and cutIfDue's after the cut
+// moved the view and the chain head, so newNode's bound for the cut
+// index just raised is not computed against the floor from before.
+func (h *Handle) publishFloor() {
 	f := h.viewIdx
 	if l := h.in.logs[h.pid]; l.ChainLen() > 0 && l.ChainHead() < f {
 		f = l.ChainHead()

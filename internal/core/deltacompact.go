@@ -2,8 +2,9 @@ package core
 
 // Delta-chain compaction (DESIGN.md §3.8), the one cut algorithm. A
 // full snapshot per cut would write O(state) words every time, so every
-// cut — the cadence's, the pressure valve's, the seeds of a grown ring
-// or a recreated object — appends a plog.KindDelta record: a chain BASE
+// cut — the order stage's, whether the cadence or the pressure valve
+// made it due (Handle.cutIfDue), and the seed of a recreated object —
+// appends a plog.KindDelta record: a chain BASE
 // (a full snapshot) once, then per-cut DELTAS covering only the
 // operations since the previous cut, each O(churn). A delta cut still
 // truncates the log fully — the chain stays reachable through the
@@ -54,7 +55,7 @@ const (
 // the chain instead of appending it.
 var errDeltaOversize = errors.New("core: delta payload not smaller than a full snapshot")
 
-// cutEvery returns the handle's compaction cadence in updates: the
+// cutEvery returns the handle's compaction cadence in ordered ops: the
 // configured CompactEvery when set; otherwise, under DeltaSnapshots, a
 // size-aware default — cut roughly when the accumulated churn could
 // rival the state itself (SizeHint words at OpWords per logged update),
@@ -111,8 +112,8 @@ func (h *Handle) fullEquivWords() int {
 	return 0
 }
 
-// tryDeltaCut attempts the delta leg of a cadence cut at node (the
-// update that triggered it; the view is exactly at node.Idx()). done
+// tryDeltaCut attempts the delta leg of a cut at node (the latest
+// available node; the view is exactly at node.Idx()). done
 // reports that the cut happened (or failed terminally); done false
 // means the caller should collapse to a base instead. foreign reports
 // that the collapse was forced by another handle's trace sentinel
@@ -185,35 +186,6 @@ func (h *Handle) deltaCutAt(log *plog.Log, idx uint64, ops []spec.Op) error {
 		in.cmpFullWords.Add(uint64(len(payload)))
 	}
 	return nil
-}
-
-// chainBaseAndTruncate starts (or collapses to) a fresh chain base of
-// the local view at idx and truncates the log behind it — the log half
-// of the cadence's and the pressure valve's base cuts. It returns the
-// base body (encodeBase) and its slot, for callers that also cut the
-// trace: the base node's Snap and Seqs are subslices of the body, and
-// the caller records the splice in h.bases.idx[slot].
-func (h *Handle) chainBaseAndTruncate(idx uint64) (slot int, body []uint64, err error) {
-	slot, body = h.encodeBase()
-	log := h.in.logs[h.pid]
-	collapse := log.ChainLen() > 0
-	seq, err := log.AppendChainBase(body, idx)
-	if err != nil {
-		return 0, nil, err
-	}
-	if collapse {
-		h.in.cmpCollapses.Add(1)
-	}
-	if seq > 1 {
-		if err := log.Truncate(seq - 1); err != nil {
-			return 0, nil, err
-		}
-	}
-	in := h.in
-	in.cmpBases.Add(1)
-	in.cmpSnapWords.Add(uint64(len(body)))
-	in.cmpFullWords.Add(uint64(len(body)))
-	return slot, body, nil
 }
 
 // baseBufs are the two chain-base bodies a handle's base cuts alternate
@@ -349,8 +321,8 @@ func foldBaseCandidate(sp spec.Spec, l *plog.Log, rec plog.Record) (seqs, words 
 // write-volume ratio delta chains buy.
 type CompactionStats struct {
 	// Bases counts chain-base cuts (fresh bases and collapses alike,
-	// the pressure valve's included); Collapses counts the subset that
-	// superseded a live chain.
+	// whether the cadence or the pressure valve made the cut due);
+	// Collapses counts the subset that superseded a live chain.
 	Bases, Collapses uint64
 	// Deltas counts delta cuts.
 	Deltas uint64
@@ -360,8 +332,9 @@ type CompactionStats struct {
 }
 
 // CompactionStats returns the instance's cumulative compaction
-// counters (all zero unless the instance compacts: CompactEvery > 0 or
-// DeltaSnapshots, or the pressure valve fired). Safe to call mid-run.
+// counters (all zero unless a handle cut: CompactEvery > 0 or
+// DeltaSnapshots make the cadence due, and the pressure valve cuts the
+// short log of any handle with a view). Safe to call mid-run.
 func (in *Instance) CompactionStats() CompactionStats {
 	return CompactionStats{
 		Bases:          in.cmpBases.Load(),

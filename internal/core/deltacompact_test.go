@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/objects"
+	"repro/internal/plog"
 	"repro/internal/pmem"
 	"repro/internal/sched"
 	"repro/internal/spec"
@@ -89,7 +90,8 @@ func TestDeltaCompactionRoundTrip(t *testing.T) {
 // TestDeltaCompactionPfences pins the fence bill under delta-chain
 // compaction: N updates at cadence C cost exactly N + 2*cuts persistent
 // fences (each cut, base or delta, is one chain append plus one
-// truncate), and reads stay at zero.
+// truncate), and reads stay at zero. A cut comes in the order stage of
+// the update after every C-th, so N = 4k+1 updates make k cuts.
 func TestDeltaCompactionPfences(t *testing.T) {
 	pool := pmem.New(1<<22, nil)
 	in, err := New(pool, objects.MapSpec{}, Config{
@@ -100,7 +102,7 @@ func TestDeltaCompactionPfences(t *testing.T) {
 	}
 	pool.ResetStats()
 	h := in.Handle(0)
-	const n = 40
+	const n = 41
 	for i := 0; i < n; i++ {
 		if _, _, err := h.Update(objects.MapPut, uint64(i%8), uint64(i)); err != nil {
 			t.Fatal(err)
@@ -137,7 +139,8 @@ func TestDeltaChainCollapseCadence(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := in.Handle(0)
-	for i := 0; i < 120; i++ {
+	// 121 updates: the 30th cut comes in the order stage of the last.
+	for i := 0; i < 121; i++ {
 		// Distinct keys: the state outgrows any delta, so the size-based
 		// collapse never preempts the length-based one under test.
 		if _, _, err := h.Update(objects.MapPut, uint64(i), uint64(i)); err != nil {
@@ -241,15 +244,16 @@ func TestDeltaFallbackOpReplay(t *testing.T) {
 // TestDeltaWalkCoveredByFloor pins the reclamation floor's cover of
 // the delta cut's walk (see Handle.floor). p0 owns a chain with head H
 // and a view well above it; p1 updates twice inside p0's delta window
-// (H, N0], so two of p1's own nodes lie in it. p0 parks the update that
-// will cut a delta over that window right after ordering node N0. p1
+// (H, N0], so two of p1's own nodes lie in it. p0 parks the update whose
+// order stage will cut a delta over that window right after its cut
+// found N0, the latest available node, and before the cut's walk. p1
 // then runs until its first cut lays a base above N0: the splice severs
 // N0's segment, and p1 may reuse its own nodes below it once no walk
-// floor covers them. p1 parks in its next insert, after drawing its
-// node. Then p0 finishes. Its delta must fold to
-// the state at N0, and recovery must restore every update. With the
-// floor published at the view instead of at H, p1 reuses its oldest
-// window node under p0's walk, which stops at the reinitialised node and
+// floor covers them. p1 parks in the insert after that cut, after
+// drawing its node. Then p0 finishes. Its delta must fold to the state
+// at N0, and recovery must restore every update. With the floor
+// published at the view instead of at H, p1 reuses its oldest window
+// node under p0's walk, which stops at the reinitialised node and
 // writes a delta without the window's first operation (key 500).
 func TestDeltaWalkCoveredByFloor(t *testing.T) {
 	const ce = 8
@@ -270,6 +274,7 @@ func TestDeltaWalkCoveredByFloor(t *testing.T) {
 	for i := uint64(1); i < ce; i++ {
 		p0 = append(p0, [2]uint64{100, i})
 	}
+	p0 = append(p0, [2]uint64{600, 1}) // ordered after the delta cut
 	for i := uint64(0); i < ce+2; i++ {
 		p1 = append(p1, [2]uint64{1000 + i, i + 1})
 	}
@@ -295,19 +300,26 @@ func TestDeltaWalkCoveredByFloor(t *testing.T) {
 			}
 		}
 	}
+	// A cut comes in the order stage of the update after every ce-th.
 	const inWindow = 2 // p1's updates inside (H, N0]
 	step(0, ce+1)      // base at H = ce, then key 500
 	step(1, 1)
 	step(0, 1)
 	step(1, 1)
-	step(0, ce-3) // view at N0-1
-	if _, ok := ctl.RunUntil(0, sched.AtPoint(PointOrdered)); !ok {
+	step(0, ce-2) // view at N0
+	if _, ok := ctl.RunUntil(0, sched.AtPoint("trace.scan")); !ok {
 		t.Fatal("p0 finished early")
 	}
 	n0 := uint64(2*ce + inWindow)
-	step(1, ce-inWindow) // p1's ce-th update splices a base above N0
+	step(1, ce-inWindow) // p1's ce-th update; its next one cuts a base above N0
+	if _, ok := ctl.RunPast(1, sched.AtPoint("trace.read-tail")); !ok {
+		t.Fatal("p1 finished early")
+	}
 	if _, ok := ctl.RunUntil(1, sched.AtPoint("trace.read-tail")); !ok {
 		t.Fatal("p1 finished early")
+	}
+	if c := in.cutIdx.Load(); c <= n0 {
+		t.Fatalf("cut index %d; p1's base must lie above N0 = %d", c, n0)
 	}
 	step(0, 1) // p0 cuts its delta
 	ctl.RunToCompletion(0)
@@ -320,7 +332,10 @@ func TestDeltaWalkCoveredByFloor(t *testing.T) {
 		t.Fatalf("p0 chain: %d links, head %d; want a delta at %d", l.ChainLen(), l.ChainHead(), n0)
 	}
 	recs := l.Records()
-	seqs, state, _, err := foldBaseCandidate(objects.MapSpec{}, l, recs[len(recs)-1])
+	if recs[0].Kind != plog.KindDelta {
+		t.Fatalf("p0's oldest live record is of kind %d, want the delta", recs[0].Kind)
+	}
+	seqs, state, _, err := foldBaseCandidate(objects.MapSpec{}, l, recs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +343,7 @@ func TestDeltaWalkCoveredByFloor(t *testing.T) {
 	if err := st.Restore(state); err != nil {
 		t.Fatal(err)
 	}
-	for _, kv := range append(p0, p1[:inWindow]...) {
+	for _, kv := range append(p0[:len(p0)-1:len(p0)-1], p1[:inWindow]...) {
 		if got := st.Read(mkOp(objects.MapGet, kv[0])); got != model[kv[0]] {
 			t.Fatalf("p0's delta folds key %d to %d, want %d", kv[0], got, model[kv[0]])
 		}
@@ -378,9 +393,10 @@ func (s *parkingState) Restore(w []uint64) error {
 // it. p1, a lagging reader, parks after its walk returned p0's first
 // base and before restoring from it. p0 then cuts two more bases, the
 // second into the buffer behind the first base unless p1's floor keeps
-// it. p1's view must come out as the state at the first base. With the
-// floor check planted out, the third base overwrites the words p1 is
-// about to restore, and p1's view holds the third base's values.
+// it. p1's view must come out as the state at the first base plus the
+// one update above it. With the floor check planted out, the third base
+// overwrites the words p1 is about to restore, and p1's view holds the
+// third base's values.
 func TestBaseBodyNotReusedUnderWalker(t *testing.T) {
 	const ce = 8
 	ctl := sched.NewController()
@@ -406,12 +422,13 @@ func TestBaseBodyNotReusedUnderWalker(t *testing.T) {
 			}
 		}
 	}
-	upd(0, ce) // first base at ce
+	// A cut comes in the order stage of the update after every ce-th.
+	upd(0, ce+1) // first base at ce
 	done := ctl.Spawn(1, func() { h1.Read(objects.MapLen) })
 	if _, ok := ctl.RunUntil(1, sched.AtPoint(pointViewRestore)); !ok {
 		t.Fatal("p1 finished without restoring from a base")
 	}
-	upd(ce, 3*ce) // bases at 2ce and 3ce
+	upd(ce+1, 3*ce+1) // bases at 2ce and 3ce
 	if st := in.CompactionStats(); st.Bases != 3 {
 		t.Fatalf("%d base cuts, want 3", st.Bases)
 	}
@@ -420,12 +437,12 @@ func TestBaseBodyNotReusedUnderWalker(t *testing.T) {
 		t.Fatal(out)
 	}
 	var first []spec.Op
-	for i := 0; i < ce; i++ {
+	for i := 0; i <= ce; i++ {
 		first = append(first, op(i))
 	}
 	want, _ := spec.Replay(objects.MapSpec{}, first)
-	if h1.viewIdx != ce || !spec.Equal(h1.view, want) {
+	if h1.viewIdx != ce+1 || !spec.Equal(h1.view, want) {
 		t.Fatalf("p1 restored %v at index %d, want the state at %d: %v",
-			h1.view.Snapshot(), h1.viewIdx, ce, want.Snapshot())
+			h1.view.Snapshot(), h1.viewIdx, ce+1, want.Snapshot())
 	}
 }

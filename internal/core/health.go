@@ -328,13 +328,13 @@ func (in *Instance) ScrubStats() ScrubTotals {
 // PressureStats is the log-pressure counter snapshot (Instance.Pressure).
 type PressureStats struct {
 	// ValveFires counts the log shortages the order stage's room check
-	// found and the valve relieved (valve.go): one per relief.
+	// found and cut (Handle.cutIfDue, reclaim.go): one per shortage.
 	ValveFires uint64
 	// RingGrows is always 0: logs have no overflow ring to grow. It
 	// stays only while the benchmark reports it (bench/metrics.go).
 	RingGrows uint64
 	// Spills sums the per-log relieved-shortage counters
-	// (plog.Log.Spills): one per relief, like ValveFires.
+	// (plog.Log.Spills): one per shortage, like ValveFires.
 	Spills int
 }
 

@@ -15,10 +15,10 @@ import (
 // TestUpdateSurvivesOverflowRingExhaustion pins the log-pressure
 // valve on a full log. Each round stalls p1 between order and persist
 // and lets p0 run one update, so every p0 record carries p1's pending
-// op. The geometry below (valveGeometry) fills the log every 15
-// records, and every shortage must be absorbed by the valve's relief
-// (a chain base at the caught-up view, truncate) before the handle
-// orders, instead of failing the update, with the full history
+// op. The geometry below (valveCapacity) fills the log every 14 or 15
+// records, and every shortage must be absorbed by the valve's cut (a
+// delta or a base at the caught-up view, and a truncate) before the
+// handle orders, instead of failing the update, with the full history
 // surviving a crash.
 func TestUpdateSurvivesOverflowRingExhaustion(t *testing.T) {
 	inputs := []struct {
@@ -28,7 +28,8 @@ func TestUpdateSurvivesOverflowRingExhaustion(t *testing.T) {
 	}{
 		{"counter", objects.CounterSpec{}, 0, 20},
 		// Distinct keys, so every valve base rewrites a state that
-		// dwarfs the window it covers: ~8 shortages per log.
+		// dwarfs the window it covers: ~8 shortages per log, and the
+		// cuts mix deltas and bases.
 		{"map", objects.MapSpec{}, 40, 48},
 	}
 	for _, tc := range inputs {
@@ -115,14 +116,14 @@ func runRingExhaustion(t *testing.T, sp spec.Spec, seed, rounds int) {
 	}
 	ctl.KillAll()
 
-	// The valve must actually have fired, laying chain bases: without
-	// truncation p0's log would hold all its records.
+	// The valve must actually have fired, cutting: without truncation
+	// p0's log would hold all its records.
 	if live := in.Log(0).Len(); live >= rounds {
 		t.Fatalf("p0 log holds %d records; the valve never truncated", live)
 	}
-	if st, ps := in.CompactionStats(), in.Pressure(); st.Bases == 0 || st.Deltas != 0 ||
-		ps.ValveFires != st.Bases || ps.Spills != int(st.Bases) {
-		t.Fatalf("valve cuts %+v, pressure %+v: want chain bases only, one per valve fire and spill", st, ps)
+	if st, ps := in.CompactionStats(), in.Pressure(); st.Bases == 0 ||
+		ps.ValveFires != st.Bases+st.Deltas || ps.Spills != int(st.Bases+st.Deltas) {
+		t.Fatalf("valve cuts %+v, pressure %+v: want one cut per valve fire and spill", st, ps)
 	}
 
 	pool.SetGate(nil)
@@ -161,23 +162,24 @@ func runRingExhaustion(t *testing.T, sp spec.Spec, seed, rounds int) {
 // valveCapacity is the log geometry of the valve tests: with three
 // processes it gives a region of 2*15 + 2*1 = 32 lines. A stalled
 // round's records take two lines in each of p0's and p1's logs, and the
-// room check wants the three lines of a worst-case record, so a log
-// is short at the check of round 16, with 15 records (30 lines) live,
-// and again every 15 rounds after a relief: the base takes one line,
-// and 15 more records leave one free.
+// room check wants the three lines of a worst-case record plus the line
+// it keeps for a cut, so a log is short at the check of round 16, with
+// 15 records (30 lines) live, and again 14 rounds after each valve
+// cut: the cut's record takes one line, and 14 more records leave three
+// free.
 const valveCapacity = 15
 
-// TestValveReliefAfterRecovery pins the relief on a recovered handle
-// whose view lags its own log. The machine crashes with 15 records
-// live in each log and p0's view at the recovered base (index 0 after
-// 15 rounds, the base the valve laid in round 16 after 30), below all
-// of its live records; one more stalled round makes p1's and then
-// p0's room check fire the valve. The relief catches the view up to
-// the latest available node before it lays its base: a base at the
-// stale view would truncate records above it, and their operations
-// would be lost at the next crash.
+// TestValveReliefAfterRecovery pins the valve's cut on a recovered
+// handle whose view lags its own log. The machine crashes with each log
+// short of room for the next round's record and p0's view at the
+// recovered base (index 0 after 15 rounds, the cut the valve made in
+// round 16 after 29), below all of its live records; one more stalled
+// round makes p1's and then p0's room check fire the valve. The cut
+// catches the view up to the latest available node before it cuts: a
+// cut at the stale view would truncate records above it, and their
+// operations would be lost at the next crash.
 func TestValveReliefAfterRecovery(t *testing.T) {
-	for _, rounds := range []int{15, 30} {
+	for _, rounds := range []int{15, 29} {
 		t.Run(fmt.Sprintf("rounds=%d", rounds), func(t *testing.T) { runValveAfterRecovery(t, rounds) })
 	}
 }
@@ -192,7 +194,9 @@ func runValveAfterRecovery(t *testing.T, rounds int) {
 		t.Fatal(err)
 	}
 	stalledRounds(t, ctl, in, rounds)
-	if fires, want := in.Pressure().ValveFires, uint64(2*(rounds/15-1)); fires != want {
+	// Both logs are short at round 16's check and, after its cuts, at
+	// round 30's.
+	if fires, want := in.Pressure().ValveFires, map[int]uint64{15: 0, 29: 2}[rounds]; fires != want {
 		t.Fatalf("valve fired %d times before the crash, want %d", fires, want)
 	}
 
@@ -272,7 +276,7 @@ func stalledRounds(t *testing.T, ctl *sched.Controller, in *Instance, rounds int
 // TestValveCountsEachShortageOnce pins the pressure counters: each log
 // shortage a room check finds is relieved once and counted once in
 // ValveFires and Spills. In the geometry above p0's and p1's logs are
-// both short at their room checks of rounds 16 and 31, so each of
+// both short at their room checks of rounds 16 and 30, so each of
 // those rounds counts two reliefs. Without a view there is no relief:
 // the round-16 update gets plog.ErrFull, and nothing is counted.
 func TestValveCountsEachShortageOnce(t *testing.T) {
@@ -281,7 +285,7 @@ func TestValveCountsEachShortageOnce(t *testing.T) {
 		views  bool
 		fireAt []int // 1-based rounds whose room checks fire the valve
 	}{
-		{"view", true, []int{16, 31}},
+		{"view", true, []int{16, 30}},
 		{"no-view", false, nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -28,7 +28,7 @@ func TestNodePoolingFeedsFreelist(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	const n = 320 // ten compaction cycles
+	const n = 321 // ten compaction cycles, the tenth cut in the last update's order stage
 	for i := 0; i < n; i++ {
 		update()
 	}
@@ -126,8 +126,8 @@ func TestMinorityUpdaterRecycles(t *testing.T) {
 		for i := 0; i < ce; i++ {
 			update(h0)
 		}
-		if r < 2*ce || h1.sinceCompact == ce-1 {
-			update(h1) // warm-up, or p1's own cut
+		if r < 2*ce || h1.sinceCompact == ce {
+			update(h1) // warm-up, or p1's own cut in its order stage
 			continue
 		}
 		o, _ := heapDelta(func() { update(h1) })
@@ -145,25 +145,27 @@ func TestMinorityUpdaterRecycles(t *testing.T) {
 // TestReuseWaitsForSplice pins the cut bound of the reuse rule (see
 // Handle.floor): a node above the newest splice is still on the live
 // trace, so no walk floor covers the walk of a handle that starts
-// later. p0 lays a base at 8 and, while p1 is parked after ordering its
-// cutting node 16, a delta at 24, so p0's floor rests at 24. p1 then
-// splices its base at 16 and goes idle with its view there. p0 reuses
-// its own nodes below 16 and parks in the insert after that, with the
-// node it draws reinitialised. p1's next read walks from the tail down
-// to 16 and must see p0's put at 17. Reusing below walkLimit alone (22
-// here), p0 draws node 17 and the read stops there, missing key 8.
+// later. p0 lays a base at 8; p1 orders nodes 10..17, p2 reads there
+// and goes idle with its view at 17, and p1 parks in the order stage
+// that will cut at 17. p0 orders nodes 18..25 and cuts a delta at 24
+// on the way, so p0's floor rests at 24. p1 then splices its base at
+// 17. p0 reuses its own nodes below 17 and parks in the insert after
+// that, with the node it draws reinitialised. p2's next read walks from
+// the tail down to 17 and must see p0's put at 18. Reusing below
+// walkLimit alone (21 here), p0 draws node 18 and the read stops there,
+// missing key 9.
 func TestReuseWaitsForSplice(t *testing.T) {
 	const ce = 8
 	ctl := sched.NewController()
 	pool := pmem.New(1<<22, ctl)
 	in, err := New(pool, objects.MapSpec{}, Config{
-		NProcs: 2, LogCapacity: 256, CompactEvery: ce, Gate: ctl,
+		NProcs: 3, LogCapacity: 256, CompactEvery: ce, Gate: ctl,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	h0, h1 := in.Handle(0), in.Handle(1)
-	// p0 runs on the test goroutine (never parked) until it is spawned.
+	h0, h1, h2 := in.Handle(0), in.Handle(1), in.Handle(2)
+	// p0 and p1 run on the test goroutine (never parked) until spawned.
 	next := uint64(0)
 	put0 := func(n int) {
 		t.Helper()
@@ -174,32 +176,39 @@ func TestReuseWaitsForSplice(t *testing.T) {
 			next++
 		}
 	}
-	put0(ce) // base at 8
-	done1 := ctl.Spawn(1, func() {
-		for i := uint64(0); i < ce; i++ {
-			if _, _, err := h1.Update(objects.MapPut, 1000+i, i+1); err != nil {
-				panic(err)
-			}
-		}
-	})
-	for i := 0; i < ce-1; i++ { // nodes 9..15
-		if _, ok := ctl.RunPast(1, sched.AtPoint(PointReturn)); !ok {
-			t.Fatal("p1 finished early")
+	put1 := func(i uint64) {
+		if _, _, err := h1.Update(objects.MapPut, 1000+i, i+1); err != nil {
+			panic(err)
 		}
 	}
-	if _, ok := ctl.RunUntil(1, sched.AtPoint(PointOrdered)); !ok {
+	const s = 2*ce + 1
+	put0(ce + 1) // nodes 1..9, base at 8 in the ninth's order stage
+	for i := uint64(0); i < ce; i++ {
+		put1(i) // nodes 10..17
+	}
+	h2.Read(objects.MapLen) // p2's view at s
+	done1 := ctl.Spawn(1, func() { put1(ce) })
+	if _, ok := ctl.RunUntil(1, sched.AtPoint("trace.scan")); !ok {
 		t.Fatal("p1 finished early")
 	}
-	put0(ce) // nodes 17..24, delta at 24
+	put0(ce) // nodes 18..25, delta at 24
 	ctl.RunToCompletion(1)
 	if out := <-done1; out != nil {
 		t.Fatal(out)
 	}
-	if c := in.cutIdx.Load(); c != 2*ce || in.Log(0).ChainHead() != 3*ce {
-		t.Fatalf("cut index %d, p0's chain head %d; want %d, %d", c, in.Log(0).ChainHead(), 2*ce, 3*ce)
+	if c := in.cutIdx.Load(); c != s || in.Log(0).ChainHead() != 3*ce {
+		t.Fatalf("cut index %d, p0's chain head %d; want %d, %d", c, in.Log(0).ChainHead(), s, 3*ce)
 	}
-	done0 := ctl.Spawn(0, func() { put0(4) })
-	for i := 0; i < 3; i++ { // reuse nodes 6, 7 and 8
+	// p0's updates reuse its ring's nodes below s, oldest first; the
+	// next one draws node s+1, or a fresh node.
+	below := 0
+	for r := &h0.own; below < r.n && r.buf[(r.head+below)%len(r.buf)].Idx() < s; below++ {
+	}
+	if below+h0.sinceCompact >= ce {
+		t.Fatalf("%d reuses from a count of %d reach a cut; the parked insert would be the cut's tail read", below, h0.sinceCompact)
+	}
+	done0 := ctl.Spawn(0, func() { put0(below + 1) })
+	for i := 0; i < below; i++ {
 		if _, ok := ctl.RunPast(0, sched.AtPoint(PointReturn)); !ok {
 			t.Fatal("p0 finished early")
 		}
@@ -207,16 +216,16 @@ func TestReuseWaitsForSplice(t *testing.T) {
 	if _, ok := ctl.RunUntil(0, sched.AtPoint("trace.read-tail")); !ok {
 		t.Fatal("p0 finished early")
 	}
-	if got := h1.Read(objects.MapGet, ce); got != ce+1 {
-		t.Fatalf("p1 reads key %d as %d, want %d", ce, got, ce+1)
+	if got := h2.Read(objects.MapGet, ce+1); got != ce+2 {
+		t.Fatalf("p2 reads key %d as %d, want %d", ce+1, got, ce+2)
 	}
 	ctl.RunToCompletion(0)
 	if out := <-done0; out != nil {
 		t.Fatal(out)
 	}
 	for k := uint64(0); k < next; k++ {
-		if got := h1.Read(objects.MapGet, k); got != k+1 {
-			t.Fatalf("p1 reads key %d as %d, want %d", k, got, k+1)
+		if got := h2.Read(objects.MapGet, k); got != k+1 {
+			t.Fatalf("p2 reads key %d as %d, want %d", k, got, k+1)
 		}
 	}
 }

@@ -1,8 +1,8 @@
 package core
 
-// Memory reclamation (Section 8): the compaction cut, the snapshot
-// payload envelope, and the per-handle trace-node pool the cut makes
-// reusable, with its quiescence rule.
+// Memory reclamation (Section 8): the compaction cut and its one call
+// site, the snapshot payload envelope, and the per-handle trace-node
+// pool the cut makes reusable, with its quiescence rule.
 
 import (
 	"errors"
@@ -12,28 +12,90 @@ import (
 	"repro/internal/trace"
 )
 
-// compact implements the Section 8 reclamation scheme after the update
-// that created node: durably append a chain record covering the state
-// at s = node.Idx() (one persistent fence) and truncate every earlier
-// record of this process's log. A delta cut leaves the trace alone: its
-// window must stay walkable for the next delta. A base cut also links
-// node to a base node at index s, so the old prefix becomes unreachable
-// for new walkers and its nodes become reusable. Recovery ignores logged
-// operations with indices <= the newest chain head, so other
-// processes' still-live records of old operations are harmless.
+// cutIfDue is the order stage's compaction step, after enter and before
+// the insert: the only place a handle cuts (DESIGN.md §3.7, §3.8), so a
+// cut that fails leaves nothing ordered. A cut is due when the handle
+// has ordered cutEvery ops since its last one, or when its log lacks
+// room for the op's record (the pressure valve). It catches the view up
+// to the latest available node, cuts there, resets the count and
+// publishes the walk floor again. Every record of the log is the
+// handle's own and at or below that node, so the cut covers all it
+// truncates, into the line Room keeps free. A short log counts once in
+// ValveFires and Spills; without a view it refuses the op with
+// plog.ErrFull, and a failed cut, or a log still short after one, with
+// ErrLogPressure. Only the owner appends to its log, so the room lasts
+// until the handle's own commit uses it.
+//
+//onll:hotpath
+func (h *Handle) cutIfDue() error {
+	in := h.in
+	log := in.logs[h.pid]
+	short := log.Room(1)
+	if short == nil {
+		if ce := h.cutEvery(); ce == 0 || h.sinceCompact < ce {
+			return nil
+		}
+	} else if h.view == nil {
+		return fmt.Errorf("core: persist stage: %w", short)
+	}
+	node := trace.LatestAvailableFrom(in.gate, h.pid, in.tr.Tail(h.pid))
+	if h.viewIdx < node.Idx() {
+		h.advanceView(node)
+	}
+	if err := h.compact(node); err != nil {
+		if short != nil {
+			err = fmt.Errorf("%w: %w", ErrLogPressure, err)
+		}
+		return fmt.Errorf("core: compaction: %w", err)
+	}
+	h.sinceCompact = 0
+	h.publishFloor()
+	if short != nil {
+		in.valveFires.Add(1) //onll:barrier(Pressure's load from a stats poller)
+		log.AddSpills(1)
+		if err := log.Room(1); err != nil {
+			return fmt.Errorf("%w: %v after the cut", ErrLogPressure, err)
+		}
+	}
+	return nil
+}
+
+// compact implements the Section 8 reclamation scheme at node, the
+// latest available node cutIfDue caught the view up to: durably append
+// a chain record covering the state at s = node.Idx() (one persistent
+// fence) and truncate every earlier record of this process's log. A
+// delta cut leaves the trace alone: its window must stay walkable for
+// the next delta. A base cut also links node to a base node at index s,
+// so the old prefix becomes unreachable for new walkers and its nodes
+// become reusable. Recovery ignores logged operations with indices <=
+// the newest chain head, so other processes' still-live records of old
+// operations are harmless.
 func (h *Handle) compact(node *trace.Node) error {
 	s := node.Idx()
-	if h.viewIdx != s {
-		return fmt.Errorf("core: compact view at %d, node at %d", h.viewIdx, s)
-	}
 	done, foreign, err := h.tryDeltaCut(node)
 	if done || err != nil {
 		return err
 	}
-	slot, body, err := h.chainBaseAndTruncate(s)
+	// The base leg: a fresh chain base (or a collapse to one) of the
+	// view, encoded once, and the truncate behind it.
+	in, log := h.in, h.in.logs[h.pid]
+	collapse := log.ChainLen() > 0
+	slot, body := h.encodeBase()
+	seq, err := log.AppendChainBase(body, s)
 	if err != nil {
 		return err
 	}
+	if seq > 1 {
+		if err := log.Truncate(seq - 1); err != nil {
+			return err
+		}
+	}
+	if collapse {
+		in.cmpCollapses.Add(1)
+	}
+	in.cmpBases.Add(1)
+	in.cmpSnapWords.Add(uint64(len(body)))
+	in.cmpFullWords.Add(uint64(len(body)))
 	if foreign {
 		// This base was forced by a sentinel another handle spliced
 		// inside our window, so the trace was already cut (and bounded)
@@ -45,12 +107,18 @@ func (h *Handle) compact(node *trace.Node) error {
 		// collapse) splices as usual.
 		return nil
 	}
+	// node may be another handle's, and splicing after it is as safe:
+	// it sits at the cut index this splice publishes, not below it, so
+	// the reuse rule does not free it; our floor, at or below it since
+	// enter, keeps its owner from reusing it while we splice; and two
+	// handles that cut at one node write the same state
+	// (TestTwoCutsAtOneNodeAgree).
 	seqs, snap, _ := snapDecode(body)
 	node.SetNextBase(trace.NewBase(s, snap, seqs))
 	h.bases.idx[slot] = s
 	// Publish the splice after it lands: newNode reuses below it.
-	for c := h.in.cutIdx.Load(); c < s; c = h.in.cutIdx.Load() {
-		if h.in.cutIdx.CompareAndSwap(c, s) {
+	for c := in.cutIdx.Load(); c < s; c = in.cutIdx.Load() {
+		if in.cutIdx.CompareAndSwap(c, s) {
 			break
 		}
 	}

@@ -1,10 +1,11 @@
 package core
 
-// The update pipeline (Section 3.2, Listing 3): order, compute the
-// return value on the ordered prefix, then commit — persist the fuzzy
-// window with one fence, linearize, and run the compaction cadence.
-// Update is the one-op case; Batch (batch.go) orders many operations
-// and commits them at once.
+// The update pipeline (Section 3.2, Listing 3): order — with the one
+// compaction cut site (cutIfDue, reclaim.go) before the insert —,
+// compute the return value on the ordered prefix, then commit: persist
+// the fuzzy window with one fence, and linearize. Update is the one-op
+// case; Batch (batch.go) orders many operations and commits them at
+// once.
 
 import (
 	"fmt"
@@ -17,13 +18,12 @@ import (
 // order/persist/linearize pipeline (paper Listing 3). It returns the
 // operation's return value and its unique id (usable with
 // Report.WasLinearized after a crash). The persist stage issues exactly
-// one persistent fence; a compaction cut the cadence makes due adds its
-// own (cutCadence), and so does a pressure-valve relief (valve.go).
+// one persistent fence; a compaction cut the order stage makes before
+// the insert adds its own two (cutIfDue).
 //
-// An error with id 0 comes from the order stage and means nothing was
-// ordered (quarantine, or a log without room for the op's record:
-// plog.ErrFull, ErrLogPressure). An error with an id is the compaction
-// cut's, after the op was persisted and linearized.
+// Every error comes from the order stage, with id 0, and means nothing
+// was ordered: quarantine, a log without room for the op's record
+// (plog.ErrFull, ErrLogPressure), or a failed cut.
 //
 //onll:hotpath
 func (h *Handle) Update(code uint64, args ...uint64) (ret, id uint64, err error) {
@@ -43,9 +43,8 @@ func (h *Handle) Update(code uint64, args ...uint64) (ret, id uint64, err error)
 	// available node from the tail, not a fixed one.
 	ret = h.computeUpdate(node)
 	h.commit(node)
-	err = h.cutCadence(node, 1)
 	h.in.gate.Step(h.pid, PointReturn)
-	return ret, node.Op.ID, err
+	return ret, node.Op.ID, nil
 }
 
 // commit persists and linearizes the ordered operations ending at
@@ -83,10 +82,11 @@ func (h *Handle) commit(last *trace.Node) {
 }
 
 // order runs the order stage for (code, args): the quarantine check,
-// enter, the room check (plog.Log.Room) with its valve relief, and
-// insert. An op is ordered only when its record fits, so a handle never
-// holds an ordered op it cannot persist (Proposition 5.2's premise). On
-// success the caller must exit the handle; on failure it is released.
+// enter, the compaction cut when one is due (cutIfDue, which also
+// checks that the op's record fits), and insert. An op is ordered only
+// when its record fits, so a handle never holds an ordered op it cannot
+// persist (Proposition 5.2's premise). On success the caller must exit
+// the handle; on failure it is released.
 //
 //onll:hotpath
 func (h *Handle) order(code uint64, args []uint64) (*trace.Node, error) {
@@ -94,24 +94,24 @@ func (h *Handle) order(code uint64, args []uint64) (*trace.Node, error) {
 		return nil, qerr
 	}
 	h.enter()
-	if err := h.in.logs[h.pid].Room(1); err != nil {
-		if err = h.relieve(err); err != nil {
-			h.exit()
-			return nil, fmt.Errorf("core: persist stage: %w", err)
-		}
+	if err := h.cutIfDue(); err != nil {
+		h.exit()
+		return nil, err
 	}
 	return h.insert(code, args), nil
 }
 
 // insert gives (code, args) the handle's next op id and a pooled node,
 // and inserts it into the trace, which fixes the operation's
-// linearization order. The CAS inside the insert is a concurrency fence
-// but no NVM write-back is pending, so it is not a persistent fence
-// (paper footnote 2). The handle must be entered.
+// linearization order; it counts the op toward the compaction cadence.
+// The CAS inside the insert is a concurrency fence but no NVM
+// write-back is pending, so it is not a persistent fence (paper
+// footnote 2). The handle must be entered.
 //
 //onll:hotpath
 func (h *Handle) insert(code uint64, args []uint64) *trace.Node {
 	h.seq++
+	h.sinceCompact++
 	op := spec.Op{Code: code, ID: spec.MakeID(h.pid, h.seq)}
 	copy(op.Args[:], args)
 	node := h.newNode(op)
@@ -134,22 +134,4 @@ func (h *Handle) computeUpdate(node *trace.Node) uint64 {
 	// past node.
 	_, ret := h.replay(node)
 	return ret
-}
-
-// cutCadence counts n persisted updates toward the handle's compaction
-// cadence and, when a cut is due, cuts at node (the newest of them).
-func (h *Handle) cutCadence(node *trace.Node, n int) error {
-	ce := h.cutEvery()
-	if ce == 0 {
-		return nil
-	}
-	h.sinceCompact += n
-	if h.sinceCompact < ce {
-		return nil
-	}
-	h.sinceCompact = 0
-	if err := h.compact(node); err != nil {
-		return fmt.Errorf("core: compaction: %w", err)
-	}
-	return nil
 }

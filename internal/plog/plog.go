@@ -50,7 +50,8 @@
 //
 // A region is sized for Capacity records, an eighth of them worst-case
 // (MaxOps operations) and the rest of one op each; Room promises the
-// owner's next appends by counting free lines against the worst case.
+// owner's next appends by counting free lines against the worst case,
+// keeping one line for a compaction record.
 //
 // Snapshot records implement the memory-reclamation extension of paper
 // Section 8: a record points to a separately written state-snapshot
@@ -381,11 +382,13 @@ func sumFinal(h uint64) uint64 {
 }
 
 // Room returns nil when the log's free lines can take its next records
-// appends of up to MaxOps operations each, whatever their op counts;
-// else ErrFull. Only the owner appends, so the room lasts until its own
-// appends use it. O(1): it reads volatile mirrors only.
+// appends of up to MaxOps operations each, whatever their op counts,
+// and keep one line for a compaction record (a chain record takes one),
+// so a log its owner admits ops to can always be cut; else ErrFull.
+// Only the owner appends, so the room lasts until its own appends use
+// it. O(1): it reads volatile mirrors only.
 func (l *Log) Room(records int) error {
-	if l.free() < records*l.worst {
+	if l.free() < records*l.worst+1 {
 		return ErrFull
 	}
 	return nil

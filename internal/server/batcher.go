@@ -181,23 +181,22 @@ func (ba *Batcher) stage(r *Request) {
 
 // flush fences everything staged and releases the responses. The fence
 // covers every pending request at once — this is the whole
-// amortization. A Flush error is the compaction cut's, after the fence:
-// every pending request carries it, as Update returns a cut's error
-// with its committed op.
+// amortization. A flush cannot fail (core.Batch.Flush), so every
+// pending request is acked: only a request Stage refused, never
+// ordered, carries an error.
 //
 //onll:hotpath
 func (ba *Batcher) flush() {
 	if len(ba.pending) == 0 {
 		return
 	}
-	err := ba.batch.Flush()
+	_ = ba.batch.Flush()                    // always nil: the cut runs in the order stage
 	ba.flushes.Add(1)                       //onll:barrier(Stats load of the counter from another goroutine)
 	ba.batched.Add(uint64(len(ba.pending))) //onll:barrier(Stats load of the counter from another goroutine)
 	now := ba.ring.nowNs()
 	for _, r := range ba.pending {
 		r.PersistNs.Store(now) //onll:barrier(the timing row the connection writer reads after the response may be in flight)
-		r.Err = err
-		r.done <- r //onll:chanok(ack delivery: buffered response channel)
+		r.done <- r            //onll:chanok(ack delivery: buffered response channel)
 		ba.ring.add(r)
 	}
 	ba.pending = ba.pending[:0]

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/objects"
+	"repro/internal/plog"
 	"repro/internal/pmem"
 	"repro/internal/sched"
 	"repro/internal/spec"
@@ -239,5 +240,69 @@ func TestFullLogRefusesUnorderedRequests(t *testing.T) {
 	}
 	if v := rin.Handle(1).Read(objects.CounterGet); v != uint64(len(acked)) {
 		t.Fatalf("recovered counter %d, want %d", v, len(acked))
+	}
+}
+
+// TestErrorResponsesCarryNoLinearizedOp drives compacting instances,
+// some on pools with no room for a chain body, so the batcher's cuts
+// fail: no response with a non-zero status may carry an op that
+// recovery reports as linearized. A refusal carries id 0 and was never
+// ordered; every ack survives the crash, and the recovered counter
+// counts exactly the acks.
+func TestErrorResponsesCarryNoLinearizedOp(t *testing.T) {
+	for _, ce := range []int{0, 2, 8} {
+		for _, room := range []int{0, 1 << 16} {
+			const maxOps = 2 + 4
+			pool := pmem.New(pmem.RootSlots*pmem.WordSize+2*plog.RegionBytes(8, maxOps)+room, nil)
+			in, err := core.New(pool, objects.CounterSpec{}, core.Config{
+				NProcs: 2, LogCapacity: 8, LogMaxOps: maxOps, LocalViews: true, CompactEvery: ce,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := New(in, Config{Batcher: BatcherConfig{MaxBatch: 4}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Listen("tcp", "127.0.0.1:0"); err != nil {
+				t.Fatal(err)
+			}
+			c, err := Dial("tcp", s.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			chans := make([]<-chan Resp, 0, 64)
+			for i := 0; i < cap(chans); i++ {
+				chans = append(chans, c.Async(KindUpdate, objects.CounterInc))
+			}
+			var resps []Resp
+			for _, ch := range chans {
+				resps = append(resps, <-ch)
+			}
+			c.Close()
+			s.Close()
+
+			pool.Crash(pmem.DropAll)
+			rin, rep, err := core.Recover(pool, objects.CounterSpec{}, core.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			acked := 0
+			for i, r := range resps {
+				_, ok := rep.WasLinearized(r.ID)
+				switch {
+				case r.Err == nil && !ok:
+					t.Fatalf("CompactEvery %d room %d: acked request %d (id %#x) lost after crash", ce, room, i, r.ID)
+				case r.Err != nil && (r.ID != 0 || ok):
+					t.Fatalf("CompactEvery %d room %d: request %d refused (%v) with id %#x, linearized %v; want no id, never linearized",
+						ce, room, i, r.Err, r.ID, ok)
+				case r.Err == nil:
+					acked++
+				}
+			}
+			if v := rin.Handle(1).Read(objects.CounterGet); v != uint64(acked) {
+				t.Fatalf("CompactEvery %d room %d: recovered counter %d for %d acks", ce, room, v, acked)
+			}
+		}
 	}
 }

@@ -90,10 +90,10 @@ var (
 	// operations; Update/TryRead refuse until Instance.Recreate.
 	ErrObjectQuarantined = core.ErrObjectQuarantined
 	// ErrLogPressure: an update found its log short of a worst-case
-	// record's lines even after the pressure valve's one relief (a
-	// chain base at the caught-up view), or the relief failed; the op
-	// was not ordered. A log the valve cannot relieve (no local view,
-	// or no free line for the base) refuses with plog's ErrFull.
+	// record's lines, and the pressure valve's cut (at the caught-up
+	// view) failed or left it short; the op was not ordered. A handle
+	// without a local view has nothing to cut: a short log refuses with
+	// plog's ErrFull.
 	ErrLogPressure = core.ErrLogPressure
 	// ErrRootOverlap: Open/Recover was asked to place an instance on a
 	// root-table range another live instance on the same pool already
